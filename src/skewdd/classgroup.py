@@ -127,13 +127,6 @@ class ClassGroup:
         a, b, c = self.forms[i]
         return self.forms.index(reduce_form((a, -b, c)))
 
-    def order_of(self, i: int) -> int:
-        k, x = 1, i
-        while x != self.identity:
-            x = self.table[x][i]
-            k += 1
-        return k
-
     def structure_text(self) -> str:
         if not self.invariants:
             return "trivial"

@@ -1,7 +1,8 @@
 """Command-line interface: certificates in, certificates out.
 
 Exit codes: 0 success / verification passed, 2 usage or unsupported
-domain, 3 verification failure or invalid input data, 4 search
+domain, 3 verification failure (including a malformed certificate and
+an engine's failed self-check) or invalid input data, 4 search
 obstruction (missing principal generator, exhausted bound), 5 precision
 deficit. All emitted JSON is canonical (sorted keys, no floats), so
 fixed flags and seed give byte-identical files.
@@ -66,11 +67,6 @@ def cmd_extend(args) -> int:
         raise ValueError("--gens takes a nonempty JSON array of series")
     gens = [textio.parse_series(dom, s) for s in gen_strings]
     cert, repairs, _ = extension.extend_with_repair(gens, args.prec)
-    report = extension.verify_extension_certificate(cert)
-    if not report.ok:
-        for line in report.lines():
-            print(line)
-        return 3
     print(f"constant ideal: {cert.ideal!r}")
     print(f"repairs: {repairs}")
     _write_out(cert.to_json(), args.out)
@@ -94,11 +90,6 @@ def cmd_complete_row(args) -> int:
     rng = random.Random(args.seed)
     cert = completion.complete_unimodular_row(shaped, wit, args.prec, rng,
                                               bound=args.bound)
-    report = completion.verify_completion(cert)
-    if not report.ok:
-        for line in report.lines():
-            print(line)
-        return 3
     print(f"reduction depth n = {cert.n}")
     _write_out(cert.to_json(), args.out)
     return 0
@@ -108,13 +99,19 @@ def cmd_verify(args) -> int:
     obj = _load_json(args.path)
     schema = obj.get("schema")
     if schema == "extension-cert/v1":
-        report = extension.verify_extension_certificate(
-            extension.ExtensionCertificate.from_json(obj))
+        load = extension.ExtensionCertificate.from_json
+        check = extension.verify_extension_certificate
     elif schema == "completion-cert/v1":
-        report = completion.verify_completion(
-            completion.CompletionCertificate.from_json(obj))
+        load = completion.CompletionCertificate.from_json
+        check = completion.verify_completion
     else:
         raise ValueError(f"unknown certificate schema {schema!r}")
+    try:
+        report = check(load(obj))
+    except (KeyError, IndexError, TypeError, SkewError) as err:
+        print(f"verification failure: malformed {schema} certificate "
+              f"({type(err).__name__}: {err})", file=sys.stderr)
+        return 3
     for line in report.lines():
         print(line)
     return 0 if report.ok else 3
@@ -310,6 +307,9 @@ def main(argv=None) -> int:
     except PrecisionError as err:
         print(f"precision deficit: {err}", file=sys.stderr)
         return 5
+    except SkewError as err:
+        print(f"verification failure: {err}", file=sys.stderr)
+        return 3
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

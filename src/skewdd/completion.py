@@ -13,9 +13,10 @@ over the idealized ring [[R, I^(-1)], [I, I*I^(-1)]], in certified steps:
                      constant matrix,
   lift_invertibility pushes invertibility data back up one level,
   complete_unimodular_row
-                     runs the chain and converts the top-level data
+                     runs the chain, converts the top-level data
                      into an invertible matrix with its two-sided
-                     inverse.
+                     inverse and checks the result once with
+                     verify_completion.
 
 Every intermediate coefficient is checked against its declared
 fractional-ideal shape, reductions consume exactly one known order, and
@@ -38,7 +39,7 @@ from .errors import (
 from . import ideals
 from .ideals import FracIdeal, IdealLattice, unit_frac
 from .reporting import VerifyReport
-from .series import SeriesMatrix, TruncatedSeries, mul
+from .series import SeriesMatrix, TruncatedSeries, disagreement, mul
 from . import textio
 
 
@@ -104,21 +105,6 @@ def _require_shape(mat: SeriesMatrix, shape_of, what: str):
             mat.rows[r][c].coeff(order), shape_of(order)[r][c],
             f"{what} entry ({r},{c}) coefficient at order {order} "
             f"escapes its shape ideal")
-
-
-def _matrix_disagreement(left: SeriesMatrix, right: SeriesMatrix):
-    """(first differing order or None, common verified exclusive bound)."""
-    bad = None
-    bound = None
-    for ra, rb in zip(left.rows, right.rows):
-        for a, b in zip(ra, rb):
-            diff = a - b
-            if diff.coeffs:
-                bad = diff.val if bad is None else min(bad, diff.val)
-            elif diff.known_to is not None:
-                bound = diff.known_to if bound is None \
-                    else min(bound, diff.known_to)
-    return bad, bound
 
 
 class ShapedRow:
@@ -460,7 +446,9 @@ def complete_unimodular_row(shaped: ShapedRow, t: SeriesMatrix, prec: int,
 
     Needs n extra known orders beyond prec and fails fast with the exact
     deficit otherwise. The final conversion requires the top shape ideal
-    to be the whole domain (rows over [R, I^(-1)]).
+    to be the whole domain (rows over [R, I^(-1)]). The certificate is
+    returned only after verify_completion passes; a failed check raises
+    SkewError naming the failed checks.
     """
     dom = shaped.dom
     n, t2 = check_unimodular(shaped, t)
@@ -493,21 +481,10 @@ def complete_unimodular_row(shaped: ShapedRow, t: SeriesMatrix, prec: int,
     s_inv = s_mat.invert(prec + n + 2)
     final = _stack(shaped.row, data.b)
     final_inv = (data.T.shift(-n) @ m2) @ s_inv
-    for left, right in ((final, final_inv), (final_inv, final)):
-        diff = (left @ right) - SeriesMatrix.identity(dom)
-        for row in diff.rows:
-            for series in row:
-                if series.coeffs:
-                    raise SkewError(
-                        f"final inverse fails at order {series.val}")
-        bound = diff.known_to
-        if bound is not None and bound < prec:
-            raise PrecisionError(
-                f"final inverse verified only below order {bound}",
-                deficit=prec - bound)
     cert = CompletionCertificate(
         dom.spec, shaped.j_ideal, shaped.a_ideal, shaped.row, t2, n,
         data.b, data.T, data.H, final, final_inv, prec)
+    verify_completion(cert).require_ok()
     return cert
 
 
@@ -546,7 +523,7 @@ def verify_completion(cert: CompletionCertificate) -> VerifyReport:
                 "" if trailing_ok else "trailing coefficients not integral")
 
     prod = _stack(cert.row, cert.b) @ cert.T
-    bad_order, bound = _matrix_disagreement(prod, cert.H)
+    bad_order, bound = disagreement(prod, cert.H)
     if bad_order is not None:
         rep.add("[a; b] * T reproduces H", False, "", bad_order)
     else:
@@ -576,10 +553,11 @@ def verify_completion(cert: CompletionCertificate) -> VerifyReport:
                                cert.final_inv),
                               ("final_inv * final = Id", cert.final_inv,
                                cert.final)):
-        bad, bound = _matrix_disagreement(left @ right, ident)
+        bad, bound = disagreement(left @ right, ident)
         if bad is not None:
             rep.add(name, False, "", bad)
         else:
+            # the claim covers orders below prec: a bound of prec suffices
             ok = bound is None or bound >= cert.prec
             rep.add(name, ok,
                     "" if ok else f"verified only below order {bound}, "

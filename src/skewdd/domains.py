@@ -235,12 +235,6 @@ class RingElem:
         return self.a * self.a + self.a * self.b * self.dom.omega_t \
             - self.b * self.b * self.dom.omega_c
 
-    def norm_abs(self) -> int:
-        """|e * conj(e)|; over Z this is a^2 scaled down to |a| for indexing."""
-        if not self.dom.is_quad:
-            return abs(self.a)
-        return abs(self.norm())
-
     def is_unit(self) -> bool:
         return self.norm() in (1, -1)
 
@@ -386,23 +380,3 @@ class FieldElem:
 
     def complex_value(self) -> complex:
         return self.num.complex_value() / self.den
-
-
-def sigma_apply(e: FieldElem, i: int) -> FieldElem:
-    """Apply sigma^i to an element; sigma^2 = id, so only parity matters."""
-    return e.dom.sigma_pow(e, i)
-
-
-def norm(e: FieldElem) -> Fraction:
-    return e.norm()
-
-
-def is_unit(e: RingElem) -> bool:
-    return e.is_unit()
-
-
-def divide_exact(a: FieldElem, b: FieldElem) -> FieldElem:
-    """Exact division a / b in the fraction field."""
-    if not b:
-        raise ZeroDivisionError("division by zero")
-    return a / b

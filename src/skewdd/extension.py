@@ -37,7 +37,7 @@ from .errors import (
 from . import ideals
 from .ideals import IdealLattice, echelon, from_ring_generators
 from .reporting import VerifyReport
-from .series import SeriesMatrix, TruncatedSeries, mul
+from .series import SeriesMatrix, TruncatedSeries, disagreement, mul
 from . import textio
 
 DEFAULT_DEPTH = 4
@@ -293,10 +293,6 @@ class ExtensionCertificate:
                                     int(obj["prec"]), obj.get("audit", []))
 
 
-def _sigma_ring(dom: Domain, e: RingElem, i: int) -> RingElem:
-    return dom.sigma_pow_ring(e, i)
-
-
 def extend(j_ideal: IdealLattice, g: SeriesMatrix, prec: int
            ) -> ExtensionCertificate:
     """Inductive construction of the certificate (A, q) for given J and g.
@@ -334,8 +330,8 @@ def extend(j_ideal: IdealLattice, g: SeriesMatrix, prec: int
     q_coeffs: list[FieldElem] = [dom.fone]
     audit = []
     for n in range(1, prec + 1):
-        sig_a1 = _sigma_ring(dom, a1, n)
-        sig_a2 = _sigma_ring(dom, a2, n)
+        sig_a1 = dom.sigma_pow_ring(a1, n)
+        sig_a2 = dom.sigma_pow_ring(a2, n)
         # srow = sum_{i=1..n} g_i sigma^i(A_{n-i})
         srow = [dom.zero, dom.zero]
         for i in range(1, n + 1):
@@ -343,8 +339,8 @@ def extend(j_ideal: IdealLattice, g: SeriesMatrix, prec: int
             am = a_mats[n - i]
             for col in range(2):
                 srow[col] = srow[col] + (
-                    gi[0] * _sigma_ring(dom, am[0][col], i)
-                    + gi[1] * _sigma_ring(dom, am[1][col], i)
+                    gi[0] * dom.sigma_pow_ring(am[0][col], i)
+                    + gi[1] * dom.sigma_pow_ring(am[1][col], i)
                 )
         s_n = srow[0] * sig_a2 - srow[1] * sig_a1
         if s_n:
@@ -391,11 +387,7 @@ def extend(j_ideal: IdealLattice, g: SeriesMatrix, prec: int
         dom, [(i, q_coeffs[i]) for i in range(prec + 1)], prec + 1)
     cert = ExtensionCertificate(dom.spec, j_ideal, (a1, a2), g, a_series, q,
                                 prec, audit)
-    report = verify_extension_certificate(cert)
-    if not report.ok:
-        raise SkewError(
-            "internal verification failed: "
-            + "; ".join(line for line in report.lines() if line.startswith("FAIL")))
+    verify_extension_certificate(cert).require_ok()
     return cert
 
 
@@ -423,22 +415,13 @@ def verify_extension_certificate(cert: ExtensionCertificate) -> VerifyReport:
             not cert.q.is_known_zero and cert.q.valuation() == 0
             and cert.q.lowest() == dom.fone)
     lhs = [mul(cert.q, TruncatedSeries.const(dom, a)) for a in (a1, a2)]
-    rhs = (cert.g @ cert.A).rows[0]
-    first_bad = None
-    verified = None
-    for left, right in zip(lhs, rhs):
-        diff = left - right
-        if diff.coeffs:
-            order = diff.val
-            first_bad = order if first_bad is None else min(first_bad, order)
-        else:
-            bound = diff.known_to
-            if bound is not None:
-                verified = bound if verified is None else min(verified, bound)
+    first_bad, verified = disagreement(SeriesMatrix(dom, [lhs]),
+                                       cert.g @ cert.A)
+    # the claim covers orders through prec: a bound of prec + 1 is needed
     if first_bad is not None:
         rep.add("defining identity q*g0 = g*A", False,
                 "first differing order", first_bad)
-    elif verified is not None and verified <= cert.prec:
+    elif verified is not None and verified < cert.prec + 1:
         rep.add("defining identity q*g0 = g*A", False,
                 f"verified only below order {verified}, certificate claims {cert.prec}")
     else:

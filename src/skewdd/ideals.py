@@ -435,26 +435,6 @@ def from_generators(dom: Domain, gens: list) -> FracIdeal:
     return FracIdeal(from_ring_generators(dom, ring_gens), scale)
 
 
-def product(u: FracIdeal, v: FracIdeal) -> FracIdeal:
-    return u.mul(v)
-
-
-def ideal_sum(u: FracIdeal, v: FracIdeal) -> FracIdeal:
-    return u.add(v)
-
-
-def inverse(u: FracIdeal) -> FracIdeal:
-    return u.inverse()
-
-
-def contains(u: FracIdeal, e: FieldElem) -> bool:
-    return u.contains(e)
-
-
-def two_generators(u: IdealLattice) -> tuple[RingElem, RingElem]:
-    return u.two_generators()
-
-
 def _coefficient_rows(dom: Domain, felems: list[FieldElem], scale: int):
     """Integer coordinate rows for each generator and its w-multiple."""
     rows = []

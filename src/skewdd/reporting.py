@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import SkewError
+
 
 @dataclass
 class VerifyReport:
@@ -24,6 +26,14 @@ class VerifyReport:
         orders = [c["order"] for c in self.checks
                   if not c["ok"] and c["order"] is not None]
         return min(orders) if orders else None
+
+    def require_ok(self) -> None:
+        """Raise SkewError listing the failed checks, if any failed."""
+        if not self.ok:
+            raise SkewError(
+                "internal verification failed: "
+                + "; ".join(line for line in self.lines()
+                            if line.startswith("FAIL")))
 
     def to_json(self) -> dict:
         return {"ok": self.ok, "first_bad_order": self.first_bad_order,

@@ -90,10 +90,6 @@ class TruncatedSeries:
 
     # -------------------------------------------------------------- queries
     @property
-    def is_exact(self) -> bool:
-        return self.known_to is None
-
-    @property
     def is_known_zero(self) -> bool:
         """Zero at every known order (possibly trivially, if nothing is known)."""
         return not self.coeffs
@@ -234,17 +230,6 @@ class TruncatedSeries:
                ) -> "TruncatedSeries":
         return invert_unit(self, prec, ring_mode)
 
-    def agreement_bound(self, other) -> int | None:
-        """Exclusive order through which self and other provably agree.
-
-        None means they agree identically (both exact). Raises SkewError
-        with the first differing order if they disagree.
-        """
-        diff = self - other
-        if diff.coeffs:
-            raise SkewError(f"series differ at order {diff.val}")
-        return diff.known_to
-
 
 def mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """Twisted Cauchy product; precision follows the min rule."""
@@ -307,22 +292,6 @@ def invert_unit(f: TruncatedSeries, prec: int | None = None,
     return TruncatedSeries(dom, -v, out, out_kt)
 
 
-def lowest(f: TruncatedSeries) -> FieldElem:
-    return f.lowest()
-
-
-def valuation(f: TruncatedSeries) -> int:
-    return f.valuation()
-
-
-def shift(f: TruncatedSeries, m: int) -> TruncatedSeries:
-    return f.shift(m)
-
-
-def left_normal_form(f: TruncatedSeries) -> list[FieldElem]:
-    return f.left_normal_form()
-
-
 class SeriesMatrix:
     """Fixed shape (1x2, 2x1 or 2x2) matrix of truncated series."""
 
@@ -347,9 +316,6 @@ class SeriesMatrix:
     @property
     def known_to(self):
         return _kt_min(*(s.known_to for r in self.rows for s in r))
-
-    def entry(self, i: int, j: int) -> TruncatedSeries:
-        return self.rows[i][j]
 
     def __repr__(self):
         body = "; ".join(", ".join(repr(s) for s in r) for r in self.rows)
@@ -428,12 +394,6 @@ class SeriesMatrix:
     def truncate(self, known_to: int) -> "SeriesMatrix":
         return self.map(lambda s: s.truncate(known_to))
 
-    def transpose(self) -> "SeriesMatrix":
-        r, c = self.shape
-        return SeriesMatrix(self.dom, [
-            [self.rows[i][j] for i in range(r)] for j in range(c)
-        ])
-
     @property
     def min_val(self) -> int:
         vals = [s.val for r in self.rows for s in r if s.coeffs]
@@ -445,16 +405,26 @@ class SeriesMatrix:
                ) -> "SeriesMatrix":
         return matrix_invert(self, prec, ring_mode)
 
-    def agreement_bound(self, other) -> int | None:
-        bound = None
-        for ra, rb in zip(self.rows, other.rows):
-            for a, b in zip(ra, rb):
-                bound = _kt_min(bound, a.agreement_bound(b))
-        return bound
 
+def disagreement(left: SeriesMatrix, right: SeriesMatrix):
+    """(first_bad_order, verified_bound) of left - right, entrywise.
 
-def matrix_mul(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
-    return a @ b
+    first_bad_order is the lowest order at which a known coefficient
+    differs (None when none does); verified_bound is the common exclusive
+    order below which the agreeing entries are known to agree (None when
+    they agree exactly). Callers compare it with their own claimed bound.
+    """
+    bad = None
+    bound = None
+    for ra, rb in zip(left.rows, right.rows):
+        for a, b in zip(ra, rb):
+            diff = a - b
+            if diff.coeffs:
+                bad = diff.val if bad is None else min(bad, diff.val)
+            elif diff.known_to is not None:
+                bound = diff.known_to if bound is None \
+                    else min(bound, diff.known_to)
+    return bad, bound
 
 
 def _const_inverse_2x2(m: list[list[FieldElem]]):

@@ -14,7 +14,7 @@ import json
 import re
 from fractions import Fraction
 
-from .domains import Domain, DomainSpec, FieldElem, RingElem, get_domain
+from .domains import Domain, DomainSpec, FieldElem, RingElem
 
 
 def _frac_str(q: Fraction) -> str:
@@ -176,12 +176,6 @@ def matrix_from_json(dom: Domain, obj: list):
                               for row in obj])
 
 
-def frac_ideal_to_json(u) -> dict:
-    out = u.lat.to_json()
-    out["den"] = u.den
-    return out
-
-
 def frac_ideal_from_json(dom: Domain, obj: dict):
     from . import ideals
 
@@ -224,14 +218,6 @@ def format_domain(spec: DomainSpec) -> str:
     if spec.kind == "int":
         return "int"
     return f"quad:{spec.d}:{spec.sigma}"
-
-
-def domain_of(spec_or_text) -> Domain:
-    if isinstance(spec_or_text, Domain):
-        return spec_or_text
-    if isinstance(spec_or_text, DomainSpec):
-        return get_domain(spec_or_text)
-    return get_domain(parse_domain(spec_or_text))
 
 
 def canonical_json(obj) -> str:

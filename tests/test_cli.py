@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from skewdd import completion, extension
 from skewdd.cli import main
+from skewdd.reporting import VerifyReport
 from skewdd.textio import canonical_json, parse_series, series_to_json
 
 
@@ -11,6 +13,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def classic_row_argv(tmp_path, zz):
+    """complete-row arguments for the row (2+x, 4+3x) over Z at prec 8."""
+    row_path = tmp_path / "row.json"
+    wit_path = tmp_path / "t.json"
+    row_path.write_text(json.dumps([
+        series_to_json(parse_series(zz, "2+1*x^1")),
+        series_to_json(parse_series(zz, "4+3*x^1")),
+    ]))
+    wit_path.write_text(json.dumps([
+        series_to_json(parse_series(zz, "(-2)*x^-1")),
+        series_to_json(parse_series(zz, "1*x^-1")),
+    ]))
+    return ["complete-row", "--domain", "int", "--ideal", '{"hnf":[1]}',
+            "--row", str(row_path), "--witness", str(wit_path),
+            "--prec", "8"]
 
 
 def test_classgroup_command(capsys):
@@ -68,21 +87,69 @@ def test_verify_tampered_exits_3(tmp_path, capsys):
     assert "FAIL" in out
 
 
-def test_complete_row_command(tmp_path, capsys, zz):
-    row_path = tmp_path / "row.json"
-    wit_path = tmp_path / "t.json"
-    row_path.write_text(json.dumps([
-        series_to_json(parse_series(zz, "2+1*x^1")),
-        series_to_json(parse_series(zz, "4+3*x^1")),
-    ]))
-    wit_path.write_text(json.dumps([
-        series_to_json(parse_series(zz, "(-2)*x^-1")),
-        series_to_json(parse_series(zz, "1*x^-1")),
-    ]))
+@pytest.mark.parametrize("tamper", ["drop q", "one generator", "one row of A"])
+def test_verify_malformed_certificate_exits_3(tmp_path, capsys, tamper):
     out_path = tmp_path / "cert.json"
-    code, out, _ = run(capsys, "complete-row", "--domain", "int",
-                       "--ideal", '{"hnf":[1]}', "--row", str(row_path),
-                       "--witness", str(wit_path), "--prec", "8",
+    code, _, _ = run(capsys, "extend", "--domain", "quad:-5:id",
+                     "--gens", '["2+1*x^1","1+1*w"]', "--prec", "6",
+                     "--out", str(out_path))
+    assert code == 0
+    obj = json.loads(out_path.read_text())
+    if tamper == "drop q":
+        del obj["q"]
+    elif tamper == "one generator":
+        obj["g"] = obj["g"][:1]
+    else:
+        obj["A"] = obj["A"][:1]
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "verify", str(bad_path))
+    assert code == 3
+    assert err.startswith("verification failure: malformed")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["extend", "complete-row"])
+def test_each_certificate_is_verified_once(tmp_path, capsys, monkeypatch, zz,
+                                           command):
+    if command == "extend":
+        # the repair case builds two candidates and emits one certificate
+        module, name = extension, "verify_extension_certificate"
+        argv = ["extend", "--domain", "quad:-5:id",
+                "--gens", '["2+1*x^1","1+1*w"]', "--prec", "8"]
+    else:
+        module, name = completion, "verify_completion"
+        argv = classic_row_argv(tmp_path, zz)
+    verifier = getattr(module, name)
+    calls = []
+
+    def counting(cert):
+        calls.append(cert)
+        return verifier(cert)
+
+    monkeypatch.setattr(module, name, counting)
+    code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "cert.json"))
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_internal_verification_failure_exits_3(tmp_path, capsys, monkeypatch,
+                                               zz):
+    def failing(cert):
+        rep = VerifyReport()
+        rep.add("final * final_inv = Id", False, "", 3)
+        return rep
+
+    monkeypatch.setattr(completion, "verify_completion", failing)
+    code, _, err = run(capsys, *classic_row_argv(tmp_path, zz))
+    assert code == 3
+    assert err == ("verification failure: internal verification failed: "
+                   "FAIL: final * final_inv = Id at order 3\n")
+
+
+def test_complete_row_command(tmp_path, capsys, zz):
+    out_path = tmp_path / "cert.json"
+    code, out, _ = run(capsys, *classic_row_argv(tmp_path, zz),
                        "--out", str(out_path))
     assert code == 0
     assert "reduction depth n = 1" in out
@@ -187,18 +254,8 @@ def test_certificates_verify_in_fresh_process(tmp_path, zz):
     assert fresh(["extend", "--domain", "quad:-5:conj", "--gens",
                   '["2+1*x^1","1+1*w"]', "--prec", "8",
                   "--out", str(ext_path)]).returncode == 0
-    row_path = tmp_path / "row.json"
-    wit_path = tmp_path / "t.json"
-    row_path.write_text(json.dumps([
-        series_to_json(parse_series(zz, "2+1*x^1")),
-        series_to_json(parse_series(zz, "4+3*x^1"))]))
-    wit_path.write_text(json.dumps([
-        series_to_json(parse_series(zz, "(-2)*x^-1")),
-        series_to_json(parse_series(zz, "1*x^-1"))]))
     cpl_path = tmp_path / "cpl.json"
-    assert fresh(["complete-row", "--domain", "int", "--ideal",
-                  '{"hnf":[1]}', "--row", str(row_path), "--witness",
-                  str(wit_path), "--prec", "8",
+    assert fresh([*classic_row_argv(tmp_path, zz),
                   "--out", str(cpl_path)]).returncode == 0
     for path in (ext_path, cpl_path):
         check = fresh(["verify", str(path)])

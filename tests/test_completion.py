@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -170,6 +171,20 @@ def test_tampered_certificate_fails(zz):
     rep = verify_completion(bad)
     assert not rep.ok
     assert rep.first_bad_order == 1
+
+
+def test_verify_precision_threshold(zz):
+    """The classic row's final inverse is verified below order 10. A
+    completion claim covers orders below prec, so 10 is the largest claim
+    that passes and 11 the smallest that fails (verified bound < prec)."""
+    shaped, t = classic_row(zz)
+    cert = complete_unimodular_row(shaped, t, 8)
+    assert verify_completion(dataclasses.replace(cert, prec=10)).ok
+    rep = verify_completion(dataclasses.replace(cert, prec=11))
+    failed = [c for c in rep.checks if not c["ok"]]
+    assert [c["name"] for c in failed] == ["final * final_inv = Id",
+                                          "final_inv * final = Id"]
+    assert all("verified only below order 10" in c["detail"] for c in failed)
 
 
 def test_json_roundtrip(zz):

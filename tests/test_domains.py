@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from skewdd.domains import DomainSpec, divide_exact, get_domain, is_unit, norm, sigma_apply
+from skewdd.domains import DomainSpec, get_domain
 
 from conftest import rand_ring_elem
 
@@ -30,24 +30,24 @@ def test_omega_convention():
 
 def test_sigma_apply_examples(root2, zz):
     w = root2.felem(0, 1)
-    assert sigma_apply(w, 1) == root2.felem(0, -1)
-    assert sigma_apply(w, 2) == w
+    assert root2.sigma_pow(w, 1) == root2.felem(0, -1)
+    assert root2.sigma_pow(w, 2) == w
     seven = zz.felem(7)
-    assert sigma_apply(seven, -3) == seven
+    assert zz.sigma_pow(seven, -3) == seven
 
 
 def test_norm_examples(z5, root2, zz):
-    assert norm(z5.felem(1, 1)) == 6
-    assert norm(root2.felem(1, 1)) == -1
-    assert norm(zz.felem(-4)) == -4
+    assert z5.felem(1, 1).norm() == 6
+    assert root2.felem(1, 1).norm() == -1
+    assert zz.felem(-4).norm() == -4
 
 
 def test_unit_and_division_examples(root2, z5, gauss):
-    assert is_unit(root2.elem(1, 1))
-    assert not is_unit(z5.elem(1, 1))
-    assert divide_exact(gauss.felem(1, -1), gauss.felem(1, 1)) == gauss.felem(0, -1)
+    assert root2.elem(1, 1).is_unit()
+    assert not z5.elem(1, 1).is_unit()
+    assert gauss.felem(1, -1) / gauss.felem(1, 1) == gauss.felem(0, -1)
     with pytest.raises(ZeroDivisionError):
-        divide_exact(gauss.felem(1), gauss.felem(0))
+        gauss.felem(1) / gauss.felem(0)
 
 
 def test_conjugation_is_an_involution(any_domain):
@@ -63,12 +63,13 @@ def test_conjugation_is_an_involution(any_domain):
 
 def test_sigma_power_is_multiplicative(any_domain):
     rng = random.Random(4)
+    sig = any_domain.sigma_pow
     for _ in range(100):
         e = rand_ring_elem(any_domain, rng).to_field()
         f = rand_ring_elem(any_domain, rng).to_field()
         for i in range(-4, 5):
-            assert sigma_apply(e * f, i) == sigma_apply(e, i) * sigma_apply(f, i)
-            assert sigma_apply(e + f, i) == sigma_apply(e, i) + sigma_apply(f, i)
+            assert sig(e * f, i) == sig(e, i) * sig(f, i)
+            assert sig(e + f, i) == sig(e, i) + sig(f, i)
 
 
 def test_norm_is_multiplicative(any_domain):
@@ -76,7 +77,7 @@ def test_norm_is_multiplicative(any_domain):
     for _ in range(100):
         e = rand_ring_elem(any_domain, rng).to_field()
         f = rand_ring_elem(any_domain, rng).to_field()
-        assert norm(e * f) == norm(e) * norm(f)
+        assert (e * f).norm() == e.norm() * f.norm()
 
 
 def test_field_elem_lowest_terms(z5):

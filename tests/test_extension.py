@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -161,6 +162,20 @@ def test_verify_rejects_overclaimed_precision(zz):
         cert.spec, cert.ideal, cert.g0, cert.g, cert.A, cert.q, 9, cert.audit)
     rep = verify_extension_certificate(inflated)
     assert not rep.ok
+
+
+def test_verify_precision_threshold(zz):
+    """Data known below order 5 verifies q*g0 = g*A below order 5. An
+    extension claim covers orders 0..prec, so 4 is the largest claim that
+    passes and 5 the smallest that fails (verified bound <= prec)."""
+    j2 = from_ring_generators(zz, [zz.elem(2)])
+    short = TruncatedSeries(zz, 0, [zz.felem(2), zz.fone], 5)
+    cert = extend(j2, SeriesMatrix(zz, [[short, short]]), 4)
+    assert verify_extension_certificate(dataclasses.replace(cert, prec=4)).ok
+    rep = verify_extension_certificate(dataclasses.replace(cert, prec=5))
+    failed = [c for c in rep.checks if not c["ok"]]
+    assert [c["name"] for c in failed] == ["defining identity q*g0 = g*A"]
+    assert "verified only below order 5" in failed[0]["detail"]
 
 
 def test_extend_roundtrip_json(z5):

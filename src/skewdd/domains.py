@@ -75,6 +75,8 @@ class DomainSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "DomainSpec":
+        if not isinstance(obj, dict):
+            raise ValueError(f"domain must be a JSON object, not {obj!r}")
         if obj.get("kind") == "int":
             return DomainSpec("int")
         return DomainSpec("quad", int(obj["d"]), obj.get("sigma", SIGMA_ID))

@@ -13,14 +13,16 @@ matrix with A_0 = Id, and q is a unit-lowest-term series over the
 fraction field. Multiplication by q then carries the extended ideal
 (g0 entries) * R onto I, which is what the certificate witnesses.
 
-The constant-ideal computation is a verified lower bound: it adjoins a
-coefficient ideal order by order and stops when the ideal is stable for
-`depth` consecutive orders (exact for polynomial generators whose
-cancellations resolve within the window). When a candidate J is too
-small, the inductive step fails a membership test and reports the
-strictly larger lower bound to restart with (ConstIdealUnderestimate);
-drivers loop on that error, and the lattice index drops each round, so
-at most log2(index) restarts happen.
+One order-window loop (`_levels`) serves both the constant-ideal
+bound and the generator normalization: it rebuilds the window of right
+combinations at orders 0, 1, ... and reads off the coefficient ideal at
+each order. The constant-ideal computation is a verified lower bound: it
+stops when that ideal is stable for STALL_DEPTH = 4 consecutive orders
+(exact for polynomial generators whose cancellations resolve within the
+window). When a candidate J is too small, the inductive step fails a
+membership test and reports the strictly larger lower bound to restart
+with (ConstIdealUnderestimate); drivers loop on that error, and the
+lattice index drops each round, so at most log2(index) restarts happen.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .reporting import VerifyReport
 from .series import SeriesMatrix, TruncatedSeries, disagreement, mul
 from . import textio
 
-DEFAULT_DEPTH = 4
+STALL_DEPTH = 4
 
 
 def _normalized_ring_gens(gens: list[TruncatedSeries]) -> list[TruncatedSeries]:
@@ -71,7 +73,6 @@ class _OrderWindow:
     def __init__(self, dom: Domain, gens: list[TruncatedSeries], top: int):
         self.dom = dom
         self.gens = gens
-        self.top = top
         blocks = 2 if dom.is_quad else 1
         consts = [dom.one, dom.omega] if dom.is_quad else [dom.one]
         rows, seeds = [], []
@@ -111,8 +112,9 @@ class _OrderWindow:
         gens = [e for (_, blk, e) in self.leaders() if blk <= t]
         return from_ring_generators(self.dom, gens)
 
-    def row_combination(self, idx: int) -> list[TruncatedSeries]:
-        """Per-generator right factors r_j reproducing echelon row idx."""
+    def row_series(self, idx: int) -> TruncatedSeries:
+        """The ideal element sum_j gens[j] * r_j whose coefficients are
+        echelon row idx, with the right factors r_j read off the transform."""
         combos = [TruncatedSeries.zero(self.dom) for _ in self.gens]
         for k, coef in enumerate(self.transform[idx]):
             if not coef:
@@ -120,10 +122,6 @@ class _OrderWindow:
             j, s, c = self.seeds[k]
             term = TruncatedSeries(self.dom, s, [(c * coef).to_field()])
             combos[j] = combos[j] + term
-        return combos
-
-    def row_series(self, idx: int) -> TruncatedSeries:
-        combos = self.row_combination(idx)
         acc = TruncatedSeries.zero(self.dom)
         for g, r in zip(self.gens, combos):
             acc = acc + mul(g, r)
@@ -140,115 +138,82 @@ def _max_window(gens: list[TruncatedSeries]) -> int | None:
     return best
 
 
-def constant_ideal_bounded(gens: list[TruncatedSeries], depth: int,
-                           ) -> IdealLattice:
+def _levels(norm: list[TruncatedSeries]):
+    """(window, level ideal) at orders t = 0, 1, ..., stopping after the
+    highest usable order window when the generators are truncated."""
+    limit = _max_window(norm)
+    t = 0
+    while limit is None or t <= limit:
+        window = _OrderWindow(norm[0].dom, norm, t)
+        yield window, window.level_ideal(t)
+        t += 1
+
+
+def constant_ideal_bounded(gens: list[TruncatedSeries]) -> IdealLattice:
     """Lower bound for the constant ideal of the right ideal sum(gens_j R).
 
     Stops when the order-by-order coefficient ideal is unchanged for
-    `depth` consecutive orders or hits the unit ideal; raises
+    STALL_DEPTH consecutive orders or hits the unit ideal; raises
     PrecisionError when the generators run out of known orders first.
     """
     norm = _normalized_ring_gens(gens)
     limit = _max_window(norm)
-    if limit is not None and limit < depth:
+    if limit is not None and limit < STALL_DEPTH:
         raise PrecisionError(
-            f"need at least {depth} known orders per generator",
-            deficit=depth - limit)
-    current = _OrderWindow(norm[0].dom, norm, 0).level_ideal(0)
-    run = 1
-    t = 1
-    while run < depth and not current.is_unit_ideal:
-        if limit is not None and t > limit:
-            raise PrecisionError(
-                "constant ideal did not stabilize within known orders",
-                deficit=depth - run)
-        nxt = _OrderWindow(norm[0].dom, norm, t).level_ideal(t)
-        if nxt == current:
+            f"need at least {STALL_DEPTH} known orders per generator",
+            deficit=STALL_DEPTH - limit)
+    current, run = None, 0
+    for _, level in _levels(norm):
+        if level == current:
             run += 1
         else:
-            current = nxt
-            run = 1
-        t += 1
-    return current
-
-
-@dataclass
-class NormalizedGenerators:
-    """Two-element generating row with lowest coefficients = targets.
-
-    combos[i][j] is the right series factor on gens[j] whose combination
-    produced row entry i, kept so the construction is auditable.
-    """
-
-    row: SeriesMatrix
-    combos: list
-
-    def rebuild(self, gens: list[TruncatedSeries]) -> SeriesMatrix:
-        dom = self.row.dom
-        entries = []
-        for combo in self.combos:
-            acc = TruncatedSeries.zero(dom)
-            for g, r in zip(gens, combo):
-                acc = acc + mul(g, r)
-            entries.append(acc)
-        return SeriesMatrix(dom, [entries])
+            current, run = level, 1
+        if run >= STALL_DEPTH or current.is_unit_ideal:
+            return current
+    raise PrecisionError(
+        "constant ideal did not stabilize within known orders",
+        deficit=STALL_DEPTH - run)
 
 
 def normalize_generators(j_ideal: IdealLattice, gens: list[TruncatedSeries],
-                         stall_depth: int = DEFAULT_DEPTH,
-                         ) -> NormalizedGenerators:
+                         ) -> SeriesMatrix:
     """Row (f1, f2) of right combinations with lowest coefficients
     two_generators(j_ideal), each at valuation 0.
 
     MembershipError when the combination table never realizes the target
-    ideal (the supplied j_ideal overestimates the achievable constants).
+    ideal (the supplied j_ideal overestimates the achievable constants):
+    for exact generators once the level ideal has stalled for STALL_DEPTH
+    orders, for truncated ones once the known orders run out.
     """
     norm = _normalized_ring_gens(gens)
     dom = norm[0].dom
     targets = j_ideal.two_generators()
-    limit = _max_window(norm)
-    t = 0
-    window = None
-    level = None
-    stable = 0
-    while True:
-        window = _OrderWindow(dom, norm, t)
-        lv = window.level_ideal(t)
+    exact = _max_window(norm) is None
+    level, stable = None, 0
+    for window, lv in _levels(norm):
         if all(lv.contains(a) for a in targets):
             break
-        if level is not None and lv == level:
-            stable += 1
-        else:
-            stable = 0
+        stable = stable + 1 if lv == level else 0
         level = lv
-        t += 1
-        if (limit is not None and t > limit):
-            raise MembershipError(targets, lv,
-                                  "targets not realizable within precision")
-        if limit is None and stable >= stall_depth:
+        if exact and stable >= STALL_DEPTH:
             raise MembershipError(targets, lv,
                                   "targets not realizable from the generators")
-    leaders = [(idx, blk, e) for (idx, blk, e) in window.leaders() if blk <= t]
+    else:
+        raise MembershipError(targets, level,
+                              "targets not realizable within precision")
+    leaders = window.leaders()
     leader_elems = [e.to_field() for (_, _, e) in leaders]
     entries = []
-    combos = []
     for target in targets:
         coeffs = ideals.express_in_generators(target.to_field(), leader_elems)
         acc = TruncatedSeries.zero(dom)
-        combo = [TruncatedSeries.zero(dom) for _ in norm]
         for (idx, blk, _), u in zip(leaders, coeffs):
-            if not u:
-                continue
-            piece = window.row_series(idx).shift(-blk) * u.to_field()
-            acc = acc + piece
-            for jj, r in enumerate(window.row_combination(idx)):
-                combo[jj] = combo[jj] + mul(r.shift(-blk),
-                                            TruncatedSeries.const(dom, u))
+            if u:
+                acc = acc + window.row_series(idx).shift(-blk) * u.to_field()
         if acc.is_known_zero or acc.valuation() != 0 or acc.lowest() != target.to_field():
             raise SkewError("normalized generator lost its lowest coefficient")
         entries.append(acc)
-        combos.append(combo)
-    return NormalizedGenerators(SeriesMatrix(dom, [entries]), combos)
+    return SeriesMatrix(dom, [entries])
 
 
 @dataclass
@@ -439,32 +404,25 @@ def verify_extension_certificate(cert: ExtensionCertificate) -> VerifyReport:
     return rep
 
 
-def extend_with_repair(gens: list[TruncatedSeries], prec: int,
-                       stall_depth: int = DEFAULT_DEPTH):
+def extend_with_repair(gens: list[TruncatedSeries], prec: int):
     """Driver loop: start from the lowest-coefficient ideal and repair.
 
-    Returns (certificate, repairs, normalized) where repairs counts the
+    Returns (certificate, repairs) where repairs counts the
     ConstIdealUnderestimate rounds taken.
     """
     norm = _normalized_ring_gens(gens)
     dom = norm[0].dom
-    lowests = [g.lowest().as_ring() for g in norm]
-    j_ideal = from_ring_generators(dom, lowests)
+    j_ideal = from_ring_generators(dom, [g.lowest().as_ring() for g in norm])
     repairs = 0
     while True:
-        if len(norm) == 2 and from_ring_generators(dom, lowests) == j_ideal:
+        # each repair strictly enlarges J, so before the first one the
+        # lowest coefficients of two generators already generate J
+        if len(norm) == 2 and repairs == 0:
             row = SeriesMatrix(dom, [list(norm)])
-            combos = [
-                [TruncatedSeries.const(dom, dom.fone if i == j else dom.fzero)
-                 for j in range(2)]
-                for i in range(2)
-            ]
-            normalized = NormalizedGenerators(row, combos)
         else:
-            normalized = normalize_generators(j_ideal, norm, stall_depth)
+            row = normalize_generators(j_ideal, norm)
         try:
-            cert = extend(j_ideal, normalized.row, prec)
-            return cert, repairs, normalized
+            return extend(j_ideal, row, prec), repairs
         except ConstIdealUnderestimate as err:
             if err.enlarged == j_ideal:
                 raise SkewError("repair loop failed to enlarge the ideal")

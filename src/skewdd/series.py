@@ -340,11 +340,6 @@ class SeriesMatrix:
             dom, [[1 if i == j else 0 for j in range(n)] for i in range(n)],
             known_to)
 
-    @staticmethod
-    def zeros(dom: Domain, shape: tuple[int, int], known_to=None) -> "SeriesMatrix":
-        r, c = shape
-        return SeriesMatrix.from_const(dom, [[0] * c for _ in range(r)], known_to)
-
     def coeff_matrix(self, i: int) -> list[list[FieldElem]]:
         return [[s.coeff(i) for s in r] for r in self.rows]
 

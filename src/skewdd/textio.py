@@ -43,6 +43,8 @@ _TERM_RE = re.compile(r"[+-][^+-]+")
 
 
 def parse_field_elem(dom: Domain, text: str) -> FieldElem:
+    if not isinstance(text, str):
+        raise ValueError(f"element must be a string, not {text!r}")
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty element")

@@ -156,7 +156,7 @@ def test_criterion_extension_engine():
     with pytest.raises(ConstIdealUnderestimate) as exc:
         extension.extend(p2, g, 8)
     assert exc.value.enlarged.is_unit_ideal
-    cert, repairs, _ = extension.extend_with_repair(
+    cert, repairs = extension.extend_with_repair(
         [parse_series(z5, "2+1*x^1"), parse_series(z5, "1+1*w")], 8)
     assert repairs == 1 and cert.ideal.is_unit_ideal
     _announce("extension engine",

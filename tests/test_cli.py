@@ -87,7 +87,24 @@ def test_verify_tampered_exits_3(tmp_path, capsys):
     assert "FAIL" in out
 
 
-@pytest.mark.parametrize("tamper", ["drop q", "one generator", "one row of A"])
+MALFORMED = {
+    "drop q": lambda obj: obj.pop("q"),
+    "one generator": lambda obj: obj.update(g=obj["g"][:1]),
+    "one row of A": lambda obj: obj.update(A=obj["A"][:1]),
+    "zero denominator": lambda obj: obj["q"]["coeffs"].__setitem__(0, "1/0"),
+    "domain not an object": lambda obj: obj.update(domain="int"),
+    "numeric g0": lambda obj: obj.update(g0=[1, 2]),
+    "non-numeric prec": lambda obj: obj.update(prec="abc"),
+    "non-numeric val": lambda obj: obj["q"].update(val="a"),
+    "unparsable coefficient": lambda obj: obj["q"]["coeffs"].__setitem__(0, "zz"),
+    "two-entry hnf": lambda obj: obj["ideal"].update(hnf=[1, 0]),
+    "non-integral ideal": lambda obj: obj.update(ideal={"hnf": [1, 0, 1], "den": 2}),
+    "non-squarefree d": lambda obj: obj["domain"].update(d=4),
+    "three-entry g0": lambda obj: obj["g0"].append("1"),
+}
+
+
+@pytest.mark.parametrize("tamper", list(MALFORMED))
 def test_verify_malformed_certificate_exits_3(tmp_path, capsys, tamper):
     out_path = tmp_path / "cert.json"
     code, _, _ = run(capsys, "extend", "--domain", "quad:-5:id",
@@ -95,31 +112,34 @@ def test_verify_malformed_certificate_exits_3(tmp_path, capsys, tamper):
                      "--out", str(out_path))
     assert code == 0
     obj = json.loads(out_path.read_text())
-    if tamper == "drop q":
-        del obj["q"]
-    elif tamper == "one generator":
-        obj["g"] = obj["g"][:1]
-    else:
-        obj["A"] = obj["A"][:1]
+    MALFORMED[tamper](obj)
     bad_path = tmp_path / "bad.json"
     bad_path.write_text(json.dumps(obj))
     code, _, err = run(capsys, "verify", str(bad_path))
     assert code == 3
     assert err.startswith("verification failure: malformed")
-    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["extend", "complete-row"])
+@pytest.mark.parametrize("command", ["extend", "complete-row",
+                                     "demo zsqrt-5", "demo stable-rank"])
 def test_each_certificate_is_verified_once(tmp_path, capsys, monkeypatch, zz,
                                            command):
+    out = ["--out", str(tmp_path / "cert.json")]
     if command == "extend":
         # the repair case builds two candidates and emits one certificate
         module, name = extension, "verify_extension_certificate"
         argv = ["extend", "--domain", "quad:-5:id",
-                "--gens", '["2+1*x^1","1+1*w"]', "--prec", "8"]
+                "--gens", '["2+1*x^1","1+1*w"]', "--prec", "8", *out]
+    elif command == "complete-row":
+        module, name = completion, "verify_completion"
+        argv = [*classic_row_argv(tmp_path, zz), *out]
+    elif command == "demo zsqrt-5":
+        module, name = extension, "verify_extension_certificate"
+        argv = command.split()
     else:
         module, name = completion, "verify_completion"
-        argv = classic_row_argv(tmp_path, zz)
+        argv = command.split()
     verifier = getattr(module, name)
     calls = []
 
@@ -128,7 +148,7 @@ def test_each_certificate_is_verified_once(tmp_path, capsys, monkeypatch, zz,
         return verifier(cert)
 
     monkeypatch.setattr(module, name, counting)
-    code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "cert.json"))
+    code, _, _ = run(capsys, *argv)
     assert code == 0
     assert len(calls) == 1
 
@@ -265,6 +285,9 @@ def test_certificates_verify_in_fresh_process(tmp_path, zz):
 
 def test_unknown_schema_exits_2(tmp_path, capsys):
     path = tmp_path / "junk.json"
-    path.write_text('{"schema": "nonsense/v9"}')
-    code, _, err = run(capsys, "verify", str(path))
-    assert code == 2
+    # an unknown schema, and files that are not a JSON object at all
+    for text in ('{"schema": "nonsense/v9"}', "[]", '"x"'):
+        path.write_text(text)
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -15,57 +15,101 @@ from skewdd.extension import (
 )
 from skewdd.ideals import from_ring_generators, unit_ideal
 from skewdd.series import SeriesMatrix, TruncatedSeries, mul
-from skewdd.textio import parse_series
+from skewdd.textio import parse_series, series_from_json
 
 from conftest import rand_ideal, random_unit_series
 
 
-def test_constant_ideal_examples(zz, z5):
+def count_windows(monkeypatch):
+    """Record the top order of every order window built from now on."""
+    built = []
+    window = extension._OrderWindow
+
+    def counting(dom, gens, top):
+        built.append(top)
+        return window(dom, gens, top)
+
+    monkeypatch.setattr(extension, "_OrderWindow", counting)
+    return built
+
+
+def test_constant_ideal_examples(zz, z5, monkeypatch):
+    built = count_windows(monkeypatch)
+    assert constant_ideal_bounded([parse_series(zz, "2+1*x^1")]).a == 2
+    # (2) at orders 0..3 is four equal levels in a row: stop there
+    assert built == [0, 1, 2, 3]
     assert constant_ideal_bounded(
-        [parse_series(zz, "2+1*x^1"), parse_series(zz, "2")], 4).a == 1
-    assert constant_ideal_bounded([parse_series(zz, "2+1*x^1")], 4).a == 2
+        [parse_series(zz, "2+1*x^1"), parse_series(zz, "2")]).a == 1
     got = constant_ideal_bounded(
-        [parse_series(z5, "2+1*x^1"), parse_series(z5, "1+1*w")], 4)
+        [parse_series(z5, "2+1*x^1"), parse_series(z5, "1+1*w")])
     assert got.is_unit_ideal
 
 
 def test_constant_ideal_precision(zz):
     short = TruncatedSeries(zz, 0, [zz.felem(2), zz.fone], 2)
     with pytest.raises(PrecisionError):
-        constant_ideal_bounded([short], 4)
+        constant_ideal_bounded([short])
 
 
 def test_constant_ideal_shifted_generators(zz):
     # valuation is normalized away before the table is built
     f = parse_series(zz, "2*x^3+1*x^4")
-    assert constant_ideal_bounded([f], 4).a == 2
+    assert constant_ideal_bounded([f]).a == 2
 
 
 def test_normalize_generators_examples(zz, z5):
     ng = normalize_generators(from_ring_generators(zz, [zz.elem(2)]),
                               [parse_series(zz, "2+1*x^1")])
-    assert ng.row.rows[0][0] == parse_series(zz, "2+1*x^1")
-    assert ng.row.rows[0][1] == parse_series(zz, "2+1*x^1")
+    assert ng.rows[0][0] == parse_series(zz, "2+1*x^1")
+    assert ng.rows[0][1] == parse_series(zz, "2+1*x^1")
     p2 = from_ring_generators(z5, [z5.elem(2), z5.elem(1, 1)])
     gens = [parse_series(z5, "2"), parse_series(z5, "1+1*w")]
     ng = normalize_generators(p2, gens)
-    assert ng.row.rows[0][0].lowest() == z5.felem(2)
-    assert ng.row.rows[0][1].lowest() == z5.felem(1, 1)
+    assert ng.rows[0][0].lowest() == z5.felem(2)
+    assert ng.rows[0][1].lowest() == z5.felem(1, 1)
     # unit-ideal target realized through the recorded cancellation
     ng = normalize_generators(unit_ideal(zz),
                               [parse_series(zz, "2+1*x^1"), parse_series(zz, "2")])
-    assert ng.row.rows[0][0].lowest() == zz.fone
+    assert ng.rows[0][0].lowest() == zz.fone
 
 
-def test_normalize_generators_audit_rebuild(z5):
-    gens = [parse_series(z5, "2+1*x^1"), parse_series(z5, "1+1*w")]
-    ng = normalize_generators(unit_ideal(z5), gens)
-    assert ng.rebuild(gens) == ng.row
+def test_normalize_generators_pinned_rows(zz, z5, z5c):
+    """Exact rows, known_to included: the rows enter the certificate, so
+    any change to the window construction must leave them unchanged."""
+    p2 = from_ring_generators(z5, [z5.elem(2), z5.elem(1, 1)])
+    cases = [
+        (zz, from_ring_generators(zz, [zz.elem(2)]), ["2+1*x^1"],
+         [(0, ["2", "1"], None), (0, ["2", "1"], None)]),
+        (z5, p2, ["2", "1+1*w"],
+         [(0, ["2"], None), (0, ["1+1*w"], None)]),
+        (zz, unit_ideal(zz), ["2+1*x^1", "2"],
+         [(0, ["1"], None), (0, ["1"], None)]),
+        (z5, unit_ideal(z5), ["2+1*x^1", "1+1*w"],
+         [(0, ["1", "1*w"], None), (0, ["1*w", "-5"], None)]),
+        (z5c, unit_ideal(z5c), ["2+1*x^1", "1+1*w"],
+         [(0, ["1", "1*w"], None), (0, ["1*w", "5"], None)]),
+        # realizable only at the last known order
+        (zz, unit_ideal(zz), ["2+1*x^1+O(x^2)", "2"],
+         [(0, ["1"], 1), (0, ["1"], 1)]),
+        (zz, unit_ideal(zz), ["2+1*x^1+3*x^2+O(x^5)", "2+2*x^1"],
+         [(0, ["1", "-3"], 4), (0, ["1", "-3"], 4)]),
+        (z5c, unit_ideal(z5c), ["2+1*w*x^1+3*x^2+O(x^6)", "1+1*w+2*x^1"],
+         [(0, ["1", "-7-3*w", "3*w"], 5), (0, ["1*w", "-15+7*w", "-15"], 5)]),
+    ]
+    for dom, target, gens, rows in cases:
+        got = normalize_generators(target, [parse_series(dom, s) for s in gens])
+        want = SeriesMatrix(dom, [[
+            series_from_json(dom, {"val": val, "coeffs": coeffs, "prec": kt})
+            for val, coeffs, kt in rows]])
+        assert got == want
 
 
-def test_normalize_unrealizable_target(zz):
+def test_normalize_unrealizable_target(zz, monkeypatch):
+    built = count_windows(monkeypatch)
     with pytest.raises(MembershipError):
         normalize_generators(unit_ideal(zz), [parse_series(zz, "2+2*x^1")])
+    # exact generators: give up once the level (2) has repeated four times
+    assert built == [0, 1, 2, 3, 4]
 
 
 def test_extend_pid_example(zz):
@@ -112,7 +156,7 @@ def test_extend_precision_deficit(zz):
 
 
 def test_repair_loop(z5):
-    cert, repairs, _ = extend_with_repair(
+    cert, repairs = extend_with_repair(
         [parse_series(z5, "2+1*x^1"), parse_series(z5, "1+1*w")], 8)
     assert repairs == 1
     assert cert.ideal.is_unit_ideal
@@ -179,7 +223,7 @@ def test_verify_precision_threshold(zz):
 
 
 def test_extend_roundtrip_json(z5):
-    cert, _, _ = extend_with_repair(
+    cert, _ = extend_with_repair(
         [parse_series(z5, "2+1*x^1"), parse_series(z5, "1+1*w")], 6)
     again = ExtensionCertificate.from_json(cert.to_json())
     assert verify_extension_certificate(again).ok
@@ -268,7 +312,7 @@ def test_vanishing_columns_feed_the_constant_ideal(z5c):
     for _ in range(6):
         row = row_with_ideal_tails(dom, j_lat, rng, 10)
         cert = extend(j_lat, row, 10)
-        const_lower = constant_ideal_bounded(list(row.rows[0]), 4)
+        const_lower = constant_ideal_bounded(list(row.rows[0]))
         jinv = cert.ideal.to_frac().inverse()
         a1, a2 = cert.g0
         g0perp = [a2.to_field(), (-a1).to_field()]

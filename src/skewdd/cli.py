@@ -73,19 +73,23 @@ def cmd_extend(args) -> int:
     return 0
 
 
+def _load_series_list(dom, path: str, key: str) -> list:
+    """Series from a file holding an array of them, or {key: array}."""
+    obj = _load_json(path)
+    if isinstance(obj, dict):
+        obj = obj.get(key)
+    if not isinstance(obj, list) or not obj:
+        raise ValueError(f"{path} holds neither a nonempty JSON array of "
+                         f"series nor an object with a {key!r} array")
+    return [textio.series_from_json(dom, s) for s in obj]
+
+
 def cmd_complete_row(args) -> int:
     dom = get_domain(textio.parse_domain(args.domain))
     j_ideal = textio.ideal_lattice_from_json(dom, json.loads(args.ideal))
-    row_obj = _load_json(args.row)
-    if isinstance(row_obj, dict):
-        row_obj = row_obj["row"]
-    wit_obj = _load_json(args.witness)
-    if isinstance(wit_obj, dict):
-        wit_obj = wit_obj["witness"]
-    row = SeriesMatrix(dom, [[textio.series_from_json(dom, s)
-                              for s in row_obj]])
-    wit = SeriesMatrix(dom, [[textio.series_from_json(dom, s)]
-                             for s in wit_obj])
+    row = SeriesMatrix(dom, [_load_series_list(dom, args.row, "row")])
+    wit = SeriesMatrix(dom, [[s] for s in
+                             _load_series_list(dom, args.witness, "witness")])
     shaped = completion.ShapedRow(row, j_ideal, ideals.unit_ideal(dom))
     rng = random.Random(args.seed)
     cert = completion.complete_unimodular_row(shaped, wit, args.prec, rng,
@@ -155,7 +159,7 @@ def demo_hilbert() -> None:
            "(w+x)*(w+x)^-1 = 1",
            ((f * finv) - TruncatedSeries.const(dom, dom.fone)).is_known_zero)
     g = TruncatedSeries.const(dom, dom.felem(1, 1)) + x
-    ginv = g.invert(8, ring_mode=True)
+    ginv = g.invert(8)
     _check("a unit lowest coefficient (1+w, norm -1) inverts inside R",
            ginv.ring and ((g * ginv)
                           - TruncatedSeries.const(dom, dom.fone)).is_known_zero)

@@ -39,7 +39,7 @@ from .errors import (
 from . import ideals
 from .ideals import FracIdeal, IdealLattice, unit_frac
 from .reporting import VerifyReport
-from .series import SeriesMatrix, TruncatedSeries, disagreement, mul
+from .series import SeriesMatrix, TruncatedSeries, det2, disagreement, mul
 from . import textio
 
 
@@ -162,10 +162,6 @@ class InvertibilityData:
 
 def _stack(row: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
     return SeriesMatrix(row.dom, [row.rows[0], b.rows[0]])
-
-
-def _det2(m) -> FieldElem:
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
 def _bezout_two_fractional(dom: Domain, w1: FracIdeal | None,
@@ -314,7 +310,7 @@ def base_case_invert(shaped: ShapedRow, witness: SeriesMatrix, rng=None
     q2 = v_prime / sb.to_field()
     t0_mat = [[aprime.to_field(), b_r.to_field()],
               [-(s_r.to_field() * q2), p]]
-    if _det2(t0_mat) != dom.fone:
+    if det2(t0_mat) != dom.fone:
         raise SkewError("base-case matrix does not have determinant 1")
     t0_col = (witness.rows[0][0].coeff(0), witness.rows[1][0].coeff(0))
     b_row = SeriesMatrix.from_const(dom, [[-t0_col[1], t0_col[0]]])
@@ -323,7 +319,7 @@ def base_case_invert(shaped: ShapedRow, witness: SeriesMatrix, rng=None
     _require_shape(t_series, shaped.shapes.t_mat, "base-case T")
     h_series = _stack(shaped.row, b_row) @ t_series
     h0 = h_series.coeff_matrix(0)
-    if _det2(h0) != dom.fone:
+    if det2(h0) != dom.fone:
         raise SkewError("base-case leading determinant is not 1")
     _require_shape(h_series, shaped.shapes.h_mat, "base-case H")
     return InvertibilityData(shaped, witness, 0, b_row, t_series, h_series)
@@ -375,7 +371,7 @@ def lift_invertibility(child: InvertibilityData, ctx: ReductionContext,
                      dom.fzero) for c in range(2)] for r in range(2)]
     if h_n != expected:
         raise SkewError("lifted leading matrix mismatch")
-    det = _det2(h_n)
+    det = det2(h_n)
     target = j_ideal.to_frac().mul(j_ideal.sigma(n).to_frac().inverse())
     if ideals.from_generators(dom, [det]) != target:
         raise SkewError("det(H_n) does not generate J * sigma^n(J^-1)")
@@ -434,8 +430,9 @@ class CompletionCertificate:
             spec,
             textio.ideal_lattice_from_json(dom, obj["ideal"]),
             textio.ideal_lattice_from_json(dom, obj["a_ideal"]),
-            m("row"), m("witness"), int(obj["n"]), m("b"), m("T"), m("H"),
-            m("final"), m("final_inv"), int(obj["prec"]),
+            m("row"), m("witness"), textio.json_int(obj["n"], "n"),
+            m("b"), m("T"), m("H"), m("final"), m("final_inv"),
+            textio.json_int(obj["prec"], "prec"),
         )
 
 
@@ -474,7 +471,7 @@ def complete_unimodular_row(shaped: ShapedRow, t: SeriesMatrix, prec: int,
                                   bound)
     if not shaped.a_ideal.is_unit_ideal:
         raise SkewError("final conversion needs the unit shape ideal")
-    det_hn = _det2(data.H.coeff_matrix(n))
+    det_hn = det2(data.H.coeff_matrix(n))
     m2 = SeriesMatrix.from_const(dom, [[dom.fone, dom.fzero],
                                        [dom.fzero, det_hn.inverse()]])
     s_mat = data.H.shift(-n) @ m2
@@ -534,7 +531,7 @@ def verify_completion(cert: CompletionCertificate) -> VerifyReport:
     rep.add("product vanishes below order n", low_ok)
     try:
         h_n = prod.coeff_matrix(cert.n)
-        det = _det2(h_n)
+        det = det2(h_n)
         target = cert.ideal.to_frac().mul(
             cert.ideal.sigma(cert.n).to_frac().inverse())
         rep.add("det(H_n) generates J * sigma^n(J^-1)",

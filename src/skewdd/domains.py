@@ -77,9 +77,12 @@ class DomainSpec:
     def from_json(obj: dict) -> "DomainSpec":
         if not isinstance(obj, dict):
             raise ValueError(f"domain must be a JSON object, not {obj!r}")
+        from .textio import json_int
+
         if obj.get("kind") == "int":
             return DomainSpec("int")
-        return DomainSpec("quad", int(obj["d"]), obj.get("sigma", SIGMA_ID))
+        return DomainSpec(obj.get("kind"), json_int(obj.get("d"), "domain d"),
+                          obj.get("sigma", SIGMA_ID))
 
 
 @functools.lru_cache(maxsize=None)

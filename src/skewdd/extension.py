@@ -255,7 +255,8 @@ class ExtensionCertificate:
         a_mat = textio.matrix_from_json(dom, obj["A"])
         q = textio.series_from_json(dom, obj["q"])
         return ExtensionCertificate(spec, ideal, g0, g, a_mat, q,
-                                    int(obj["prec"]), obj.get("audit", []))
+                                    textio.json_int(obj["prec"], "prec"),
+                                    obj.get("audit", []))
 
 
 def extend(j_ideal: IdealLattice, g: SeriesMatrix, prec: int

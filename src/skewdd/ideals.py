@@ -25,6 +25,11 @@ from .errors import (
     ZeroIdealError,
 )
 
+# random candidates one_and_half_generator tries after the natural ones,
+# and the bound on their coefficients in the HNF generators
+SECOND_GEN_CANDIDATES = 10_000
+SECOND_GEN_COEFF_BOUND = 1_000
+
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with x*a + y*b = g = gcd(a, b) >= 0."""
@@ -491,9 +496,8 @@ def express_in_product(e: FieldElem, u_gens, v_gens) -> list[list[RingElem]]:
     return [[coeffs[0], coeffs[1]], [coeffs[2], coeffs[3]]]
 
 
-def one_and_half_generator(u: IdealLattice, a: RingElem, rng=None,
-                           max_candidates: int = 10_000,
-                           coeff_bound: int = 1_000) -> RingElem:
+def one_and_half_generator(u: IdealLattice, a: RingElem, rng=None
+                           ) -> RingElem:
     """Some b in u with (a, b) = u, given a nonzero a in u.
 
     Verified search: natural candidates first, then random small
@@ -517,13 +521,13 @@ def one_and_half_generator(u: IdealLattice, a: RingElem, rng=None,
     if rng is None:
         import random
         rng = random.Random(0)
-    for _ in range(max_candidates):
-        r1 = rng.randint(-coeff_bound, coeff_bound)
-        r2 = rng.randint(-coeff_bound, coeff_bound)
+    for _ in range(SECOND_GEN_CANDIDATES):
+        r1 = rng.randint(-SECOND_GEN_COEFF_BOUND, SECOND_GEN_COEFF_BOUND)
+        r2 = rng.randint(-SECOND_GEN_COEFF_BOUND, SECOND_GEN_COEFF_BOUND)
         cand = g1 * r1 + g2 * r2
         if good(cand):
             return cand
-    raise BoundExceeded(max_candidates, "no second generator found")
+    raise BoundExceeded(SECOND_GEN_CANDIDATES, "no second generator found")
 
 
 def _norm_form(lat: IdealLattice) -> tuple[int, int, int]:

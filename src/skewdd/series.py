@@ -10,6 +10,10 @@ The precision contract is the min rule: a product is known exactly
 through min(val(f) + known_to(g), val(g) + known_to(f)) and never
 beyond; no operation ever claims an order it cannot compute. Values are
 immutable and operations pure.
+
+Inversion is one coefficient recursion (matrix_invert; a series is its
+1x1 case), with row elimination as the fallback for a 2x2 matrix whose
+lowest coefficient matrix is singular.
 """
 
 from __future__ import annotations
@@ -32,8 +36,7 @@ class TruncatedSeries:
 
     __slots__ = ("dom", "val", "coeffs", "known_to", "ring")
 
-    def __init__(self, dom: Domain, val: int, coeffs, known_to=None,
-                 ring: bool | None = None):
+    def __init__(self, dom: Domain, val: int, coeffs, known_to=None):
         coeffs = list(coeffs)
         # strip leading and trailing zero coefficients; implicit zeros are
         # recovered from val and known_to
@@ -50,11 +53,7 @@ class TruncatedSeries:
         self.val = val
         self.coeffs = tuple(coeffs)
         self.known_to = known_to
-        if ring is None:
-            ring = all(c.is_integral for c in coeffs)
-        else:
-            ring = ring and all(c.is_integral for c in coeffs)
-        self.ring = ring
+        self.ring = all(c.is_integral for c in coeffs)
 
     # ---------------------------------------------------------- constructors
     @staticmethod
@@ -226,9 +225,9 @@ class TruncatedSeries:
         return [self.dom.sigma_pow(c, self.val + j)
                 for j, c in enumerate(self.coeffs)]
 
-    def invert(self, prec: int | None = None, ring_mode: bool = False
-               ) -> "TruncatedSeries":
-        return invert_unit(self, prec, ring_mode)
+    def invert(self, prec: int | None = None) -> "TruncatedSeries":
+        """Two-sided inverse: the 1x1 case of matrix_invert."""
+        return matrix_invert(SeriesMatrix(self.dom, [[self]]), prec).rows[0][0]
 
 
 def mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
@@ -252,48 +251,8 @@ def mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries.from_coeff_map(dom, acc.items(), kt)
 
 
-def invert_unit(f: TruncatedSeries, prec: int | None = None,
-                ring_mode: bool = False) -> TruncatedSeries:
-    """Two-sided inverse of a series with invertible lowest coefficient.
-
-    The output is known through known_to(f) - 2*val(f); for exact input
-    the caller must say how many orders to produce via prec.
-    """
-    dom = f.dom
-    if not f.coeffs:
-        raise SkewError("cannot invert a series with no known nonzero part")
-    v = f.val
-    a0 = f.coeffs[0]
-    if ring_mode:
-        if not f.ring:
-            raise SkewError("ring-mode inversion of a non-integral series")
-        if not a0.as_ring().is_unit():
-            raise SkewError(f"lowest coefficient {a0!r} is not a unit of the ring")
-    intrinsic = _kt_add(f.known_to, -2 * v)
-    out_kt = _kt_min(intrinsic, prec)
-    if out_kt is None:
-        raise PrecisionError("inverting an exact series needs an explicit prec")
-    inv_a0 = a0.inverse()
-    out: list[FieldElem] = []
-    nterms = out_kt + v  # output orders -v .. out_kt - 1
-    if nterms <= 0:
-        return TruncatedSeries.zero(dom, out_kt)
-    for t in range(nterms):
-        acc = dom.fzero
-        for j in range(1, len(f.coeffs)):
-            if j > t:
-                break
-            fc = f.coeffs[j]
-            if not fc:
-                continue
-            acc = acc + fc * dom.sigma_pow(out[t - j], v + j)
-        delta = dom.fone if t == 0 else dom.fzero
-        out.append(dom.sigma_pow((delta - acc) * inv_a0, v))
-    return TruncatedSeries(dom, -v, out, out_kt)
-
-
 class SeriesMatrix:
-    """Fixed shape (1x2, 2x1 or 2x2) matrix of truncated series."""
+    """Fixed shape (1x1, 1x2, 2x1 or 2x2) matrix of truncated series."""
 
     __slots__ = ("dom", "rows")
 
@@ -396,9 +355,8 @@ class SeriesMatrix:
             raise SkewError("matrix has no known nonzero entry")
         return min(vals)
 
-    def invert(self, prec: int | None = None, ring_mode: bool = False
-               ) -> "SeriesMatrix":
-        return matrix_invert(self, prec, ring_mode)
+    def invert(self, prec: int | None = None) -> "SeriesMatrix":
+        return matrix_invert(self, prec)
 
 
 def disagreement(left: SeriesMatrix, right: SeriesMatrix):
@@ -422,109 +380,101 @@ def disagreement(left: SeriesMatrix, right: SeriesMatrix):
     return bad, bound
 
 
-def _const_inverse_2x2(m: list[list[FieldElem]]):
-    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+def det2(m) -> FieldElem:
+    """Determinant of a 2x2 matrix of field elements."""
+    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+
+def _const_inverse(m):
+    """Inverse of a 1x1 or 2x2 matrix of field elements; None if singular."""
+    if len(m) == 1:  # a lowest coefficient, hence nonzero
+        return [[m[0][0].inverse()]]
+    det = det2(m)
     if not det:
         return None
     inv_det = det.inverse()
     return [
         [m[1][1] * inv_det, -m[0][1] * inv_det],
         [-m[1][0] * inv_det, m[0][0] * inv_det],
-    ], det
+    ]
 
 
-def matrix_invert(a: SeriesMatrix, prec: int | None = None,
-                  ring_mode: bool = False) -> SeriesMatrix:
-    """Two-sided inverse of a series matrix.
+def matrix_invert(a: SeriesMatrix, prec: int | None = None) -> SeriesMatrix:
+    """Two-sided inverse of a 1x1 or 2x2 series matrix.
 
-    When the lowest coefficient matrix is invertible over the field the
-    inverse is built by block coefficient recursion; otherwise a row
-    elimination over the series division ring is used (the lowest matrix
-    of a row-reduced form must then have invertible diagonal series).
-    In ring mode the computed inverse must be integral coefficientwise.
+    Let v be the least valuation of an entry. When the lowest coefficient
+    matrix a_v is invertible over the field, _invert_by_recursion builds
+    the inverse order by order; it is the one coefficient recursion of
+    this module, and a single series inverts as its 1x1 case. A 2x2
+    matrix with singular a_v falls back to row elimination over the
+    series division ring, which inverts single series along the way and
+    is retried with more working orders when valuation drops eat them.
     """
     r, c = a.shape
     if r != c:
         raise SkewError("only square matrices invert")
-    if r == 1:
-        return SeriesMatrix(a.dom, [[a.rows[0][0].invert(prec, ring_mode)]])
-    if r != 2:
+    if r > 2:
         raise SkewError("only 1x1 and 2x2 supported")
-    dom = a.dom
     v = a.min_val
-    a0 = a.coeff_matrix(v)
-    inv_pair = _const_inverse_2x2(a0)
-    if inv_pair is not None:
-        inv_a0, det0 = inv_pair
-        if ring_mode:
-            if not all(e.is_integral for row in a0 for e in row) or \
-                    not det0.is_integral or not det0.as_ring().is_unit():
-                raise SingularError(
-                    "lowest matrix determinant is not a unit of the ring")
-        out = _invert_by_recursion(a, v, inv_a0, prec)
-    else:
-        # elimination loses orders to valuation drops; widen and retry
-        slack = 4
-        out = None
-        for _ in range(4):
-            out = _invert_by_elimination(a, None if prec is None else prec + slack)
-            if prec is None or out.known_to is None or out.known_to >= prec:
-                break
-            slack *= 2
-        if prec is not None and out.known_to is not None and out.known_to > prec:
-            out = out.truncate(prec)
-        if ring_mode:
-            if not all(s.ring for row in out.rows for s in row):
-                raise SingularError("matrix is not invertible over the ring")
+    inv_a0 = _const_inverse(a.coeff_matrix(v))
+    if inv_a0 is not None:
+        return _invert_by_recursion(a, v, inv_a0, prec)
+    # elimination loses orders to valuation drops; widen and retry
+    slack = 4
+    out = None
+    for _ in range(4):
+        out = _invert_by_elimination(a, None if prec is None else prec + slack)
+        if prec is None or out.known_to is None or out.known_to >= prec:
+            break
+        slack *= 2
+    if prec is not None and out.known_to is not None and out.known_to > prec:
+        out = out.truncate(prec)
     return out
 
 
 def _invert_by_recursion(a: SeriesMatrix, v: int, inv_a0, prec):
+    """Inverse of a = sum_(i >= v) a_i x^i, given inv_a0 = a_v^-1.
+
+    The inverse is b = sum_t b_t x^(t-v), and order t of a * b = 1 gives
+
+        b_t = sigma^v(a_v^-1 (delta_t - S_t)),
+        S_t = sum_(j=1..t) a_(v+j) sigma^(v+j)(b_(t-j))
+
+    (sigma^-v = sigma^v, as sigma is an involution). It is known through
+    min(known_to(a) - 2v, prec); an exact a needs an explicit prec.
+    """
     dom = a.dom
-    intrinsic = _kt_add(a.known_to, -2 * v)
-    out_kt = _kt_min(intrinsic, prec)
+    sig = dom.sigma_pow
+    out_kt = _kt_min(_kt_add(a.known_to, -2 * v), prec)
     if out_kt is None:
-        raise PrecisionError("inverting an exact matrix needs an explicit prec")
-    nterms = out_kt + v
-    coeff_cache = {}
-
-    def acoeff(i):
-        if i not in coeff_cache:
-            coeff_cache[i] = a.coeff_matrix(i)
-        return coeff_cache[i]
-
-    def msub(x, y):
-        return [[xa - ya for xa, ya in zip(rx, ry)] for rx, ry in zip(x, y)]
-
-    def mmul(x, y):
-        return [[sum((x[i][t] * y[t][j] for t in range(2)), dom.fzero)
-                 for j in range(2)] for i in range(2)]
-
-    def msig(x, i):
-        return [[dom.sigma_pow(e, i) for e in row] for row in x]
-
-    zero2 = [[dom.fzero] * 2 for _ in range(2)]
-    ident = [[dom.fone, dom.fzero], [dom.fzero, dom.fone]]
+        raise PrecisionError(
+            "inverting an exact series needs an explicit prec")
+    nterms = max(out_kt + v, 0)
+    idx = range(len(inv_a0))
+    # only the known coefficient matrices a_(v+1), a_(v+2), ... enter the sum
+    depth = nterms - 1
+    if a.known_to is not None:
+        depth = min(depth, a.known_to - 1 - v)
+    higher = [a.coeff_matrix(v + j) for j in range(1, depth + 1)]
     bs: list = []
-    hi = a.known_to
-    max_a = (hi - 1) if hi is not None else v + nterms
-    for t in range(max(nterms, 0)):
-        acc = zero2
-        for i in range(v + 1, min(v + t, max_a) + 1):
-            ai = acoeff(i)
-            bj = bs[t - (i - v)]
-            acc = [[acc[p][q] + sum((ai[p][s] * dom.sigma_pow(bj[s][q], i)
-                                     for s in range(2)), dom.fzero)
-                    for q in range(2)] for p in range(2)]
-        delta = ident if t == 0 else zero2
-        rhs = msub(delta, acc)
-        bs.append(msig(mmul(inv_a0, rhs), v))
-    entries = [[None, None], [None, None]]
-    for p in range(2):
-        for q in range(2):
-            items = [(-v + t, bs[t][p][q]) for t in range(len(bs))]
-            entries[p][q] = TruncatedSeries.from_coeff_map(dom, items, out_kt)
-    return SeriesMatrix(dom, entries)
+    for t in range(nterms):
+        rhs = [[dom.fone if t == 0 and p == q else dom.fzero for q in idx]
+               for p in idx]
+        for j in range(1, min(t, depth) + 1):
+            aj, bj = higher[j - 1], bs[t - j]
+            for s in idx:
+                for q in idx:
+                    e = sig(bj[s][q], v + j)
+                    if e:
+                        for p in idx:
+                            if aj[p][s]:
+                                rhs[p][q] = rhs[p][q] - aj[p][s] * e
+        bs.append([[sig(sum((inv_a0[p][s] * rhs[s][q] for s in idx),
+                            dom.fzero), v)
+                     for q in idx] for p in idx])
+    return SeriesMatrix(dom, [
+        [TruncatedSeries(dom, -v, [b[p][q] for b in bs], out_kt) for q in idx]
+        for p in idx])
 
 
 def _invert_by_elimination(a: SeriesMatrix, prec):

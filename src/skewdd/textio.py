@@ -17,6 +17,17 @@ from fractions import Fraction
 from .domains import Domain, DomainSpec, FieldElem, RingElem
 
 
+def json_int(value, what: str) -> int:
+    """A JSON integer read from a certificate or an input file.
+
+    Anything else, a bool, a float (1.5, or 1e999 which parses as inf) or
+    a string included, raises ValueError instead of being cast.
+    """
+    if type(value) is not int:
+        raise ValueError(f"{what} must be a JSON integer, not {value!r}")
+    return value
+
+
 def _frac_str(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
@@ -42,6 +53,13 @@ def format_field_elem(e: FieldElem) -> str:
 _TERM_RE = re.compile(r"[+-][^+-]+")
 
 
+def _rational(body: str, text: str) -> Fraction:
+    try:
+        return Fraction(body)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in element {text!r}") from None
+
+
 def parse_field_elem(dom: Domain, text: str) -> FieldElem:
     if not isinstance(text, str):
         raise ValueError(f"element must be a string, not {text!r}")
@@ -61,10 +79,10 @@ def parse_field_elem(dom: Domain, text: str) -> FieldElem:
         body = tok[1:]
         if body.endswith("w"):
             body = body[:-1].rstrip("*")
-            coef = Fraction(body) if body else Fraction(1)
+            coef = _rational(body, text) if body else Fraction(1)
             rb += sign * coef
         else:
-            ra += sign * Fraction(body)
+            ra += sign * _rational(body, text)
     if pos != len(s):
         raise ValueError(f"cannot parse element {text!r}")
     if rb and not dom.is_quad:
@@ -102,6 +120,8 @@ _X_RE = re.compile(r"^(.*?)\*?x(?:\^(-?\d+))?$")
 def parse_series(dom: Domain, text: str):
     from .series import TruncatedSeries
 
+    if not isinstance(text, str):
+        raise ValueError(f"series must be a string, not {text!r}")
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty series")
@@ -161,10 +181,18 @@ def series_to_json(f) -> dict:
 
 
 def series_from_json(dom: Domain, obj: dict):
+    """A series object; its prec is null or absent for an exact series."""
     from .series import TruncatedSeries
 
+    if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list):
+        raise ValueError(f"a series is an object with a coeffs array, "
+                         f"not {obj!r}")
     coeffs = [parse_field_elem(dom, s) for s in obj["coeffs"]]
-    return TruncatedSeries(dom, int(obj["val"]), coeffs, obj.get("prec"))
+    prec = obj.get("prec")
+    if prec is not None:
+        prec = json_int(prec, "series prec")
+    return TruncatedSeries(dom, json_int(obj.get("val"), "series val"),
+                           coeffs, prec)
 
 
 def matrix_to_json(m) -> list:
@@ -181,20 +209,21 @@ def matrix_from_json(dom: Domain, obj: list):
 def frac_ideal_from_json(dom: Domain, obj: dict):
     from . import ideals
 
-    if "gens" in obj:
+    key = "gens" if isinstance(obj, dict) and "gens" in obj else "hnf"
+    if not isinstance(obj, dict) or not isinstance(obj.get(key), list):
+        raise ValueError(f"an ideal is an object with a gens or an hnf "
+                         f"array, not {obj!r}")
+    if key == "gens":
         gens = [parse_field_elem(dom, s) for s in obj["gens"]]
         return ideals.from_generators(dom, gens)
-    hnf = obj["hnf"]
-    den = int(obj.get("den", 1))
+    hnf = [json_int(e, "hnf entry") for e in obj["hnf"]]
+    den = json_int(obj.get("den", 1), "ideal den")
     if dom.is_quad:
         if len(hnf) != 3:
             raise ValueError("quadratic ideal takes an [a, b, c] triple")
-        lat = ideals.IdealLattice(dom, int(hnf[0]), int(hnf[1]), int(hnf[2]))
-    else:
-        if len(hnf) != 1:
-            raise ValueError("integer ideal takes a single generator [m]")
-        lat = ideals.IdealLattice(dom, int(hnf[0]))
-    return ideals.FracIdeal(lat, den)
+    elif len(hnf) != 1:
+        raise ValueError("integer ideal takes a single generator [m]")
+    return ideals.FracIdeal(ideals.IdealLattice(dom, *hnf), den)
 
 
 def ideal_lattice_from_json(dom: Domain, obj: dict):

@@ -87,37 +87,92 @@ def test_verify_tampered_exits_3(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def _bump(obj, key, by):
+    obj[key] = obj[key] + by
+
+
+# tamper name -> (certificate, edit): "extension" is the quad:-5:id repair
+# case at prec 6, "completion" the classic row over Z at prec 8
 MALFORMED = {
-    "drop q": lambda obj: obj.pop("q"),
-    "one generator": lambda obj: obj.update(g=obj["g"][:1]),
-    "one row of A": lambda obj: obj.update(A=obj["A"][:1]),
-    "zero denominator": lambda obj: obj["q"]["coeffs"].__setitem__(0, "1/0"),
-    "domain not an object": lambda obj: obj.update(domain="int"),
-    "numeric g0": lambda obj: obj.update(g0=[1, 2]),
-    "non-numeric prec": lambda obj: obj.update(prec="abc"),
-    "non-numeric val": lambda obj: obj["q"].update(val="a"),
-    "unparsable coefficient": lambda obj: obj["q"]["coeffs"].__setitem__(0, "zz"),
-    "two-entry hnf": lambda obj: obj["ideal"].update(hnf=[1, 0]),
-    "non-integral ideal": lambda obj: obj.update(ideal={"hnf": [1, 0, 1], "den": 2}),
-    "non-squarefree d": lambda obj: obj["domain"].update(d=4),
-    "three-entry g0": lambda obj: obj["g0"].append("1"),
+    "drop q": ("extension", lambda obj: obj.pop("q")),
+    "one generator": ("extension", lambda obj: obj.update(g=obj["g"][:1])),
+    "one row of A": ("extension", lambda obj: obj.update(A=obj["A"][:1])),
+    "zero denominator":
+        ("extension", lambda obj: obj["q"]["coeffs"].__setitem__(0, "1/0")),
+    "domain not an object":
+        ("extension", lambda obj: obj.update(domain="int")),
+    "numeric g0": ("extension", lambda obj: obj.update(g0=[1, 2])),
+    "non-numeric prec": ("extension", lambda obj: obj.update(prec="abc")),
+    "non-numeric val": ("extension", lambda obj: obj["q"].update(val="a")),
+    "unparsable coefficient":
+        ("extension", lambda obj: obj["q"]["coeffs"].__setitem__(0, "zz")),
+    "two-entry hnf":
+        ("extension", lambda obj: obj["ideal"].update(hnf=[1, 0])),
+    "non-integral ideal": ("extension", lambda obj: obj.update(
+        ideal={"hnf": [1, 0, 1], "den": 2})),
+    "non-squarefree d":
+        ("extension", lambda obj: obj["domain"].update(d=4)),
+    "unknown domain kind":
+        ("extension", lambda obj: obj["domain"].update(kind="quadratic")),
+    "three-entry g0": ("extension", lambda obj: obj["g0"].append("1")),
+    # numbers that are not JSON integers are refused, never truncated
+    "float prec": ("extension", lambda obj: obj.update(prec=1.5)),
+    "prec truncating to itself":
+        ("extension", lambda obj: _bump(obj, "prec", 0.9)),
+    "float hnf entry":
+        ("extension", lambda obj: _bump(obj["ideal"]["hnf"], 0, 0.5)),
+    "float den": ("extension", lambda obj: obj["ideal"].update(den=1.0)),
+    "float domain d":
+        ("extension", lambda obj: obj["domain"].update(d=-5.5)),
+    "float val": ("extension", lambda obj: _bump(obj["q"], "val", 0.0)),
+    "infinite series prec":
+        ("extension", lambda obj: obj["q"].update(prec=float("inf"))),
+    "boolean n": ("completion", lambda obj: obj.update(n=True)),
+    "float completion prec":
+        ("completion", lambda obj: _bump(obj, "prec", 0.5)),
 }
 
 
 @pytest.mark.parametrize("tamper", list(MALFORMED))
-def test_verify_malformed_certificate_exits_3(tmp_path, capsys, tamper):
+def test_verify_malformed_certificate_exits_3(tmp_path, capsys, zz, tamper):
+    kind, edit = MALFORMED[tamper]
     out_path = tmp_path / "cert.json"
-    code, _, _ = run(capsys, "extend", "--domain", "quad:-5:id",
-                     "--gens", '["2+1*x^1","1+1*w"]', "--prec", "6",
-                     "--out", str(out_path))
+    if kind == "extension":
+        argv = ["extend", "--domain", "quad:-5:id",
+                "--gens", '["2+1*x^1","1+1*w"]', "--prec", "6"]
+    else:
+        argv = classic_row_argv(tmp_path, zz)
+    code, _, _ = run(capsys, *argv, "--out", str(out_path))
     assert code == 0
     obj = json.loads(out_path.read_text())
-    MALFORMED[tamper](obj)
+    edit(obj)
     bad_path = tmp_path / "bad.json"
     bad_path.write_text(json.dumps(obj))
     code, _, err = run(capsys, "verify", str(bad_path))
     assert code == 3
     assert err.startswith("verification failure: malformed")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", [
+    "gens not strings", "ideal not an object", "row file without row",
+    "witness entry not an object", "coefficient 1/0"])
+def test_malformed_cli_input_exits_2(tmp_path, capsys, zz, case):
+    if case == "gens not strings":
+        argv = ["extend", "--domain", "int", "--gens", "[1]"]
+    elif case == "coefficient 1/0":
+        argv = ["extend", "--domain", "int", "--gens", '["1/0"]']
+    else:
+        argv = classic_row_argv(tmp_path, zz)
+        if case == "ideal not an object":
+            argv[argv.index("--ideal") + 1] = "[1]"
+        elif case == "row file without row":
+            (tmp_path / "row.json").write_text('{"foo": 1}')
+        else:
+            (tmp_path / "t.json").write_text("[1, 2]")
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

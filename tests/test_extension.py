@@ -231,7 +231,7 @@ def test_extend_roundtrip_json(z5):
 
 
 def test_inverse_of_q_recovers_the_constant_row(any_domain):
-    """invert_unit(q) maps the certified generators back onto g0, whose
+    """q.invert() maps the certified generators back onto g0, whose
     entries lie in the ideal (coefficientwise membership re-check)."""
     rng = random.Random(44)
     for _ in range(5):

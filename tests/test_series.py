@@ -3,7 +3,7 @@ import random
 import pytest
 
 from skewdd.errors import PrecisionError, SingularError, SkewError
-from skewdd.series import SeriesMatrix, TruncatedSeries, matrix_invert
+from skewdd.series import SeriesMatrix, TruncatedSeries, det2, matrix_invert
 from skewdd.textio import format_series, parse_series
 
 from conftest import rand_ring_elem
@@ -75,8 +75,6 @@ def test_invert_unit_examples(zz, gauss):
     h = parse_series(zz, "2+1*x^1")
     hq = h.invert(3)
     assert format_series(hq) == "1/2+(-1/4)*x^1+1/8*x^2+O(x^3)"
-    with pytest.raises(SkewError):
-        h.invert(3, ring_mode=True)  # 2 is not a unit of Z
 
 
 def test_invert_unit_roundtrip(any_domain):
@@ -178,9 +176,54 @@ def test_matrix_examples(zz):
         diff = prod - SeriesMatrix.identity(zz)
         assert all(s.is_known_zero for row in diff.rows for s in row)
         assert diff.known_to >= 6
-    # ring mode succeeds: row reduction reaches a unit lowest determinant
-    mi_ring = matrix_invert(m, 6, ring_mode=True)
-    assert all(s.ring for row in mi_ring.rows for s in row)
+
+
+def unit_lowest_series(dom, rng, v, length):
+    """Random series of valuation v, known through v + length."""
+    f = rand_series(dom, rng, (v, v), length, (0, 0))
+    while f.val != v:
+        f = rand_series(dom, rng, (v, v), length, (0, 0))
+    return f
+
+
+def diag(f, g):
+    zero = TruncatedSeries.zero(f.dom, f.known_to)
+    return SeriesMatrix(f.dom, [[f, zero], [zero, g]])
+
+
+def test_matrix_recursion_two_sided(any_domain):
+    """The coefficient recursion at valuation -1, 0, 1, twists included."""
+    rng = random.Random(38)
+    dom = any_domain
+    ident = SeriesMatrix.identity(dom)
+    checked = 0
+    while checked < 15:
+        v = rng.choice((-1, 0, 1))
+        rows = [[rand_series(dom, rng, (v, v), rng.randint(1, 5))
+                 for _ in range(2)] for _ in range(2)]
+        a = SeriesMatrix(dom, rows)
+        if not det2(a.coeff_matrix(a.min_val)):
+            continue
+        checked += 1
+        v = a.min_val
+        inv = a.invert()
+        assert inv.known_to == a.known_to - 2 * v
+        for prod in (a @ inv, inv @ a):
+            diff = prod - ident
+            assert all(s.is_known_zero for row in diff.rows for s in row)
+            assert diff.known_to >= a.known_to - v
+
+
+def test_diagonal_inverse_is_entrywise(any_domain):
+    """A 2x2 diagonal matrix inverts entry by entry, as 1x1 cases."""
+    rng = random.Random(39)
+    dom = any_domain
+    for _ in range(15):
+        v = rng.choice((-1, 0, 1))
+        length = rng.randint(1, 5)
+        f = unit_lowest_series(dom, rng, v, length)
+        g = unit_lowest_series(dom, rng, v, length)
+        assert diag(f, g).invert() == diag(f.invert(), g.invert())
 
 
 def test_matrix_identity_random(any_domain):
@@ -202,10 +245,10 @@ def test_singular_matrix_rejected(zz):
         matrix_invert(m, 6)
 
 
-def test_ring_mode_flag_propagation(zz):
+def test_ring_flag_propagation(zz):
     f = parse_series(zz, "2+1*x^1")
     q = f.invert(4)  # not integral
     assert f.ring and not q.ring
     # the product happens to be exactly 1, and the embedding of integral
-    # values back into ring mode is free
+    # values back into the ring is free
     assert (f * q).ring

@@ -61,6 +61,8 @@ def cmd_classgroup(args) -> int:
 
 
 def cmd_extend(args) -> int:
+    if args.prec < 0:
+        raise ValueError(f"--prec must be at least 0, not {args.prec}")
     dom = get_domain(textio.parse_domain(args.domain))
     gen_strings = json.loads(args.gens)
     if not isinstance(gen_strings, list) or not gen_strings:
@@ -85,6 +87,8 @@ def _load_series_list(dom, path: str, key: str) -> list:
 
 
 def cmd_complete_row(args) -> int:
+    if args.prec < 1:
+        raise ValueError(f"--prec must be at least 1, not {args.prec}")
     dom = get_domain(textio.parse_domain(args.domain))
     j_ideal = textio.ideal_lattice_from_json(dom, json.loads(args.ideal))
     row = SeriesMatrix(dom, [_load_series_list(dom, args.row, "row")])

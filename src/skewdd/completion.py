@@ -426,13 +426,15 @@ class CompletionCertificate:
         def m(key):
             return textio.matrix_from_json(dom, obj[key])
 
+        prec = textio.json_int(obj["prec"], "prec")
+        if prec < 1:
+            raise ValueError(f"prec must be at least 1, not {prec}")
         return CompletionCertificate(
             spec,
             textio.ideal_lattice_from_json(dom, obj["ideal"]),
             textio.ideal_lattice_from_json(dom, obj["a_ideal"]),
             m("row"), m("witness"), textio.json_int(obj["n"], "n"),
-            m("b"), m("T"), m("H"), m("final"), m("final_inv"),
-            textio.json_int(obj["prec"], "prec"),
+            m("b"), m("T"), m("H"), m("final"), m("final_inv"), prec,
         )
 
 

@@ -79,9 +79,10 @@ class DomainSpec:
             raise ValueError(f"domain must be a JSON object, not {obj!r}")
         from .textio import json_int
 
-        if obj.get("kind") == "int":
-            return DomainSpec("int")
-        return DomainSpec(obj.get("kind"), json_int(obj.get("d"), "domain d"),
+        # d and sigma pass through even for "int", which refuses them
+        d = obj.get("d")
+        return DomainSpec(obj.get("kind"),
+                          None if d is None else json_int(d, "domain d"),
                           obj.get("sigma", SIGMA_ID))
 
 

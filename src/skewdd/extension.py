@@ -39,7 +39,8 @@ from .errors import (
 from . import ideals
 from .ideals import IdealLattice, echelon, from_ring_generators
 from .reporting import VerifyReport
-from .series import SeriesMatrix, TruncatedSeries, disagreement, mul
+from .series import (SeriesMatrix, TruncatedSeries, disagreement, mul,
+                     sum_products)
 from . import textio
 
 STALL_DEPTH = 4
@@ -115,17 +116,14 @@ class _OrderWindow:
     def row_series(self, idx: int) -> TruncatedSeries:
         """The ideal element sum_j gens[j] * r_j whose coefficients are
         echelon row idx, with the right factors r_j read off the transform."""
-        combos = [TruncatedSeries.zero(self.dom) for _ in self.gens]
+        items = [[] for _ in self.gens]
         for k, coef in enumerate(self.transform[idx]):
-            if not coef:
-                continue
-            j, s, c = self.seeds[k]
-            term = TruncatedSeries(self.dom, s, [(c * coef).to_field()])
-            combos[j] = combos[j] + term
-        acc = TruncatedSeries.zero(self.dom)
-        for g, r in zip(self.gens, combos):
-            acc = acc + mul(g, r)
-        return acc
+            if coef:
+                j, s, c = self.seeds[k]
+                items[j].append((s, c * coef))
+        return sum_products(self.dom, [
+            (g, TruncatedSeries.from_coeff_map(self.dom, its))
+            for g, its in zip(self.gens, items)])
 
 
 def _max_window(gens: list[TruncatedSeries]) -> int | None:
@@ -206,10 +204,9 @@ def normalize_generators(j_ideal: IdealLattice, gens: list[TruncatedSeries],
     entries = []
     for target in targets:
         coeffs = ideals.express_in_generators(target.to_field(), leader_elems)
-        acc = TruncatedSeries.zero(dom)
-        for (idx, blk, _), u in zip(leaders, coeffs):
-            if u:
-                acc = acc + window.row_series(idx).shift(-blk) * u.to_field()
+        acc = sum_products(dom, [
+            (window.row_series(idx).shift(-blk), TruncatedSeries.const(dom, u))
+            for (idx, blk, _), u in zip(leaders, coeffs) if u])
         if acc.is_known_zero or acc.valuation() != 0 or acc.lowest() != target.to_field():
             raise SkewError("normalized generator lost its lowest coefficient")
         entries.append(acc)
@@ -254,8 +251,10 @@ class ExtensionCertificate:
                                 for s in obj["g"]]])
         a_mat = textio.matrix_from_json(dom, obj["A"])
         q = textio.series_from_json(dom, obj["q"])
-        return ExtensionCertificate(spec, ideal, g0, g, a_mat, q,
-                                    textio.json_int(obj["prec"], "prec"),
+        prec = textio.json_int(obj["prec"], "prec")
+        if prec < 0:
+            raise ValueError(f"prec must be at least 0, not {prec}")
+        return ExtensionCertificate(spec, ideal, g0, g, a_mat, q, prec,
                                     obj.get("audit", []))
 
 

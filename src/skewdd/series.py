@@ -11,12 +11,23 @@ through min(val(f) + known_to(g), val(g) + known_to(f)) and never
 beyond; no operation ever claims an order it cannot compute. Values are
 immutable and operations pure.
 
+Every product goes through one kernel, sum_products: a sum of twisted
+products (mul is its one-pair case, and each entry of a matrix product
+one call). It reads each factor once into integer lanes (a_i, b_i) over
+one positive common denominator, with coefficient (a_i + b_i*w) / den
+(over Z there is no b lane), convolves the lanes with plain int
+arithmetic, and builds each output coefficient once: one FieldElem, so
+one gcd, per order.
+
 Inversion is one coefficient recursion (matrix_invert; a series is its
 1x1 case), with row elimination as the fallback for a 2x2 matrix whose
 lowest coefficient matrix is singular.
 """
 
 from __future__ import annotations
+
+from math import lcm
+from operator import mul as mul_int
 
 from .domains import Domain, FieldElem, RingElem
 from .errors import PrecisionError, SingularError, SkewError
@@ -232,23 +243,102 @@ class TruncatedSeries:
 
 def mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """Twisted Cauchy product; precision follows the min rule."""
-    dom = f.dom
-    if f.is_exact_zero or g.is_exact_zero:
-        return TruncatedSeries.zero(dom)
-    kt = _kt_min(_kt_add(g.known_to, f.val), _kt_add(f.known_to, g.val))
-    if not f.coeffs or not g.coeffs:
+    return sum_products(f.dom, [(f, g)])
+
+
+def _lanes(coeffs, quad: bool):
+    """(den, [a, b]) with coeffs[i] = (a[i] + b[i]*w) / den for one
+    positive common denominator den; (den, [a]) over Z."""
+    den = 1
+    for c in coeffs:
+        if den % c.den:
+            den = lcm(den, c.den)
+    lanes = [[c.num.a * (den // c.den) for c in coeffs]]
+    if quad:
+        lanes.append([c.num.b * (den // c.den) for c in coeffs])
+    return den, lanes
+
+
+def _with_sum(lanes):
+    """Over Q(w), add the lane a + b for the Karatsuba cross term."""
+    if len(lanes) == 1:
+        return lanes
+    return [*lanes, [x + y for x, y in zip(*lanes)]]
+
+
+def sum_products(dom: Domain, pairs) -> TruncatedSeries:
+    """Sum of the twisted products f * g over pairs, known through the
+    least of their min-rule bounds (an exact-zero factor contributes
+    nothing and bounds nothing).
+
+    Each factor is read once into integer lanes, and every pair is scaled
+    to the common denominator of all the products. Order m of the sum is
+    then a sum of integer dot products of f's lanes with g's reversed
+    lanes, g conjugated where sigma^i twists it (i the order of f's
+    coefficient). Each output coefficient is normalised once.
+    """
+    kt = None
+    live = []
+    for f, g in pairs:
+        if f.is_exact_zero or g.is_exact_zero:
+            continue
+        kt = _kt_min(kt, _kt_add(g.known_to, f.val),
+                     _kt_add(f.known_to, g.val))
+        if f.coeffs and g.coeffs:
+            live.append((f, g))
+    if not live:
         return TruncatedSeries.zero(dom, kt)
-    acc: dict[int, FieldElem] = {}
-    for j, fc in enumerate(f.coeffs):
-        i = f.val + j
-        for k, gc in enumerate(g.coeffs):
-            m = i + g.val + k
-            if kt is not None and m >= kt:
-                break
-            term = fc * dom.sigma_pow(gc, i)
-            prev = acc.get(m)
-            acc[m] = term if prev is None else prev + term
-    return TruncatedSeries.from_coeff_map(dom, acc.items(), kt)
+    lo = min(f.val + g.val for f, g in live)
+    hi = max(f.val + g.val + len(f.coeffs) + len(g.coeffs) - 1
+             for f, g in live)
+    if kt is not None:
+        hi = min(hi, kt)
+    quad = dom.is_quad
+    step = 2 if dom.conj_sigma else 1
+    factors = [(_lanes(f.coeffs, quad), _lanes(g.coeffs, quad))
+               for f, g in live]
+    den = 1
+    for (fd, _), (gd, _) in factors:
+        den = lcm(den, fd * gd)
+    # per order: sum a_f a_g and, over Q(w), sum b_f b_g and
+    # sum (a_f + b_f)(a_g + b_g), which give the w part (Karatsuba)
+    sums = [[0] * (hi - lo) for _ in range(3 if quad else 1)]
+    for (f, g), ((fd, fl), (gd, gl)) in zip(live, factors):
+        scale = den // (fd * gd)
+        if scale != 1:
+            fl = [[x * scale for x in lane] for lane in fl]
+        fl = _with_sum(fl)
+        # g's lanes for the even and the odd orders of f, reversed so
+        # that both slices of a dot product step forward
+        plain = [lane[::-1] for lane in _with_sum(gl)]
+        twisted = [plain, plain]
+        if dom.conj_sigma:
+            # conj(a + b*w) = (a + b*omega_t) - b*w
+            ga, gb = gl
+            conj = [[u + v * dom.omega_t for u, v in zip(ga, gb)],
+                    [-v for v in gb]]
+            twisted[1] = [lane[::-1] for lane in _with_sum(conj)]
+        nf, ng = len(f.coeffs), len(g.coeffs)
+        base = f.val + g.val
+        for m in range(base, min(hi, base + nf + ng - 1)):
+            s = m - base
+            j0 = max(0, s - ng + 1)
+            j1 = min(s, nf - 1) + 1
+            for js in range(j0, min(j0 + step, j1)):
+                kr = ng - 1 - s + js
+                for acc, x, y in zip(sums, fl, twisted[(f.val + js) % 2]):
+                    acc[m - lo] += sum(map(mul_int, x[js:j1:step],
+                                           y[kr::step]))
+    if quad:
+        # w^2 = omega_c + omega_t * w
+        aa, bb, cc = sums
+        nums = [RingElem(dom, a + b * dom.omega_c,
+                         c - a - b + b * dom.omega_t)
+                for a, b, c in zip(aa, bb, cc)]
+    else:
+        nums = [RingElem(dom, a) for a in sums[0]]
+    return TruncatedSeries(dom, lo, [FieldElem(dom, n, den) if n else dom.fzero
+                                     for n in nums], kt)
 
 
 class SeriesMatrix:
@@ -332,10 +422,8 @@ class SeriesMatrix:
         for i in range(r):
             row = []
             for j in range(c):
-                acc = TruncatedSeries.zero(self.dom)
-                for t in range(k):
-                    acc = acc + mul(self.rows[i][t], other.rows[t][j])
-                row.append(acc)
+                row.append(sum_products(self.dom, [
+                    (self.rows[i][t], other.rows[t][j]) for t in range(k)]))
             out.append(row)
         return SeriesMatrix(self.dom, out)
 

@@ -130,6 +130,17 @@ MALFORMED = {
     "boolean n": ("completion", lambda obj: obj.update(n=True)),
     "float completion prec":
         ("completion", lambda obj: _bump(obj, "prec", 0.5)),
+    # a certified order range must be nonempty: extension prec >= 0,
+    # completion prec >= 1
+    "negative extension prec": ("extension", lambda obj: obj.update(prec=-1)),
+    "zero completion prec": ("completion", lambda obj: obj.update(prec=0)),
+    "negative completion prec":
+        ("completion", lambda obj: obj.update(prec=-3)),
+    # the integers take neither d nor an automorphism
+    "int domain with d and conj": ("completion", lambda obj: obj.update(
+        domain={"kind": "int", "d": 3, "sigma": "conj"})),
+    "int domain with d":
+        ("completion", lambda obj: obj["domain"].update(d=3)),
 }
 
 
@@ -156,18 +167,29 @@ def test_verify_malformed_certificate_exits_3(tmp_path, capsys, zz, tamper):
 
 @pytest.mark.parametrize("case", [
     "gens not strings", "ideal not an object", "row file without row",
-    "witness entry not an object", "coefficient 1/0"])
+    "witness entry not an object", "coefficient 1/0", "extend prec -1",
+    "int domain with d", "int domain with conj", "complete-row prec 0",
+    "complete-row prec -3"])
 def test_malformed_cli_input_exits_2(tmp_path, capsys, zz, case):
+    gens = ["--gens", '["2+1*x^1"]']
     if case == "gens not strings":
         argv = ["extend", "--domain", "int", "--gens", "[1]"]
     elif case == "coefficient 1/0":
         argv = ["extend", "--domain", "int", "--gens", '["1/0"]']
+    elif case == "extend prec -1":
+        argv = ["extend", "--domain", "int", *gens, "--prec", "-1"]
+    elif case == "int domain with d":
+        argv = ["extend", "--domain", '{"kind": "int", "d": 3}', *gens]
+    elif case == "int domain with conj":
+        argv = ["extend", "--domain", '{"kind": "int", "sigma": "conj"}', *gens]
     else:
         argv = classic_row_argv(tmp_path, zz)
         if case == "ideal not an object":
             argv[argv.index("--ideal") + 1] = "[1]"
         elif case == "row file without row":
             (tmp_path / "row.json").write_text('{"foo": 1}')
+        elif case.startswith("complete-row prec"):
+            argv[argv.index("--prec") + 1] = case.split()[-1]
         else:
             (tmp_path / "t.json").write_text("[1, 2]")
     code, _, err = run(capsys, *argv)

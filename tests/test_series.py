@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from skewdd.errors import PrecisionError, SingularError, SkewError
-from skewdd.series import SeriesMatrix, TruncatedSeries, det2, matrix_invert
+from skewdd.series import (SeriesMatrix, TruncatedSeries, det2, matrix_invert,
+                           sum_products)
 from skewdd.textio import format_series, parse_series
 
 from conftest import rand_ring_elem
@@ -252,3 +254,86 @@ def test_ring_flag_propagation(zz):
     # the product happens to be exactly 1, and the embedding of integral
     # values back into the ring is free
     assert (f * q).ring
+
+
+# ------------------------------------------------ product kernel vs. naive
+def naive_sum_products(dom, pairs):
+    """Sum of f * g over pairs, one FieldElem product per term."""
+    kt = None
+    terms = {}
+    for f, g in pairs:
+        if f.is_exact_zero or g.is_exact_zero:
+            continue
+        for bound, val in ((g.known_to, f.val), (f.known_to, g.val)):
+            if bound is not None:
+                kt = bound + val if kt is None else min(kt, bound + val)
+        for j, fc in enumerate(f.coeffs):
+            i = f.val + j
+            for k, gc in enumerate(g.coeffs):
+                m = i + g.val + k
+                terms[m] = terms.get(m, dom.fzero) + fc * dom.sigma_pow(gc, i)
+    return TruncatedSeries.from_coeff_map(
+        dom, [(m, c) for m, c in terms.items() if kt is None or m < kt], kt)
+
+
+@st.composite
+def kernel_series(draw, dom):
+    """Exact, truncated, known-zero or exact-zero series, valuation -2..2,
+    with coefficients over unrelated denominators."""
+    kind = draw(st.sampled_from(["exact", "truncated", "known-zero",
+                                 "exact-zero"]))
+    val = draw(st.integers(-2, 2))
+    if kind == "exact-zero":
+        return TruncatedSeries.zero(dom)
+    if kind == "known-zero":
+        return TruncatedSeries.zero(dom, val)
+    part = st.integers(-40, 40)
+    coeffs = draw(st.lists(st.builds(
+        dom.felem, part, part if dom.is_quad else st.just(0),
+        st.sampled_from([1, 1, 2, 3, 5, 7, 9, 11, 12, 35])),
+        min_size=1, max_size=5))
+    if kind == "exact":
+        return TruncatedSeries(dom, val, coeffs)
+    return TruncatedSeries(dom, val, coeffs,
+                           val + len(coeffs) + draw(st.integers(0, 3)))
+
+
+def assert_same_series(got, want):
+    assert (got.val, got.coeffs, got.known_to) \
+        == (want.val, want.coeffs, want.known_to)
+
+
+KERNEL_SETTINGS = settings(
+    max_examples=40, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_mul_matches_naive(any_domain, data):
+    f = data.draw(kernel_series(any_domain))
+    g = data.draw(kernel_series(any_domain))
+    assert_same_series(f * g, naive_sum_products(any_domain, [(f, g)]))
+
+
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_matmul_matches_naive(any_domain, data):
+    dom = any_domain
+    a = [[data.draw(kernel_series(dom)) for _ in range(2)] for _ in range(2)]
+    b = [[data.draw(kernel_series(dom)) for _ in range(2)] for _ in range(2)]
+    prod = SeriesMatrix(dom, a) @ SeriesMatrix(dom, b)
+    for i in range(2):
+        for j in range(2):
+            assert_same_series(prod.rows[i][j], naive_sum_products(
+                dom, [(a[i][t], b[t][j]) for t in range(2)]))
+
+
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_sum_products_matches_naive(any_domain, data):
+    dom = any_domain
+    pairs = data.draw(st.lists(st.tuples(kernel_series(dom),
+                                         kernel_series(dom)), max_size=4))
+    assert_same_series(sum_products(dom, pairs),
+                       naive_sum_products(dom, pairs))

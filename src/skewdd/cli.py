@@ -248,62 +248,57 @@ def build_parser() -> argparse.ArgumentParser:
         description="certificate-producing arithmetic for skew Laurent "
                     "series rings over Z and quadratic orders")
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {
+        "--domain": dict(required=True, help="int or quad:d:id|conj"),
+        "--prec": dict(type=int, default=12,
+                       help="certified series orders (default 12)"),
+        "--seed": dict(type=int, default=0,
+                       help="seed for randomized searches (default 0)"),
+        "--bound": dict(type=int, default=ideals.PRINCIPAL_BOUND,
+                        help="search bound for generator hunts"),
+        "--out": dict(help="output path for the JSON artifact"),
+    }
 
-    def add_common(p, domain=True):
-        if domain:
-            p.add_argument("--domain", required=True,
-                           help="int or quad:d:id|conj")
-        p.add_argument("--prec", type=int, default=12,
-                       help="certified series orders (default 12)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized searches (default 0)")
-        p.add_argument("--bound", type=int, default=100_000,
-                       help="search bound for generator hunts")
-        p.add_argument("--out", help="output path for the JSON artifact")
+    def command(name, fn, text, *flags):
+        p = sub.add_parser(name, help=text)
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("classgroup", help="reduced forms and class number")
-    add_common(p)
-    p.set_defaults(fn=cmd_classgroup)
-
-    p = sub.add_parser("extend",
-                       help="certify a right ideal isomorphic to an "
-                            "extended ideal")
-    add_common(p)
+    command("classgroup", cmd_classgroup, "reduced forms and class number",
+            "--domain", "--out")
+    p = command("extend", cmd_extend,
+                "certify a right ideal isomorphic to an extended ideal",
+                "--domain", "--prec", "--out")
     p.add_argument("--gens", required=True,
                    help="JSON array of series generating the right ideal")
-    p.set_defaults(fn=cmd_extend)
-
-    p = sub.add_parser("complete-row",
-                       help="complete a unimodular shaped row to an "
-                            "invertible matrix")
-    add_common(p)
+    p = command("complete-row", cmd_complete_row,
+                "complete a unimodular shaped row to an invertible matrix",
+                "--domain", "--prec", "--seed", "--bound", "--out")
     p.add_argument("--ideal", required=True,
                    help='ideal JSON, e.g. {"hnf":[2,1,1]} or {"gens":[...]}')
     p.add_argument("--row", required=True, help="path to the row JSON file")
     p.add_argument("--witness", required=True,
                    help="path to the witness column JSON file")
-    p.set_defaults(fn=cmd_complete_row)
-
-    p = sub.add_parser("verify", help="re-check a certificate file")
+    p = command("verify", cmd_verify, "re-check a certificate file")
     p.add_argument("path")
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("report", help="structure report for a domain")
-    add_common(p)
+    p = command("report", cmd_report, "structure report for a domain",
+                "--domain", "--seed", "--out")
     p.add_argument("--samples", type=int, default=100,
                    help="stable-rank sample count (default 100)")
-    p.set_defaults(fn=cmd_report)
-
-    p = sub.add_parser("demo", help="narrated, self-verifying walkthroughs")
+    p = command("demo", cmd_demo, "narrated, self-verifying walkthroughs")
     p.add_argument("name", choices=sorted(DEMOS))
-    p.set_defaults(fn=cmd_demo)
     return parser
 
 
+# built once per process: main() may run many times in one interpreter
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
         return args.fn(args)
     except (ValueError, UnsupportedDomain, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -185,16 +185,14 @@ def _bezout_two_fractional(dom: Domain, w1: FracIdeal | None,
 
 
 def _principal_or_obstruction(ideal: FracIdeal, what: str,
-                              bound: int | None = None) -> FieldElem:
+                              bound: int = ideals.PRINCIPAL_BOUND
+                              ) -> FieldElem:
     """Generator of a principal fractional ideal, or SigmaClassObstruction."""
     dom = ideal.dom
     if ideal.is_unit:
         return dom.fone
     try:
-        if bound is None:
-            gen = ideals.principal_generator(ideal)
-        else:
-            gen = ideals.principal_generator(ideal, coeff_bound=bound)
+        gen = ideals.principal_generator(ideal, coeff_bound=bound)
     except BoundExceeded as err:
         raise SigmaClassObstruction(
             ideal, f"{what}: principal search exhausted ({err})") from None
@@ -219,7 +217,7 @@ def check_unimodular(shaped: ShapedRow, t: SeriesMatrix
 
 
 def reduce_row(shaped: ShapedRow, witness: SeriesMatrix,
-               bound: int | None = None
+               bound: int = ideals.PRINCIPAL_BOUND
                ) -> tuple[ShapedRow, SeriesMatrix, ReductionContext]:
     """One reduction step: level n with respect to A becomes level n-1
     with respect to B = s*A + q*J*A^(-1), consuming one known order.
@@ -327,7 +325,8 @@ def base_case_invert(shaped: ShapedRow, witness: SeriesMatrix, rng=None
 
 def lift_invertibility(child: InvertibilityData, ctx: ReductionContext,
                        parent: ShapedRow, parent_witness: SeriesMatrix,
-                       bound: int | None = None) -> InvertibilityData:
+                       bound: int = ideals.PRINCIPAL_BOUND
+                       ) -> InvertibilityData:
     """Rebuild level-n invertibility of the parent row from the child's."""
     dom = parent.dom
     j_ideal = parent.j_ideal
@@ -439,7 +438,7 @@ class CompletionCertificate:
 
 
 def complete_unimodular_row(shaped: ShapedRow, t: SeriesMatrix, prec: int,
-                            rng=None, bound: int | None = None
+                            rng=None, bound: int = ideals.PRINCIPAL_BOUND
                             ) -> CompletionCertificate:
     """Full pipeline: n reductions, base case, n lifts, final conversion.
 

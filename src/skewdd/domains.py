@@ -146,13 +146,9 @@ class Domain:
         return FieldElem(self, RingElem(self, int(fa * scale), int(fb * scale)),
                          den * scale)
 
-    # sigma^i action; both supported automorphisms square to the identity.
-    def sigma_pow_ring(self, e: "RingElem", i: int) -> "RingElem":
-        if self.conj_sigma and i % 2:
-            return e.conj()
-        return e
-
-    def sigma_pow(self, e: "FieldElem", i: int) -> "FieldElem":
+    # sigma^i action on a RingElem or a FieldElem; both supported
+    # automorphisms square to the identity.
+    def sigma_pow(self, e, i: int):
         if self.conj_sigma and i % 2:
             return e.conj()
         return e

@@ -295,8 +295,8 @@ def extend(j_ideal: IdealLattice, g: SeriesMatrix, prec: int
     q_coeffs: list[FieldElem] = [dom.fone]
     audit = []
     for n in range(1, prec + 1):
-        sig_a1 = dom.sigma_pow_ring(a1, n)
-        sig_a2 = dom.sigma_pow_ring(a2, n)
+        sig_a1 = dom.sigma_pow(a1, n)
+        sig_a2 = dom.sigma_pow(a2, n)
         # srow = sum_{i=1..n} g_i sigma^i(A_{n-i})
         srow = [dom.zero, dom.zero]
         for i in range(1, n + 1):
@@ -304,8 +304,8 @@ def extend(j_ideal: IdealLattice, g: SeriesMatrix, prec: int
             am = a_mats[n - i]
             for col in range(2):
                 srow[col] = srow[col] + (
-                    gi[0] * dom.sigma_pow_ring(am[0][col], i)
-                    + gi[1] * dom.sigma_pow_ring(am[1][col], i)
+                    gi[0] * dom.sigma_pow(am[0][col], i)
+                    + gi[1] * dom.sigma_pow(am[1][col], i)
                 )
         s_n = srow[0] * sig_a2 - srow[1] * sig_a1
         if s_n:

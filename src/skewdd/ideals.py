@@ -29,6 +29,8 @@ from .errors import (
 # and the bound on their coefficients in the HNF generators
 SECOND_GEN_CANDIDATES = 10_000
 SECOND_GEN_COEFF_BOUND = 1_000
+# default coordinate bound of the real-quadratic principal generator scan
+PRINCIPAL_BOUND = 100_000
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -544,14 +546,15 @@ def _perfect_sqrt(n: int) -> int | None:
     return r if r * r == n else None
 
 
-def principal_generator(u: FracIdeal, coeff_bound: int = 100_000):
+def principal_generator(u: FracIdeal, coeff_bound: int = PRINCIPAL_BOUND):
     """A generator of u when u is principal.
 
-    Imaginary quadratic: the norm form is positive definite, the finite
-    solution box is enumerated completely, and None is a proof of
-    nonprincipality. Z: always principal. Real quadratic: solutions of
-    |N| = index are scanned along one coordinate up to coeff_bound and
-    BoundExceeded signals an undecided search.
+    Z: always principal. Quadratic: solutions of N(x*g1 + y*g2) = +-index
+    on the HNF basis are scanned along y, solving exactly for x. Imaginary
+    quadratic: the norm form is positive definite, its finite solution box
+    is scanned completely, and None is a proof of nonprincipality. Real
+    quadratic: y runs up to coeff_bound and BoundExceeded signals an
+    undecided search.
     """
     if u.is_zero:
         raise ZeroIdealError("zero ideal")
@@ -564,45 +567,29 @@ def principal_generator(u: FracIdeal, coeff_bound: int = 100_000):
     g1, g2 = lat.two_generators()
     big_a, big_b, big_c = _norm_form(lat)
     n = lat.index
-
-    def build(x: int, y: int):
-        return FieldElem(dom, g1 * x + g2 * y, u.den)
-
-    if dom.d < 0:
-        # positive definite: 4A*Q(x,y) = (2Ax + By)^2 + (4AC - B^2) y^2
-        det4 = 4 * big_a * big_c - big_b * big_b
-        ybound = isqrt(4 * big_a * n // det4) + 1
-        for y in range(0, ybound + 1):
-            disc_x = big_b * big_b * y * y - 4 * big_a * (big_c * y * y - n)
-            s = _perfect_sqrt(disc_x)
+    # 4A*Q(x,y) = (2Ax + By)^2 - disc*y^2, so Q = target solves for x when
+    # disc*y^2 + 4A*target is a square
+    disc = big_b * big_b - 4 * big_a * big_c
+    definite = dom.d < 0
+    if definite:
+        ybound, targets = isqrt(4 * big_a * n // -disc) + 1, (n,)
+    else:
+        ybound, targets = coeff_bound, (n, -n)
+    for y in range(0, ybound + 1):
+        for target in targets:
+            s = _perfect_sqrt(disc * y * y + 4 * big_a * target)
             if s is None:
                 continue
             for sgn in ((s, -s) if s else (0,)):
                 num = -big_b * y + sgn
-                if num % (2 * big_a):
+                if num % (2 * big_a) or (num == 0 and y == 0):
                     continue
-                x = num // (2 * big_a)
-                if x or y:
-                    return build(x, y)
-        return None
-    # real quadratic: indefinite form, scan y and solve for x exactly
-    det4 = big_b * big_b - 4 * big_a * big_c
-    for y in range(0, coeff_bound + 1):
-        for target in (n, -n):
-            disc_x = det4 * y * y + 4 * big_a * target
-            s = _perfect_sqrt(disc_x)
-            if s is None:
-                continue
-            for sgn in ((s, -s) if s else (0,)):
-                num = -big_b * y + sgn
-                if num % (2 * big_a):
-                    continue
-                x = num // (2 * big_a)
-                if x == 0 and y == 0:
-                    continue
-                cand = build(x, y)
-                if from_generators(dom, [cand]) == u:
+                cand = FieldElem(dom, g1 * (num // (2 * big_a)) + g2 * y,
+                                 u.den)
+                if definite or from_generators(dom, [cand]) == u:
                     return cand
+    if definite:
+        return None
     raise BoundExceeded(coeff_bound, f"principal search undecided for {u!r}")
 
 

@@ -88,7 +88,7 @@ def simplicity_probe(dom: Domain, candidates: list[IdealLattice] | None = None
         if cand.sigma(1) == cand:
             for g in cand.two_generators():
                 # x * g = sigma(g) * x must stay inside the extended ideal
-                if not cand.contains(dom.sigma_pow_ring(g, 1)):
+                if not cand.contains(dom.sigma_pow(g, 1)):
                     raise SkewError("sigma-fixed candidate failed the "
                                     "two-sidedness recheck")
             return SimplicityVerdict(False, cand, list(candidates))
@@ -140,7 +140,7 @@ def stable_rank_witness(dom: Domain, a: RingElem, samples: int = 500,
         raise SkewError("need a nonzero non-unit")
     if rng is None:
         rng = random.Random(0)
-    b = dom.one + dom.sigma_pow_ring(a, 1)
+    b = dom.one + dom.sigma_pow(a, 1)
     a_plus_x = TruncatedSeries.from_coeff_map(
         dom, [(0, a.to_field()), (1, dom.fone)])
     second = TruncatedSeries.from_coeff_map(

@@ -1,20 +1,29 @@
 """Text and JSON forms for elements, series, ideals and domains.
 
-Element syntax: `a`, `a+b*w`, `a-b*w` with rational parts `p/q`; the
-generator of the quadratic order is always spelled `w`. Series syntax:
-`2+1*x^1+(1+1*w)*x^3+O(x^8)`, with negative exponents allowed and the
-O-term giving the exclusive precision bound; structured coefficients are
-parenthesized. All JSON emitted by the package is canonical: sorted
-keys, compact separators, integers and strings only.
+Element syntax: a sum of signed terms, each an optional `p` or `p/q` in
+ASCII digits then an optional `*w` (`w` alone is `1*w`; the `*` may be
+left out), read with integer arithmetic only; the generator of the
+quadratic order is always spelled `w`. Elements are written `a`, `a+b*w`
+or `a-b*w` with each part in lowest terms (`-3/4+5/6*w`, `1*w`). Series
+syntax: `2+1*x^1+(1+1*w)*x^3+O(x^8)`, with negative exponents allowed
+and at most one O-term, the exclusive precision bound; structured
+coefficients are parenthesized. Every order read (an exponent, an
+O-term, a JSON `val`, last stored order or `prec`) must lie within
++-MAX_ORDER. All JSON emitted by the package is canonical: sorted keys,
+compact separators, integers and strings only.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
+from math import gcd
 
 from .domains import Domain, DomainSpec, FieldElem, RingElem
+
+# largest |order| accepted on input, so that no series text or JSON can
+# ask for a coefficient list longer than about 2 * MAX_ORDER
+MAX_ORDER = 2 ** 16
 
 
 def json_int(value, what: str) -> int:
@@ -28,10 +37,17 @@ def json_int(value, what: str) -> int:
     return value
 
 
-def _frac_str(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+def _order(value: int, what: str) -> int:
+    if not -MAX_ORDER <= value <= MAX_ORDER:
+        raise ValueError(f"{what} {value} is outside the supported orders "
+                         f"-{MAX_ORDER}..{MAX_ORDER}")
+    return value
+
+
+def _ratio(p: int, q: int) -> str:
+    """p/q in lowest terms, for q > 0."""
+    g = gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
 
 
 def format_ring_elem(e: RingElem) -> str:
@@ -39,25 +55,16 @@ def format_ring_elem(e: RingElem) -> str:
 
 
 def format_field_elem(e: FieldElem) -> str:
-    ra = Fraction(e.num.a, e.den)
-    rb = Fraction(e.num.b, e.den)
-    if not rb:
-        return _frac_str(ra)
-    wpart = f"{_frac_str(abs(rb))}*w"
-    if not ra:
-        return wpart if rb > 0 else f"-{wpart}"
-    sign = "+" if rb > 0 else "-"
-    return f"{_frac_str(ra)}{sign}{wpart}"
+    a, b, den = e.num.a, e.num.b, e.den
+    if not b:
+        return _ratio(a, den)
+    wpart = f"{_ratio(abs(b), den)}*w"
+    if not a:
+        return wpart if b > 0 else f"-{wpart}"
+    return f"{_ratio(a, den)}{'+' if b > 0 else '-'}{wpart}"
 
 
-_TERM_RE = re.compile(r"[+-][^+-]+")
-
-
-def _rational(body: str, text: str) -> Fraction:
-    try:
-        return Fraction(body)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in element {text!r}") from None
+_TERM_RE = re.compile(r"([+-])(?:([0-9]+)(?:/([0-9]+))?)?(\*?w)?")
 
 
 def parse_field_elem(dom: Domain, text: str) -> FieldElem:
@@ -68,26 +75,33 @@ def parse_field_elem(dom: Domain, text: str) -> FieldElem:
         raise ValueError("empty element")
     if s[0] not in "+-":
         s = "+" + s
+    # (a + b*w) / den, with den the product of the term denominators
+    # that do not already divide it
+    a = b = 0
+    den = 1
     pos = 0
-    ra, rb = Fraction(0), Fraction(0)
-    for m in _TERM_RE.finditer(s):
-        if m.start() != pos:
+    while pos < len(s):
+        m = _TERM_RE.match(s, pos)
+        if m is None or not (m.group(2) or m.group(4)):
             raise ValueError(f"cannot parse element {text!r}")
         pos = m.end()
-        tok = m.group(0)
-        sign = -1 if tok[0] == "-" else 1
-        body = tok[1:]
-        if body.endswith("w"):
-            body = body[:-1].rstrip("*")
-            coef = _rational(body, text) if body else Fraction(1)
-            rb += sign * coef
+        sign, p, q, w = m.groups()
+        p, q = int(p or 1), int(q or 1)
+        if not q:
+            raise ValueError(f"zero denominator in element {text!r}")
+        if den % q:
+            a, b, p, den = a * q, b * q, p * den, den * q
         else:
-            ra += sign * _rational(body, text)
-    if pos != len(s):
-        raise ValueError(f"cannot parse element {text!r}")
-    if rb and not dom.is_quad:
+            p *= den // q
+        if sign == "-":
+            p = -p
+        if w:
+            b += p
+        else:
+            a += p
+    if b and not dom.is_quad:
         raise ValueError("w is not an element of the integer domain")
-    return dom.felem(ra, rb)
+    return FieldElem(dom, RingElem(dom, a, b), den)
 
 
 def format_series(f) -> str:
@@ -113,8 +127,8 @@ def format_series(f) -> str:
     return "+".join(pieces).replace("+-", "-")
 
 
-_O_RE = re.compile(r"^O\(x\^?(-?\d+)\)$")
-_X_RE = re.compile(r"^(.*?)\*?x(?:\^(-?\d+))?$")
+_O_RE = re.compile(r"^O\(x\^?(-?[0-9]+)\)$")
+_X_RE = re.compile(r"^(.*?)\*?x(?:\^(-?[0-9]+))?$")
 
 
 def parse_series(dom: Domain, text: str):
@@ -151,12 +165,14 @@ def parse_series(dom: Domain, text: str):
         if mo:
             if sign < 0:
                 raise ValueError("negative O-term")
-            known_to = int(mo.group(1))
+            if known_to is not None:
+                raise ValueError(f"series {text!r} has two O-terms")
+            known_to = _order(int(mo.group(1)), "O-term order")
             continue
         mx = _X_RE.match(body)
         if mx and not body.endswith("w"):
             coef_s, exp_s = mx.group(1), mx.group(2)
-            exp = int(exp_s) if exp_s is not None else 1
+            exp = _order(int(exp_s), "exponent") if exp_s is not None else 1
             coef_s = coef_s or "1"
         else:
             coef_s, exp = body, 0
@@ -187,12 +203,14 @@ def series_from_json(dom: Domain, obj: dict):
     if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list):
         raise ValueError(f"a series is an object with a coeffs array, "
                          f"not {obj!r}")
+    val = _order(json_int(obj.get("val"), "series val"), "series val")
     coeffs = [parse_field_elem(dom, s) for s in obj["coeffs"]]
+    if coeffs:
+        _order(val + len(coeffs) - 1, "last stored order")
     prec = obj.get("prec")
     if prec is not None:
-        prec = json_int(prec, "series prec")
-    return TruncatedSeries(dom, json_int(obj.get("val"), "series val"),
-                           coeffs, prec)
+        prec = _order(json_int(prec, "series prec"), "series prec")
+    return TruncatedSeries(dom, val, coeffs, prec)
 
 
 def matrix_to_json(m) -> list:

@@ -3,10 +3,11 @@ import json
 
 import pytest
 
-from skewdd import completion, extension
+from skewdd import cli, completion, extension
 from skewdd.cli import main
 from skewdd.reporting import VerifyReport
-from skewdd.textio import canonical_json, parse_series, series_to_json
+from skewdd.textio import (MAX_ORDER, canonical_json, parse_series,
+                           series_to_json)
 
 
 def run(capsys, *argv):
@@ -72,6 +73,31 @@ def test_extend_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["extend", "--domain", "int"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["classgroup", "--domain", "int", "--prec", "3"],
+    ["classgroup", "--domain", "int", "--seed", "3"],
+    ["classgroup", "--domain", "int", "--bound", "3"],
+    ["extend", "--domain", "int", "--gens", '["2+1*x^1"]', "--seed", "3"],
+    ["extend", "--domain", "int", "--gens", '["2+1*x^1"]', "--bound", "3"],
+    ["report", "--domain", "int", "--prec", "3"],
+    ["report", "--domain", "int", "--bound", "3"],
+], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+def test_unread_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_main_does_not_rebuild_the_parser(capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("build_parser called again")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    code, out, _ = run(capsys, "classgroup", "--domain", "quad:-5:conj")
+    assert code == 0 and out.startswith("h=2")
 
 
 def test_verify_tampered_exits_3(tmp_path, capsys):
@@ -141,6 +167,14 @@ MALFORMED = {
         domain={"kind": "int", "d": 3, "sigma": "conj"})),
     "int domain with d":
         ("completion", lambda obj: obj["domain"].update(d=3)),
+    # element text is integer digits only; series orders stay within
+    # +-MAX_ORDER
+    "decimal coefficient":
+        ("completion", lambda obj: obj["row"][0][0]["coeffs"].__setitem__(
+            0, "2.0")),
+    "witness val past the order bound":
+        ("completion", lambda obj: obj["witness"][0][0].update(
+            val=MAX_ORDER + 1)),
 }
 
 
@@ -169,11 +203,19 @@ def test_verify_malformed_certificate_exits_3(tmp_path, capsys, zz, tamper):
     "gens not strings", "ideal not an object", "row file without row",
     "witness entry not an object", "coefficient 1/0", "extend prec -1",
     "int domain with d", "int domain with conj", "complete-row prec 0",
-    "complete-row prec -3"])
+    "complete-row prec -3", "exponent past the order bound", "two O-terms",
+    "decimal coefficient"])
 def test_malformed_cli_input_exits_2(tmp_path, capsys, zz, case):
     gens = ["--gens", '["2+1*x^1"]']
     if case == "gens not strings":
         argv = ["extend", "--domain", "int", "--gens", "[1]"]
+    elif case == "exponent past the order bound":
+        argv = ["extend", "--domain", "int",
+                "--gens", f'["1+1*x^{MAX_ORDER + 1}"]']
+    elif case == "two O-terms":
+        argv = ["extend", "--domain", "int", "--gens", '["1+O(x^5)+O(x^3)"]']
+    elif case == "decimal coefficient":
+        argv = ["extend", "--domain", "int", "--gens", '["2.0+1*x^1"]']
     elif case == "coefficient 1/0":
         argv = ["extend", "--domain", "int", "--gens", '["1/0"]']
     elif case == "extend prec -1":
@@ -296,7 +338,7 @@ def test_determinism_byte_identical(tmp_path, capsys):
         path = tmp_path / name
         code, _, _ = run(capsys, "extend", "--domain", "quad:-5:conj",
                          "--gens", '["2+1*x^1","1+1*w"]', "--prec", "10",
-                         "--seed", "5", "--out", str(path))
+                         "--out", str(path))
         assert code == 0
         digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
     assert digests[0] == digests[1]

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from skewdd import ideals
+from skewdd.domains import DomainSpec, get_domain
 from skewdd.errors import (
     BoundExceeded,
     MembershipError,
@@ -177,6 +178,24 @@ def test_principal_generator_examples(z5, root2):
     # a unit of the real quadratic order
     ratio = gen / root2.felem(11, 6, den=7)
     assert ratio.is_integral and ratio.as_ring().is_unit()
+
+
+@pytest.mark.parametrize("d, sigma, hnf, den, first", [
+    (2, "conj", [7, 3, 1], 1, "3+1*w"),
+    (2, "conj", [2, 0, 1], 1, "2+1*w"),
+    (2, "conj", [2, 0, 1], 3, "2/3+1/3*w"),
+    (7, "conj", [2, 1, 1], 2, "3/2+1/2*w"),
+    (-3, "id", [3, 1, 1], 1, "1+1*w"),
+    (-1, "conj", [2, 1, 1], 3, "1/3+1/3*w"),
+    (-23, "id", [3, 0, 3], 2, "3/2"),
+])
+def test_principal_generator_first_hit(d, sigma, hnf, den, first):
+    # the scan visits y upwards, the target +index before -index and the
+    # root +s before -s; the first hit is part of every certificate that
+    # needs a principal generator
+    dom = get_domain(DomainSpec("quad", d, sigma))
+    gen = ideals.principal_generator(FracIdeal(IdealLattice(dom, *hnf), den))
+    assert repr(gen) == first
 
 
 def test_principal_generator_real_bound(root2):

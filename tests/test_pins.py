@@ -1,0 +1,33 @@
+"""Certificate bytes of jobs 0..19 at seed 0 against bench/digests.json.
+
+Each workload's first twenty jobs run through ``skewdd.cli.main`` with
+the benchmark's own input generator, job runner and digest check, so a
+change that alters any certificate byte fails here, not only in a
+benchmark run. bench/gen.py and bench/run.py are imported, not changed.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+sys.path.insert(0, str(BENCH))
+
+import gen  # noqa: E402
+import run  # noqa: E402
+
+from skewdd import cli  # noqa: E402
+
+PIN_JOBS = 20
+
+
+@pytest.mark.parametrize("workload", sorted(gen.WORKLOADS))
+def test_certificates_match_pinned_digests(tmp_path, workload):
+    pinned = run.Run(workload, 0, 0.0, tmp_path, PIN_JOBS)
+    for index in range(PIN_JOBS):
+        pinned.record(index, run.run_job(cli.main, pinned.job(index),
+                                         tmp_path))
+    verdict = pinned.check_digest(PIN_JOBS)
+    assert pinned.problems == []
+    assert verdict.endswith("(matches pinned)")

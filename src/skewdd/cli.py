@@ -5,7 +5,7 @@ domain, 3 verification failure (including a malformed certificate and
 an engine's failed self-check) or invalid input data, 4 search
 obstruction (missing principal generator, exhausted bound), 5 precision
 deficit. All emitted JSON is canonical (sorted keys, no floats), so
-fixed flags and seed give byte-identical files.
+fixed flags give byte-identical files.
 """
 
 from __future__ import annotations
@@ -61,8 +61,7 @@ def cmd_classgroup(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    if args.prec < 0:
-        raise ValueError(f"--prec must be at least 0, not {args.prec}")
+    textio.certified_prec(args.prec, 0, "--prec")
     dom = get_domain(textio.parse_domain(args.domain))
     gen_strings = json.loads(args.gens)
     if not isinstance(gen_strings, list) or not gen_strings:
@@ -87,16 +86,14 @@ def _load_series_list(dom, path: str, key: str) -> list:
 
 
 def cmd_complete_row(args) -> int:
-    if args.prec < 1:
-        raise ValueError(f"--prec must be at least 1, not {args.prec}")
+    textio.certified_prec(args.prec, 1, "--prec")
     dom = get_domain(textio.parse_domain(args.domain))
     j_ideal = textio.ideal_lattice_from_json(dom, json.loads(args.ideal))
     row = SeriesMatrix(dom, [_load_series_list(dom, args.row, "row")])
     wit = SeriesMatrix(dom, [[s] for s in
                              _load_series_list(dom, args.witness, "witness")])
     shaped = completion.ShapedRow(row, j_ideal, ideals.unit_ideal(dom))
-    rng = random.Random(args.seed)
-    cert = completion.complete_unimodular_row(shaped, wit, args.prec, rng,
+    cert = completion.complete_unimodular_row(shaped, wit, args.prec,
                                               bound=args.bound)
     print(f"reduction depth n = {cert.n}")
     _write_out(cert.to_json(), args.out)
@@ -222,7 +219,7 @@ def demo_stable_rank() -> None:
                                   ideals.unit_ideal(dom))
     t = SeriesMatrix(dom, [[textio.parse_series(dom, "(-2)*x^-1")],
                            [textio.parse_series(dom, "1*x^-1")]])
-    cert = completion.complete_unimodular_row(shaped, t, 8, random.Random(0))
+    cert = completion.complete_unimodular_row(shaped, t, 8)
     print("  yet the row completes to an invertible 2x2 matrix:")
     print(f"    {cert.final!r}")
     print("  [ok] the engine verified the completion certificate")
@@ -251,9 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
     shared = {
         "--domain": dict(required=True, help="int or quad:d:id|conj"),
         "--prec": dict(type=int, default=12,
-                       help="certified series orders (default 12)"),
+                       help=f"certified series orders, at most "
+                            f"{textio.MAX_ORDER} (default 12)"),
         "--seed": dict(type=int, default=0,
-                       help="seed for randomized searches (default 0)"),
+                       help="seed for the stable-rank samples (default 0)"),
         "--bound": dict(type=int, default=ideals.PRINCIPAL_BOUND,
                         help="search bound for generator hunts"),
         "--out": dict(help="output path for the JSON artifact"),
@@ -275,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON array of series generating the right ideal")
     p = command("complete-row", cmd_complete_row,
                 "complete a unimodular shaped row to an invertible matrix",
-                "--domain", "--prec", "--seed", "--bound", "--out")
+                "--domain", "--prec", "--bound", "--out")
     p.add_argument("--ideal", required=True,
                    help='ideal JSON, e.g. {"hnf":[2,1,1]} or {"gens":[...]}')
     p.add_argument("--row", required=True, help="path to the row JSON file")

@@ -26,8 +26,9 @@ verify_completion recomputes all products independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partialmethod
 
-from .domains import Domain, DomainSpec, FieldElem
+from .domains import Domain, DomainSpec, FieldElem, get_domain
 from .errors import (
     BoundExceeded,
     MembershipError,
@@ -44,44 +45,69 @@ from . import textio
 
 
 class ShapeTable:
-    """Coefficient shapes for a given (J, A); sigma^i depends on i mod 2."""
+    """Coefficient shape ideals of the idealized matrix ring for (J, A).
+
+    One rule gives every shape: entry (r, c) of a matrix at order i lies
+    in left[r] * sigma^i(right[c]), with (left, right) per matrix in RULE:
+
+        row       (1)            (A^-1, J^-1*A)
+        b row     (J)            (A^-1, J^-1*A)
+        T         (A, J*A^-1)    (1, J^-1)
+        H         (1, J)         (1, J^-1)
+        witness   (A, J*A^-1)    (1)
+
+    sigma^i depends only on i mod 2, and one parity serves both when sigma
+    is the identity. J and A are inverted once, each right-hand factor is
+    twisted once per parity, and no product of the same two ideals is
+    formed twice. The steps read ainv, j_ainv = J*A^-1 and twist_ratio.
+    """
+
+    RULE = {"row": (("1",), ("1/A", "A/J")),
+            "b_row": (("J",), ("1/A", "A/J")),
+            "t_mat": (("A", "J/A"), ("1", "1/J")),
+            "h_mat": (("1", "J"), ("1", "1/J")),
+            "witness_col": (("A", "J/A"), ("1",))}
 
     def __init__(self, dom: Domain, j_ideal: IdealLattice, a_ideal: IdealLattice):
-        self.dom = dom
-        jf = j_ideal.to_frac()
-        af = a_ideal.to_frac()
-        jinv = jf.inverse()
-        ainv = af.inverse()
+        jf, af = j_ideal.to_frac(), a_ideal.to_frac()
+        jinv, self.ainv = jf.inverse(), af.inverse()
         one = unit_frac(dom)
-        self.row_p = []
-        self.b_p = []
-        self.t_p = []
-        self.h_p = []
-        for p in (0, 1):
-            ainv_p = ainv.sigma(p)
-            jinv_p = jinv.sigma(p)
-            ja_p = jinv.mul(af).sigma(p)
-            self.row_p.append((ainv_p, ja_p))
-            self.b_p.append((jf.mul(ainv_p), jf.mul(ja_p)))
-            self.t_p.append(((af, jinv_p.mul(af)),
-                             (jf.mul(ainv), jf.mul(jinv_p).mul(ainv))))
-            self.h_p.append(((one, jinv_p), (jf, jf.mul(jinv_p))))
-        self.witness = ((af,), (jf.mul(ainv),))
+        products = {}
 
-    def row(self, i):
-        return (self.row_p[i % 2],)
+        def times(x, y):
+            key = frozenset((x, y))
+            if key not in products:
+                products[key] = x.mul(y)
+            return products[key]
 
-    def b_row(self, i):
-        return (self.b_p[i % 2],)
+        self.j_ainv, a_j = times(jf, self.ainv), times(jinv, af)
+        named = {"1": one, "J": jf, "A": af, "1/J": jinv,
+                 "1/A": self.ainv, "J/A": self.j_ainv, "A/J": a_j}
+        # J * J^-1 = 1, J * J^-1*A = A and J*A^-1 * J^-1 = A^-1
+        for x, y, xy in ((jf, jinv, one), (jf, a_j, af),
+                         (self.j_ainv, jinv, self.ainv)):
+            products[frozenset((x, y))] = xy
+        self._at = []
+        for p in range(dom.sigma_order):
+            twisted = {r: named[r].sigma(p) for r in ("1/A", "A/J", "1/J")}
+            twisted["1"] = one
+            self._at.append({
+                kind: tuple(tuple(times(named[l], twisted[r]) for r in right)
+                            for l in left)
+                for kind, (left, right) in self.RULE.items()})
 
-    def t_mat(self, i):
-        return self.t_p[i % 2]
+    def shape(self, kind: str, i: int):
+        return self._at[i % len(self._at)][kind]
 
-    def h_mat(self, i):
-        return self.h_p[i % 2]
+    row = partialmethod(shape, "row")
+    b_row = partialmethod(shape, "b_row")
+    t_mat = partialmethod(shape, "t_mat")
+    h_mat = partialmethod(shape, "h_mat")
+    witness_col = partialmethod(shape, "witness_col")
 
-    def witness_col(self, i):
-        return self.witness
+    def twist_ratio(self, i: int) -> FracIdeal:
+        """J * sigma^i(J^-1), the H shape at (1, 1)."""
+        return self.h_mat(i)[1][1]
 
 
 def _shape_violation(mat: SeriesMatrix, shape_of):
@@ -111,13 +137,14 @@ class ShapedRow:
     """Row in [sigma^i(A^-1), sigma^i(J^-1 A)] with valuation 0.
 
     Shape membership of every known coefficient is checked at
-    construction, so a ShapedRow is valid by existence.
+    construction, so a ShapedRow is valid by existence. shapes, when
+    given, is the ShapeTable of (j_ideal, a_ideal).
     """
 
     __slots__ = ("dom", "row", "j_ideal", "a_ideal", "shapes")
 
     def __init__(self, row: SeriesMatrix, j_ideal: IdealLattice,
-                 a_ideal: IdealLattice):
+                 a_ideal: IdealLattice, shapes: ShapeTable | None = None):
         if row.shape != (1, 2):
             raise SkewError("shaped row must be 1x2")
         if j_ideal.is_zero or a_ideal.is_zero:
@@ -131,7 +158,7 @@ class ShapedRow:
         self.row = row
         self.j_ideal = j_ideal
         self.a_ideal = a_ideal
-        self.shapes = ShapeTable(row.dom, j_ideal, a_ideal)
+        self.shapes = shapes or ShapeTable(row.dom, j_ideal, a_ideal)
         _require_shape(row, self.shapes.row, "row")
 
     def a0(self) -> tuple[FieldElem, FieldElem]:
@@ -166,31 +193,21 @@ def _stack(row: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
 
 def _bezout_two_fractional(dom: Domain, w1: FracIdeal | None,
                            w2: FracIdeal | None):
-    """(u', v') with u' in w1, v' in w2 and u' + v' = 1."""
-    gens = []
-    split = 0
-    if w1 is not None and not w1.is_zero:
-        gens.extend(w1.gens())
-        split = len(gens)
-    if w2 is not None and not w2.is_zero:
-        gens.extend(w2.gens())
-    coeffs = ideals.express_in_generators(dom.fone, gens)
-    u_prime = dom.fzero
-    v_prime = dom.fzero
-    for g, c in zip(gens[:split], coeffs[:split]):
-        u_prime = u_prime + g * c.to_field()
-    for g, c in zip(gens[split:], coeffs[split:]):
-        v_prime = v_prime + g * c.to_field()
-    return u_prime, v_prime
+    """(u', v') with u' in w1, v' in w2, u' + v' = 1; None is the zero ideal."""
+    g1, g2 = (w.gens() if w is not None and not w.is_zero else ()
+              for w in (w1, w2))
+    coeffs = ideals.express_in_generators(dom.fone, [*g1, *g2])
+    c1, c2 = coeffs[:len(g1)], coeffs[len(g1):]
+    return (sum((g * c.to_field() for g, c in zip(g1, c1)), dom.fzero),
+            sum((g * c.to_field() for g, c in zip(g2, c2)), dom.fzero))
 
 
 def _principal_or_obstruction(ideal: FracIdeal, what: str,
                               bound: int = ideals.PRINCIPAL_BOUND
                               ) -> FieldElem:
     """Generator of a principal fractional ideal, or SigmaClassObstruction."""
-    dom = ideal.dom
     if ideal.is_unit:
-        return dom.fone
+        return ideal.dom.fone
     try:
         gen = ideals.principal_generator(ideal, coeff_bound=bound)
     except BoundExceeded as err:
@@ -226,7 +243,7 @@ def reduce_row(shaped: ShapedRow, witness: SeriesMatrix,
     (a0, abar0, B, lambda) the matching lift needs.
     """
     dom = shaped.dom
-    j_ideal, a_ideal = shaped.j_ideal, shaped.a_ideal
+    shapes = shaped.shapes
     prod = (shaped.row @ witness).rows[0][0]
     n = prod.valuation()
     if n < 1:
@@ -234,28 +251,26 @@ def reduce_row(shaped: ShapedRow, witness: SeriesMatrix,
     if prod.lowest() != dom.fone:
         raise NotUnimodular(f"witness product is not x^{n}")
     s_e, q_e = shaped.a0()
-    jf = j_ideal.to_frac()
-    af = a_ideal.to_frac()
-    ainv = af.inverse()
-    jinv = jf.inverse()
+    af = shaped.a_ideal.to_frac()
     b_frac = FracIdeal(ideals.zero_ideal(dom))
     if s_e:
         b_frac = b_frac.add(af.scale(s_e))
     if q_e:
-        b_frac = b_frac.add(jf.mul(ainv).scale(q_e))
+        b_frac = b_frac.add(shapes.j_ainv.scale(q_e))
     if not b_frac.is_integral or b_frac.is_zero:
         raise SkewError("reduction ideal B is not a nonzero integral ideal")
     b_ideal = b_frac.lat
-    binv = b_frac.inverse()
-    w1 = af.mul(binv).scale(s_e) if s_e else None
-    w2 = jf.mul(ainv).mul(binv).scale(q_e) if q_e else None
+    # the reduced row's table: B^-1, J*B^-1 and sigma(J^-1*B) come from it
+    b_shapes = ShapeTable(dom, shaped.j_ideal, b_ideal)
+    w1 = af.mul(b_shapes.ainv).scale(s_e) if s_e else None
+    w2 = shapes.j_ainv.mul(b_shapes.ainv).scale(q_e) if q_e else None
     u_prime, v_prime = _bezout_two_fractional(dom, w1, w2)
     u = u_prime / s_e if s_e else dom.fzero
     v = v_prime / q_e if q_e else dom.fzero
     if s_e * u + q_e * v != dom.fone:
         raise SkewError("Bezout step failed")
     abar0 = (-v, u)
-    lam_ideal = jf.mul(binv).mul(jinv.mul(b_frac).sigma(1))
+    lam_ideal = b_shapes.j_ainv.mul(b_shapes.row(1)[0][1])
     lam = _principal_or_obstruction(lam_ideal, "reduction scaling constant",
                                     bound)
     # coefficient decompositions along (a0, abar0)
@@ -270,11 +285,9 @@ def reduce_row(shaped: ShapedRow, witness: SeriesMatrix,
     abar0_row = SeriesMatrix.from_const(dom, [[-v, u]])
     tbar = (a0_row @ witness).rows[0][0]
     tlow = (-(abar0_row @ witness).rows[0][0])
-    wit_new = SeriesMatrix(dom, [
-        [tbar.shift(-1)],
-        [tlow.map_coeffs(lambda c: lam * dom.sigma_pow(c, 1))],
-    ])
-    reduced = ShapedRow(new_row, j_ideal, b_ideal)
+    wit_new = SeriesMatrix(dom, [[tbar.shift(-1)], [tlow.map_coeffs(
+        lambda c: lam * dom.sigma_pow(c, 1))]])
+    reduced = ShapedRow(new_row, shaped.j_ideal, b_ideal, b_shapes)
     _require_shape(wit_new, reduced.shapes.witness_col, "reduced witness")
     check = (new_row @ wit_new).rows[0][0] - TruncatedSeries.x_power(dom, n - 1)
     if check.coeffs and check.val <= n - 1:
@@ -284,7 +297,7 @@ def reduce_row(shaped: ShapedRow, witness: SeriesMatrix,
     return reduced, wit_new, ctx
 
 
-def base_case_invert(shaped: ShapedRow, witness: SeriesMatrix, rng=None
+def base_case_invert(shaped: ShapedRow, witness: SeriesMatrix
                      ) -> InvertibilityData:
     """Level-0 invertibility: a constant determinant-1 matrix T0.
 
@@ -299,8 +312,8 @@ def base_case_invert(shaped: ShapedRow, witness: SeriesMatrix, rng=None
     s_r = j_ideal.two_generators()[0]
     b_r = a_ideal.two_generators()[0]
     sb = s_r * b_r
-    aprime = ideals.one_and_half_generator(a_ideal, sb, rng)
-    ainv = a_ideal.to_frac().inverse()
+    aprime = ideals.one_and_half_generator(a_ideal, sb)
+    ainv = shaped.shapes.ainv
     w1 = ainv.scale(aprime.to_field())
     w2 = ainv.scale(sb.to_field())
     u_prime, v_prime = _bezout_two_fractional(dom, w1, w2)
@@ -329,23 +342,20 @@ def lift_invertibility(child: InvertibilityData, ctx: ReductionContext,
                        ) -> InvertibilityData:
     """Rebuild level-n invertibility of the parent row from the child's."""
     dom = parent.dom
-    j_ideal = parent.j_ideal
     lam = ctx.lam
     s_e, q_e = ctx.a0
     neg_v, u = ctx.abar0
-    mu_ideal = j_ideal.to_frac().mul(j_ideal.sigma(1).to_frac().inverse())
-    mu = _principal_or_obstruction(mu_ideal, "lift scaling constant", bound)
+    mu = _principal_or_obstruction(parent.shapes.twist_ratio(1),
+                                   "lift scaling constant", bound)
     m_const = SeriesMatrix.from_const(dom, [[dom.fone, dom.fzero],
                                             [dom.fzero, mu]])
-    btil1 = child.b.rows[0][0]
-    btil2 = child.b.rows[0][1]
+    btil1, btil2 = child.b.rows[0]
     bbar = mul(btil2, TruncatedSeries.const(dom, lam)).shift(1)
     a0_row = SeriesMatrix.from_const(dom, [[s_e, q_e]])
     abar0_row = SeriesMatrix.from_const(dom, [[neg_v, u]])
     b_row = (SeriesMatrix(dom, [[btil1]]) @ a0_row) \
         - (SeriesMatrix(dom, [[bbar]]) @ abar0_row)
-    trow1 = SeriesMatrix(dom, [child.T.rows[0]])
-    trow2 = SeriesMatrix(dom, [child.T.rows[1]])
+    trow1, trow2 = (SeriesMatrix(dom, [r]) for r in child.T.rows)
     tbar_rows = (trow1 @ m_const).shift(1)
     lam_inv = lam.inverse()
     inner = trow2.map(lambda s: s.map_coeffs(
@@ -371,8 +381,7 @@ def lift_invertibility(child: InvertibilityData, ctx: ReductionContext,
     if h_n != expected:
         raise SkewError("lifted leading matrix mismatch")
     det = det2(h_n)
-    target = j_ideal.to_frac().mul(j_ideal.sigma(n).to_frac().inverse())
-    if ideals.from_generators(dom, [det]) != target:
+    if ideals.from_generators(dom, [det]) != parent.shapes.twist_ratio(n):
         raise SkewError("det(H_n) does not generate J * sigma^n(J^-1)")
     _require_shape(b_row, parent.shapes.b_row, "lifted b row")
     _require_shape(t_series, parent.shapes.t_mat, "lifted T")
@@ -417,17 +426,13 @@ class CompletionCertificate:
 
     @staticmethod
     def from_json(obj: dict) -> "CompletionCertificate":
-        from .domains import get_domain
-
         spec = DomainSpec.from_json(obj["domain"])
         dom = get_domain(spec)
 
         def m(key):
             return textio.matrix_from_json(dom, obj[key])
 
-        prec = textio.json_int(obj["prec"], "prec")
-        if prec < 1:
-            raise ValueError(f"prec must be at least 1, not {prec}")
+        prec = textio.certified_prec(textio.json_int(obj["prec"], "prec"), 1)
         return CompletionCertificate(
             spec,
             textio.ideal_lattice_from_json(dom, obj["ideal"]),
@@ -438,7 +443,7 @@ class CompletionCertificate:
 
 
 def complete_unimodular_row(shaped: ShapedRow, t: SeriesMatrix, prec: int,
-                            rng=None, bound: int = ideals.PRINCIPAL_BOUND
+                            bound: int = ideals.PRINCIPAL_BOUND
                             ) -> CompletionCertificate:
     """Full pipeline: n reductions, base case, n lifts, final conversion.
 
@@ -450,26 +455,21 @@ def complete_unimodular_row(shaped: ShapedRow, t: SeriesMatrix, prec: int,
     """
     dom = shaped.dom
     n, t2 = check_unimodular(shaped, t)
-    avail = None
-    for matkt in (shaped.row.known_to, t2.known_to):
-        if matkt is not None:
-            avail = matkt if avail is None else min(avail, matkt)
+    avail = min((k for k in (shaped.row.known_to, t2.known_to)
+                 if k is not None), default=None)
     if avail is not None and avail < prec + n:
         raise PrecisionError(
             f"need {prec + n} known orders (reduction depth {n}), "
             f"have {avail}", deficit=prec + n - avail)
-    chain = [(shaped, t2)]
-    ctxs = []
+    chain = []   # (row, witness, context) of each reduced level
     cur_row, cur_wit = shaped, t2
     for _ in range(n):
-        cur_row, cur_wit, ctx = reduce_row(cur_row, cur_wit, bound)
-        ctxs.append(ctx)
-        chain.append((cur_row, cur_wit))
-    data = base_case_invert(cur_row, cur_wit, rng)
-    for level in range(n - 1, -1, -1):
-        parent_row, parent_wit = chain[level]
-        data = lift_invertibility(data, ctxs[level], parent_row, parent_wit,
-                                  bound)
+        reduced, wit, ctx = reduce_row(cur_row, cur_wit, bound)
+        chain.append((cur_row, cur_wit, ctx))
+        cur_row, cur_wit = reduced, wit
+    data = base_case_invert(cur_row, cur_wit)
+    for parent_row, parent_wit, ctx in reversed(chain):
+        data = lift_invertibility(data, ctx, parent_row, parent_wit, bound)
     if not shaped.a_ideal.is_unit_ideal:
         raise SkewError("final conversion needs the unit shape ideal")
     det_hn = det2(data.H.coeff_matrix(n))
@@ -488,8 +488,6 @@ def complete_unimodular_row(shaped: ShapedRow, t: SeriesMatrix, prec: int,
 
 def verify_completion(cert: CompletionCertificate) -> VerifyReport:
     """Recompute every product, shape membership and determinant claim."""
-    from .domains import get_domain
-
     dom = get_domain(cert.spec)
     rep = VerifyReport()
     try:
@@ -533,10 +531,9 @@ def verify_completion(cert: CompletionCertificate) -> VerifyReport:
     try:
         h_n = prod.coeff_matrix(cert.n)
         det = det2(h_n)
-        target = cert.ideal.to_frac().mul(
-            cert.ideal.sigma(cert.n).to_frac().inverse())
         rep.add("det(H_n) generates J * sigma^n(J^-1)",
-                bool(det) and ideals.from_generators(dom, [det]) == target)
+                bool(det) and ideals.from_generators(dom, [det])
+                == shapes.twist_ratio(cert.n))
     except PrecisionError:
         rep.add("det(H_n) generates J * sigma^n(J^-1)", False,
                 "order n not known")
@@ -547,11 +544,9 @@ def verify_completion(cert: CompletionCertificate) -> VerifyReport:
     shape_check("final inverse shape membership", cert.final_inv,
                 shapes.h_mat)
     ident = SeriesMatrix.identity(dom)
-    for name, left, right in (("final * final_inv = Id", cert.final,
-                               cert.final_inv),
-                              ("final_inv * final = Id", cert.final_inv,
-                               cert.final)):
-        bad, bound = disagreement(left @ right, ident)
+    for name, both in (("final * final_inv = Id", cert.final @ cert.final_inv),
+                       ("final_inv * final = Id", cert.final_inv @ cert.final)):
+        bad, bound = disagreement(both, ident)
         if bad is not None:
             rep.add(name, False, "", bad)
         else:

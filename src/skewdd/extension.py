@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .domains import Domain, DomainSpec, FieldElem, RingElem
+from .domains import Domain, DomainSpec, FieldElem, RingElem, get_domain
 from .errors import (
     ConstIdealUnderestimate,
     MembershipError,
@@ -241,8 +241,6 @@ class ExtensionCertificate:
 
     @staticmethod
     def from_json(obj: dict) -> "ExtensionCertificate":
-        from .domains import get_domain
-
         spec = DomainSpec.from_json(obj["domain"])
         dom = get_domain(spec)
         ideal = textio.ideal_lattice_from_json(dom, obj["ideal"])
@@ -251,9 +249,7 @@ class ExtensionCertificate:
                                 for s in obj["g"]]])
         a_mat = textio.matrix_from_json(dom, obj["A"])
         q = textio.series_from_json(dom, obj["q"])
-        prec = textio.json_int(obj["prec"], "prec")
-        if prec < 0:
-            raise ValueError(f"prec must be at least 0, not {prec}")
+        prec = textio.certified_prec(textio.json_int(obj["prec"], "prec"), 0)
         return ExtensionCertificate(spec, ideal, g0, g, a_mat, q, prec,
                                     obj.get("audit", []))
 
@@ -358,8 +354,6 @@ def extend(j_ideal: IdealLattice, g: SeriesMatrix, prec: int
 
 def verify_extension_certificate(cert: ExtensionCertificate) -> VerifyReport:
     """Independent recomputation of every certificate invariant."""
-    from .domains import get_domain
-
     dom = get_domain(cert.spec)
     rep = VerifyReport()
     a1, a2 = cert.g0

@@ -13,6 +13,7 @@ are needed (express_in_generators and friends).
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -382,6 +383,10 @@ class FracIdeal:
         return scaled.den == 1 and self.lat.contains(scaled.num)
 
     def mul(self, other: "FracIdeal") -> "FracIdeal":
+        if self.is_unit:
+            return other
+        if other.is_unit:
+            return self
         return FracIdeal(self.lat.mul(other.lat), self.den * other.den)
 
     def add(self, other: "FracIdeal") -> "FracIdeal":
@@ -498,13 +503,13 @@ def express_in_product(e: FieldElem, u_gens, v_gens) -> list[list[RingElem]]:
     return [[coeffs[0], coeffs[1]], [coeffs[2], coeffs[3]]]
 
 
-def one_and_half_generator(u: IdealLattice, a: RingElem, rng=None
-                           ) -> RingElem:
+def one_and_half_generator(u: IdealLattice, a: RingElem) -> RingElem:
     """Some b in u with (a, b) = u, given a nonzero a in u.
 
-    Verified search: natural candidates first, then random small
-    combinations of the HNF generators; every candidate is confirmed by
-    HNF equality, so a returned value is always correct.
+    Verified search: natural candidates first, then small combinations of
+    the HNF generators drawn from random.Random(0), so the answer depends
+    only on (u, a); every candidate is confirmed by HNF equality, so a
+    returned value is always correct.
     """
     if u.is_zero:
         raise ZeroIdealError("zero ideal")
@@ -520,9 +525,7 @@ def one_and_half_generator(u: IdealLattice, a: RingElem, rng=None
     for cand in (g2, g1, g1 + g2, g1 - g2):
         if good(cand):
             return cand
-    if rng is None:
-        import random
-        rng = random.Random(0)
+    rng = random.Random(0)
     for _ in range(SECOND_GEN_CANDIDATES):
         r1 = rng.randint(-SECOND_GEN_COEFF_BOUND, SECOND_GEN_COEFF_BOUND)
         r2 = rng.randint(-SECOND_GEN_COEFF_BOUND, SECOND_GEN_COEFF_BOUND)

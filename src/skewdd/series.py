@@ -85,7 +85,7 @@ class TruncatedSeries:
 
     @staticmethod
     def from_coeff_map(dom: Domain, items, known_to=None) -> "TruncatedSeries":
-        """Build from (order, coefficient) pairs."""
+        """Build from (order, coefficient) pairs; pairs at one order add up."""
         items = [(i, c) for i, c in items if c]
         if not items:
             return TruncatedSeries.zero(dom, known_to)
@@ -95,7 +95,8 @@ class TruncatedSeries:
         for i, c in items:
             if isinstance(c, RingElem):
                 c = c.to_field()
-            coeffs[i - lo] = coeffs[i - lo] + c
+            slot = coeffs[i - lo]
+            coeffs[i - lo] = slot + c if slot else c
         return TruncatedSeries(dom, lo, coeffs, known_to)
 
     # -------------------------------------------------------------- queries

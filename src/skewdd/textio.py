@@ -37,6 +37,13 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def certified_prec(value: int, least: int, what: str = "prec") -> int:
+    """A certified precision in least..MAX_ORDER (a memory cap, not a time cap)."""
+    if not least <= value <= MAX_ORDER:
+        raise ValueError(f"{what} must be in {least}..{MAX_ORDER}, not {value}")
+    return value
+
+
 def _order(value: int, what: str) -> int:
     if not -MAX_ORDER <= value <= MAX_ORDER:
         raise ValueError(f"{what} {value} is outside the supported orders "

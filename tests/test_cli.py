@@ -83,6 +83,8 @@ def test_extend_usage_error(capsys):
     ["extend", "--domain", "int", "--gens", '["2+1*x^1"]', "--bound", "3"],
     ["report", "--domain", "int", "--prec", "3"],
     ["report", "--domain", "int", "--bound", "3"],
+    ["complete-row", "--domain", "int", "--ideal", '{"hnf":[1]}',
+     "--row", "row.json", "--witness", "t.json", "--seed", "3"],
 ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
 def test_unread_flags_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -162,6 +164,11 @@ MALFORMED = {
     "zero completion prec": ("completion", lambda obj: obj.update(prec=0)),
     "negative completion prec":
         ("completion", lambda obj: obj.update(prec=-3)),
+    # and bounded above like every other order
+    "extension prec past the order bound":
+        ("extension", lambda obj: obj.update(prec=MAX_ORDER + 1)),
+    "completion prec past the order bound":
+        ("completion", lambda obj: obj.update(prec=MAX_ORDER + 1)),
     # the integers take neither d nor an automorphism
     "int domain with d and conj": ("completion", lambda obj: obj.update(
         domain={"kind": "int", "d": 3, "sigma": "conj"})),
@@ -203,8 +210,9 @@ def test_verify_malformed_certificate_exits_3(tmp_path, capsys, zz, tamper):
     "gens not strings", "ideal not an object", "row file without row",
     "witness entry not an object", "coefficient 1/0", "extend prec -1",
     "int domain with d", "int domain with conj", "complete-row prec 0",
-    "complete-row prec -3", "exponent past the order bound", "two O-terms",
-    "decimal coefficient"])
+    "complete-row prec -3", f"complete-row prec {MAX_ORDER + 1}",
+    f"extend prec {MAX_ORDER + 1}", "extend prec 100000000",
+    "exponent past the order bound", "two O-terms", "decimal coefficient"])
 def test_malformed_cli_input_exits_2(tmp_path, capsys, zz, case):
     gens = ["--gens", '["2+1*x^1"]']
     if case == "gens not strings":
@@ -218,8 +226,8 @@ def test_malformed_cli_input_exits_2(tmp_path, capsys, zz, case):
         argv = ["extend", "--domain", "int", "--gens", '["2.0+1*x^1"]']
     elif case == "coefficient 1/0":
         argv = ["extend", "--domain", "int", "--gens", '["1/0"]']
-    elif case == "extend prec -1":
-        argv = ["extend", "--domain", "int", *gens, "--prec", "-1"]
+    elif case.startswith("extend prec"):
+        argv = ["extend", "--domain", "int", *gens, "--prec", case.split()[-1]]
     elif case == "int domain with d":
         argv = ["extend", "--domain", '{"kind": "int", "d": 3}', *gens]
     elif case == "int domain with conj":

@@ -22,7 +22,8 @@ from skewdd.errors import (
     SigmaClassObstruction,
     SkewError,
 )
-from skewdd.ideals import from_generators, from_ring_generators, unit_ideal
+from skewdd.ideals import (from_generators, from_ring_generators, unit_frac,
+                           unit_ideal)
 from skewdd.series import SeriesMatrix, TruncatedSeries
 from skewdd.textio import parse_series
 
@@ -107,6 +108,62 @@ def test_base_case_examples(zz, z5):
     assert verify_partial_shapes(data)
     h0 = data.H.coeff_matrix(0)
     assert h0[0][0] * h0[1][1] - h0[0][1] * h0[1][0] == z5.fone
+
+
+def five_shape_families(dom, j_ideal, a_ideal):
+    """The shape families written out one by one, each product formed
+    where it is used: the reference the rule-built ShapeTable must match.
+    Returns kind -> (parity-0 shape, parity-1 shape)."""
+    jf = j_ideal.to_frac()
+    af = a_ideal.to_frac()
+    jinv = jf.inverse()
+    ainv = af.inverse()
+    one = unit_frac(dom)
+    fams = {"row": [], "b_row": [], "t_mat": [], "h_mat": []}
+    for p in (0, 1):
+        ainv_p = ainv.sigma(p)
+        jinv_p = jinv.sigma(p)
+        ja_p = jinv.mul(af).sigma(p)
+        fams["row"].append(((ainv_p, ja_p),))
+        fams["b_row"].append(((jf.mul(ainv_p), jf.mul(ja_p)),))
+        fams["t_mat"].append(((af, jinv_p.mul(af)),
+                              (jf.mul(ainv), jf.mul(jinv_p).mul(ainv))))
+        fams["h_mat"].append(((one, jinv_p), (jf, jf.mul(jinv_p))))
+    witness = ((af,), (jf.mul(ainv),))
+    fams["witness_col"] = [witness, witness]
+    return fams
+
+
+def reduced_shape_ideal(dom, j_lat):
+    """The B ideal of one reduce_row step on a random row of level >= 1,
+    a non-unit one when the first 50 rows give one."""
+    rng = random.Random(17)
+    found = None
+    for _ in range(50):
+        shaped, t = random_unimodular_row(dom, j_lat, rng)
+        n, t2 = check_unimodular(shaped, t)
+        if n:
+            found = reduce_row(shaped, t2)[2].b_ideal
+            if not found.is_unit_ideal:
+                break
+    assert found is not None
+    return found
+
+
+def test_shape_table_matches_the_five_families(any_domain):
+    dom = any_domain
+    j_lat = completion_test_ideal(dom)
+    b_lat = reduced_shape_ideal(dom, j_lat)
+    for a_lat in (unit_ideal(dom), j_lat, j_lat.sigma(1), b_lat):
+        table = completion.ShapeTable(dom, j_lat, a_lat)
+        ref = five_shape_families(dom, j_lat, a_lat)
+        for i in range(-2, 4):
+            for kind, by_parity in ref.items():
+                assert getattr(table, kind)(i) == by_parity[i % 2], \
+                    (kind, i, a_lat)
+            assert table.twist_ratio(i) == ref["h_mat"][i % 2][1][1]
+        assert table.ainv == a_lat.to_frac().inverse()
+        assert table.j_ainv == j_lat.to_frac().mul(table.ainv)
 
 
 def verify_partial_shapes(data):
@@ -220,7 +277,7 @@ def test_random_rows_complete(any_domain):
     saw_positive_level = False
     for _ in range(20):
         shaped, t = random_unimodular_row(any_domain, j_lat, rng)
-        cert = complete_unimodular_row(shaped, t, 8, random.Random(0))
+        cert = complete_unimodular_row(shaped, t, 8)
         saw_positive_level = saw_positive_level or cert.n > 0
         rep = verify_completion(cert)
         assert rep.ok, list(rep.lines())

@@ -161,7 +161,7 @@ def test_one_and_half_generator_random(any_domain):
         a = g1 * rng.randint(1, 3) + g2 * rng.randint(0, 3)
         if not a:
             continue
-        b = ideals.one_and_half_generator(u, a, rng)
+        b = ideals.one_and_half_generator(u, a)
         assert from_ring_generators(any_domain, [a, b]) == u
 
 

@@ -1,4 +1,5 @@
-"""Certificate bytes of jobs 0..19 at seed 0 against bench/digests.json.
+"""Certificate bytes of jobs 0..19 at seed 0 against bench/digests.json,
+and the functions a traced benchmark run wraps.
 
 Each workload's first twenty jobs run through ``skewdd.cli.main`` with
 the benchmark's own input generator, job runner and digest check, so a
@@ -16,6 +17,7 @@ sys.path.insert(0, str(BENCH))
 
 import gen  # noqa: E402
 import run  # noqa: E402
+import spans  # noqa: E402
 
 from skewdd import cli  # noqa: E402
 
@@ -31,3 +33,23 @@ def test_certificates_match_pinned_digests(tmp_path, workload):
     verdict = pinned.check_digest(PIN_JOBS)
     assert pinned.problems == []
     assert verdict.endswith("(matches pinned)")
+
+
+def test_traced_benchmark_targets_resolve():
+    """Every function a traced benchmark run wraps still exists and is
+    bound somewhere, so a rename fails here and not only under --trace 1."""
+    saved = {name: mod for name, mod in sys.modules.items()
+             if name == "skewdd" or name.startswith("skewdd.")}
+    try:
+        modules = run.load_program()
+        for target in [*run.SPAN_TARGETS.values(),
+                       *run.COUNT_TARGETS.values()]:
+            original = spans.resolve(modules, target)
+            assert spans.binding_sites(modules, original), target
+    finally:
+        # load_program imports the package afresh; give the other tests
+        # back the modules they already hold
+        for name in [n for n in sys.modules
+                     if n == "skewdd" or n.startswith("skewdd.")]:
+            del sys.modules[name]
+        sys.modules.update(saved)

@@ -162,6 +162,20 @@ def test_cancellation_renormalizes_valuation(zz):
     assert s.valuation() == 1 and s.lowest() == zz.felem(5)
 
 
+def test_from_coeff_map_adds_repeated_orders(z5):
+    one_w = z5.felem(0, 1)
+    items = [(2, z5.felem(3)), (0, z5.felem(1, 2)), (2, one_w),
+             (1, z5.felem(4)), (0, z5.felem(-1, -2)), (3, z5.elem(0, 7))]
+    f = TruncatedSeries.from_coeff_map(z5, items, 6)
+    # order 0 cancels, so the valuation moves up to 1
+    assert f.val == 1 and f.known_to == 6
+    assert f.coeffs == (z5.felem(4), z5.felem(3, 1), z5.felem(0, 7))
+    assert f == parse_series(z5, "4*x^1+(3+1*w)*x^2+7*w*x^3+O(x^6)")
+    cancelled = TruncatedSeries.from_coeff_map(
+        z5, [(4, one_w), (4, -one_w)])
+    assert cancelled.is_exact_zero
+
+
 def test_matrix_examples(zz):
     n = SeriesMatrix(zz, [
         [TruncatedSeries.const(zz, zz.fone), TruncatedSeries.x_power(zz, 1)],

@@ -3,7 +3,7 @@
 The package is organized around one chain of machinery:
 
   domains     exact arithmetic in D and its fraction field K
-  ideals      fractional ideals as canonical HNF lattices
+  ideals      fractional ideals: one HNF lattice over one denominator
   classgroup  reduced binary quadratic forms and composition
   series      x-adically truncated twisted Laurent series and matrices
   extension   certificates identifying right ideals with extended ideals
@@ -13,7 +13,7 @@ The package is organized around one chain of machinery:
 """
 
 from .domains import Domain, DomainSpec, FieldElem, RingElem, get_domain
-from .ideals import FracIdeal, IdealLattice, from_generators
+from .ideals import FracIdeal, from_generators
 from .series import SeriesMatrix, TruncatedSeries
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "RingElem",
     "get_domain",
     "FracIdeal",
-    "IdealLattice",
     "from_generators",
     "SeriesMatrix",
     "TruncatedSeries",

@@ -23,7 +23,6 @@ from .domains import Domain
 from .errors import SkewError, UnsupportedDomain, ZeroIdealError
 from .ideals import (
     FracIdeal,
-    IdealLattice,
     ideal_classes_isomorphic,
     xgcd,
 )
@@ -213,14 +212,14 @@ def class_group(dom: Domain) -> ClassGroup:
     return _class_group_of_disc(dom.disc)
 
 
-def ideal_of_form(dom: Domain, form) -> IdealLattice:
+def ideal_of_form(dom: Domain, form) -> FracIdeal:
     """Ideal with Z-basis (A, (-B + sqrt(disc))/2) for the form (A, B, C)."""
     a, b, _ = form
     if dom.omega_t:
         bcoef = (-(b + 1) // 2) % a
     else:
         bcoef = (-b // 2) % a
-    return IdealLattice(dom, a, bcoef, 1)
+    return FracIdeal(dom, a, bcoef, 1)
 
 
 def class_of(dom: Domain, u: FracIdeal) -> int:
@@ -231,7 +230,7 @@ def class_of(dom: Domain, u: FracIdeal) -> int:
     if cg.disc is None:
         return 0
     for i, form in enumerate(cg.forms):
-        rep = ideal_of_form(dom, form).to_frac()
+        rep = ideal_of_form(dom, form)
         if ideal_classes_isomorphic(u, rep) is not None:
             return i
     raise SkewError("ideal matched no form class")
@@ -243,7 +242,7 @@ def sigma_acts_trivially(dom: Domain) -> bool:
         return True
     cg = class_group(dom)
     for form in cg.forms:
-        rep = ideal_of_form(dom, form).to_frac()
+        rep = ideal_of_form(dom, form)
         if ideal_classes_isomorphic(rep.sigma(1), rep) is None:
             return False
     return True

@@ -38,7 +38,7 @@ from .errors import (
     SkewError,
 )
 from . import ideals
-from .ideals import FracIdeal, IdealLattice, unit_frac
+from .ideals import FracIdeal, unit_ideal
 from .reporting import VerifyReport
 from .series import SeriesMatrix, TruncatedSeries, det2, disagreement, mul
 from . import textio
@@ -68,10 +68,9 @@ class ShapeTable:
             "h_mat": (("1", "J"), ("1", "1/J")),
             "witness_col": (("A", "J/A"), ("1",))}
 
-    def __init__(self, dom: Domain, j_ideal: IdealLattice, a_ideal: IdealLattice):
-        jf, af = j_ideal.to_frac(), a_ideal.to_frac()
+    def __init__(self, dom: Domain, jf: FracIdeal, af: FracIdeal):
         jinv, self.ainv = jf.inverse(), af.inverse()
-        one = unit_frac(dom)
+        one = unit_ideal(dom)
         products = {}
 
         def times(x, y):
@@ -143,8 +142,8 @@ class ShapedRow:
 
     __slots__ = ("dom", "row", "j_ideal", "a_ideal", "shapes")
 
-    def __init__(self, row: SeriesMatrix, j_ideal: IdealLattice,
-                 a_ideal: IdealLattice, shapes: ShapeTable | None = None):
+    def __init__(self, row: SeriesMatrix, j_ideal: FracIdeal,
+                 a_ideal: FracIdeal, shapes: ShapeTable | None = None):
         if row.shape != (1, 2):
             raise SkewError("shaped row must be 1x2")
         if j_ideal.is_zero or a_ideal.is_zero:
@@ -171,7 +170,7 @@ class ReductionContext:
 
     a0: tuple
     abar0: tuple
-    b_ideal: IdealLattice
+    b_ideal: FracIdeal
     lam: FieldElem
 
 
@@ -251,15 +250,14 @@ def reduce_row(shaped: ShapedRow, witness: SeriesMatrix,
     if prod.lowest() != dom.fone:
         raise NotUnimodular(f"witness product is not x^{n}")
     s_e, q_e = shaped.a0()
-    af = shaped.a_ideal.to_frac()
-    b_frac = FracIdeal(ideals.zero_ideal(dom))
+    af = shaped.a_ideal
+    b_ideal = ideals.zero_ideal(dom)
     if s_e:
-        b_frac = b_frac.add(af.scale(s_e))
+        b_ideal = b_ideal.add(af.scale(s_e))
     if q_e:
-        b_frac = b_frac.add(shapes.j_ainv.scale(q_e))
-    if not b_frac.is_integral or b_frac.is_zero:
+        b_ideal = b_ideal.add(shapes.j_ainv.scale(q_e))
+    if not b_ideal.is_integral or b_ideal.is_zero:
         raise SkewError("reduction ideal B is not a nonzero integral ideal")
-    b_ideal = b_frac.lat
     # the reduced row's table: B^-1, J*B^-1 and sigma(J^-1*B) come from it
     b_shapes = ShapeTable(dom, shaped.j_ideal, b_ideal)
     w1 = af.mul(b_shapes.ainv).scale(s_e) if s_e else None
@@ -395,8 +393,8 @@ class CompletionCertificate:
     """Row, witness, completion data and the final invertible matrix."""
 
     spec: DomainSpec
-    ideal: IdealLattice
-    a_ideal: IdealLattice
+    ideal: FracIdeal
+    a_ideal: FracIdeal
     row: SeriesMatrix
     witness: SeriesMatrix
     n: int
@@ -470,7 +468,7 @@ def complete_unimodular_row(shaped: ShapedRow, t: SeriesMatrix, prec: int,
     data = base_case_invert(cur_row, cur_wit)
     for parent_row, parent_wit, ctx in reversed(chain):
         data = lift_invertibility(data, ctx, parent_row, parent_wit, bound)
-    if not shaped.a_ideal.is_unit_ideal:
+    if not shaped.a_ideal.is_unit:
         raise SkewError("final conversion needs the unit shape ideal")
     det_hn = det2(data.H.coeff_matrix(n))
     m2 = SeriesMatrix.from_const(dom, [[dom.fone, dom.fzero],
@@ -558,7 +556,7 @@ def verify_completion(cert: CompletionCertificate) -> VerifyReport:
     return rep
 
 
-def extended_ideal_iso(j_ideal: IdealLattice, l_ideal: IdealLattice):
+def extended_ideal_iso(j_ideal: FracIdeal, l_ideal: FracIdeal):
     """(q0, k) with q0 * sigma^k(J) = L over the sigma orbit, or None.
 
     Decides whether the extended ideals J*R and L*R are isomorphic at the
@@ -566,9 +564,8 @@ def extended_ideal_iso(j_ideal: IdealLattice, l_ideal: IdealLattice):
     of L.
     """
     dom = j_ideal.dom
-    lf = l_ideal.to_frac()
     for k in range(dom.sigma_order):
-        q0 = ideals.ideal_classes_isomorphic(j_ideal.sigma(k).to_frac(), lf)
+        q0 = ideals.ideal_classes_isomorphic(j_ideal.sigma(k), l_ideal)
         if q0 is not None:
             return q0, k
     return None

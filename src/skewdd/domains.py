@@ -25,6 +25,8 @@ from .errors import SkewError
 
 SIGMA_ID = "id"
 SIGMA_CONJ = "conj"
+# bound on |d| that keeps the squarefree test (trial division) fast
+MAX_ABS_D = 2 ** 31
 
 
 def _is_squarefree(n: int) -> bool:
@@ -65,6 +67,8 @@ class DomainSpec:
         else:
             if self.d is None or self.d in (0, 1):
                 raise ValueError("quadratic domain needs squarefree d not in {0, 1}")
+            if abs(self.d) >= MAX_ABS_D:
+                raise ValueError(f"|d| must be below 2^31, not {self.d}")
             if not _is_squarefree(self.d):
                 raise ValueError(f"d = {self.d} is not squarefree")
 

@@ -37,7 +37,7 @@ from .errors import (
     SkewError,
 )
 from . import ideals
-from .ideals import IdealLattice, echelon, from_ring_generators
+from .ideals import FracIdeal, echelon, from_ring_generators
 from .reporting import VerifyReport
 from .series import (SeriesMatrix, TruncatedSeries, disagreement, mul,
                      sum_products)
@@ -109,7 +109,7 @@ class _OrderWindow:
             out.append((idx, t, elem))
         return out
 
-    def level_ideal(self, t: int) -> IdealLattice:
+    def level_ideal(self, t: int) -> FracIdeal:
         gens = [e for (_, blk, e) in self.leaders() if blk <= t]
         return from_ring_generators(self.dom, gens)
 
@@ -147,7 +147,7 @@ def _levels(norm: list[TruncatedSeries]):
         t += 1
 
 
-def constant_ideal_bounded(gens: list[TruncatedSeries]) -> IdealLattice:
+def constant_ideal_bounded(gens: list[TruncatedSeries]) -> FracIdeal:
     """Lower bound for the constant ideal of the right ideal sum(gens_j R).
 
     Stops when the order-by-order coefficient ideal is unchanged for
@@ -166,14 +166,14 @@ def constant_ideal_bounded(gens: list[TruncatedSeries]) -> IdealLattice:
             run += 1
         else:
             current, run = level, 1
-        if run >= STALL_DEPTH or current.is_unit_ideal:
+        if run >= STALL_DEPTH or current.is_unit:
             return current
     raise PrecisionError(
         "constant ideal did not stabilize within known orders",
         deficit=STALL_DEPTH - run)
 
 
-def normalize_generators(j_ideal: IdealLattice, gens: list[TruncatedSeries],
+def normalize_generators(j_ideal: FracIdeal, gens: list[TruncatedSeries],
                          ) -> SeriesMatrix:
     """Row (f1, f2) of right combinations with lowest coefficients
     two_generators(j_ideal), each at valuation 0.
@@ -218,7 +218,7 @@ class ExtensionCertificate:
     """Witness data for I isomorphic to (constant ideal) * R."""
 
     spec: DomainSpec
-    ideal: IdealLattice
+    ideal: FracIdeal
     g0: tuple
     g: SeriesMatrix
     A: SeriesMatrix
@@ -254,7 +254,7 @@ class ExtensionCertificate:
                                     obj.get("audit", []))
 
 
-def extend(j_ideal: IdealLattice, g: SeriesMatrix, prec: int
+def extend(j_ideal: FracIdeal, g: SeriesMatrix, prec: int
            ) -> ExtensionCertificate:
     """Inductive construction of the certificate (A, q) for given J and g.
 
@@ -280,7 +280,6 @@ def extend(j_ideal: IdealLattice, g: SeriesMatrix, prec: int
     a2 = f2.coeff(0).as_ring()
     if from_ring_generators(dom, [a1, a2]) != j_ideal:
         raise SkewError("lowest coefficients do not generate the given ideal")
-    j_frac = j_ideal.to_frac()
 
     def grow(i: int) -> list[RingElem]:
         return [f1.coeff(i).as_ring(), f2.coeff(i).as_ring()]
@@ -310,11 +309,11 @@ def extend(j_ideal: IdealLattice, g: SeriesMatrix, prec: int
                     s_n.to_field(), (a1.to_field(), a2.to_field()),
                     (sig_a1.to_field(), sig_a2.to_field()))
             except MembershipError:
-                inv_sig_j = j_ideal.sigma(n).to_frac().inverse()
-                enlarged = j_frac.add(inv_sig_j.scale(s_n.to_field()))
+                inv_sig_j = j_ideal.sigma(n).inverse()
+                enlarged = j_ideal.add(inv_sig_j.scale(s_n.to_field()))
                 if not enlarged.is_integral:
                     raise SkewError("enlarged constant ideal is not integral")
-                raise ConstIdealUnderestimate(enlarged.lat, n, s_n) from None
+                raise ConstIdealUnderestimate(enlarged, n, s_n) from None
             a_n = [[-c[0][1], c[0][0]], [-c[1][1], c[1][0]]]
         else:
             c = [[dom.zero, dom.zero], [dom.zero, dom.zero]]

@@ -1,10 +1,12 @@
-"""Ideals of the supported domains as canonical rank-2 integer lattices.
+"""Fractional ideals of the supported domains in one canonical form.
 
-An integral ideal of Z[w] is stored in Hermite normal form as the pair
-of Z-generators (a, b + c*w) with a, c >= 1, c | a, c | b, 0 <= b < a;
-over Z an ideal is a single nonnegative generator. Fractional ideals
-carry one positive integer denominator. Canonicalisation at construction
-makes equality, membership and index queries O(1) afterwards.
+A fractional ideal of Z[w] is one FracIdeal: the Hermite normal form
+(a, b + c*w) of an integral lattice, with a, c >= 1, c | a, c | b,
+0 <= b < a, over one positive denominator that shares no factor with
+the lattice content; over Z the lattice is a single nonnegative
+generator. Canonicalisation at construction makes equality, hashing,
+membership and index queries O(1) afterwards, and conjugation is a
+closed form on the fields.
 
 All heavy lifting reduces to integer row echelon forms of small
 matrices, with the transformation matrix kept when explicit coefficients
@@ -138,31 +140,45 @@ def solve_in_rowspace(target: list[int], ech, pivots) -> list[int]:
     return z
 
 
-class IdealLattice:
-    """Integral ideal in canonical HNF; the zero ideal is (0)."""
+class FracIdeal:
+    """Fractional ideal (Z*a + Z*(b + c*w)) / den in canonical form.
 
-    __slots__ = ("dom", "a", "b", "c")
+    The numerator lattice is in Hermite normal form: a, c >= 1, c | a,
+    c | b and 0 <= b < a (over Z the single generator a >= 0, b = c = 0).
+    Since c divides a and b it is the lattice content, and den >= 1
+    shares no factor with it (with a over Z). The zero ideal is (0) with
+    den 1, and an ideal is integral when den == 1. Equal ideals have
+    equal fields.
+    """
 
-    def __init__(self, dom: Domain, a: int, b: int = 0, c: int = 0):
+    __slots__ = ("dom", "a", "b", "c", "den")
+
+    def __init__(self, dom: Domain, a: int, b: int = 0, c: int = 0,
+                 den: int = 1):
+        if den <= 0:
+            raise SkewError("denominator must be positive")
         self.dom = dom
         if not dom.is_quad:
             if b or c:
                 raise SkewError("integer-domain ideal has a single generator")
-            self.a, self.b, self.c = abs(a), 0, 0
+            a = abs(a)
+            g = gcd(a, den)
+            self.a, self.b, self.c, self.den = a // g, 0, 0, den // g
             return
         if a == 0 and b == 0 and c == 0:
             self.a = self.b = self.c = 0
+            self.den = 1
             return
         if a <= 0 or c <= 0:
             raise SkewError(f"invalid HNF triple ({a}, {b}, {c})")
         b %= a
-        self.a, self.b, self.c = a, b, c
         if a % c or b % c:
             raise SkewError(f"({a}, {b}, {c}) is not an ideal lattice (c divides)")
-        # closure under w: w*a and w*(b+c*w) must solve in the lattice
-        for g in (RingElem(dom, a, 0), RingElem(dom, b, c)):
-            wg = g * dom.omega
-            if not self._contains_ring(wg):
+        g = gcd(c, den)
+        self.a, self.b, self.c, self.den = a // g, b // g, c // g, den // g
+        # closure under w: w*a and w*(b+c*w) must lie in the lattice
+        for gen in self.two_generators():
+            if not self._holds(gen * dom.omega):
                 raise SkewError(f"({a}, {b}, {c}) is not closed under w")
 
     @property
@@ -170,243 +186,116 @@ class IdealLattice:
         return self.a == 0
 
     @property
+    def is_integral(self) -> bool:
+        return self.den == 1
+
+    @property
+    def is_unit(self) -> bool:
+        return self.den == 1 and self.index == 1
+
+    is_unit_ideal = is_unit  # kept for bench/test_bench.py, which calls it
+
+    def to_frac(self) -> "FracIdeal":
+        """The ideal itself; kept for bench/test_bench.py, which calls it."""
+        return self
+
+    @property
     def index(self) -> int:
-        """Lattice index [D : ideal]; 0 for the zero ideal."""
-        if self.is_zero:
-            return 0
+        """Index [D : den * self] of the numerator lattice; 0 for (0)."""
         return self.a * self.c if self.dom.is_quad else self.a
 
     def __repr__(self):
-        if not self.dom.is_quad:
-            return f"({self.a})"
-        return f"hnf({self.a},{self.b},{self.c})"
+        lat = f"hnf({self.a},{self.b},{self.c})" if self.dom.is_quad \
+            else f"({self.a})"
+        return lat if self.den == 1 else f"{lat}/{self.den}"
 
     def __eq__(self, other):
         return (
-            isinstance(other, IdealLattice)
+            isinstance(other, FracIdeal)
             and self.dom is other.dom
-            and (self.a, self.b, self.c) == (other.a, other.b, other.c)
+            and (self.a, self.b, self.c, self.den)
+            == (other.a, other.b, other.c, other.den)
         )
 
     def __hash__(self):
-        return hash((id(self.dom), self.a, self.b, self.c))
+        return hash((id(self.dom), self.a, self.b, self.c, self.den))
 
-    def _contains_ring(self, e: RingElem) -> bool:
+    def norm(self) -> Fraction:
+        """Multiplicative norm; equals the index for integral ideals."""
+        if self.is_zero:
+            return Fraction(0)
+        return Fraction(self.index, self.den ** (2 if self.dom.is_quad else 1))
+
+    def _holds(self, e: RingElem) -> bool:
+        """Whether e lies in the numerator lattice den * self."""
         if self.is_zero:
             return not e
         if not self.dom.is_quad:
             return e.a % self.a == 0
         if e.b % self.c:
             return False
-        k = e.b // self.c
-        return (e.a - k * self.b) % self.a == 0
+        return (e.a - e.b // self.c * self.b) % self.a == 0
 
     def contains(self, e) -> bool:
-        if isinstance(e, RingElem):
-            return self._contains_ring(e)
+        """Membership of a RingElem or a FieldElem."""
         if isinstance(e, FieldElem):
-            return e.den == 1 and self._contains_ring(e.num)
-        raise TypeError(type(e))
+            # e * den is integral exactly when e's denominator divides den
+            if self.den % e.den:
+                return False
+            k, e = self.den // e.den, e.num
+        elif isinstance(e, RingElem):
+            k = self.den
+        else:
+            raise TypeError(type(e))
+        return self._holds(e if k == 1 else RingElem(self.dom, e.a * k, e.b * k))
 
     def two_generators(self) -> tuple[RingElem, RingElem]:
-        """Generators (a, b + c*w); over Z the degenerate pair (m, m)."""
+        """Generators (a, b + c*w) of den * self, so of self when integral;
+        over Z the degenerate pair (m, m)."""
         if self.is_zero:
             raise ZeroIdealError("zero ideal has no generators")
+        g1 = RingElem(self.dom, self.a, 0)
         if not self.dom.is_quad:
-            g = RingElem(self.dom, self.a, 0)
-            return g, g
-        return RingElem(self.dom, self.a, 0), RingElem(self.dom, self.b, self.c)
-
-    def content(self) -> int:
-        if not self.dom.is_quad:
-            return self.a
-        return gcd(self.a, gcd(self.b, self.c))
-
-    def scale_int(self, k: int) -> "IdealLattice":
-        if k <= 0:
-            raise SkewError("scale by positive integers only")
-        if self.is_zero:
-            return self
-        return IdealLattice(self.dom, self.a * k, self.b * k, self.c * k)
-
-    def divide_int(self, k: int) -> "IdealLattice":
-        if self.is_zero:
-            return self
-        if self.a % k or self.b % k or self.c % k:
-            raise SkewError(f"content {k} does not divide the lattice")
-        return IdealLattice(self.dom, self.a // k, self.b // k, self.c // k)
-
-    def conj(self) -> "IdealLattice":
-        if not self.dom.is_quad or self.is_zero:
-            return self
-        g1, g2 = self.two_generators()
-        return from_ring_generators(self.dom, [g1, g2.conj()])
-
-    def sigma(self, i: int = 1) -> "IdealLattice":
-        if self.dom.conj_sigma and i % 2:
-            return self.conj()
-        return self
-
-    def mul(self, other: "IdealLattice") -> "IdealLattice":
-        if self.is_zero or other.is_zero:
-            return IdealLattice(self.dom, 0)
-        u1, u2 = self.two_generators()
-        v1, v2 = other.two_generators()
-        return from_ring_generators(self.dom, [u1 * v1, u1 * v2, u2 * v1, u2 * v2])
-
-    def add(self, other: "IdealLattice") -> "IdealLattice":
-        gens = []
-        if not self.is_zero:
-            gens.extend(self.two_generators())
-        if not other.is_zero:
-            gens.extend(other.two_generators())
-        if not gens:
-            return IdealLattice(self.dom, 0)
-        return from_ring_generators(self.dom, gens)
-
-    @property
-    def is_unit_ideal(self) -> bool:
-        return self.index == 1
-
-    def to_frac(self) -> "FracIdeal":
-        return FracIdeal(self, 1)
-
-    def to_json(self) -> dict:
-        if not self.dom.is_quad:
-            return {"hnf": [self.a]}
-        return {"hnf": [self.a, self.b, self.c]}
-
-
-def unit_ideal(dom: Domain) -> IdealLattice:
-    if not dom.is_quad:
-        return IdealLattice(dom, 1)
-    return IdealLattice(dom, 1, 0, 1)
-
-
-def zero_ideal(dom: Domain) -> IdealLattice:
-    return IdealLattice(dom, 0)
-
-
-def from_ring_generators(dom: Domain, gens: list[RingElem]) -> IdealLattice:
-    """HNF of the D-module spanned by ring elements."""
-    gens = [g for g in gens if g]
-    if not gens:
-        return zero_ideal(dom)
-    if not dom.is_quad:
-        m = 0
-        for g in gens:
-            m = gcd(m, g.a)
-        return IdealLattice(dom, m)
-    rows = []
-    for g in gens:
-        wg = g * dom.omega
-        rows.append([g.b, g.a])
-        rows.append([wg.b, wg.a])
-    ech, pivots, _ = echelon(rows)
-    if pivots != [0, 1]:
-        raise SkewError("generators do not span a rank-2 lattice")
-    c, b = ech[0][0], ech[0][1]
-    a = ech[1][1]
-    return IdealLattice(dom, a, b % a, c)
-
-
-class FracIdeal:
-    """Fractional ideal lat / den with gcd(content(lat), den) = 1."""
-
-    __slots__ = ("lat", "den")
-
-    def __init__(self, lat: IdealLattice, den: int = 1):
-        if den <= 0:
-            raise SkewError("denominator must be positive")
-        if lat.is_zero:
-            den = 1
-        else:
-            g = gcd(lat.content(), den)
-            if g > 1:
-                lat = lat.divide_int(g)
-                den //= g
-        self.lat = lat
-        self.den = den
-
-    @property
-    def dom(self) -> Domain:
-        return self.lat.dom
-
-    @property
-    def is_zero(self) -> bool:
-        return self.lat.is_zero
-
-    @property
-    def is_integral(self) -> bool:
-        return self.den == 1
-
-    @property
-    def is_unit(self) -> bool:
-        return self.den == 1 and self.lat.is_unit_ideal
-
-    def __repr__(self):
-        if self.den == 1:
-            return repr(self.lat)
-        return f"{self.lat!r}/{self.den}"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FracIdeal)
-            and self.lat == other.lat
-            and self.den == other.den
-        )
-
-    def __hash__(self):
-        return hash((self.lat, self.den))
-
-    def norm(self) -> Fraction:
-        """Multiplicative norm; equals the index for integral ideals."""
-        if self.is_zero:
-            return Fraction(0)
-        if not self.dom.is_quad:
-            return Fraction(self.lat.index, self.den)
-        return Fraction(self.lat.index, self.den * self.den)
+            return g1, g1
+        return g1, RingElem(self.dom, self.b, self.c)
 
     def gens(self) -> tuple[FieldElem, FieldElem]:
-        g1, g2 = self.lat.two_generators()
-        return (
-            FieldElem(self.dom, g1, self.den),
-            FieldElem(self.dom, g2, self.den),
-        )
-
-    def contains(self, e: FieldElem) -> bool:
-        if isinstance(e, RingElem):
-            e = e.to_field()
-        if self.is_zero:
-            return not e
-        scaled = e * self.den
-        return scaled.den == 1 and self.lat.contains(scaled.num)
+        return tuple(FieldElem(self.dom, g, self.den)
+                     for g in self.two_generators())
 
     def mul(self, other: "FracIdeal") -> "FracIdeal":
         if self.is_unit:
             return other
         if other.is_unit:
             return self
-        return FracIdeal(self.lat.mul(other.lat), self.den * other.den)
+        if self.is_zero or other.is_zero:
+            return zero_ideal(self.dom)
+        u1, u2 = self.two_generators()
+        v1, v2 = other.two_generators()
+        return from_ring_generators(self.dom, [u1 * v1, u1 * v2, u2 * v1, u2 * v2],
+                                    self.den * other.den)
 
     def add(self, other: "FracIdeal") -> "FracIdeal":
         if self.is_zero:
             return other
         if other.is_zero:
             return self
-        the_lcm = lcm(self.den, other.den)
-        left = self.lat.scale_int(the_lcm // self.den)
-        right = other.lat.scale_int(the_lcm // other.den)
-        return FracIdeal(left.add(right), the_lcm)
+        den = lcm(self.den, other.den)
+        return from_ring_generators(
+            self.dom, [g * (den // u.den) for u in (self, other)
+                       for g in u.two_generators()], den)
 
     def inverse(self) -> "FracIdeal":
         if self.is_zero:
             raise ZeroIdealError("inverse of the zero ideal")
+        # L * conj(L) = [D : L] * D in the maximal order, so
+        # (L / den)^-1 = den * conj(L) / [D : L]
         if self.dom.is_quad:
-            # lat * conj(lat) = index * D in the maximal order
-            inv = FracIdeal(self.lat.conj().scale_int(self.den), self.lat.index)
+            bar = self.conj()
+            inv = FracIdeal(self.dom, bar.a * self.den, bar.b * self.den,
+                            bar.c * self.den, self.index)
         else:
-            inv = FracIdeal(IdealLattice(self.dom, self.den), self.lat.a)
+            inv = FracIdeal(self.dom, self.den, den=self.a)
         check = self.mul(inv)
         if not check.is_unit:
             raise SkewError(f"inverse verification failed for {self!r}")
@@ -417,7 +306,12 @@ class FracIdeal:
         return self.mul(from_generators(self.dom, [e]))
 
     def conj(self) -> "FracIdeal":
-        return FracIdeal(self.lat.conj(), self.den)
+        """The conjugate ideal (a, -b - c*tr(w), c) / den, no HNF build:
+        conj(b + c*w) = b + c*tr(w) - c*w, negated to keep c positive."""
+        if not self.dom.is_quad or self.is_zero:
+            return self
+        return FracIdeal(self.dom, self.a, -self.b - self.c * self.dom.omega_t,
+                         self.c, self.den)
 
     def sigma(self, i: int = 1) -> "FracIdeal":
         if self.dom.conj_sigma and i % 2:
@@ -425,13 +319,43 @@ class FracIdeal:
         return self
 
     def to_json(self) -> dict:
-        out = self.lat.to_json()
-        out["den"] = self.den
+        out = {"hnf": [self.a, self.b, self.c] if self.dom.is_quad
+               else [self.a]}
+        if self.den != 1:
+            out["den"] = self.den
         return out
 
 
-def unit_frac(dom: Domain) -> FracIdeal:
-    return FracIdeal(unit_ideal(dom), 1)
+def unit_ideal(dom: Domain) -> FracIdeal:
+    return FracIdeal(dom, 1, 0, 1 if dom.is_quad else 0)
+
+
+def zero_ideal(dom: Domain) -> FracIdeal:
+    return FracIdeal(dom, 0)
+
+
+def from_ring_generators(dom: Domain, gens: list[RingElem], den: int = 1
+                         ) -> FracIdeal:
+    """The D-module spanned by ring elements, divided by den, in HNF."""
+    gens = [g for g in gens if g]
+    if not gens:
+        return zero_ideal(dom)
+    if not dom.is_quad:
+        m = 0
+        for g in gens:
+            m = gcd(m, g.a)
+        return FracIdeal(dom, m, den=den)
+    rows = []
+    for g in gens:
+        wg = g * dom.omega
+        rows.append([g.b, g.a])
+        rows.append([wg.b, wg.a])
+    ech, pivots, _ = echelon(rows)
+    if pivots != [0, 1]:
+        raise SkewError("generators do not span a rank-2 lattice")
+    c, b = ech[0][0], ech[0][1]
+    a = ech[1][1]
+    return FracIdeal(dom, a, b, c, den)
 
 
 def from_generators(dom: Domain, gens: list) -> FracIdeal:
@@ -439,12 +363,12 @@ def from_generators(dom: Domain, gens: list) -> FracIdeal:
     felems = [g.to_field() if isinstance(g, RingElem) else g for g in gens]
     felems = [g for g in felems if g]
     if not felems:
-        return FracIdeal(zero_ideal(dom), 1)
+        return zero_ideal(dom)
     scale = 1
     for g in felems:
         scale = lcm(scale, g.den)
     ring_gens = [(g * scale).as_ring() for g in felems]
-    return FracIdeal(from_ring_generators(dom, ring_gens), scale)
+    return from_ring_generators(dom, ring_gens, scale)
 
 
 def _coefficient_rows(dom: Domain, felems: list[FieldElem], scale: int):
@@ -503,7 +427,7 @@ def express_in_product(e: FieldElem, u_gens, v_gens) -> list[list[RingElem]]:
     return [[coeffs[0], coeffs[1]], [coeffs[2], coeffs[3]]]
 
 
-def one_and_half_generator(u: IdealLattice, a: RingElem) -> RingElem:
+def one_and_half_generator(u: FracIdeal, a: RingElem) -> RingElem:
     """Some b in u with (a, b) = u, given a nonzero a in u.
 
     Verified search: natural candidates first, then small combinations of
@@ -535,9 +459,9 @@ def one_and_half_generator(u: IdealLattice, a: RingElem) -> RingElem:
     raise BoundExceeded(SECOND_GEN_CANDIDATES, "no second generator found")
 
 
-def _norm_form(lat: IdealLattice) -> tuple[int, int, int]:
+def _norm_form(u: FracIdeal) -> tuple[int, int, int]:
     """Quadratic form N(x*g1 + y*g2) = A x^2 + B xy + C y^2 on the HNF basis."""
-    g1, g2 = lat.two_generators()
+    g1, g2 = u.two_generators()
     a1 = g1.a
     return a1 * a1, a1 * g2.trace(), g2.norm()
 
@@ -563,13 +487,12 @@ def principal_generator(u: FracIdeal, coeff_bound: int = PRINCIPAL_BOUND):
         raise ZeroIdealError("zero ideal")
     dom = u.dom
     if not dom.is_quad:
-        return FieldElem(dom, RingElem(dom, u.lat.a, 0), u.den)
-    lat = u.lat
-    if lat.is_unit_ideal:
+        return FieldElem(dom, RingElem(dom, u.a, 0), u.den)
+    n = u.index
+    if n == 1:
         return FieldElem(dom, dom.one, u.den)
-    g1, g2 = lat.two_generators()
-    big_a, big_b, big_c = _norm_form(lat)
-    n = lat.index
+    g1, g2 = u.two_generators()
+    big_a, big_b, big_c = _norm_form(u)
     # 4A*Q(x,y) = (2Ax + By)^2 - disc*y^2, so Q = target solves for x when
     # disc*y^2 + 4A*target is a square
     disc = big_b * big_b - 4 * big_a * big_c

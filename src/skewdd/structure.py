@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .domains import Domain, RingElem
 from .errors import NotTwoSided, SkewError, UnsupportedDomain
 from . import ideals
-from .ideals import FracIdeal, IdealLattice, from_ring_generators
+from .ideals import FracIdeal, from_ring_generators
 from .classgroup import class_group, sigma_acts_trivially
 from .completion import extended_ideal_iso
 from .series import TruncatedSeries, mul
@@ -31,11 +31,11 @@ def _small_primes(bound: int):
                 sieve[q] = False
 
 
-def default_simplicity_candidates(dom: Domain) -> list[IdealLattice]:
+def default_simplicity_candidates(dom: Domain) -> list[FracIdeal]:
     """Ramified primes (divisors of the discriminant), plus small primes
     over the integers; every candidate is a proper nonzero ideal."""
     if not dom.is_quad:
-        return [IdealLattice(dom, 2), IdealLattice(dom, 3)]
+        return [FracIdeal(dom, 2), FracIdeal(dom, 3)]
     out = []
     disc = abs(dom.disc)
     for p in _small_primes(max(disc, 3)):
@@ -47,7 +47,7 @@ def default_simplicity_candidates(dom: Domain) -> list[IdealLattice]:
         else:
             root = dom.omega if not dom.omega_t else dom.elem(-1, 2)
             cand = from_ring_generators(dom, [dom.elem(p), root])
-        if not cand.is_zero and not cand.is_unit_ideal:
+        if not cand.is_zero and not cand.is_unit:
             out.append(cand)
     return out
 
@@ -55,7 +55,7 @@ def default_simplicity_candidates(dom: Domain) -> list[IdealLattice]:
 @dataclass
 class SimplicityVerdict:
     simple: bool | None          # False = non-simple; None = undecided
-    witness: IdealLattice | None
+    witness: FracIdeal | None
     checked: list
 
     def to_json(self) -> dict:
@@ -66,7 +66,7 @@ class SimplicityVerdict:
         }
 
 
-def simplicity_probe(dom: Domain, candidates: list[IdealLattice] | None = None
+def simplicity_probe(dom: Domain, candidates: list[FracIdeal] | None = None
                      ) -> SimplicityVerdict:
     """Search the candidates for a sigma-fixed proper ideal.
 
@@ -77,7 +77,7 @@ def simplicity_probe(dom: Domain, candidates: list[IdealLattice] | None = None
     if candidates is None:
         candidates = default_simplicity_candidates(dom)
     for cand in candidates:
-        if cand.is_zero or cand.is_unit_ideal:
+        if cand.is_zero or cand.is_unit:
             raise SkewError("candidates must be proper nonzero ideals")
     if not dom.conj_sigma:
         witness = candidates[0] if candidates else None
@@ -95,7 +95,7 @@ def simplicity_probe(dom: Domain, candidates: list[IdealLattice] | None = None
     return SimplicityVerdict(None, None, list(candidates))
 
 
-def asano_inverse(j_ideal: IdealLattice) -> FracIdeal:
+def asano_inverse(j_ideal: FracIdeal) -> FracIdeal:
     """Two-sided inverse of the extended ideal of a sigma-fixed J.
 
     The product J * J^(-1) = D is verified by the inverse itself, which
@@ -106,7 +106,7 @@ def asano_inverse(j_ideal: IdealLattice) -> FracIdeal:
     if j_ideal.sigma(1) != j_ideal:
         raise NotTwoSided(f"sigma moves {j_ideal!r}; its extension is "
                           "not a two-sided ideal")
-    return j_ideal.to_frac().inverse()
+    return j_ideal.inverse()
 
 
 @dataclass
@@ -189,7 +189,7 @@ class StructureReport:
     sigma_trivial: bool
     simplicity: SimplicityVerdict
     k0_text: str
-    witness_ideal: IdealLattice | None
+    witness_ideal: FracIdeal | None
     stable_rank: StableRankWitness
 
     def to_json(self) -> dict:

@@ -20,6 +20,7 @@ import re
 from math import gcd
 
 from .domains import Domain, DomainSpec, FieldElem, RingElem
+from .errors import SkewError
 
 # largest |order| accepted on input, so that no series text or JSON can
 # ask for a coefficient list longer than about 2 * MAX_ORDER
@@ -231,7 +232,10 @@ def matrix_from_json(dom: Domain, obj: list):
                               for row in obj])
 
 
-def frac_ideal_from_json(dom: Domain, obj: dict):
+def ideal_lattice_from_json(dom: Domain, obj: dict):
+    """An integral ideal from {"gens": [elements]} or its canonical
+    {"hnf": [a, b, c]} (0 <= b < a; [m] over Z), so that each ideal has
+    one hnf spelling; a "den" is accepted only when it is 1."""
     from . import ideals
 
     key = "gens" if isinstance(obj, dict) and "gens" in obj else "hnf"
@@ -239,23 +243,25 @@ def frac_ideal_from_json(dom: Domain, obj: dict):
         raise ValueError(f"an ideal is an object with a gens or an hnf "
                          f"array, not {obj!r}")
     if key == "gens":
-        gens = [parse_field_elem(dom, s) for s in obj["gens"]]
-        return ideals.from_generators(dom, gens)
-    hnf = [json_int(e, "hnf entry") for e in obj["hnf"]]
-    den = json_int(obj.get("den", 1), "ideal den")
-    if dom.is_quad:
-        if len(hnf) != 3:
-            raise ValueError("quadratic ideal takes an [a, b, c] triple")
-    elif len(hnf) != 1:
-        raise ValueError("integer ideal takes a single generator [m]")
-    return ideals.FracIdeal(ideals.IdealLattice(dom, *hnf), den)
-
-
-def ideal_lattice_from_json(dom: Domain, obj: dict):
-    frac = frac_ideal_from_json(dom, obj)
-    if not frac.is_integral:
+        ideal = ideals.from_generators(
+            dom, [parse_field_elem(dom, s) for s in obj["gens"]])
+    else:
+        hnf = [json_int(e, "hnf entry") for e in obj["hnf"]]
+        den = json_int(obj.get("den", 1), "ideal den")
+        if len(hnf) != (3 if dom.is_quad else 1):
+            raise ValueError("quadratic ideal takes an [a, b, c] triple"
+                             if dom.is_quad else
+                             "integer ideal takes a single generator [m]")
+        try:
+            ideal = ideals.FracIdeal(dom, *hnf, den=den)
+        except SkewError as err:
+            raise ValueError(f"ideal {obj!r}: {err}") from None
+        if ideal.to_json()["hnf"] != hnf or ideal.den != den:
+            raise ValueError(f"ideal {obj!r} is not in canonical form: "
+                             f"it is {ideal.to_json()!r}")
+    if not ideal.is_integral:
         raise ValueError("expected an integral ideal")
-    return frac.lat
+    return ideal
 
 
 def parse_domain(text: str) -> DomainSpec:

@@ -70,7 +70,8 @@ def rand_ideal(dom, rng):
 
 
 def rand_frac_ideal(dom, rng):
-    return ideals.FracIdeal(rand_ideal(dom, rng), rng.randint(1, 12))
+    u = rand_ideal(dom, rng)
+    return ideals.FracIdeal(dom, u.a, u.b, u.c, rng.randint(1, 12))
 
 
 def rand_elem_of(frac, rng, lo=-2, hi=2):
@@ -98,7 +99,7 @@ def random_unimodular_row(dom, j_ideal, rng, factors=6):
     Returns (ShapedRow, witness column); unimodular by construction,
     since the witness is the matching column of the exact inverse.
     """
-    jf = j_ideal.to_frac()
+    jf = j_ideal
     jinv = jf.inverse()
     u_mat = SeriesMatrix.identity(dom)
     u_inv = SeriesMatrix.identity(dom)

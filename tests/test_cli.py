@@ -182,6 +182,15 @@ MALFORMED = {
     "witness val past the order bound":
         ("completion", lambda obj: obj["witness"][0][0].update(
             val=MAX_ORDER + 1)),
+    # an ideal has one hnf spelling: b reduced below a, den prime to the
+    # lattice content
+    "hnf b past a":
+        ("extension", lambda obj: obj["ideal"]["hnf"].__setitem__(1, 65537)),
+    "hnf with a reducible den": ("extension", lambda obj: obj.update(
+        ideal={"hnf": [2, 0, 2], "den": 2})),
+    # |d| is capped, so the squarefree test cannot run for minutes
+    "d past the cap": ("extension", lambda obj: obj["domain"].update(
+        d=1000000000000000003)),
 }
 
 
@@ -212,7 +221,8 @@ def test_verify_malformed_certificate_exits_3(tmp_path, capsys, zz, tamper):
     "int domain with d", "int domain with conj", "complete-row prec 0",
     "complete-row prec -3", f"complete-row prec {MAX_ORDER + 1}",
     f"extend prec {MAX_ORDER + 1}", "extend prec 100000000",
-    "exponent past the order bound", "two O-terms", "decimal coefficient"])
+    "exponent past the order bound", "two O-terms", "decimal coefficient",
+    "ideal b past a", "ideal with a reducible den", "d past the cap"])
 def test_malformed_cli_input_exits_2(tmp_path, capsys, zz, case):
     gens = ["--gens", '["2+1*x^1"]']
     if case == "gens not strings":
@@ -232,6 +242,8 @@ def test_malformed_cli_input_exits_2(tmp_path, capsys, zz, case):
         argv = ["extend", "--domain", '{"kind": "int", "d": 3}', *gens]
     elif case == "int domain with conj":
         argv = ["extend", "--domain", '{"kind": "int", "sigma": "conj"}', *gens]
+    elif case == "d past the cap":
+        argv = ["classgroup", "--domain", "quad:1000000000000000003:id"]
     else:
         argv = classic_row_argv(tmp_path, zz)
         if case == "ideal not an object":
@@ -240,6 +252,11 @@ def test_malformed_cli_input_exits_2(tmp_path, capsys, zz, case):
             (tmp_path / "row.json").write_text('{"foo": 1}')
         elif case.startswith("complete-row prec"):
             argv[argv.index("--prec") + 1] = case.split()[-1]
+        elif case.startswith("ideal "):
+            argv[argv.index("--domain") + 1] = "quad:-5:id"
+            argv[argv.index("--ideal") + 1] = (
+                '{"hnf":[2,65537,1]}' if case == "ideal b past a"
+                else '{"hnf":[2,0,2],"den":2}')
         else:
             (tmp_path / "t.json").write_text("[1, 2]")
     code, _, err = run(capsys, *argv)

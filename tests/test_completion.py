@@ -22,8 +22,7 @@ from skewdd.errors import (
     SigmaClassObstruction,
     SkewError,
 )
-from skewdd.ideals import (from_generators, from_ring_generators, unit_frac,
-                           unit_ideal)
+from skewdd.ideals import from_generators, from_ring_generators, unit_ideal
 from skewdd.series import SeriesMatrix, TruncatedSeries
 from skewdd.textio import parse_series
 
@@ -114,11 +113,10 @@ def five_shape_families(dom, j_ideal, a_ideal):
     """The shape families written out one by one, each product formed
     where it is used: the reference the rule-built ShapeTable must match.
     Returns kind -> (parity-0 shape, parity-1 shape)."""
-    jf = j_ideal.to_frac()
-    af = a_ideal.to_frac()
+    jf, af = j_ideal, a_ideal
     jinv = jf.inverse()
     ainv = af.inverse()
-    one = unit_frac(dom)
+    one = unit_ideal(dom)
     fams = {"row": [], "b_row": [], "t_mat": [], "h_mat": []}
     for p in (0, 1):
         ainv_p = ainv.sigma(p)
@@ -144,7 +142,7 @@ def reduced_shape_ideal(dom, j_lat):
         n, t2 = check_unimodular(shaped, t)
         if n:
             found = reduce_row(shaped, t2)[2].b_ideal
-            if not found.is_unit_ideal:
+            if not found.is_unit:
                 break
     assert found is not None
     return found
@@ -162,8 +160,8 @@ def test_shape_table_matches_the_five_families(any_domain):
                 assert getattr(table, kind)(i) == by_parity[i % 2], \
                     (kind, i, a_lat)
             assert table.twist_ratio(i) == ref["h_mat"][i % 2][1][1]
-        assert table.ainv == a_lat.to_frac().inverse()
-        assert table.j_ainv == j_lat.to_frac().mul(table.ainv)
+        assert table.ainv == a_lat.inverse()
+        assert table.j_ainv == j_lat.mul(table.ainv)
 
 
 def verify_partial_shapes(data):
@@ -289,7 +287,7 @@ def test_extended_ideal_iso_examples(z5, zz):
     p3 = from_ring_generators(z5, [z5.elem(3), z5.elem(1, 1)])
     assert extended_ideal_iso(p2, unit_ideal(z5)) is None
     q0, k = extended_ideal_iso(p2, p3)
-    assert k == 0 and p2.to_frac().scale(q0) == p3.to_frac()
+    assert k == 0 and p2.scale(q0) == p3
     two = from_ring_generators(zz, [zz.elem(2)])
     three = from_ring_generators(zz, [zz.elem(3)])
     q0, k = extended_ideal_iso(two, three)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from skewdd import ideals
 from skewdd.domains import DomainSpec, get_domain
@@ -12,23 +13,22 @@ from skewdd.errors import (
 )
 from skewdd.ideals import (
     FracIdeal,
-    IdealLattice,
     from_generators,
     from_ring_generators,
-    unit_frac,
     unit_ideal,
 )
+from skewdd.textio import ideal_lattice_from_json
 
-from conftest import rand_frac_ideal, rand_ideal, rand_ring_elem
+from conftest import DOMAIN_SPECS, rand_frac_ideal, rand_ideal, rand_ring_elem
 
 
 def test_from_generators_examples(z5, zz):
     p2 = from_generators(z5, [z5.felem(2), z5.felem(1, 1)])
-    assert (p2.lat.a, p2.lat.b, p2.lat.c) == (2, 1, 1) and p2.den == 1
+    assert (p2.a, p2.b, p2.c) == (2, 1, 1) and p2.den == 1
     g = from_generators(zz, [zz.felem(4), zz.felem(10)])
-    assert g.lat.a == 2
+    assert g.a == 2
     three = from_generators(z5, [z5.felem(3)])
-    assert (three.lat.a, three.lat.b, three.lat.c) == (3, 0, 3)
+    assert (three.a, three.b, three.c) == (3, 0, 3)
 
 
 def test_from_generators_idempotent(any_domain):
@@ -51,13 +51,13 @@ def test_zero_ideal_flagged(z5):
 def test_product_inverse_sum_examples(z5, zz):
     p2 = from_generators(z5, [z5.felem(2), z5.felem(1, 1)])
     sq = p2.mul(p2)
-    assert (sq.lat.a, sq.lat.b, sq.lat.c) == (2, 0, 2)  # the ideal (2)
+    assert (sq.a, sq.b, sq.c) == (2, 0, 2)  # the ideal (2)
     inv = p2.inverse()
-    assert inv == FracIdeal(p2.lat, 2)
-    assert p2.mul(inv) == unit_frac(z5)
+    assert inv == FracIdeal(z5, p2.a, p2.b, p2.c, 2)
+    assert p2.mul(inv) == unit_ideal(z5)
     four = from_generators(zz, [zz.felem(4)])
     ten = from_generators(zz, [zz.felem(10)])
-    assert four.add(ten).lat.a == 2
+    assert four.add(ten).a == 2
 
 
 def test_contains_examples(z5, zz):
@@ -135,7 +135,7 @@ def test_two_generators_examples(z5, zz):
     p2 = from_ring_generators(z5, [z5.elem(2), z5.elem(1, 1)])
     g1, g2 = p2.two_generators()
     assert g1 == z5.elem(2) and g2 == z5.elem(1, 1)
-    six = IdealLattice(zz, 6)
+    six = FracIdeal(zz, 6)
     assert six.two_generators() == (zz.elem(6), zz.elem(6))
     three = from_ring_generators(z5, [z5.elem(3)])
     assert three.two_generators() == (z5.elem(3), z5.elem(0, 3))
@@ -145,7 +145,7 @@ def test_one_and_half_generator(z5, zz):
     p2 = from_ring_generators(z5, [z5.elem(2), z5.elem(1, 1)])
     b = ideals.one_and_half_generator(p2, z5.elem(2))
     assert from_ring_generators(z5, [z5.elem(2), b]) == p2
-    six = IdealLattice(zz, 6)
+    six = FracIdeal(zz, 6)
     b = ideals.one_and_half_generator(six, zz.elem(6))
     assert from_ring_generators(zz, [zz.elem(6), b]) == six
     two = from_ring_generators(z5, [z5.elem(2)])
@@ -194,7 +194,7 @@ def test_principal_generator_first_hit(d, sigma, hnf, den, first):
     # root +s before -s; the first hit is part of every certificate that
     # needs a principal generator
     dom = get_domain(DomainSpec("quad", d, sigma))
-    gen = ideals.principal_generator(FracIdeal(IdealLattice(dom, *hnf), den))
+    gen = ideals.principal_generator(FracIdeal(dom, *hnf, den=den))
     assert repr(gen) == first
 
 
@@ -211,7 +211,7 @@ def test_ideal_classes_isomorphic_examples(z5, zz):
     p3 = from_generators(z5, [z5.felem(3), z5.felem(1, 1)])
     q0 = ideals.ideal_classes_isomorphic(p2, p3)
     assert q0 is not None and p2.scale(q0) == p3
-    assert ideals.ideal_classes_isomorphic(p2, unit_frac(z5)) is None
+    assert ideals.ideal_classes_isomorphic(p2, unit_ideal(z5)) is None
     two = from_generators(zz, [zz.felem(2)])
     three = from_generators(zz, [zz.felem(3)])
     q0 = ideals.ideal_classes_isomorphic(two, three)
@@ -221,21 +221,21 @@ def test_ideal_classes_isomorphic_examples(z5, zz):
 def test_real_quadratic_class_queries_unsupported(root2):
     u = from_generators(root2, [root2.felem(7), root2.felem(3, 1)])
     with pytest.raises(UnsupportedDomain):
-        ideals.ideal_classes_isomorphic(u, unit_frac(root2))
+        ideals.ideal_classes_isomorphic(u, unit_ideal(root2))
 
 
 def test_inverse_and_norm_random(any_domain):
     rng = random.Random(14)
     for _ in range(150):
         u = rand_frac_ideal(any_domain, rng)
-        assert u.mul(u.inverse()) == unit_frac(any_domain)
+        assert u.mul(u.inverse()) == unit_ideal(any_domain)
         v = rand_frac_ideal(any_domain, rng)
         assert u.mul(v).norm() == u.norm() * v.norm()
 
 
 def test_hnf_closure_rejects_non_ideals(z5):
     with pytest.raises(Exception):
-        IdealLattice(z5, 2, 0, 1)  # Z*2 + Z*w is not an ideal of Z[sqrt(-5)]
+        FracIdeal(z5, 2, 0, 1)  # Z*2 + Z*w is not an ideal of Z[sqrt(-5)]
 
 
 def test_ideal_sum_and_contains_random(any_domain):
@@ -251,3 +251,99 @@ def test_ideal_sum_and_contains_random(any_domain):
             for gv in v.two_generators():
                 assert prod.contains(gu * gv)
         assert unit_ideal(any_domain).contains(any_domain.one)
+
+
+# the five test domains all have tr(w) = 0; -15 and 5 (1 mod 4) do not
+@pytest.mark.parametrize("spec", DOMAIN_SPECS + [
+    DomainSpec("quad", -15, "conj"), DomainSpec("quad", 5, "conj")],
+    ids=lambda s: f"{s.kind}:{s.d}:{s.sigma}")
+def test_conj_is_the_ideal_of_conjugated_generators(spec):
+    dom = get_domain(spec)
+    rng = random.Random(16)
+    for _ in range(60):
+        u = rand_frac_ideal(dom, rng)
+        assert u.conj() == from_generators(dom, [g.conj() for g in u.gens()])
+        assert u.sigma(1).sigma(1) == u and u.sigma(2) == u
+
+
+def test_ideal_loader_spellings(z5):
+    p2 = from_ring_generators(z5, [z5.elem(2), z5.elem(1, 1)])
+    for obj in ({"hnf": [2, 1, 1]}, {"hnf": [2, 1, 1], "den": 1},
+                {"gens": ["2", "1+1*w"]}):
+        assert ideal_lattice_from_json(z5, obj) == p2
+    for obj in ({"hnf": [2, 3, 1]}, {"hnf": [2, 0, 2], "den": 2},
+                {"hnf": [1, 0, 1], "den": 2}, {"gens": ["1/2"]}):
+        with pytest.raises(ValueError):
+            ideal_lattice_from_json(z5, obj)
+
+
+PROPERTY_SETTINGS = settings(
+    max_examples=60, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def generator_lists(dom):
+    """One to three field elements, not all zero."""
+    part = st.integers(-12, 12)
+    elem = st.builds(dom.felem, part, part if dom.is_quad else st.just(0),
+                     st.sampled_from([1, 2, 3, 4, 6, 12]))
+    return st.lists(elem, min_size=1, max_size=3).filter(any)
+
+
+def ring_elems(dom):
+    part = st.integers(-4, 4)
+    return st.builds(dom.elem, part, part if dom.is_quad else st.just(0))
+
+
+def same_ideal_generators(data, dom, gens):
+    """gens shuffled, signs flipped, plus D-combinations of them."""
+    out = [g * data.draw(st.sampled_from([1, -1]))
+           for g in data.draw(st.permutations(gens))]
+    for _ in range(data.draw(st.integers(0, 2))):
+        out.append(sum((g * data.draw(ring_elems(dom)).to_field()
+                        for g in gens), dom.fzero))
+    return out
+
+
+def fields(u):
+    return (u.a, u.b, u.c, u.den)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_equal_ideals_have_equal_fields(any_domain, data):
+    dom = any_domain
+    gens = data.draw(generator_lists(dom))
+    u = from_generators(dom, gens)
+    v = from_generators(dom, same_ideal_generators(data, dom, gens))
+    assert fields(u) == fields(v)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_equal_fields_iff_mutual_containment(any_domain, data):
+    dom = any_domain
+    gens = data.draw(generator_lists(dom))
+    other = (same_ideal_generators(data, dom, gens) if data.draw(st.booleans())
+             else data.draw(generator_lists(dom)))
+    u, v = from_generators(dom, gens), from_generators(dom, other)
+    mutual = (all(v.contains(g) for g in gens)
+              and all(u.contains(g) for g in other))
+    assert (fields(u) == fields(v)) == mutual
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_ideal_times_inverse_is_the_unit_ideal(any_domain, data):
+    u = from_generators(any_domain, data.draw(generator_lists(any_domain)))
+    assert u.mul(u.inverse()) == unit_ideal(any_domain)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_integral_ideal_json_round_trip(any_domain, data):
+    u = from_generators(any_domain, data.draw(generator_lists(any_domain)))
+    if not u.is_integral:
+        u = u.mul(from_generators(any_domain, [any_domain.felem(u.den)]))
+    assert u.is_integral
+    assert ideal_lattice_from_json(any_domain, u.to_json()) == u

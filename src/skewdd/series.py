@@ -20,8 +20,13 @@ arithmetic, and builds each output coefficient once: one FieldElem, so
 one gcd, per order.
 
 Inversion is one coefficient recursion (matrix_invert; a series is its
-1x1 case), with row elimination as the fallback for a 2x2 matrix whose
-lowest coefficient matrix is singular.
+1x1 case) on the same integer lanes: the lowest coefficient matrix is
+inverted with integer arithmetic, the higher coefficient matrices and
+the inverse found so far are each kept over one common denominator,
+each order of the inverse is a few integer dot products, and each
+output coefficient is normalised once: one FieldElem, so one gcd. Row
+elimination is the fallback for a 2x2 matrix whose lowest coefficient
+matrix is singular.
 """
 
 from __future__ import annotations
@@ -474,18 +479,42 @@ def det2(m) -> FieldElem:
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
+def _qmul(dom: Domain, x, y):
+    """Product of the pairs (a, b) = a + b*w; w^2 = omega_c + omega_t * w."""
+    (a, b), (c, d) = x, y
+    bd = b * d
+    return a * c + bd * dom.omega_c, a * d + b * c + bd * dom.omega_t
+
+
+def _pairs(coeffs, quad: bool):
+    """_lanes as (den, [(a, b), ...]), with b = 0 over Z."""
+    den, lanes = _lanes(coeffs, quad)
+    return den, list(zip(*lanes)) if quad else [(x, 0) for x in lanes[0]]
+
+
 def _const_inverse(m):
-    """Inverse of a 1x1 or 2x2 matrix of field elements; None if singular."""
+    """Inverse of a 1x1 or 2x2 matrix of field elements as (den, rows of
+    (a, b) pairs) over one positive denominator; None if singular."""
+    dom = m[0][0].dom
+    den, flat = _pairs([c for r in m for c in r], dom.is_quad)
     if len(m) == 1:  # a lowest coefficient, hence nonzero
-        return [[m[0][0].inverse()]]
-    det = det2(m)
-    if not det:
-        return None
-    inv_det = det.inverse()
-    return [
-        [m[1][1] * inv_det, -m[0][1] * inv_det],
-        [-m[1][0] * inv_det, m[0][0] * inv_det],
-    ]
+        adj, det = [[(1, 0)]], flat[0]
+    else:
+        (p, q), (r, s) = flat[:2], flat[2:]
+        det = tuple(x - y for x, y in zip(_qmul(dom, p, s), _qmul(dom, q, r)))
+        if det == (0, 0):
+            return None
+        adj = [[s, (-q[0], -q[1])], [(-r[0], -r[1]), p]]
+    # 1/det = u/norm: u is the conjugate over Q(w), 1 over Z
+    if dom.is_quad:
+        u = (det[0] + det[1] * dom.omega_t, -det[1])
+        norm = _qmul(dom, det, u)[0]
+    else:
+        u, norm = (1, 0), det[0]
+    if norm < 0:
+        u, norm = (-u[0], -u[1]), -norm
+    u = (u[0] * den, u[1] * den)
+    return norm, [[_qmul(dom, e, u) for e in r] for r in adj]
 
 
 def matrix_invert(a: SeriesMatrix, prec: int | None = None) -> SeriesMatrix:
@@ -522,7 +551,8 @@ def matrix_invert(a: SeriesMatrix, prec: int | None = None) -> SeriesMatrix:
 
 
 def _invert_by_recursion(a: SeriesMatrix, v: int, inv_a0, prec):
-    """Inverse of a = sum_(i >= v) a_i x^i, given inv_a0 = a_v^-1.
+    """Inverse of a = sum_(i >= v) a_i x^i, given inv_a0 = a_v^-1 as
+    _const_inverse returns it.
 
     The inverse is b = sum_t b_t x^(t-v), and order t of a * b = 1 gives
 
@@ -531,38 +561,100 @@ def _invert_by_recursion(a: SeriesMatrix, v: int, inv_a0, prec):
 
     (sigma^-v = sigma^v, as sigma is an involution). It is known through
     min(known_to(a) - 2v, prec); an exact a needs an explicit prec.
+
+    The recursion runs on integer lanes, as sum_products does. Row p of
+    a_(v+depth), ..., a_(v+1) is read once into lanes over one common
+    denominator, entries side by side; column q of the b_k found so far
+    is kept the same way over the lcm of their denominators, twisted by
+    sigma^(v+k) for even t and by sigma^(v+k+1) for odd t. Entry (p, q)
+    of S_t is then one integer dot product per lane pair, w^2 =
+    omega_c + omega_t * w is applied once, and each output coefficient
+    is normalised once: one FieldElem, so one gcd.
     """
     dom = a.dom
-    sig = dom.sigma_pow
     out_kt = _kt_min(_kt_add(a.known_to, -2 * v), prec)
     if out_kt is None:
         raise PrecisionError(
             "inverting an exact series needs an explicit prec")
     nterms = max(out_kt + v, 0)
-    idx = range(len(inv_a0))
+    n = len(a.rows)
+    idx = range(n)
     # only the known coefficient matrices a_(v+1), a_(v+2), ... enter the sum
     depth = nterms - 1
     if a.known_to is not None:
         depth = min(depth, a.known_to - 1 - v)
-    higher = [a.coeff_matrix(v + j) for j in range(1, depth + 1)]
-    bs: list = []
+    depth = max(depth, 0)
+    quad, wc, wt = dom.is_quad, dom.omega_c, dom.omega_t
+    i_den, inv = inv_a0
+    # row p: entry (p, s) of a_(v+j) at (depth - j) * n + s
+    a_den, flat = _pairs([a.rows[p][s].coeff(v + j) for p in idx
+                          for j in range(depth, 0, -1) for s in idx], quad)
+    width = depth * n
+    arows = [tuple(zip(*flat[p * width:(p + 1) * width])) for p in idx]
+    # column q, twist e: entry (s, q) of sigma^(v+k+e)(b_k) at k * n + s,
+    # over the common denominator b_den; one twist when sigma = id
+    b_den = 1
+    cols = [[([], []) for _ in idx] for _ in range(dom.sigma_order)]
+    out = [[[] for _ in idx] for _ in idx]
     for t in range(nterms):
-        rhs = [[dom.fone if t == 0 and p == q else dom.fzero for q in idx]
-               for p in idx]
-        for j in range(1, min(t, depth) + 1):
-            aj, bj = higher[j - 1], bs[t - j]
-            for s in idx:
-                for q in idx:
-                    e = sig(bj[s][q], v + j)
-                    if e:
-                        for p in idx:
-                            if aj[p][s]:
-                                rhs[p][q] = rhs[p][q] - aj[p][s] * e
-        bs.append([[sig(sum((inv_a0[p][s] * rhs[s][q] for s in idx),
-                            dom.fzero), v)
-                     for q in idx] for p in idx])
+        span = min(t, depth)
+        if span:
+            rows = [[lane[(depth - span) * n:] for lane in r] for r in arows]
+            tw = [[lane[(t - span) * n:] for lane in c]
+                  for c in cols[t % len(cols)]]
+            rhs = []
+            for ha, hb in rows:
+                rhs_row = []
+                for ua, ub in tw:
+                    aa = sum(map(mul_int, ha, ua))
+                    bb = ab = 0
+                    if quad:
+                        bb = sum(map(mul_int, hb, ub))
+                        ab = sum(map(mul_int, ha, ub)) \
+                            + sum(map(mul_int, hb, ua))
+                    # delta_t - S_t, with w^2 = omega_c + omega_t * w
+                    rhs_row.append((-aa - bb * wc, -ab - bb * wt))
+                rhs.append(rhs_row)
+            den = i_den * a_den * b_den
+        else:
+            rhs = [[(int(p == q), 0) for q in idx] for p in idx]
+            den = i_den
+        bt = []
+        for p in idx:
+            for q in idx:
+                x = y = 0
+                for e, r in zip(inv[p], rhs):
+                    ex, ey = _qmul(dom, e, r[q])
+                    x, y = x + ex, y + ey
+                if dom.conj_sigma and v % 2:
+                    x, y = x + y * wt, -y
+                c = FieldElem(dom, RingElem(dom, x, y), den) if x or y \
+                    else dom.fzero
+                out[p][q].append(c)
+                bt.append(c)
+        if t + 1 == nterms:  # no later order reads b_t
+            break
+        new_den = lcm(b_den, *(c.den for c in bt))
+        if new_den != b_den:
+            f = new_den // b_den
+            for col in cols:
+                for lanes in col:
+                    for lane in lanes:
+                        lane[:] = [u * f for u in lane]
+            b_den = new_den
+        for e, col in enumerate(cols):
+            twist = dom.conj_sigma and (v + t + e) % 2
+            for q, (ua, ub) in enumerate(col):
+                for s in idx:
+                    c = bt[s * n + q]
+                    f = b_den // c.den
+                    x, y = c.num.a * f, c.num.b * f
+                    if twist:
+                        x, y = x + y * wt, -y
+                    ua.append(x)
+                    ub.append(y)
     return SeriesMatrix(dom, [
-        [TruncatedSeries(dom, -v, [b[p][q] for b in bs], out_kt) for q in idx]
+        [TruncatedSeries(dom, -v, out[p][q], out_kt) for q in idx]
         for p in idx])
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from skewdd import ideals
-from skewdd.domains import DomainSpec, get_domain
+from skewdd.domains import DomainSpec, RingElem, get_domain
 from skewdd.errors import (
     BoundExceeded,
     MembershipError,
@@ -347,3 +347,18 @@ def test_integral_ideal_json_round_trip(any_domain, data):
         u = u.mul(from_generators(any_domain, [any_domain.felem(u.den)]))
     assert u.is_integral
     assert ideal_lattice_from_json(any_domain, u.to_json()) == u
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_express_in_generators_round_trip(any_domain, data):
+    """Every element e of the ideal that gens generate, drawn over its
+    Z-basis, is sum gens_j * c_j with c_j in D as returned."""
+    dom = any_domain
+    gens = data.draw(generator_lists(dom))
+    b1, b2 = from_generators(dom, gens).gens()
+    e = b1 * data.draw(st.integers(-9, 9)) + b2 * data.draw(st.integers(-9, 9))
+    coeffs = ideals.express_in_generators(e, gens)
+    assert all(isinstance(c, RingElem) for c in coeffs)
+    assert sum((g * c.to_field() for g, c in zip(gens, coeffs)),
+               dom.fzero) == e

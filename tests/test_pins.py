@@ -1,5 +1,6 @@
 """Certificate bytes of jobs 0..19 at seed 0 against bench/digests.json,
-and the functions a traced benchmark run wraps.
+the functions a traced benchmark run wraps, and the element count of one
+benchmark job's final inverse.
 
 Each workload's first twenty jobs run through ``skewdd.cli.main`` with
 the benchmark's own input generator, job runner and digest check, so a
@@ -19,9 +20,11 @@ import gen  # noqa: E402
 import run  # noqa: E402
 import spans  # noqa: E402
 
-from skewdd import cli  # noqa: E402
+from skewdd import cli, domains, series  # noqa: E402
 
 PIN_JOBS = 20
+# seed-0 complete-p32 job whose final 2x2 inverse has no zero coefficient
+DENSE_INVERSE_JOB = 8
 
 
 @pytest.mark.parametrize("workload", sorted(gen.WORKLOADS))
@@ -53,3 +56,38 @@ def test_traced_benchmark_targets_resolve():
                      if n == "skewdd" or n.startswith("skewdd.")]:
             del sys.modules[name]
         sys.modules.update(saved)
+
+
+def test_final_inverse_builds_one_element_per_coefficient(tmp_path,
+                                                          monkeypatch):
+    """The final inverse of a complete-p32 job builds at most one FieldElem
+    per stored output coefficient, nterms * n^2 at most; a fall-back to
+    per-term field arithmetic builds thousands. Counted, not timed."""
+    seen = []
+    invert = series.matrix_invert
+
+    def capture(a, prec=None):
+        seen.append((a, prec))
+        return invert(a, prec)
+
+    monkeypatch.setattr(series, "matrix_invert", capture)
+    job = gen.make_job("complete-p32", 0, DENSE_INVERSE_JOB)
+    assert run.run_job(cli.main, job, tmp_path).ok
+    monkeypatch.setattr(series, "matrix_invert", invert)
+    (a, prec), = seen
+    built = 0
+    init = domains.FieldElem.__init__
+
+    def counting(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    monkeypatch.setattr(domains.FieldElem, "__init__", counting)
+    inv = series.matrix_invert(a, prec)
+    monkeypatch.undo()
+    n = len(a.rows)
+    nterms = inv.known_to + a.min_val
+    stored = sum(len(s.coeffs) for row in inv.rows for s in row)
+    assert stored == nterms * n * n
+    assert built <= stored

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from skewdd.errors import PrecisionError, SingularError, SkewError
 from skewdd.series import (SeriesMatrix, TruncatedSeries, det2, matrix_invert,
@@ -345,9 +345,104 @@ def test_matmul_matches_naive(any_domain, data):
 
 @KERNEL_SETTINGS
 @given(data=st.data())
+def test_twisted_product_is_associative(any_domain, data):
+    """(f * g) * h = f * (g * h) with the same window and precision; odd
+    valuations make the twist act on the conj domains."""
+    f, g, h = (data.draw(kernel_series(any_domain)) for _ in range(3))
+    assert_same_series((f * g) * h, f * (g * h))
+
+
+@KERNEL_SETTINGS
+@given(data=st.data())
 def test_sum_products_matches_naive(any_domain, data):
     dom = any_domain
     pairs = data.draw(st.lists(st.tuples(kernel_series(dom),
                                          kernel_series(dom)), max_size=4))
     assert_same_series(sum_products(dom, pairs),
                        naive_sum_products(dom, pairs))
+
+
+# --------------------------------------- inversion recursion vs. per term
+def reference_inverse(a, prec):
+    """The inverse by the coefficient recursion in per-term FieldElem
+    arithmetic: one field product and one field sum per term."""
+    dom = a.dom
+    sig = dom.sigma_pow
+    v = a.min_val
+    m = a.coeff_matrix(v)
+    if len(m) == 1:
+        inv_a0 = [[m[0][0].inverse()]]
+    else:
+        inv_det = det2(m).inverse()
+        inv_a0 = [[m[1][1] * inv_det, -m[0][1] * inv_det],
+                  [-m[1][0] * inv_det, m[0][0] * inv_det]]
+    out_kt = prec
+    if a.known_to is not None:
+        out_kt = a.known_to - 2 * v if prec is None \
+            else min(prec, a.known_to - 2 * v)
+    nterms = max(out_kt + v, 0)
+    idx = range(len(inv_a0))
+    depth = nterms - 1
+    if a.known_to is not None:
+        depth = min(depth, a.known_to - 1 - v)
+    higher = [a.coeff_matrix(v + j) for j in range(1, depth + 1)]
+    bs = []
+    for t in range(nterms):
+        rhs = [[dom.fone if t == 0 and p == q else dom.fzero for q in idx]
+               for p in idx]
+        for j in range(1, min(t, depth) + 1):
+            aj, bj = higher[j - 1], bs[t - j]
+            for s in idx:
+                for q in idx:
+                    e = sig(bj[s][q], v + j)
+                    for p in idx:
+                        rhs[p][q] = rhs[p][q] - aj[p][s] * e
+        bs.append([[sig(sum((inv_a0[p][s] * rhs[s][q] for s in idx),
+                            dom.fzero), v)
+                    for q in idx] for p in idx])
+    return [[TruncatedSeries(dom, -v, [b[p][q] for b in bs], out_kt)
+             for q in idx] for p in idx]
+
+
+@st.composite
+def invertible_matrices(draw, dom, n):
+    """(a, prec): an n x n matrix whose lowest coefficient matrix is
+    invertible, with valuations -2..2, coefficients over unrelated
+    denominators, exact entries (then prec is explicit) or truncated
+    ones (then prec may be None)."""
+    v = draw(st.integers(-2, 2))
+    part = st.integers(-40, 40)
+    coeff = st.builds(dom.felem, part, part if dom.is_quad else st.just(0),
+                      st.sampled_from([1, 1, 2, 3, 5, 7, 9, 11, 12, 35]))
+    # an entry's valuation is v or, when its lowest coefficient is
+    # drawn as 0, higher
+    lowest = st.one_of(st.just(dom.fzero), coeff) if n > 1 else coeff
+    exact = draw(st.booleans())
+    known_to = None if exact else v + draw(st.integers(1, 7))
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            coeffs = [draw(lowest)] + draw(st.lists(coeff, max_size=5))
+            if known_to is not None:
+                coeffs = coeffs[:known_to - v]
+            row.append(TruncatedSeries(dom, v, coeffs, known_to))
+        rows.append(row)
+    a = SeriesMatrix(dom, rows)
+    assume(any(s.coeffs for r in a.rows for s in r))
+    m = a.coeff_matrix(a.min_val)
+    assume(n == 1 or det2(m))
+    prec = draw(st.integers(-3, 9) if exact
+                else st.one_of(st.none(), st.integers(-3, 9)))
+    return a, prec
+
+
+@KERNEL_SETTINGS
+@given(data=st.data())
+@pytest.mark.parametrize("n", [1, 2])
+def test_invert_matches_per_term_recursion(any_domain, n, data):
+    a, prec = data.draw(invertible_matrices(any_domain, n))
+    got = matrix_invert(a, prec)
+    for got_row, want_row in zip(got.rows, reference_inverse(a, prec)):
+        for g, w in zip(got_row, want_row):
+            assert_same_series(g, w)

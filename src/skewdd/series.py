@@ -15,9 +15,12 @@ Every product goes through one kernel, sum_products: a sum of twisted
 products (mul is its one-pair case, and each entry of a matrix product
 one call). It reads each factor once into integer lanes (a_i, b_i) over
 one positive common denominator, with coefficient (a_i + b_i*w) / den
-(over Z there is no b lane), convolves the lanes with plain int
-arithmetic, and builds each output coefficient once: one FieldElem, so
-one gcd, per order.
+(over Z there is no b lane). It convolves the lanes with plain int
+arithmetic by walking the shorter factor: each of its coefficients adds
+one scaled copy of the other factor's lanes into an accumulator, so a
+pair costs O(min(nf, step*ng)) Python steps rather than one dot product
+per output order. Each output coefficient is built once: one FieldElem,
+so one gcd, per order.
 
 Inversion is one coefficient recursion (matrix_invert; a series is its
 1x1 case) on the same integer lanes: the lowest coefficient matrix is
@@ -32,7 +35,7 @@ matrix is singular.
 from __future__ import annotations
 
 from math import lcm
-from operator import mul as mul_int
+from operator import add, mul as mul_int
 
 from .domains import Domain, FieldElem, RingElem
 from .errors import PrecisionError, SingularError, SkewError
@@ -277,11 +280,15 @@ def sum_products(dom: Domain, pairs) -> TruncatedSeries:
     least of their min-rule bounds (an exact-zero factor contributes
     nothing and bounds nothing).
 
-    Each factor is read once into integer lanes, and every pair is scaled
-    to the common denominator of all the products. Order m of the sum is
-    then a sum of integer dot products of f's lanes with g's reversed
-    lanes, g conjugated where sigma^i twists it (i the order of f's
-    coefficient). Each output coefficient is normalised once.
+    Each factor is cut at the room left below the output's top order and
+    read once into integer lanes, and every pair is scaled to the common
+    denominator of all the products. A pair then walks whichever factor
+    needs fewer scaled-vector adds: nf for f, or step * ng for g (step 2
+    when sigma is conjugation, else 1). Walking f adds f_j times g's
+    lanes, conjugated when sigma^(val(f)+j) twists them, into the
+    accumulator; walking g adds sigma^e(g_i) times f's lanes of parity e
+    into every step-th order. Zero scalars are skipped, and each output
+    coefficient is normalised once.
     """
     kt = None
     live = []
@@ -301,40 +308,60 @@ def sum_products(dom: Domain, pairs) -> TruncatedSeries:
         hi = min(hi, kt)
     quad = dom.is_quad
     step = 2 if dom.conj_sigma else 1
-    factors = [(_lanes(f.coeffs, quad), _lanes(g.coeffs, quad))
-               for f, g in live]
+    factors = []
+    for f, g in live:
+        room = hi - f.val - g.val   # orders of f * g below hi
+        if room > 0:
+            factors.append((f.val, g.val, room,
+                            _lanes(f.coeffs[:room], quad),
+                            _lanes(g.coeffs[:room], quad)))
     den = 1
-    for (fd, _), (gd, _) in factors:
+    for *_, (fd, _), (gd, _) in factors:
         den = lcm(den, fd * gd)
     # per order: sum a_f a_g and, over Q(w), sum b_f b_g and
     # sum (a_f + b_f)(a_g + b_g), which give the w part (Karatsuba)
     sums = [[0] * (hi - lo) for _ in range(3 if quad else 1)]
-    for (f, g), ((fd, fl), (gd, gl)) in zip(live, factors):
+    for fv, gv, room, (fd, fl), (gd, gl) in factors:
         scale = den // (fd * gd)
         if scale != 1:
             fl = [[x * scale for x in lane] for lane in fl]
         fl = _with_sum(fl)
-        # g's lanes for the even and the odd orders of f, reversed so
-        # that both slices of a dot product step forward
-        plain = [lane[::-1] for lane in _with_sum(gl)]
+        # g's lanes as seen by the even and the odd orders of f
+        plain = _with_sum(gl)
         twisted = [plain, plain]
         if dom.conj_sigma:
             # conj(a + b*w) = (a + b*omega_t) - b*w
             ga, gb = gl
-            conj = [[u + v * dom.omega_t for u, v in zip(ga, gb)],
-                    [-v for v in gb]]
-            twisted[1] = [lane[::-1] for lane in _with_sum(conj)]
-        nf, ng = len(f.coeffs), len(g.coeffs)
-        base = f.val + g.val
-        for m in range(base, min(hi, base + nf + ng - 1)):
-            s = m - base
-            j0 = max(0, s - ng + 1)
-            j1 = min(s, nf - 1) + 1
-            for js in range(j0, min(j0 + step, j1)):
-                kr = ng - 1 - s + js
-                for acc, x, y in zip(sums, fl, twisted[(f.val + js) % 2]):
-                    acc[m - lo] += sum(map(mul_int, x[js:j1:step],
-                                           y[kr::step]))
+            twisted[1] = _with_sum([[u + v * dom.omega_t
+                                     for u, v in zip(ga, gb)],
+                                    [-v for v in gb]])
+        nf, ng = len(fl[0]), len(plain[0])
+        # f_j sigma^(fv+j)(g_i) lands in accumulator slot base + j + i
+        base = fv + gv - lo
+        if nf <= step * ng:   # walk f: add f_j * g into slots base + j ...
+            for j in range(nf):
+                s = base + j
+                e = s + min(ng, room - j)
+                g_twisted = twisted[(fv + j) % 2]
+                for acc, f_lane, g_lane in zip(sums, fl, g_twisted):
+                    c = f_lane[j]
+                    if c:
+                        acc[s:e] = map(add, acc[s:e], map(c.__mul__, g_lane))
+        else:   # walk g: add sigma^par(g_i) * f's parity-par coefficients
+            for par in range(step):
+                j0 = (par - fv) % step   # first j with fv + j of parity par
+                f_par = [lane[j0::step] for lane in fl]
+                for i in range(ng):
+                    count = len(range(j0, min(nf, room - i), step))
+                    if not count:
+                        continue
+                    s = base + j0 + i
+                    e = s + step * count
+                    for acc, f_lane, g_lane in zip(sums, f_par, twisted[par]):
+                        c = g_lane[i]
+                        if c:
+                            acc[s:e:step] = map(add, acc[s:e:step],
+                                                map(c.__mul__, f_lane))
     if quad:
         # w^2 = omega_c + omega_t * w
         aa, bb, cc = sums
@@ -460,18 +487,36 @@ def disagreement(left: SeriesMatrix, right: SeriesMatrix):
     differs (None when none does); verified_bound is the common exclusive
     order below which the agreeing entries are known to agree (None when
     they agree exactly). Callers compare it with their own claimed bound.
+
+    Coefficients are compared in place, with no difference series built:
+    a FieldElem is canonical (positive den, gcd 1), so equal values have
+    equal parts.
     """
     bad = None
     bound = None
     for ra, rb in zip(left.rows, right.rows):
         for a, b in zip(ra, rb):
-            diff = a - b
-            if diff.coeffs:
-                bad = diff.val if bad is None else min(bad, diff.val)
-            elif diff.known_to is not None:
-                bound = diff.known_to if bound is None \
-                    else min(bound, diff.known_to)
+            kt = _kt_min(a.known_to, b.known_to)
+            order = _first_difference(a, b, kt)
+            if order is not None:
+                bad = order if bad is None else min(bad, order)
+            elif kt is not None:
+                bound = kt if bound is None else min(bound, kt)
     return bad, bound
+
+
+def _first_difference(a: TruncatedSeries, b: TruncatedSeries, kt):
+    """Lowest order below kt (None: no bound) at which a and b differ."""
+    windows = [s.known_orders() for s in (a, b) if s.coeffs]
+    if not windows:
+        return None
+    stop = max(w.stop for w in windows)
+    if kt is not None:
+        stop = min(stop, kt)
+    for i in range(min(w.start for w in windows), stop):
+        if a.coeff(i) != b.coeff(i):
+            return i
+    return None
 
 
 def det2(m) -> FieldElem:

@@ -39,6 +39,21 @@ def test_classgroup_command(capsys):
     assert out.strip() == "h=2, forms=[(1,0,5),(2,2,3)], sigma_trivial=true"
 
 
+def test_classgroup_out_file_matches_stdout(tmp_path, capsys):
+    out_path = tmp_path / "cg.json"
+    code, out, _ = run(capsys, "classgroup", "--domain", "quad:-5:conj",
+                       "--out", str(out_path))
+    assert code == 0
+    assert out.splitlines() == [
+        "h=2, forms=[(1,0,5),(2,2,3)], sigma_trivial=true",
+        f"wrote {out_path}"]
+    text = out_path.read_text()
+    payload = json.loads(text)
+    assert text == canonical_json(payload)
+    assert payload == {"disc": -20, "forms": [[1, 0, 5], [2, 2, 3]], "h": 2,
+                       "sigma_trivial": True, "structure": "Z/2"}
+
+
 def test_classgroup_real_quadratic_refused(capsys):
     code, _, err = run(capsys, "classgroup", "--domain", "quad:2:conj")
     assert code == 2
@@ -347,6 +362,21 @@ def test_report_command(tmp_path, capsys):
     assert "class number h = 2" in out
     payload = json.loads(out_path.read_text())
     assert payload["k0"].endswith("Z + Z/2")
+
+
+def test_report_without_out_prints_the_json(tmp_path, capsys):
+    """Without --out, report prints its text and then the JSON that --out
+    would write."""
+    argv = ["report", "--domain", "quad:-5:id", "--seed", "1",
+            "--samples", "20"]
+    out_path = tmp_path / "report.json"
+    code, to_file, _ = run(capsys, *argv, "--out", str(out_path))
+    assert code == 0
+    code, printed, _ = run(capsys, *argv)
+    assert code == 0
+    text = to_file.removesuffix(f"wrote {out_path}\n")
+    assert printed == text + out_path.read_text()
+    assert json.loads(printed.splitlines()[-1])["k0"].endswith("Z + Z/2")
 
 
 def test_demos_run_clean(capsys):

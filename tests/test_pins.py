@@ -1,6 +1,6 @@
 """Certificate bytes of jobs 0..19 at seed 0 against bench/digests.json,
-the functions a traced benchmark run wraps, and the element count of one
-benchmark job's final inverse.
+the functions a traced benchmark run wraps, and the element counts of one
+benchmark job's final inverse and of its verifier's comparisons.
 
 Each workload's first twenty jobs run through ``skewdd.cli.main`` with
 the benchmark's own input generator, job runner and digest check, so a
@@ -8,6 +8,7 @@ change that alters any certificate byte fails here, not only in a
 benchmark run. bench/gen.py and bench/run.py are imported, not changed.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import gen  # noqa: E402
 import run  # noqa: E402
 import spans  # noqa: E402
 
-from skewdd import cli, domains, series  # noqa: E402
+from skewdd import cli, completion, domains, series  # noqa: E402
 
 PIN_JOBS = 20
 # seed-0 complete-p32 job whose final 2x2 inverse has no zero coefficient
@@ -91,3 +92,41 @@ def test_final_inverse_builds_one_element_per_coefficient(tmp_path,
     stored = sum(len(s.coeffs) for row in inv.rows for s in row)
     assert stored == nterms * n * n
     assert built <= stored
+
+
+def test_verifier_compares_products_without_building_elements(tmp_path,
+                                                               monkeypatch):
+    """verify_completion on a seed-0 complete-p32 certificate builds no
+    FieldElem inside disagreement: the products are compared with H and
+    the identity coefficient by coefficient, not through a difference
+    series. Counted, not timed."""
+    job = gen.make_job("complete-p32", 0, DENSE_INVERSE_JOB)
+    res = run.run_job(cli.main, job, tmp_path)
+    assert res.ok
+    cert = completion.CompletionCertificate.from_json(json.loads(res.data))
+    inside = False
+    calls = built = 0
+    compare = completion.disagreement
+    init = domains.FieldElem.__init__
+
+    def counting_compare(left, right):
+        nonlocal inside, calls
+        calls += 1
+        inside = True
+        try:
+            return compare(left, right)
+        finally:
+            inside = False
+
+    def counting_init(self, *args):
+        nonlocal built
+        built += inside
+        init(self, *args)
+
+    monkeypatch.setattr(completion, "disagreement", counting_compare)
+    monkeypatch.setattr(domains.FieldElem, "__init__", counting_init)
+    report = completion.verify_completion(cert)
+    monkeypatch.undo()
+    assert report.ok
+    assert calls == 3
+    assert built == 0

@@ -1,11 +1,16 @@
 import random
+from math import lcm
+from operator import mul
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from skewdd import series
+from skewdd.domains import FieldElem, RingElem
 from skewdd.errors import PrecisionError, SingularError, SkewError
-from skewdd.series import (SeriesMatrix, TruncatedSeries, det2, matrix_invert,
-                           sum_products)
+from skewdd.series import (SeriesMatrix, TruncatedSeries, _kt_add, _kt_min,
+                           _lanes, _with_sum, det2, disagreement,
+                           matrix_invert, sum_products)
 from skewdd.textio import format_series, parse_series
 
 from conftest import rand_ring_elem
@@ -446,3 +451,204 @@ def test_invert_matches_per_term_recursion(any_domain, n, data):
     for got_row, want_row in zip(got.rows, reference_inverse(a, prec)):
         for g, w in zip(got_row, want_row):
             assert_same_series(g, w)
+
+
+# ------------------------------- shorter-factor walk vs. per-order kernel
+def reference_sum_products(dom, pairs):
+    """series.sum_products by the per-order method: the same lanes, common
+    denominator and output build, with one integer dot product of f's
+    lanes and g's reversed lanes per output order, parity and lane."""
+    kt = None
+    live = []
+    for f, g in pairs:
+        if f.is_exact_zero or g.is_exact_zero:
+            continue
+        kt = _kt_min(kt, _kt_add(g.known_to, f.val),
+                     _kt_add(f.known_to, g.val))
+        if f.coeffs and g.coeffs:
+            live.append((f, g))
+    if not live:
+        return TruncatedSeries.zero(dom, kt)
+    lo = min(f.val + g.val for f, g in live)
+    hi = max(f.val + g.val + len(f.coeffs) + len(g.coeffs) - 1
+             for f, g in live)
+    if kt is not None:
+        hi = min(hi, kt)
+    quad = dom.is_quad
+    step = 2 if dom.conj_sigma else 1
+    factors = [(_lanes(f.coeffs, quad), _lanes(g.coeffs, quad))
+               for f, g in live]
+    den = 1
+    for (fd, _), (gd, _) in factors:
+        den = lcm(den, fd * gd)
+    sums = [[0] * (hi - lo) for _ in range(3 if quad else 1)]
+    for (f, g), ((fd, fl), (gd, gl)) in zip(live, factors):
+        scale = den // (fd * gd)
+        if scale != 1:
+            fl = [[x * scale for x in lane] for lane in fl]
+        fl = _with_sum(fl)
+        plain = [lane[::-1] for lane in _with_sum(gl)]
+        twisted = [plain, plain]
+        if dom.conj_sigma:
+            ga, gb = gl
+            conj = [[u + v * dom.omega_t for u, v in zip(ga, gb)],
+                    [-v for v in gb]]
+            twisted[1] = [lane[::-1] for lane in _with_sum(conj)]
+        nf, ng = len(f.coeffs), len(g.coeffs)
+        base = f.val + g.val
+        for m in range(base, min(hi, base + nf + ng - 1)):
+            s = m - base
+            j0 = max(0, s - ng + 1)
+            j1 = min(s, nf - 1) + 1
+            for js in range(j0, min(j0 + step, j1)):
+                kr = ng - 1 - s + js
+                for acc, x, y in zip(sums, fl, twisted[(f.val + js) % 2]):
+                    acc[m - lo] += sum(map(mul, x[js:j1:step],
+                                           y[kr::step]))
+    if quad:
+        aa, bb, cc = sums
+        nums = [RingElem(dom, a + b * dom.omega_c,
+                         c - a - b + b * dom.omega_t)
+                for a, b, c in zip(aa, bb, cc)]
+    else:
+        nums = [RingElem(dom, a) for a in sums[0]]
+    return TruncatedSeries(dom, lo, [FieldElem(dom, n, den) if n else dom.fzero
+                                     for n in nums], kt)
+
+
+@st.composite
+def walk_factors(draw, dom):
+    """(f, g) with 1..40 coefficients each, g often only 1..4 long and
+    the lengths often equal in cost (nf = step * ng), valuations -3..3 so
+    that f.val is odd or even, some zero coefficients, unrelated
+    denominators, and either factor exact, truncated (its known_to then
+    may cut the product in the middle), known-zero or exact-zero."""
+    step = dom.sigma_order
+    nf, ng = draw(st.one_of(
+        st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        st.tuples(st.integers(1, 40), st.integers(1, 4)),
+        st.integers(1, 40 // step).map(lambda n: (step * n, n))))
+    part = st.integers(-40, 40)
+    coeff = st.one_of(st.just(dom.fzero), st.builds(
+        dom.felem, part, part if dom.is_quad else st.just(0),
+        st.sampled_from([1, 1, 2, 3, 5, 7, 9, 11, 12, 35])))
+
+    def factor(length):
+        kind = draw(st.sampled_from(["exact"] * 3 + ["truncated"] * 3
+                                    + ["known-zero", "exact-zero"]))
+        val = draw(st.integers(-3, 3))
+        if kind == "exact-zero":
+            return TruncatedSeries.zero(dom)
+        if kind == "known-zero":
+            return TruncatedSeries.zero(dom, val)
+        coeffs = [dom.felem(draw(st.integers(1, 9)))] \
+            + [draw(coeff) for _ in range(length - 1)]
+        if kind == "exact":
+            return TruncatedSeries(dom, val, coeffs)
+        return TruncatedSeries(dom, val, coeffs,
+                               val + length + draw(st.integers(0, 3)))
+
+    return factor(nf), factor(ng)
+
+
+def lanes_below_top(dom, pairs):
+    """The factor lengths sum_products may read into lanes, in call order:
+    each factor of a pair with nonzero terms, cut at the room that the
+    pair has below the output's top order."""
+    live = [(f, g) for f, g in pairs if f.coeffs and g.coeffs]
+    if not live:
+        return []
+    hi = max(f.val + g.val + len(f.coeffs) + len(g.coeffs) - 1
+             for f, g in live)
+    kt = reference_sum_products(dom, pairs).known_to
+    if kt is not None:
+        hi = min(hi, kt)
+    reads = []
+    for f, g in live:
+        room = hi - f.val - g.val
+        if room > 0:
+            reads += [min(len(f.coeffs), room), min(len(g.coeffs), room)]
+    return reads
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(data=st.data())
+def test_shorter_factor_walk_matches_per_order_kernel(any_domain, data,
+                                                      monkeypatch):
+    """Both walks of sum_products against the per-order kernel, on single
+    pairs and on sums of 2-3 pairs at different offsets f.val + g.val;
+    the kernel reads no coefficient past its pair's room below the top
+    order."""
+    dom = any_domain
+    pairs = [data.draw(walk_factors(dom))
+             for _ in range(data.draw(st.integers(1, 3)))]
+    reads = []
+
+    def recording(coeffs, quad):
+        reads.append(len(coeffs))
+        return _lanes(coeffs, quad)
+
+    monkeypatch.setattr(series, "_lanes", recording)
+    got = sum_products(dom, pairs)
+    monkeypatch.setattr(series, "_lanes", _lanes)
+    assert_same_series(got, reference_sum_products(dom, pairs))
+    assert reads == lanes_below_top(dom, pairs)
+
+
+# ------------------------------------ disagreement vs. the difference series
+def reference_disagreement(left, right):
+    """series.disagreement through the difference series: left - right is
+    built entry by entry."""
+    bad = None
+    bound = None
+    for ra, rb in zip(left.rows, right.rows):
+        for a, b in zip(ra, rb):
+            diff = a - b
+            if diff.coeffs:
+                bad = diff.val if bad is None else min(bad, diff.val)
+            elif diff.known_to is not None:
+                bound = diff.known_to if bound is None \
+                    else min(bound, diff.known_to)
+    return bad, bound
+
+
+@st.composite
+def nearly_equal_entries(draw, dom):
+    """(a, b): b repeats a's coefficients, changed at up to two orders and
+    possibly extended, and each side is exact or cut at its own known_to,
+    so a difference may lie only beyond one side's known_to; now and then
+    b is unrelated to a."""
+    part = st.integers(-3, 3)
+    coeff = st.builds(dom.felem, part, part if dom.is_quad else st.just(0),
+                      st.sampled_from([1, 2, 3]))
+    val = draw(st.integers(-2, 2))
+    coeffs = draw(st.lists(coeff, max_size=8))
+    other = coeffs + draw(st.lists(coeff, max_size=3))
+    for k in draw(st.lists(st.integers(0, 10), max_size=2)):
+        if k < len(other):
+            other[k] = draw(coeff)
+
+    def side(cs, v):
+        if draw(st.booleans()):
+            return TruncatedSeries(dom, v, cs)
+        kt = v + draw(st.integers(0, len(cs) + 2))
+        return TruncatedSeries(dom, v, cs[:kt - v], kt)
+
+    a = side(coeffs, val)
+    if draw(st.integers(0, 4)) == 0:
+        return a, side(other, draw(st.integers(-2, 2)))
+    return a, side(other, val)
+
+
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_disagreement_matches_difference_series(any_domain, data):
+    dom = any_domain
+    r, c = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+    entries = [[data.draw(nearly_equal_entries(dom)) for _ in range(c)]
+               for _ in range(r)]
+    left = SeriesMatrix(dom, [[a for a, _ in row] for row in entries])
+    right = SeriesMatrix(dom, [[b for _, b in row] for row in entries])
+    assert disagreement(left, right) == reference_disagreement(left, right)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from .domains import get_domain
@@ -128,8 +127,7 @@ def cmd_verify(args) -> int:
 
 def cmd_report(args) -> int:
     dom = get_domain(textio.parse_domain(args.domain))
-    rng = random.Random(args.seed)
-    rep = structure.k0_report(dom, samples=args.samples, rng=rng)
+    rep = structure.k0_report(dom)
     print(rep.to_text())
     if args.out:
         _write_out(rep.to_json(), args.out)
@@ -207,12 +205,16 @@ def demo_gauss_conj() -> None:
 def demo_stable_rank() -> None:
     print("a length-2 unimodular row that no elementary reduction shortens")
     dom = get_domain(textio.parse_domain("int"))
-    wit = structure.stable_rank_witness(dom, dom.elem(2), samples=500,
-                                        rng=random.Random(0))
+    wit = structure.stable_rank_witness(dom, dom.elem(2))
     print("  row (2+x, 4+3x): (2+x)*2 - (4+3x) = -x, a unit")
     _check("unimodularity identity holds exactly", wit.identity_ok)
-    _check("500 sampled reductions all leave a non-unit lowest coefficient",
-           wit.samples == 500)
+    lows = ", ".join(map(textio.format_field_elem, wit.cases.values()))
+    _check("no reduction (2+x) + (4+3x)r is a unit: its lowest coefficient "
+           "4r_k, 2(1+2r_0) or 2 (valuation k < 0, = 0, > 0) lies in the "
+           f"proper ideal 2Z ({lows} at r = x^-1, 1, x)",
+           not wit.lowest_ideal.is_unit
+           and all(c and wit.lowest_ideal.contains(c)
+                   for c in wit.cases.values()))
     row = SeriesMatrix(dom, [[textio.parse_series(dom, "2+1*x^1"),
                               textio.parse_series(dom, "4+3*x^1")]])
     shaped = completion.ShapedRow(row, ideals.unit_ideal(dom),
@@ -250,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--prec": dict(type=int, default=12,
                        help=f"certified series orders, at most "
                             f"{textio.MAX_ORDER} (default 12)"),
-        "--seed": dict(type=int, default=0,
-                       help="seed for the stable-rank samples (default 0)"),
         "--bound": dict(type=int, default=ideals.PRINCIPAL_BOUND,
                         help="search bound for generator hunts"),
         "--out": dict(help="output path for the JSON artifact"),
@@ -281,10 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="path to the witness column JSON file")
     p = command("verify", cmd_verify, "re-check a certificate file")
     p.add_argument("path")
-    p = command("report", cmd_report, "structure report for a domain",
-                "--domain", "--seed", "--out")
-    p.add_argument("--samples", type=int, default=100,
-                   help="stable-rank sample count (default 100)")
+    command("report", cmd_report, "structure report for a domain",
+            "--domain", "--out")
     p = command("demo", cmd_demo, "narrated, self-verifying walkthroughs")
     p.add_argument("name", choices=sorted(DEMOS))
     return parser

@@ -27,9 +27,9 @@ Inversion is one coefficient recursion (matrix_invert; a series is its
 inverted with integer arithmetic, the higher coefficient matrices and
 the inverse found so far are each kept over one common denominator,
 each order of the inverse is a few integer dot products, and each
-output coefficient is normalised once: one FieldElem, so one gcd. Row
-elimination is the fallback for a 2x2 matrix whose lowest coefficient
-matrix is singular.
+output coefficient is normalised once: one FieldElem, so one gcd. A 2x2
+matrix whose lowest coefficient matrix is singular is refused with
+SingularError, even when it is invertible over the series ring.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def _kt_add(kt, shift: int):
 class TruncatedSeries:
     """Immutable truncated series; see the module docstring."""
 
-    __slots__ = ("dom", "val", "coeffs", "known_to", "ring")
+    __slots__ = ("dom", "val", "coeffs", "known_to")
 
     def __init__(self, dom: Domain, val: int, coeffs, known_to=None):
         coeffs = list(coeffs)
@@ -72,7 +72,6 @@ class TruncatedSeries:
         self.val = val
         self.coeffs = tuple(coeffs)
         self.known_to = known_to
-        self.ring = all(c.is_integral for c in coeffs)
 
     # ---------------------------------------------------------- constructors
     @staticmethod
@@ -108,6 +107,11 @@ class TruncatedSeries:
         return TruncatedSeries(dom, lo, coeffs, known_to)
 
     # -------------------------------------------------------------- queries
+    @property
+    def ring(self) -> bool:
+        """Every known coefficient lies in D, so the series lies in R."""
+        return all(c.is_integral for c in self.coeffs)
+
     @property
     def is_known_zero(self) -> bool:
         """Zero at every known order (possibly trivially, if nothing is known)."""
@@ -565,13 +569,15 @@ def _const_inverse(m):
 def matrix_invert(a: SeriesMatrix, prec: int | None = None) -> SeriesMatrix:
     """Two-sided inverse of a 1x1 or 2x2 series matrix.
 
-    Let v be the least valuation of an entry. When the lowest coefficient
-    matrix a_v is invertible over the field, _invert_by_recursion builds
-    the inverse order by order; it is the one coefficient recursion of
-    this module, and a single series inverts as its 1x1 case. A 2x2
-    matrix with singular a_v falls back to row elimination over the
-    series division ring, which inverts single series along the way and
-    is retried with more working orders when valuation drops eat them.
+    Let v be the least valuation of an entry. The lowest coefficient
+    matrix a_v must be invertible over the field; _invert_by_recursion
+    then builds the inverse order by order. It is the one coefficient
+    recursion of this module, and a single series inverts as its 1x1
+    case. A singular a_v raises SingularError, also for a 2x2 matrix
+    that is invertible over the series ring, such as
+    [[2 + x, 4 + 3x], [1, 2]] over Z (determinant -x). The final
+    conversion of a completion, the one 2x2 inverse any command takes,
+    has det a_v = 1.
     """
     r, c = a.shape
     if r != c:
@@ -580,19 +586,12 @@ def matrix_invert(a: SeriesMatrix, prec: int | None = None) -> SeriesMatrix:
         raise SkewError("only 1x1 and 2x2 supported")
     v = a.min_val
     inv_a0 = _const_inverse(a.coeff_matrix(v))
-    if inv_a0 is not None:
-        return _invert_by_recursion(a, v, inv_a0, prec)
-    # elimination loses orders to valuation drops; widen and retry
-    slack = 4
-    out = None
-    for _ in range(4):
-        out = _invert_by_elimination(a, None if prec is None else prec + slack)
-        if prec is None or out.known_to is None or out.known_to >= prec:
-            break
-        slack *= 2
-    if prec is not None and out.known_to is not None and out.known_to > prec:
-        out = out.truncate(prec)
-    return out
+    if inv_a0 is None:
+        raise SingularError(
+            f"the lowest coefficient matrix (order {v}) is singular; only "
+            "matrices whose lowest coefficient matrix is invertible are "
+            "inverted")
+    return _invert_by_recursion(a, v, inv_a0, prec)
 
 
 def _invert_by_recursion(a: SeriesMatrix, v: int, inv_a0, prec):
@@ -702,34 +701,3 @@ def _invert_by_recursion(a: SeriesMatrix, v: int, inv_a0, prec):
         [TruncatedSeries(dom, -v, out[p][q], out_kt) for q in idx]
         for p in idx])
 
-
-def _invert_by_elimination(a: SeriesMatrix, prec):
-    dom = a.dom
-    rows = [list(a.rows[0]), list(a.rows[1])]
-    eye = SeriesMatrix.identity(dom)
-    e_rows = [list(eye.rows[0]), list(eye.rows[1])]
-
-    def pick_pivot(col):
-        cands = [i for i in (0, 1) if rows[i][col].coeffs]
-        if not cands:
-            raise SingularError("zero column")
-        return min(cands, key=lambda i: rows[i][col].val)
-
-    p = pick_pivot(0)
-    if p != 0:
-        rows[0], rows[1] = rows[1], rows[0]
-        e_rows[0], e_rows[1] = e_rows[1], e_rows[0]
-    if rows[1][0].coeffs:
-        factor = mul(rows[1][0], rows[0][0].invert(prec))
-        rows[1] = [rows[1][j] - mul(factor, rows[0][j]) for j in range(2)]
-        e_rows[1] = [e_rows[1][j] - mul(factor, e_rows[0][j]) for j in range(2)]
-    pser, rser, qser = rows[0][0], rows[0][1], rows[1][1]
-    if not qser.coeffs:
-        raise SingularError("matrix is singular to working precision")
-    p_inv = pser.invert(prec)
-    q_inv = qser.invert(prec)
-    tri_inv = SeriesMatrix(dom, [
-        [p_inv, -mul(mul(p_inv, rser), q_inv)],
-        [TruncatedSeries.zero(dom), q_inv],
-    ])
-    return tri_inv @ SeriesMatrix(dom, e_rows)

@@ -3,14 +3,15 @@
 Everything here is a finite, machine-checked computation attached to a
 verdict: a simplicity probe over candidate ideals, two-sided inverses
 for sigma-fixed extended ideals, the length-2 unimodular row that no
-single elementary reduction can shorten, and the K0 summary with its
-nonprincipality witness.
+single elementary reduction can shorten (stable rank in the sense of
+Bass, proved by a three-case split on the valuation of the multiplier,
+each case checked exactly), and the K0 summary with its nonprincipality
+witness. Nothing here is sampled: the same domain gives the same report.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .domains import Domain, RingElem
 from .errors import NotTwoSided, SkewError, UnsupportedDomain
@@ -109,76 +110,76 @@ def asano_inverse(j_ideal: FracIdeal) -> FracIdeal:
     return j_ideal.inverse()
 
 
+# the three cases of the lowest coefficient of (a + x) + (a^2 + b x) r for
+# r of valuation k with lowest coefficient r_k: label, the k at which it is
+# checked (with r = x^k), the formula, and its value at r_k = 1
+_CASES = (
+    ("k<0", -1, "a^2*r_k", lambda a: a * a),
+    ("k=0", 0, "a*(1+a*r_0)", lambda a: a + a * a),
+    ("k>0", 1, "a", lambda a: a),
+)
+
+
 @dataclass
 class StableRankWitness:
     a: RingElem
     b: RingElem
     identity_ok: bool
-    samples: int
-    cases: dict = field(default_factory=dict)
+    lowest_ideal: FracIdeal            # aD, a proper ideal
+    cases: dict                        # label -> lowest coefficient at r = x^k
 
     def to_json(self) -> dict:
         return {
             "a": textio.format_ring_elem(self.a),
             "b": textio.format_ring_elem(self.b),
             "identity_ok": self.identity_ok,
-            "samples": self.samples,
-            "cases": dict(self.cases),
+            "lowest_ideal": self.lowest_ideal.to_json(),
+            "cases": {
+                label: {"formula": formula, "lowest":
+                        textio.format_field_elem(self.cases[label])}
+                for label, _, formula, _ in _CASES},
         }
 
 
-def stable_rank_witness(dom: Domain, a: RingElem, samples: int = 500,
-                        rng=None) -> StableRankWitness:
-    """The row (a + x, a^2 + b x) with b = 1 + sigma(a).
+def stable_rank_witness(dom: Domain, a: RingElem) -> StableRankWitness:
+    """The row (a + x, a^2 + b x) with b = 1 + sigma(a), and the proof
+    that no elementary reduction shortens it.
 
-    Checks the exact unimodularity identity (a + x) a - (a^2 + b x) = -x,
-    then samples random r and confirms the lowest coefficient of
-    (a + x) + (a^2 + b x) r is the non-unit the case split predicts, so
-    no sampled elementary reduction shortens the row.
+    The row is unimodular: (a + x) a - (a^2 + b x) = -x, a unit. Let r
+    have valuation k and lowest coefficient r_k in D. The lowest
+    coefficient of (a + x) + (a^2 + b x) r is a^2 r_k when k < 0,
+    a (1 + a r_0) when k = 0 (nonzero, since 1 + a r_0 = 0 would make a a
+    unit) and a when k > 0. Each is a nonzero element of aD, and aD is a
+    proper ideal, so none is a unit of D. A series is a unit of R only if
+    its lowest coefficient is a unit of D, so no r makes
+    (a + x) + (a^2 + b x) r a unit.
+
+    Checked here: the identity exactly, that aD is proper, and each case
+    formula against one exact product at r = x^-1, 1 and x, whose lowest
+    coefficient must be nonzero and lie in aD. SkewError if a check fails.
     """
-    if not a or a.is_unit():
+    a_ideal = from_ring_generators(dom, [a])
+    if a_ideal.is_zero or a_ideal.is_unit:
         raise SkewError("need a nonzero non-unit")
-    if rng is None:
-        rng = random.Random(0)
     b = dom.one + dom.sigma_pow(a, 1)
-    a_plus_x = TruncatedSeries.from_coeff_map(
-        dom, [(0, a.to_field()), (1, dom.fone)])
+    af = a.to_field()
+    a_plus_x = TruncatedSeries.from_coeff_map(dom, [(0, af), (1, dom.fone)])
     second = TruncatedSeries.from_coeff_map(
-        dom, [(0, (a * a).to_field()), (1, b.to_field())])
-    lhs = mul(a_plus_x, TruncatedSeries.const(dom, a.to_field())) - second
+        dom, [(0, af * af), (1, b.to_field())])
+    lhs = mul(a_plus_x, TruncatedSeries.const(dom, af)) - second
     expected = TruncatedSeries.from_coeff_map(dom, [(1, -dom.fone)])
     identity_ok = (lhs - expected).is_exact_zero
-    cases = {"k<0": 0, "k=0": 0, "k>0": 0}
-    a2 = (a * a).to_field()
-    for _ in range(samples):
-        k = rng.randint(-3, 3)
-        coeffs = []
-        for j in range(4):
-            lo_c = rng.randint(-4, 4)
-            hi_c = rng.randint(-4, 4) if dom.is_quad else 0
-            if j == 0:
-                while not (lo_c or hi_c):
-                    lo_c = rng.randint(-4, 4)
-                    hi_c = rng.randint(-4, 4) if dom.is_quad else 0
-            coeffs.append(dom.felem(lo_c, hi_c))
-        r = TruncatedSeries(dom, k, coeffs, k + 5)
-        f = a_plus_x + mul(second, r)
-        low = f.lowest()
-        r_k = r.lowest()
-        if k < 0:
-            want = a2 * r_k
-            cases["k<0"] += 1
-        elif k == 0:
-            want = a.to_field() + a2 * r_k
-            cases["k=0"] += 1
-        else:
-            want = a.to_field()
-            cases["k>0"] += 1
-        if low != want:
-            raise SkewError(f"lowest coefficient mismatch for k={k}")
-        if not low or low.as_ring().is_unit():
-            raise SkewError("sampled reduction produced a unit or zero")
-    return StableRankWitness(a, b, identity_ok, samples, cases)
+    cases = {}
+    for label, k, _, at_one in _CASES:
+        r = TruncatedSeries.x_power(dom, k)
+        low = (a_plus_x + mul(second, r)).lowest()
+        if low != at_one(af):
+            raise SkewError(f"lowest coefficient mismatch for {label}")
+        if not low or not a_ideal.contains(low):
+            raise SkewError(f"lowest coefficient for {label} is not a "
+                            "nonzero element of aD")
+        cases[label] = low
+    return StableRankWitness(a, b, identity_ok, a_ideal, cases)
 
 
 @dataclass
@@ -227,13 +228,21 @@ class StructureReport:
         sr = self.stable_rank
         lines.append(
             f"stable-rank witness row (a+x, a^2+bx) with a = "
-            f"{textio.format_ring_elem(sr.a)}: identity holds, "
-            f"{sr.samples} sampled reductions all non-unit")
+            f"{textio.format_ring_elem(sr.a)}: (a+x)a - (a^2+bx) = -x "
+            f"{'holds' if sr.identity_ok else 'FAILS'}")
+        formulas = ", ".join(f"{formula} ({label})"
+                             for label, _, formula, _ in _CASES)
+        lows = ", ".join(map(textio.format_field_elem, sr.cases.values()))
+        lines.append(
+            f"  no reduction (a+x) + (a^2+bx)r is a unit: for r of valuation "
+            f"k its lowest coefficient {formulas} is a nonzero element of "
+            f"the proper ideal aD = {sr.lowest_ideal!r} ({lows} at r = "
+            "x^-1, 1, x)")
         return "\n".join(lines)
 
 
-def k0_report(dom: Domain, samples: int = 100, rng=None) -> StructureReport:
-    """Class data, simplicity probe, K0 conclusion and stable-rank run."""
+def k0_report(dom: Domain) -> StructureReport:
+    """Class data, simplicity probe, K0 conclusion and stable-rank proof."""
     cg = class_group(dom)  # UnsupportedDomain for real quadratic
     trivial = sigma_acts_trivially(dom)
     witness = None
@@ -255,7 +264,7 @@ def k0_report(dom: Domain, samples: int = 100, rng=None) -> StructureReport:
     else:
         k0_text = ("sigma does not act trivially on G(D); "
                    "K0(R) is not identified with K0(D) here")
-    sr = stable_rank_witness(dom, dom.elem(2), samples, rng)
+    sr = stable_rank_witness(dom, dom.elem(2))
     return StructureReport(
         dom, cg.h, cg.structure_text(), trivial,
         simplicity_probe(dom), k0_text, witness, sr)

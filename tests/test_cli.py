@@ -98,6 +98,8 @@ def test_extend_usage_error(capsys):
     ["extend", "--domain", "int", "--gens", '["2+1*x^1"]', "--bound", "3"],
     ["report", "--domain", "int", "--prec", "3"],
     ["report", "--domain", "int", "--bound", "3"],
+    ["report", "--domain", "int", "--seed", "1"],
+    ["report", "--domain", "int", "--samples", "20"],
     ["complete-row", "--domain", "int", "--ideal", '{"hnf":[1]}',
      "--row", "row.json", "--witness", "t.json", "--seed", "3"],
 ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
@@ -356,19 +358,23 @@ def test_complete_row_not_unimodular_exits_3(tmp_path, capsys, zz):
 def test_report_command(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, out, _ = run(capsys, "report", "--domain", "quad:-5:id",
-                       "--seed", "1", "--samples", "20",
                        "--out", str(out_path))
     assert code == 0
     assert "class number h = 2" in out
+    assert "the proper ideal aD = hnf(2,0,2)" in out
     payload = json.loads(out_path.read_text())
     assert payload["k0"].endswith("Z + Z/2")
+    again = tmp_path / "again.json"
+    code, _, _ = run(capsys, "report", "--domain", "quad:-5:id",
+                     "--out", str(again))
+    assert code == 0
+    assert again.read_bytes() == out_path.read_bytes()
 
 
 def test_report_without_out_prints_the_json(tmp_path, capsys):
     """Without --out, report prints its text and then the JSON that --out
     would write."""
-    argv = ["report", "--domain", "quad:-5:id", "--seed", "1",
-            "--samples", "20"]
+    argv = ["report", "--domain", "quad:-5:id"]
     out_path = tmp_path / "report.json"
     code, to_file, _ = run(capsys, *argv, "--out", str(out_path))
     assert code == 0

@@ -1,11 +1,11 @@
-import random
-
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from skewdd import ideals, structure
 from skewdd.domains import DomainSpec, get_domain
 from skewdd.errors import NotTwoSided, SkewError, UnsupportedDomain
 from skewdd.ideals import FracIdeal, from_ring_generators
+from skewdd.series import TruncatedSeries
 
 
 def test_simplicity_gauss_example(gauss):
@@ -53,12 +53,14 @@ def test_asano_inverse_examples(gauss, zz, root2):
 
 def test_stable_rank_witness_examples(zz, z5):
     for a_val in (2, 3, 5):
-        wit = structure.stable_rank_witness(zz, zz.elem(a_val), samples=100,
-                                            rng=random.Random(1))
+        wit = structure.stable_rank_witness(zz, zz.elem(a_val))
         assert wit.identity_ok
         assert wit.b == zz.elem(1 + a_val)
-    wit = structure.stable_rank_witness(z5, z5.elem(1, 1), samples=100,
-                                        rng=random.Random(1))
+        assert wit.lowest_ideal == FracIdeal(zz, a_val)
+        assert [c.as_ring() for c in wit.cases.values()] == [
+            zz.elem(a_val * a_val), zz.elem(a_val + a_val * a_val),
+            zz.elem(a_val)]
+    wit = structure.stable_rank_witness(z5, z5.elem(1, 1))
     assert wit.identity_ok
     assert wit.b == z5.one + z5.elem(1, 1)
 
@@ -70,16 +72,41 @@ def test_stable_rank_witness_rejects_units(zz):
         structure.stable_rank_witness(zz, zz.elem(0))
 
 
-def test_stable_rank_cases_cover_split(zz):
-    wit = structure.stable_rank_witness(zz, zz.elem(2), samples=300,
-                                        rng=random.Random(2))
-    assert all(wit.cases[k] > 0 for k in ("k<0", "k=0", "k>0"))
-    assert sum(wit.cases.values()) == 300
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_stable_rank_case_formula(any_domain, data):
+    """No reduction (a + x) + (a^2 + b x) r is a unit: for r of valuation
+    -3..3 with coefficients in D, its lowest coefficient is the case
+    formula, lies in aD and is not a unit of D (a = 2, the report's
+    choice)."""
+    dom = any_domain
+    a = dom.elem(2)
+    wit = structure.stable_rank_witness(dom, a)
+    assert wit.lowest_ideal == from_ring_generators(dom, [a])
+    part = st.integers(-4, 4)
+    elem = st.builds(dom.elem, part, part if dom.is_quad else st.just(0))
+    k = data.draw(st.integers(-3, 3))
+    r_k = data.draw(elem.filter(bool))
+    coeffs = [r_k] + data.draw(st.lists(elem, max_size=3))
+    r = TruncatedSeries(dom, k, [c.to_field() for c in coeffs], k + 5)
+    a_plus_x = TruncatedSeries.from_coeff_map(dom, [(0, a), (1, dom.one)])
+    second = TruncatedSeries.from_coeff_map(dom, [(0, a * a), (1, wit.b)])
+    low = (a_plus_x + second * r).lowest()
+    if k < 0:
+        want = a * a * r_k
+    elif k == 0:
+        want = a * (dom.one + a * r_k)
+    else:
+        want = a
+    assert low == want.to_field()
+    assert low and wit.lowest_ideal.contains(low)
+    assert not low.as_ring().is_unit()
 
 
 def test_k0_report_z5(z5, z5c):
     for dom in (z5, z5c):
-        rep = structure.k0_report(dom, samples=50)
+        rep = structure.k0_report(dom)
         assert rep.h == 2
         assert rep.sigma_trivial
         assert "Z/2" in rep.k0_text
@@ -90,7 +117,7 @@ def test_k0_report_z5(z5, z5c):
 
 def test_k0_report_trivial_groups(zz, gauss):
     for dom in (zz, gauss):
-        rep = structure.k0_report(dom, samples=50)
+        rep = structure.k0_report(dom)
         assert rep.h == 1
         assert "K0(R) = Z" in rep.k0_text
         assert rep.witness_ideal is None
@@ -103,17 +130,22 @@ def test_k0_report_unsupported(root2):
 
 def test_k0_report_nontrivial_sigma_action():
     d23 = get_domain(DomainSpec("quad", -23, "conj"))
-    rep = structure.k0_report(d23, samples=20)
+    rep = structure.k0_report(d23)
     assert not rep.sigma_trivial
     assert "not identified" in rep.k0_text
 
 
 def test_report_json_shape(z5):
-    rep = structure.k0_report(z5, samples=20)
+    rep = structure.k0_report(z5)
     payload = rep.to_json()
     assert payload["class_number"] == 2
     assert payload["sigma_acts_trivially"] is True
     assert payload["simplicity"]["verdict"] == "non_simple"
-    assert payload["stable_rank_witness"]["identity_ok"] is True
+    sr = payload["stable_rank_witness"]
+    assert sr["identity_ok"] is True
+    assert "samples" not in sr
+    assert sr["lowest_ideal"] == {"hnf": [2, 0, 2]}
+    assert {label: case["lowest"] for label, case in sr["cases"].items()} \
+        == {"k<0": "4", "k=0": "6", "k>0": "2"}
     text = rep.to_text()
     assert "class number h = 2" in text

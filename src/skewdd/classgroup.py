@@ -237,12 +237,12 @@ def class_of(dom: Domain, u: FracIdeal) -> int:
 
 
 def sigma_acts_trivially(dom: Domain) -> bool:
-    """Whether sigma(a) is isomorphic to a for one ideal per class."""
+    """Whether sigma(a) is isomorphic to a for every ideal a.
+
+    For sigma = conj this holds exactly when the class group is
+    2-torsion, that is, when every invariant factor is 2: a * conj(a) =
+    N(a) D is principal, so conj maps the class of a to its inverse.
+    """
     if not dom.conj_sigma:
         return True
-    cg = class_group(dom)
-    for form in cg.forms:
-        rep = ideal_of_form(dom, form)
-        if ideal_classes_isomorphic(rep.sigma(1), rep) is None:
-            return False
-    return True
+    return all(d == 2 for d in class_group(dom).invariants)

@@ -12,6 +12,8 @@ where g0 is the row of lowest coefficients, A is an integral 2x2 series
 matrix with A_0 = Id, and q is a unit-lowest-term series over the
 fraction field. Multiplication by q then carries the extended ideal
 (g0 entries) * R onto I, which is what the certificate witnesses.
+extend builds (A, q) one order at a time on series.relaxed_product,
+the recursion the series inverse also runs on.
 
 One order-window loop (`_levels`) serves both the constant-ideal
 bound and the generator normalization: it rebuilds the window of right
@@ -40,7 +42,7 @@ from . import ideals
 from .ideals import FracIdeal, echelon, from_ring_generators
 from .reporting import VerifyReport
 from .series import (SeriesMatrix, TruncatedSeries, disagreement, mul,
-                     sum_products)
+                     relaxed_product, sum_products)
 from . import textio
 
 STALL_DEPTH = 4
@@ -258,10 +260,13 @@ def extend(j_ideal: FracIdeal, g: SeriesMatrix, prec: int
            ) -> ExtensionCertificate:
     """Inductive construction of the certificate (A, q) for given J and g.
 
-    At each order n the obstruction s_n is written inside J * sigma^n(J)
-    to produce A_n, and q_n is read off (with both row components cross
-    checked). A failed membership aborts with ConstIdealUnderestimate
-    carrying the strictly larger lower bound J + s_n * sigma^n(J)^(-1).
+    Order n of g * A is srow_n + g_0 A_n, where relaxed_product hands
+    srow_n = sum_(i=1..n) g_i sigma^i(A_(n-i)) as integer pairs (g and A
+    are integral, so over denominator 1). The obstruction s_n is written
+    inside J * sigma^n(J) to produce A_n, and q_n is read off (with both
+    row components cross checked). A failed membership aborts with
+    ConstIdealUnderestimate carrying the strictly larger lower bound
+    J + s_n * sigma^n(J)^(-1).
     """
     dom = g.dom
     if g.shape != (1, 2):
@@ -281,27 +286,16 @@ def extend(j_ideal: FracIdeal, g: SeriesMatrix, prec: int
     if from_ring_generators(dom, [a1, a2]) != j_ideal:
         raise SkewError("lowest coefficients do not generate the given ideal")
 
-    def grow(i: int) -> list[RingElem]:
-        return [f1.coeff(i).as_ring(), f2.coeff(i).as_ring()]
-
-    a_mats: list[list[list[RingElem]]] = [
-        [[dom.one, dom.zero], [dom.zero, dom.one]]
-    ]
     q_coeffs: list[FieldElem] = [dom.fone]
     audit = []
-    for n in range(1, prec + 1):
+
+    def step(n: int, _den: int, s) -> list[list[FieldElem]]:
+        if not n:
+            return [[dom.fone, dom.fzero], [dom.fzero, dom.fone]]
         sig_a1 = dom.sigma_pow(a1, n)
         sig_a2 = dom.sigma_pow(a2, n)
-        # srow = sum_{i=1..n} g_i sigma^i(A_{n-i})
-        srow = [dom.zero, dom.zero]
-        for i in range(1, n + 1):
-            gi = grow(i)
-            am = a_mats[n - i]
-            for col in range(2):
-                srow[col] = srow[col] + (
-                    gi[0] * dom.sigma_pow(am[0][col], i)
-                    + gi[1] * dom.sigma_pow(am[1][col], i)
-                )
+        # srow = sum_{i=1..n} g_i sigma^i(A_{n-i}), integral
+        srow = [RingElem(dom, x, y) for x, y in s[0]]
         s_n = srow[0] * sig_a2 - srow[1] * sig_a1
         if s_n:
             try:
@@ -318,7 +312,6 @@ def extend(j_ideal: FracIdeal, g: SeriesMatrix, prec: int
         else:
             c = [[dom.zero, dom.zero], [dom.zero, dom.zero]]
             a_n = [[dom.zero, dom.zero], [dom.zero, dom.zero]]
-        a_mats.append(a_n)
         w = [
             srow[col] + a1 * a_n[0][col] + a2 * a_n[1][col]
             for col in range(2)
@@ -335,16 +328,15 @@ def extend(j_ideal: FracIdeal, g: SeriesMatrix, prec: int
             "c": [[textio.format_ring_elem(c[j][k]) for k in range(2)]
                   for j in range(2)],
         })
-    a_entries = [[None, None], [None, None]]
-    for r in range(2):
-        for col in range(2):
-            items = [(i, a_mats[i][r][col].to_field())
-                     for i in range(prec + 1)]
-            a_entries[r][col] = TruncatedSeries.from_coeff_map(
-                dom, items, prec + 1)
-    a_series = SeriesMatrix(dom, a_entries)
-    q = TruncatedSeries.from_coeff_map(
-        dom, [(i, q_coeffs[i]) for i in range(prec + 1)], prec + 1)
+        return [[e.to_field() for e in row] for row in a_n]
+
+    a_mats = relaxed_product(dom, [[[f1.coeff(i), f2.coeff(i)]]
+                                   for i in range(1, prec + 1)],
+                             0, prec + 1, step)
+    a_series = SeriesMatrix(dom, [
+        [TruncatedSeries(dom, 0, [m[r][col] for m in a_mats], prec + 1)
+         for col in range(2)] for r in range(2)])
+    q = TruncatedSeries(dom, 0, q_coeffs, prec + 1)
     cert = ExtensionCertificate(dom.spec, j_ideal, (a1, a2), g, a_series, q,
                                 prec, audit)
     verify_extension_certificate(cert).require_ok()

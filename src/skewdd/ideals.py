@@ -345,12 +345,7 @@ def from_ring_generators(dom: Domain, gens: list[RingElem], den: int = 1
         for g in gens:
             m = gcd(m, g.a)
         return FracIdeal(dom, m, den=den)
-    rows = []
-    for g in gens:
-        wg = g * dom.omega
-        rows.append([g.b, g.a])
-        rows.append([wg.b, wg.a])
-    ech, pivots, _ = echelon(rows)
+    ech, pivots, _ = echelon(_coefficient_rows(dom, gens))
     if pivots != [0, 1]:
         raise SkewError("generators do not span a rank-2 lattice")
     c, b = ech[0][0], ech[0][1]
@@ -371,17 +366,16 @@ def from_generators(dom: Domain, gens: list) -> FracIdeal:
     return from_ring_generators(dom, ring_gens, scale)
 
 
-def _coefficient_rows(dom: Domain, felems: list[FieldElem], scale: int):
-    """Integer coordinate rows for each generator and its w-multiple."""
+def _coefficient_rows(dom: Domain, gens: list[RingElem]):
+    """Integer coordinate rows (b, a) of each generator a + b*w and of its
+    w-multiple; (a) over the integers."""
+    if not dom.is_quad:
+        return [[g.a] for g in gens]
     rows = []
-    for g in felems:
-        gi = (g * scale).as_ring()
-        if dom.is_quad:
-            wg = gi * dom.omega
-            rows.append([gi.b, gi.a])
-            rows.append([wg.b, wg.a])
-        else:
-            rows.append([gi.a])
+    for g in gens:
+        wg = g * dom.omega
+        rows.append([g.b, g.a])
+        rows.append([wg.b, wg.a])
     return rows
 
 
@@ -398,7 +392,7 @@ def express_in_generators(e: FieldElem, gens: list) -> list[RingElem]:
     scale = e.den
     for g in felems:
         scale = lcm(scale, g.den)
-    rows = _coefficient_rows(dom, felems, scale)
+    rows = _coefficient_rows(dom, [(g * scale).as_ring() for g in felems])
     et = (e * scale).as_ring()
     target = [et.b, et.a] if dom.is_quad else [et.a]
     ech, pivots, u = echelon(rows, want_transform=True)

@@ -22,14 +22,16 @@ pair costs O(min(nf, step*ng)) Python steps rather than one dot product
 per output order. Each output coefficient is built once: one FieldElem,
 so one gcd, per order.
 
-Inversion is one coefficient recursion (matrix_invert; a series is its
-1x1 case) on the same integer lanes: the lowest coefficient matrix is
-inverted with integer arithmetic, the higher coefficient matrices and
-the inverse found so far are each kept over one common denominator,
-each order of the inverse is a few integer dot products, and each
-output coefficient is normalised once: one FieldElem, so one gcd. A 2x2
-matrix whose lowest coefficient matrix is singular is refused with
-SingularError, even when it is invertible over the series ring.
+Order-by-order products share one relaxed recursion, relaxed_product
+(van der Hoeven, "Relax, but don't be too lazy", J. Symbolic Comput.
+34, 2002): order t of L * R, where the caller finds R_t only once order
+t of the sum is known. It keeps L and the R_t found so far as integer
+lanes, twisted once per parity, and each order costs three integer dot
+products per entry. Its two callers are matrix_invert (a series inverts
+as the 1x1 case), which normalises each output coefficient once, and
+extension.extend. A 2x2 matrix whose lowest coefficient matrix is
+singular is refused with SingularError, even when it is invertible over
+the series ring.
 """
 
 from __future__ import annotations
@@ -225,29 +227,10 @@ class TruncatedSeries:
         return TruncatedSeries(self.dom, self.val + m, self.coeffs,
                                _kt_add(self.known_to, m))
 
-    def twist_shift(self, m: int) -> "TruncatedSeries":
-        """Left multiplication by x^m: sigma^m on coefficients, orders shift."""
-        dom = self.dom
-        coeffs = [dom.sigma_pow(c, m) for c in self.coeffs]
-        if not coeffs:
-            return TruncatedSeries(dom, 0, [], _kt_add(self.known_to, m))
-        return TruncatedSeries(dom, self.val + m, coeffs,
-                               _kt_add(self.known_to, m))
-
-    def truncate(self, known_to: int) -> "TruncatedSeries":
-        kt = _kt_min(self.known_to, known_to)
-        coeffs = [c for j, c in enumerate(self.coeffs) if self.val + j < kt]
-        return TruncatedSeries(self.dom, self.val, coeffs, kt)
-
     def map_coeffs(self, fn) -> "TruncatedSeries":
         """Apply fn to every stored coefficient, orders unchanged."""
         return TruncatedSeries(self.dom, self.val,
                                [fn(c) for c in self.coeffs], self.known_to)
-
-    def left_normal_form(self) -> list[FieldElem]:
-        """Coefficients b_i with f = sum x^i b_i, i.e. b_i = sigma^(-i)(a_i)."""
-        return [self.dom.sigma_pow(c, self.val + j)
-                for j, c in enumerate(self.coeffs)]
 
     def invert(self, prec: int | None = None) -> "TruncatedSeries":
         """Two-sided inverse: the 1x1 case of matrix_invert."""
@@ -467,12 +450,6 @@ class SeriesMatrix:
     def shift(self, m: int) -> "SeriesMatrix":
         return self.map(lambda s: s.shift(m))
 
-    def twist_shift(self, m: int) -> "SeriesMatrix":
-        return self.map(lambda s: s.twist_shift(m))
-
-    def truncate(self, known_to: int) -> "SeriesMatrix":
-        return self.map(lambda s: s.truncate(known_to))
-
     @property
     def min_val(self) -> int:
         vals = [s.val for r in self.rows for s in r if s.coeffs]
@@ -535,17 +512,12 @@ def _qmul(dom: Domain, x, y):
     return a * c + bd * dom.omega_c, a * d + b * c + bd * dom.omega_t
 
 
-def _pairs(coeffs, quad: bool):
-    """_lanes as (den, [(a, b), ...]), with b = 0 over Z."""
-    den, lanes = _lanes(coeffs, quad)
-    return den, list(zip(*lanes)) if quad else [(x, 0) for x in lanes[0]]
-
-
 def _const_inverse(m):
     """Inverse of a 1x1 or 2x2 matrix of field elements as (den, rows of
     (a, b) pairs) over one positive denominator; None if singular."""
     dom = m[0][0].dom
-    den, flat = _pairs([c for r in m for c in r], dom.is_quad)
+    den, lanes = _lanes([c for r in m for c in r], dom.is_quad)
+    flat = list(zip(*lanes)) if dom.is_quad else [(x, 0) for x in lanes[0]]
     if len(m) == 1:  # a lowest coefficient, hence nonzero
         adj, det = [[(1, 0)]], flat[0]
     else:
@@ -570,20 +542,28 @@ def matrix_invert(a: SeriesMatrix, prec: int | None = None) -> SeriesMatrix:
     """Two-sided inverse of a 1x1 or 2x2 series matrix.
 
     Let v be the least valuation of an entry. The lowest coefficient
-    matrix a_v must be invertible over the field; _invert_by_recursion
-    then builds the inverse order by order. It is the one coefficient
-    recursion of this module, and a single series inverts as its 1x1
-    case. A singular a_v raises SingularError, also for a 2x2 matrix
-    that is invertible over the series ring, such as
-    [[2 + x, 4 + 3x], [1, 2]] over Z (determinant -x). The final
-    conversion of a completion, the one 2x2 inverse any command takes,
-    has det a_v = 1.
+    matrix a_v must be invertible over the field. The inverse is
+    b = sum_t b_t x^(t-v), and order t of a * b = 1 gives
+
+        b_t = sigma^v(a_v^-1 (delta_t - S_t)),
+        S_t = sum_(j=1..t) a_(v+j) sigma^(v+j)(b_(t-j))
+
+    (sigma^-v = sigma^v, as sigma is an involution): relaxed_product
+    with L_j = a_(v+j) for the known a_(v+j) and twist offset v. b is
+    known through min(known_to(a) - 2v, prec); an exact a needs an
+    explicit prec. Each b_t entry is normalised once.
+
+    A singular a_v raises SingularError, also for a 2x2 matrix that is
+    invertible over the series ring, such as [[2 + x, 4 + 3x], [1, 2]]
+    over Z (determinant -x). The final conversion of a completion, the
+    one 2x2 inverse any command takes, has det a_v = 1.
     """
     r, c = a.shape
     if r != c:
         raise SkewError("only square matrices invert")
     if r > 2:
         raise SkewError("only 1x1 and 2x2 supported")
+    dom = a.dom
     v = a.min_val
     inv_a0 = _const_inverse(a.coeff_matrix(v))
     if inv_a0 is None:
@@ -591,113 +571,122 @@ def matrix_invert(a: SeriesMatrix, prec: int | None = None) -> SeriesMatrix:
             f"the lowest coefficient matrix (order {v}) is singular; only "
             "matrices whose lowest coefficient matrix is invertible are "
             "inverted")
-    return _invert_by_recursion(a, v, inv_a0, prec)
-
-
-def _invert_by_recursion(a: SeriesMatrix, v: int, inv_a0, prec):
-    """Inverse of a = sum_(i >= v) a_i x^i, given inv_a0 = a_v^-1 as
-    _const_inverse returns it.
-
-    The inverse is b = sum_t b_t x^(t-v), and order t of a * b = 1 gives
-
-        b_t = sigma^v(a_v^-1 (delta_t - S_t)),
-        S_t = sum_(j=1..t) a_(v+j) sigma^(v+j)(b_(t-j))
-
-    (sigma^-v = sigma^v, as sigma is an involution). It is known through
-    min(known_to(a) - 2v, prec); an exact a needs an explicit prec.
-
-    The recursion runs on integer lanes, as sum_products does. Row p of
-    a_(v+depth), ..., a_(v+1) is read once into lanes over one common
-    denominator, entries side by side; column q of the b_k found so far
-    is kept the same way over the lcm of their denominators, twisted by
-    sigma^(v+k) for even t and by sigma^(v+k+1) for odd t. Entry (p, q)
-    of S_t is then one integer dot product per lane pair, w^2 =
-    omega_c + omega_t * w is applied once, and each output coefficient
-    is normalised once: one FieldElem, so one gcd.
-    """
-    dom = a.dom
     out_kt = _kt_min(_kt_add(a.known_to, -2 * v), prec)
     if out_kt is None:
         raise PrecisionError(
             "inverting an exact series needs an explicit prec")
     nterms = max(out_kt + v, 0)
-    n = len(a.rows)
-    idx = range(n)
-    # only the known coefficient matrices a_(v+1), a_(v+2), ... enter the sum
     depth = nterms - 1
     if a.known_to is not None:
         depth = min(depth, a.known_to - 1 - v)
-    depth = max(depth, 0)
-    quad, wc, wt = dom.is_quad, dom.omega_c, dom.omega_t
     i_den, inv = inv_a0
-    # row p: entry (p, s) of a_(v+j) at (depth - j) * n + s
-    a_den, flat = _pairs([a.rows[p][s].coeff(v + j) for p in idx
-                          for j in range(depth, 0, -1) for s in idx], quad)
-    width = depth * n
-    arows = [tuple(zip(*flat[p * width:(p + 1) * width])) for p in idx]
-    # column q, twist e: entry (s, q) of sigma^(v+k+e)(b_k) at k * n + s,
-    # over the common denominator b_den; one twist when sigma = id
-    b_den = 1
-    cols = [[([], []) for _ in idx] for _ in range(dom.sigma_order)]
-    out = [[[] for _ in idx] for _ in idx]
-    for t in range(nterms):
-        span = min(t, depth)
-        if span:
-            rows = [[lane[(depth - span) * n:] for lane in r] for r in arows]
-            tw = [[lane[(t - span) * n:] for lane in c]
-                  for c in cols[t % len(cols)]]
-            rhs = []
-            for ha, hb in rows:
-                rhs_row = []
-                for ua, ub in tw:
-                    aa = sum(map(mul_int, ha, ua))
-                    bb = ab = 0
-                    if quad:
-                        bb = sum(map(mul_int, hb, ub))
-                        ab = sum(map(mul_int, ha, ub)) \
-                            + sum(map(mul_int, hb, ua))
-                    # delta_t - S_t, with w^2 = omega_c + omega_t * w
-                    rhs_row.append((-aa - bb * wc, -ab - bb * wt))
-                rhs.append(rhs_row)
-            den = i_den * a_den * b_den
+    idx = range(r)
+    twist = dom.conj_sigma and v % 2
+
+    def step(t, den, s):
+        if s is None:   # order 0: delta_0 - S_0 is the identity
+            den, rhs = 1, [[(int(p == q), 0) for q in idx] for p in idx]
         else:
-            rhs = [[(int(p == q), 0) for q in idx] for p in idx]
-            den = i_den
+            rhs = [[(-x, -y) for x, y in row] for row in s]
         bt = []
         for p in idx:
+            row = []
             for q in idx:
                 x = y = 0
-                for e, r in zip(inv[p], rhs):
-                    ex, ey = _qmul(dom, e, r[q])
+                for e, h in zip(inv[p], rhs):
+                    ex, ey = _qmul(dom, e, h[q])
                     x, y = x + ex, y + ey
-                if dom.conj_sigma and v % 2:
-                    x, y = x + y * wt, -y
-                c = FieldElem(dom, RingElem(dom, x, y), den) if x or y \
-                    else dom.fzero
-                out[p][q].append(c)
-                bt.append(c)
-        if t + 1 == nterms:  # no later order reads b_t
-            break
-        new_den = lcm(b_den, *(c.den for c in bt))
-        if new_den != b_den:
-            f = new_den // b_den
-            for col in cols:
-                for lanes in col:
-                    for lane in lanes:
-                        lane[:] = [u * f for u in lane]
-            b_den = new_den
-        for e, col in enumerate(cols):
-            twist = dom.conj_sigma and (v + t + e) % 2
-            for q, (ua, ub) in enumerate(col):
-                for s in idx:
-                    c = bt[s * n + q]
-                    f = b_den // c.den
-                    x, y = c.num.a * f, c.num.b * f
-                    if twist:
-                        x, y = x + y * wt, -y
-                    ua.append(x)
-                    ub.append(y)
+                if twist:
+                    x, y = x + y * dom.omega_t, -y
+                row.append(FieldElem(dom, RingElem(dom, x, y), i_den * den)
+                           if x or y else dom.fzero)
+            bt.append(row)
+        return bt
+
+    bs = relaxed_product(dom, [a.coeff_matrix(v + j)
+                               for j in range(1, depth + 1)], v, nterms, step)
     return SeriesMatrix(dom, [
-        [TruncatedSeries(dom, -v, out[p][q], out_kt) for q in idx]
+        [TruncatedSeries(dom, -v, [b[p][q] for b in bs], out_kt) for q in idx]
         for p in idx])
 
+
+def relaxed_product(dom: Domain, known, offset: int, nterms: int, step):
+    """[R_0, ..., R_(nterms-1)], each R_t the matrix of FieldElems that
+    step returns once order t of L * R is known.
+
+    known holds the r x k coefficient matrices L_1, L_2, ..., and
+    L_j = 0 past its end. Order t calls step(t, den, s), where s holds
+
+        S_t = sum_(j=1..t) L_j sigma^(offset+j)(R_(t-j))
+
+    as r rows of integer pairs (a, b), entry (a + b*w) / den (b = 0 over
+    Z); s is None when no term enters (t = 0, or known is empty).
+
+    Row p of L_len, ..., L_1 is read once into lanes over one common
+    denominator, entries side by side. Column q of the R_i found so far
+    is kept the same way over the lcm of their denominators, once as
+    sigma^(offset+i)(R_i) for even t and once as sigma^(offset+i+1)(R_i)
+    for odd t (sigma^(offset+t-i) = sigma^(offset+t+i)); the lanes are
+    rescaled when that lcm grows. Entry (p, q) of S_t is then three
+    integer dot products over the Karatsuba lanes a, b and a + b, with
+    w^2 = omega_c + omega_t * w applied once.
+    """
+    quad, wc, wt = dom.is_quad, dom.omega_c, dom.omega_t
+    depth = len(known)
+    l_den = r_den = 1
+    if depth:
+        r, k = len(known[0]), len(known[0][0])
+        l_den, lanes = _lanes([m[p][s] for p in range(r)
+                               for m in reversed(known) for s in range(k)],
+                              quad)
+        width = depth * k
+        rows = [[lane[p * width:(p + 1) * width] for lane in _with_sum(lanes)]
+                for p in range(r)]
+    # cols[e][q]: lanes of column q of sigma^(offset+i+e)(R_i), i = 0, 1, ...
+    cols = [[] for _ in range(dom.sigma_order)]
+    out = []
+    for t in range(nterms):
+        span = min(t, depth)
+        s = None
+        if span:
+            hs = [[lane[(depth - span) * k:] for lane in row] for row in rows]
+            us = [[lane[(t - span) * k:] for lane in col]
+                  for col in cols[t % len(cols)]]
+            s = []
+            for h in hs:
+                s_row = []
+                for u in us:
+                    aa = sum(map(mul_int, h[0], u[0]))
+                    if quad:
+                        bb = sum(map(mul_int, h[1], u[1]))
+                        ab = sum(map(mul_int, h[2], u[2])) - aa - bb
+                        s_row.append((aa + bb * wc, ab + bb * wt))
+                    else:
+                        s_row.append((aa, 0))
+                s.append(s_row)
+        rt = step(t, l_den * r_den, s)
+        out.append(rt)
+        if not depth or t + 1 == nterms:   # no later order reads R_t
+            continue
+        new_den = lcm(r_den, *(c.den for row in rt for c in row))
+        if new_den != r_den:
+            f = new_den // r_den
+            for col in cols:
+                for col_lanes in col:
+                    for lane in col_lanes:
+                        lane[:] = [u * f for u in lane]
+            r_den = new_den
+        for e, col in enumerate(cols):
+            if not col:
+                col.extend([[] for _ in rows[0]] for _ in rt[0])
+            conj = dom.conj_sigma and (offset + t + e) % 2
+            for q, col_lanes in enumerate(col):
+                for row in rt:
+                    c = row[q]
+                    f = r_den // c.den
+                    x, y = c.num.a * f, c.num.b * f
+                    if conj:
+                        x, y = x + y * wt, -y
+                    for lane, z in zip(col_lanes, (x, y, x + y)):
+                        lane.append(z)
+    return out

@@ -23,13 +23,16 @@ from .series import TruncatedSeries, mul
 from . import textio
 
 
-def _small_primes(bound: int):
-    sieve = [True] * (bound + 1)
-    for p in range(2, bound + 1):
-        if sieve[p]:
-            yield p
-            for q in range(p * p, bound + 1, p):
-                sieve[q] = False
+def _prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n > 0, increasing, by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] if n > 1 else out
 
 
 def default_simplicity_candidates(dom: Domain) -> list[FracIdeal]:
@@ -39,9 +42,7 @@ def default_simplicity_candidates(dom: Domain) -> list[FracIdeal]:
         return [FracIdeal(dom, 2), FracIdeal(dom, 3)]
     out = []
     disc = abs(dom.disc)
-    for p in _small_primes(max(disc, 3)):
-        if disc % p:
-            continue
+    for p in _prime_factors(disc):
         if p == 2 and not dom.omega_t:
             gen2 = dom.omega if dom.d % 4 == 2 else dom.one + dom.omega
             cand = from_ring_generators(dom, [dom.elem(2), gen2])

@@ -118,7 +118,8 @@ def random_unimodular_row(dom, j_ideal, rng, factors=6):
         u_inv = elem_inv @ u_inv
     row = SeriesMatrix(dom, [u_mat.rows[0]])
     k = min(s.val for s in row.rows[0] if s.coeffs)
-    row = row.twist_shift(-k)
+    x_k = TruncatedSeries.x_power(dom, -k)
+    row = row.map(lambda s: x_k * s)
     wit = SeriesMatrix(dom, [[u_inv.rows[0][0]], [u_inv.rows[1][0]]]).shift(k)
     shaped = completion.ShapedRow(row, j_ideal, ideals.unit_ideal(dom))
     return shaped, wit

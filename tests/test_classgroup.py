@@ -13,7 +13,7 @@ from skewdd.classgroup import (
     sigma_acts_trivially,
     _class_group_of_disc,
 )
-from skewdd.domains import DomainSpec, get_domain
+from skewdd.domains import DomainSpec, _is_squarefree, get_domain
 from skewdd.errors import UnsupportedDomain
 
 from conftest import rand_ideal
@@ -129,6 +129,30 @@ def test_sigma_acts_trivially(z5c, gauss, zz):
     # h(-23) = 3: conjugation sends a class to its inverse, which differs
     d23 = get_domain(DomainSpec("quad", -23, "conj"))
     assert not sigma_acts_trivially(d23)
+
+
+def sigma_acts_trivially_per_class(dom):
+    """Whether conj(a) is isomorphic to a, by one principal generator
+    search per class representative."""
+    for form in class_group(dom).forms:
+        rep = ideal_of_form(dom, form)
+        if ideals.ideal_classes_isomorphic(rep.sigma(1), rep) is None:
+            return False
+    return True
+
+
+def test_sigma_acts_trivially_matches_per_class_search():
+    """The invariant-factor test agrees with the per-class search on every
+    squarefree -400 < d < 0."""
+    seen = {True: 0, False: 0}
+    for d in range(-399, 0):
+        if not _is_squarefree(d):
+            continue
+        dom = get_domain(DomainSpec("quad", d, "conj"))
+        want = sigma_acts_trivially_per_class(dom)
+        assert sigma_acts_trivially(dom) is want
+        seen[want] += 1
+    assert seen == {True: 49, False: 194}
 
 
 def test_real_quadratic_unsupported(root2):

@@ -10,7 +10,7 @@ from skewdd.domains import FieldElem, RingElem
 from skewdd.errors import PrecisionError, SingularError, SkewError
 from skewdd.series import (SeriesMatrix, TruncatedSeries, _kt_add, _kt_min,
                            _lanes, _with_sum, det2, disagreement,
-                           matrix_invert, sum_products)
+                           matrix_invert, relaxed_product, sum_products)
 from skewdd.textio import format_series, parse_series
 
 from conftest import rand_ring_elem
@@ -105,59 +105,15 @@ def test_invert_zero_and_exact(zz):
     assert exact.invert(6).known_to == 6
 
 
-def test_lowest_valuation_shift_examples(zz, gauss):
+def test_lowest_valuation_shift_examples(zz):
     f = parse_series(zz, "3*x^-2+1*x^1")
     assert f.lowest() == zz.felem(3) and f.valuation() == -2
     assert f.shift(2) == parse_series(zz, "3+1*x^3")
     s = parse_series(zz, "1+1*x^1")
     assert s.shift(2) == parse_series(zz, "1*x^2+1*x^3")
-    ix = TruncatedSeries.from_coeff_map(gauss, [(1, gauss.felem(0, 1))])
-    assert ix.left_normal_form() == [gauss.felem(0, -1)]
     with pytest.raises(PrecisionError):
         TruncatedSeries.zero(zz, 4).lowest()
     assert TruncatedSeries.zero(zz).lowest() == zz.fzero
-
-
-def test_left_normal_form_roundtrip(any_domain):
-    rng = random.Random(35)
-    for _ in range(40):
-        f = rand_series(any_domain, rng)
-        rebuilt = TruncatedSeries.zero(any_domain, f.known_to)
-        for j, b in enumerate(f.left_normal_form()):
-            i = f.val + j
-            term = TruncatedSeries.x_power(any_domain, i) * \
-                TruncatedSeries.const(any_domain, b)
-            rebuilt = rebuilt + term
-        assert (rebuilt - f).is_known_zero
-        assert rebuilt.known_to == f.known_to
-
-
-def test_left_normal_form_multiplies_symmetrically(any_domain):
-    """In left normal form, factors multiply with the inverse twist:
-    (x^i b)(x^j c) = x^(i+j) sigma^(-j)(b) c."""
-    rng = random.Random(37)
-    dom = any_domain
-    for _ in range(30):
-        f = rand_series(dom, rng, prec_extra=(3, 3))
-        g = rand_series(dom, rng, prec_extra=(3, 3))
-        prod = f * g
-        if prod.known_to is not None and prod.known_to <= prod.val:
-            continue
-        acc = {}
-        for i, b in zip(f.known_orders(), f.left_normal_form()):
-            for j, c in zip(g.known_orders(), g.left_normal_form()):
-                k = i + j
-                if prod.known_to is not None and k >= prod.known_to:
-                    continue
-                term = dom.sigma_pow(b, -j) * c
-                acc[k] = acc.get(k, dom.fzero) + term
-        rebuilt = TruncatedSeries.from_coeff_map(dom, acc.items(),
-                                                 prod.known_to)
-        # rebuilt holds the left-normal coefficients of the product
-        expected = {i: b for i, b in zip(prod.known_orders(),
-                                         prod.left_normal_form())}
-        for i in rebuilt.known_orders():
-            assert rebuilt.coeff(i) == expected.get(i, dom.fzero)
 
 
 def test_cancellation_renormalizes_valuation(zz):
@@ -466,6 +422,62 @@ def test_invert_matches_per_term_recursion(any_domain, n, data):
     for got_row, want_row in zip(got.rows, reference_inverse(a, prec)):
         for g, w in zip(got_row, want_row):
             assert_same_series(g, w)
+
+
+# ------------------------------------ relaxed recursion vs. per-term sums
+@st.composite
+def relaxed_inputs(draw, dom):
+    """(shape, known, offset, rs): shape (r, k, m) is 1x1 * 1x1, 2x2 * 2x2
+    or 1x2 * 2x2; known holds the r x k matrices L_1, L_2, ..., from none
+    to more than the orders asked; rs holds the k x m matrices R_t that
+    the caller's step returns, one per order asked; entries have
+    denominators 1..35 and may be zero; the offset is -2..2."""
+    r, k, m = draw(st.sampled_from([(1, 1, 1), (2, 2, 2), (1, 2, 2)]))
+    part = st.integers(-40, 40)
+    entry = st.one_of(st.just(dom.fzero), st.builds(
+        dom.felem, part, part if dom.is_quad else st.just(0),
+        st.integers(1, 35)))
+
+    def matrix(rows, cols):
+        return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+    nterms = draw(st.integers(0, 7))
+    known = [matrix(r, k) for _ in range(draw(st.integers(0, nterms + 1)))]
+    rs = [matrix(k, m) for _ in range(nterms)]
+    return (r, k, m), known, draw(st.integers(-2, 2)), rs
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_relaxed_product_matches_per_term_sums(any_domain, data):
+    """Every S_t the recursion hands its step equals the per-term FieldElem
+    sum of L_j sigma^(offset+j)(R_(t-j)), with L_j = 0 past the end of
+    known; odd offsets and orders make the twist act on the conj
+    domains, and R_t over growing denominators makes the stored columns
+    rescale."""
+    dom = any_domain
+    (r, k, m), known, offset, rs = data.draw(relaxed_inputs(dom))
+    seen = []
+
+    def step(t, den, s):
+        seen.append((t, den, s))
+        return rs[t]
+
+    assert relaxed_product(dom, known, offset, len(rs), step) == rs
+    assert [t for t, _, _ in seen] == list(range(len(rs)))
+    for t, den, s in seen:
+        terms = range(1, min(t, len(known)) + 1)
+        if s is None:
+            assert not terms
+            continue
+        want = [[sum((known[j - 1][p][i]
+                      * dom.sigma_pow(rs[t - j][i][q], offset + j)
+                      for j in terms for i in range(k)), dom.fzero)
+                 for q in range(m)] for p in range(r)]
+        got = [[FieldElem(dom, RingElem(dom, a, b), den) for a, b in row]
+               for row in s]
+        assert got == want
 
 
 # ------------------------------- shorter-factor walk vs. per-order kernel

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from skewdd import ideals, structure
-from skewdd.domains import DomainSpec, get_domain
+from skewdd.domains import DomainSpec, _is_squarefree, get_domain
 from skewdd.errors import NotTwoSided, SkewError, UnsupportedDomain
 from skewdd.ideals import FracIdeal, from_ring_generators
 from skewdd.series import TruncatedSeries
@@ -37,6 +37,32 @@ def test_default_candidates_are_ramified(any_domain):
         if any_domain.is_quad:
             # ramified primes are sigma-fixed
             assert cand.conj() == cand
+
+
+def sieved_ramified_primes(disc: int):
+    """The primes up to disc that divide disc, by a sieve of Eratosthenes
+    over 2..disc."""
+    sieve = [True] * (disc + 1)
+    out = []
+    for p in range(2, disc + 1):
+        if sieve[p]:
+            if disc % p == 0:
+                out.append(p)
+            for q in range(p * p, disc + 1, p):
+                sieve[q] = False
+    return out
+
+
+def test_candidates_match_the_sieve(monkeypatch):
+    """Trial division finds the same ramified primes as the sieve, so the
+    candidate lists are equal for every squarefree 2 <= |d| < 400."""
+    doms = [get_domain(DomainSpec("quad", d, sigma))
+            for d in range(-399, 400) if abs(d) >= 2 and _is_squarefree(d)
+            for sigma in ("id", "conj")]
+    got = [structure.default_simplicity_candidates(dom) for dom in doms]
+    monkeypatch.setattr(structure, "_prime_factors", sieved_ramified_primes)
+    assert got == [structure.default_simplicity_candidates(dom)
+                   for dom in doms]
 
 
 def test_asano_inverse_examples(gauss, zz, root2):

@@ -294,8 +294,9 @@ def extend(j_ideal: FracIdeal, g: SeriesMatrix, prec: int
             return [[dom.fone, dom.fzero], [dom.fzero, dom.fone]]
         sig_a1 = dom.sigma_pow(a1, n)
         sig_a2 = dom.sigma_pow(a2, n)
-        # srow = sum_{i=1..n} g_i sigma^i(A_{n-i}), integral
-        srow = [RingElem(dom, x, y) for x, y in s[0]]
+        # srow = sum_{i=1..n} g_i sigma^i(A_{n-i}), integral; None is 0
+        srow = ([RingElem(dom, x, y) for x, y in s[0]] if s is not None
+                else [dom.zero, dom.zero])
         s_n = srow[0] * sig_a2 - srow[1] * sig_a1
         if s_n:
             try:

@@ -19,19 +19,22 @@ one positive common denominator, with coefficient (a_i + b_i*w) / den
 arithmetic by walking the shorter factor: each of its coefficients adds
 one scaled copy of the other factor's lanes into an accumulator, so a
 pair costs O(min(nf, step*ng)) Python steps rather than one dot product
-per output order. Each output coefficient is built once: one FieldElem,
-so one gcd, per order.
+per output order. Elements are built only inside the product's nonzero
+window, found on the combined integer parts: one FieldElem, so one gcd,
+per order from the first to the last nonzero one.
 
 Order-by-order products share one relaxed recursion, relaxed_product
 (van der Hoeven, "Relax, but don't be too lazy", J. Symbolic Comput.
 34, 2002): order t of L * R, where the caller finds R_t only once order
 t of the sum is known. It keeps L and the R_t found so far as integer
 lanes, twisted once per parity, and each order costs three integer dot
-products per entry. Its two callers are matrix_invert (a series inverts
-as the 1x1 case), which normalises each output coefficient once, and
-extension.extend. A 2x2 matrix whose lowest coefficient matrix is
-singular is refused with SingularError, even when it is invertible over
-the series ring.
+products per entry, each as long as L up to its last nonzero L_j: the
+cost per order follows the degree of the known factor, so a degree-d
+matrix inverts with O(d) terms per order. Its two callers are
+matrix_invert (a series inverts as the 1x1 case), which normalises each
+output coefficient once, and extension.extend. A 2x2 matrix whose
+lowest coefficient matrix is singular is refused with SingularError,
+even when it is invertible over the series ring.
 """
 
 from __future__ import annotations
@@ -274,8 +277,13 @@ def sum_products(dom: Domain, pairs) -> TruncatedSeries:
     when sigma is conjugation, else 1). Walking f adds f_j times g's
     lanes, conjugated when sigma^(val(f)+j) twists them, into the
     accumulator; walking g adds sigma^e(g_i) times f's lanes of parity e
-    into every step-th order. Zero scalars are skipped, and each output
-    coefficient is normalised once.
+    into every step-th order. Zero scalars are skipped.
+
+    The sums are then combined into each order's integer parts (over
+    Q(w), a + b*omega_c and c - a - b + b*omega_t from the Karatsuba sums
+    a, b, c, which need not vanish at a zero order). Elements are built
+    only from the first to the last order with a nonzero part, each
+    normalised once.
     """
     kt = None
     live = []
@@ -352,13 +360,18 @@ def sum_products(dom: Domain, pairs) -> TruncatedSeries:
     if quad:
         # w^2 = omega_c + omega_t * w
         aa, bb, cc = sums
-        nums = [RingElem(dom, a + b * dom.omega_c,
-                         c - a - b + b * dom.omega_t)
-                for a, b, c in zip(aa, bb, cc)]
+        parts = list(zip([a + b * dom.omega_c for a, b in zip(aa, bb)],
+                         [c - a - b + b * dom.omega_t
+                          for a, b, c in zip(aa, bb, cc)]))
     else:
-        nums = [RingElem(dom, a) for a in sums[0]]
-    return TruncatedSeries(dom, lo, [FieldElem(dom, n, den) if n else dom.fzero
-                                     for n in nums], kt)
+        parts = [(a, 0) for a in sums[0]]
+    nonzero = [i for i, (x, y) in enumerate(parts) if x or y]
+    if not nonzero:
+        return TruncatedSeries.zero(dom, kt)
+    first, last = nonzero[0], nonzero[-1]
+    return TruncatedSeries(dom, lo + first, [
+        FieldElem(dom, RingElem(dom, x, y), den) if x or y else dom.fzero
+        for x, y in parts[first:last + 1]], kt)
 
 
 class SeriesMatrix:
@@ -549,9 +562,12 @@ def matrix_invert(a: SeriesMatrix, prec: int | None = None) -> SeriesMatrix:
         S_t = sum_(j=1..t) a_(v+j) sigma^(v+j)(b_(t-j))
 
     (sigma^-v = sigma^v, as sigma is an involution): relaxed_product
-    with L_j = a_(v+j) for the known a_(v+j) and twist offset v. b is
-    known through min(known_to(a) - 2v, prec); an exact a needs an
-    explicit prec. Each b_t entry is normalised once.
+    with L_j = a_(v+j) up to the highest stored order of a (the orders
+    past it are zero) and twist offset v, so an order costs O(d) terms
+    for a of degree d, whatever prec. b is known through
+    min(known_to(a) - 2v, prec); an exact a needs an explicit prec. b_0
+    is sigma^v(a_v^-1); an order with no term (s None) has S_t = 0, so
+    b_t = 0. Each b_t entry is normalised once.
 
     A singular a_v raises SingularError, also for a 2x2 matrix that is
     invertible over the series ring, such as [[2 + x, 4 + 3x], [1, 2]]
@@ -576,16 +592,18 @@ def matrix_invert(a: SeriesMatrix, prec: int | None = None) -> SeriesMatrix:
         raise PrecisionError(
             "inverting an exact series needs an explicit prec")
     nterms = max(out_kt + v, 0)
-    depth = nterms - 1
-    if a.known_to is not None:
-        depth = min(depth, a.known_to - 1 - v)
+    # a_(v+j) = 0 past the highest stored order, which lies below known_to
+    top = max(s.val + len(s.coeffs) - 1 for r in a.rows for s in r if s.coeffs)
+    depth = min(nterms - 1, top - v)
     i_den, inv = inv_a0
     idx = range(r)
     twist = dom.conj_sigma and v % 2
 
     def step(t, den, s):
-        if s is None:   # order 0: delta_0 - S_0 is the identity
+        if not t:   # delta_0 - S_0 is the identity
             den, rhs = 1, [[(int(p == q), 0) for q in idx] for p in idx]
+        elif s is None:   # S_t = 0, so b_t = 0
+            return [[dom.fzero for q in idx] for p in idx]
         else:
             rhs = [[(-x, -y) for x, y in row] for row in s]
         bt = []
@@ -620,8 +638,12 @@ def relaxed_product(dom: Domain, known, offset: int, nterms: int, step):
         S_t = sum_(j=1..t) L_j sigma^(offset+j)(R_(t-j))
 
     as r rows of integer pairs (a, b), entry (a + b*w) / den (b = 0 over
-    Z); s is None when no term enters (t = 0, or known is empty).
+    Z). s is None when no term enters: at t = 0, and at every t when
+    each L_j is zero. A step keys its start on t == 0 and reads None at
+    t > 0 as S_t = 0.
 
+    Trailing zero matrices of known are dropped first, so each order
+    costs as much as L up to its last nonzero L_j, not as much as t.
     Row p of L_len, ..., L_1 is read once into lanes over one common
     denominator, entries side by side. Column q of the R_i found so far
     is kept the same way over the lcm of their denominators, once as
@@ -632,6 +654,9 @@ def relaxed_product(dom: Domain, known, offset: int, nterms: int, step):
     w^2 = omega_c + omega_t * w applied once.
     """
     quad, wc, wt = dom.is_quad, dom.omega_c, dom.omega_t
+    known = list(known)
+    while known and not any(c for row in known[-1] for c in row):
+        known.pop()   # L_j = 0 past the last nonzero L_j costs nothing
     depth = len(known)
     l_den = r_den = 1
     if depth:

@@ -197,6 +197,20 @@ def test_extend_prec_zero_is_trivial(zz):
     assert verify_extension_certificate(cert).ok
 
 
+def test_extend_on_constant_generators(any_domain):
+    """Exact constant generators have g_i = 0 for every i >= 1, so no
+    order has a term: A stays the identity and q stays 1 through prec."""
+    rng = random.Random(7)
+    for _ in range(3):
+        j_lat = rand_ideal(any_domain, rng)
+        row = SeriesMatrix(any_domain, [[TruncatedSeries.const(any_domain, a)
+                                         for a in j_lat.two_generators()]])
+        cert = extend(j_lat, row, 5)
+        assert cert.A == SeriesMatrix.identity(any_domain, 2, 6)
+        assert cert.q == TruncatedSeries.const(any_domain, 1, 6)
+        assert verify_extension_certificate(cert).ok
+
+
 def test_verify_rejects_overclaimed_precision(zz):
     j2 = from_ring_generators(zz, [zz.elem(2)])
     short = TruncatedSeries(zz, 0, [zz.felem(2), zz.fone], 5)

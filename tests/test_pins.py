@@ -1,6 +1,7 @@
 """Certificate bytes of jobs 0..19 at seed 0 against bench/digests.json,
-the functions a traced benchmark run wraps, and the element counts of one
-benchmark job's final inverse and of its verifier's comparisons.
+the functions a traced benchmark run wraps, and the counts of one
+benchmark job's final inverse (elements built, coefficient matrices read)
+and of its verifier's comparisons and identity product.
 
 Each workload's first twenty jobs run through ``skewdd.cli.main`` with
 the benchmark's own input generator, job runner and digest check, so a
@@ -130,3 +131,62 @@ def test_verifier_compares_products_without_building_elements(tmp_path,
     assert report.ok
     assert calls == 3
     assert built == 0
+
+
+def test_final_inverse_reads_only_the_stored_orders(tmp_path, monkeypatch):
+    """The final inverse of a complete-p32 job hands relaxed_product one
+    coefficient matrix a_(v+j) per order from v + 1 through S's highest
+    stored order, not one per output order: S is an exact polynomial of
+    low degree, and the orders past it are zero. Counted, not timed."""
+    seen = []
+    invert = series.matrix_invert
+
+    def capture(a, prec=None):
+        seen.append((a, prec))
+        return invert(a, prec)
+
+    monkeypatch.setattr(series, "matrix_invert", capture)
+    job = gen.make_job("complete-p32", 0, DENSE_INVERSE_JOB)
+    assert run.run_job(cli.main, job, tmp_path).ok
+    monkeypatch.setattr(series, "matrix_invert", invert)
+    (a, prec), = seen
+    depths = []
+    relaxed = series.relaxed_product
+
+    def recording(dom, known, *args):
+        depths.append(len(known))
+        return relaxed(dom, known, *args)
+
+    monkeypatch.setattr(series, "relaxed_product", recording)
+    series.matrix_invert(a, prec)
+    monkeypatch.undo()
+    top = max(s.val + len(s.coeffs) - 1 for row in a.rows for s in row
+              if s.coeffs)
+    assert a.known_to is None
+    assert depths == [top - a.min_val]
+
+
+def test_identity_product_builds_only_its_nonzero_window(tmp_path,
+                                                         monkeypatch):
+    """final @ final_inv of a seed-0 complete-p32 certificate is the
+    identity: it builds at most two RingElems (one for the sum, one for
+    its normalisation) per stored nonzero coefficient, not one per
+    output order. Counted, not timed."""
+    job = gen.make_job("complete-p32", 0, DENSE_INVERSE_JOB)
+    res = run.run_job(cli.main, job, tmp_path)
+    assert res.ok
+    cert = completion.CompletionCertificate.from_json(json.loads(res.data))
+    built = 0
+    init = domains.RingElem.__init__
+
+    def counting(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    monkeypatch.setattr(domains.RingElem, "__init__", counting)
+    prod = cert.final @ cert.final_inv
+    monkeypatch.undo()
+    stored = sum(len(s.coeffs) for row in prod.rows for s in row)
+    assert stored == 2
+    assert built <= 2 * stored

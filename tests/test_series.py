@@ -123,6 +123,17 @@ def test_cancellation_renormalizes_valuation(zz):
     assert s.valuation() == 1 and s.lowest() == zz.felem(5)
 
 
+def test_product_window_is_found_on_the_combined_parts(z5):
+    """(w + x) * w + 1 * 5 = w x over Z[sqrt(-5)]: at order 0 the Karatsuba
+    sums are (5, 1, 6), yet the value 5 + 1 * w^2 is zero, so the product
+    starts at order 1."""
+    w = TruncatedSeries.const(z5, z5.felem(0, 1))
+    x = TruncatedSeries.x_power(z5, 1)
+    one, five = (TruncatedSeries.const(z5, c) for c in (1, 5))
+    got = sum_products(z5, [(w + x, w), (one, five)])
+    assert (got.val, got.coeffs) == (1, (z5.felem(0, 1),))
+
+
 def test_from_coeff_map_adds_repeated_orders(z5):
     one_w = z5.felem(0, 1)
     items = [(2, z5.felem(3)), (0, z5.felem(1, 2)), (2, one_w),
@@ -152,6 +163,25 @@ def test_matrix_examples(zz):
     ])
     with pytest.raises(SingularError, match="lowest coefficient matrix"):
         matrix_invert(m, 6)
+
+
+@pytest.mark.parametrize("v", [0, 1])
+def test_exact_constant_inverse(any_domain, v):
+    """c x^v for an exact constant c, 1x1 and 2x2, inverted at prec 5: no
+    a_(v+j) is nonzero, so each b_t past order 0 is zero and the inverse
+    is x^-v c^-1, known through order 5."""
+    dom = any_domain
+    c = dom.felem(2, 1 if dom.is_quad else 0)
+    for entries in ([[c]], [[c, dom.fone], [dom.fone, dom.fone]]):
+        a = SeriesMatrix.from_const(dom, entries).shift(v)
+        inv = matrix_invert(a, 5)
+        n = len(entries)
+        assert inv.known_to == 5
+        assert all(len(s.coeffs) <= 1 and s.val == -v
+                   for row in inv.rows for s in row if s.coeffs)
+        ident = SeriesMatrix.identity(dom, n)
+        for prod in (a @ inv, inv @ a):
+            assert disagreement(prod, ident) == (None, 5 + v)
 
 
 def unit_lowest_series(dom, rng, v, length):
@@ -429,9 +459,10 @@ def test_invert_matches_per_term_recursion(any_domain, n, data):
 def relaxed_inputs(draw, dom):
     """(shape, known, offset, rs): shape (r, k, m) is 1x1 * 1x1, 2x2 * 2x2
     or 1x2 * 2x2; known holds the r x k matrices L_1, L_2, ..., from none
-    to more than the orders asked; rs holds the k x m matrices R_t that
-    the caller's step returns, one per order asked; entries have
-    denominators 1..35 and may be zero; the offset is -2..2."""
+    to more than the orders asked, often ending in all-zero matrices; rs
+    holds the k x m matrices R_t that the caller's step returns, one per
+    order asked; entries have denominators 1..35 and may be zero; the
+    offset is -2..2."""
     r, k, m = draw(st.sampled_from([(1, 1, 1), (2, 2, 2), (1, 2, 2)]))
     part = st.integers(-40, 40)
     entry = st.one_of(st.just(dom.fzero), st.builds(
@@ -443,6 +474,8 @@ def relaxed_inputs(draw, dom):
 
     nterms = draw(st.integers(0, 7))
     known = [matrix(r, k) for _ in range(draw(st.integers(0, nterms + 1)))]
+    known += [[[dom.fzero] * k for _ in range(r)]
+              for _ in range(draw(st.integers(0, 3)))]
     rs = [matrix(k, m) for _ in range(nterms)]
     return (r, k, m), known, draw(st.integers(-2, 2)), rs
 
@@ -455,7 +488,8 @@ def test_relaxed_product_matches_per_term_sums(any_domain, data):
     sum of L_j sigma^(offset+j)(R_(t-j)), with L_j = 0 past the end of
     known; odd offsets and orders make the twist act on the conj
     domains, and R_t over growing denominators makes the stored columns
-    rescale."""
+    rescale. s is None at t = 0, and at every t when each L_j is zero
+    (known empty or only zero matrices), which reads as S_t = 0."""
     dom = any_domain
     (r, k, m), known, offset, rs = data.draw(relaxed_inputs(dom))
     seen = []
@@ -468,13 +502,15 @@ def test_relaxed_product_matches_per_term_sums(any_domain, data):
     assert [t for t, _, _ in seen] == list(range(len(rs)))
     for t, den, s in seen:
         terms = range(1, min(t, len(known)) + 1)
-        if s is None:
-            assert not terms
-            continue
         want = [[sum((known[j - 1][p][i]
                       * dom.sigma_pow(rs[t - j][i][q], offset + j)
                       for j in terms for i in range(k)), dom.fzero)
                  for q in range(m)] for p in range(r)]
+        if s is None:
+            assert not t or not any(c for mat in known for row in mat
+                                    for c in row)
+            assert not any(c for row in want for c in row)
+            continue
         got = [[FieldElem(dom, RingElem(dom, a, b), den) for a, b in row]
                for row in s]
         assert got == want

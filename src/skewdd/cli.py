@@ -129,10 +129,7 @@ def cmd_report(args) -> int:
     dom = get_domain(textio.parse_domain(args.domain))
     rep = structure.k0_report(dom)
     print(rep.to_text())
-    if args.out:
-        _write_out(rep.to_json(), args.out)
-    else:
-        sys.stdout.write(textio.canonical_json(rep.to_json()))
+    _write_out(rep.to_json(), args.out)
     return 0
 
 

@@ -6,9 +6,9 @@ columns in [R, I]; a row is unimodular when some column multiplies it to
 over the idealized ring [[R, I^(-1)], [I, I*I^(-1)]], in certified steps:
 
   check_unimodular   normalizes the witness to a * t = x^n,
-  reduce_row         peels one order: an n-level row with respect to a
-                     shape ideal A becomes an (n-1)-level row with
-                     respect to B = s*A + q*J*A^(-1),
+  reduce_row         peels one order by one determinant-1 change of
+                     basis: a level-n row for a shape ideal A becomes
+                     a level-(n-1) row for B = s*A + q*J*A^(-1),
   base_case_invert   solves the order-0 case with a determinant-1
                      constant matrix,
   lift_invertibility pushes invertibility data back up one level,
@@ -160,26 +160,23 @@ class ShapedRow:
         self.shapes = shapes or ShapeTable(row.dom, j_ideal, a_ideal)
         _require_shape(row, self.shapes.row, "row")
 
-    def a0(self) -> tuple[FieldElem, FieldElem]:
-        return (self.row.rows[0][0].coeff(0), self.row.rows[0][1].coeff(0))
-
 
 @dataclass
 class ReductionContext:
-    """Data from one reduce_row step needed by the matching lift."""
+    """What the lift of one reduce_row step needs: the parent row, the
+    step's basis P and cobasis C, the reduced shape ideal B and lambda."""
 
-    a0: tuple
-    abar0: tuple
+    parent: ShapedRow
+    basis: SeriesMatrix
+    cobasis: SeriesMatrix
     b_ideal: FracIdeal
     lam: FieldElem
 
 
 @dataclass
 class InvertibilityData:
-    """Row with its level-n invertibility witness (b, T, H)."""
+    """Level-n invertibility witness (b, T, H) of a row."""
 
-    row: ShapedRow
-    witness: SeriesMatrix
     n: int
     b: SeriesMatrix
     T: SeriesMatrix
@@ -223,10 +220,10 @@ def check_unimodular(shaped: ShapedRow, t: SeriesMatrix
     if t.shape != (2, 1):
         raise SkewError("witness must be a 2x1 column")
     _require_shape(t, shaped.shapes.witness_col, "witness")
-    prod = (shaped.row @ t).rows[0][0]
-    diff = prod - TruncatedSeries.const(shaped.dom, shaped.dom.fone)
-    if diff.coeffs:
-        raise NotUnimodular(f"row * witness differs from 1 at order {diff.val}")
+    bad, _ = disagreement(shaped.row @ t,
+                          SeriesMatrix.from_const(shaped.dom, [[1]]))
+    if bad is not None:
+        raise NotUnimodular(f"row * witness differs from 1 at order {bad}")
     vals = [s.val for col in t.rows for s in col if s.coeffs]
     n = max(0, -min(vals)) if vals else 0
     return n, t.shift(n)
@@ -238,8 +235,12 @@ def reduce_row(shaped: ShapedRow, witness: SeriesMatrix,
     """One reduction step: level n with respect to A becomes level n-1
     with respect to B = s*A + q*J*A^(-1), consuming one known order.
 
-    Returns the reduced row, its constructed witness and the context
-    (a0, abar0, B, lambda) the matching lift needs.
+    The step is one change of basis. P = [[s, q], [-v, u]] has rows a0,
+    the row's order-0 coefficient, and abar0, with det P = s*u + q*v = 1;
+    C = [[u, q], [v, -s]] gives P*C = diag(1, -1). Then (alpha, abar) =
+    row*C and (tbar, -tlow) = P*witness. Returns the reduced row, its
+    witness (which the next step's entry check tests) and the context
+    (parent, P, C, B, lambda) the matching lift needs.
     """
     dom = shaped.dom
     shapes = shaped.shapes
@@ -249,7 +250,7 @@ def reduce_row(shaped: ShapedRow, witness: SeriesMatrix,
         raise SkewError("reduce_row needs level n >= 1")
     if prod.lowest() != dom.fone:
         raise NotUnimodular(f"witness product is not x^{n}")
-    s_e, q_e = shaped.a0()
+    s_e, q_e = shaped.row.coeff_matrix(0)[0]
     af = shaped.a_ideal
     b_ideal = ideals.zero_ideal(dom)
     if s_e:
@@ -265,34 +266,23 @@ def reduce_row(shaped: ShapedRow, witness: SeriesMatrix,
     u_prime, v_prime = _bezout_two_fractional(dom, w1, w2)
     u = u_prime / s_e if s_e else dom.fzero
     v = v_prime / q_e if q_e else dom.fzero
-    if s_e * u + q_e * v != dom.fone:
+    basis = SeriesMatrix.from_const(dom, [[s_e, q_e], [-v, u]])
+    if det2(basis.coeff_matrix(0)) != dom.fone:
         raise SkewError("Bezout step failed")
-    abar0 = (-v, u)
     lam_ideal = b_shapes.j_ainv.mul(b_shapes.row(1)[0][1])
     lam = _principal_or_obstruction(lam_ideal, "reduction scaling constant",
                                     bound)
-    # coefficient decompositions along (a0, abar0)
-    abar0_perp = SeriesMatrix.from_const(dom, [[u], [v]])
-    a0_perp = SeriesMatrix.from_const(dom, [[q_e], [-s_e]])
-    alpha = (shaped.row @ abar0_perp).rows[0][0]
-    abar = (shaped.row @ a0_perp).rows[0][0]
-    lam_inv = lam.inverse()
-    ent2 = mul(abar.shift(-1), TruncatedSeries.const(dom, lam_inv))
-    new_row = SeriesMatrix(dom, [[alpha, ent2]])
-    a0_row = SeriesMatrix.from_const(dom, [[s_e, q_e]])
-    abar0_row = SeriesMatrix.from_const(dom, [[-v, u]])
-    tbar = (a0_row @ witness).rows[0][0]
-    tlow = (-(abar0_row @ witness).rows[0][0])
-    wit_new = SeriesMatrix(dom, [[tbar.shift(-1)], [tlow.map_coeffs(
+    cobasis = SeriesMatrix.from_const(dom, [[u, q_e], [v, -s_e]])
+    alpha, abar = (shaped.row @ cobasis).rows[0]
+    ent2 = mul(abar.shift(-1), TruncatedSeries.const(dom, lam.inverse()))
+    (tbar,), (neg_tlow,) = (basis @ witness).rows
+    wit_new = SeriesMatrix(dom, [[tbar.shift(-1)], [(-neg_tlow).map_coeffs(
         lambda c: lam * dom.sigma_pow(c, 1))]])
-    reduced = ShapedRow(new_row, shaped.j_ideal, b_ideal, b_shapes)
+    reduced = ShapedRow(SeriesMatrix(dom, [[alpha, ent2]]), shaped.j_ideal,
+                        b_ideal, b_shapes)
     _require_shape(wit_new, reduced.shapes.witness_col, "reduced witness")
-    check = (new_row @ wit_new).rows[0][0] - TruncatedSeries.x_power(dom, n - 1)
-    if check.coeffs and check.val <= n - 1:
-        raise SkewError(
-            f"reduced witness identity fails at order {check.val}")
-    ctx = ReductionContext((s_e, q_e), abar0, b_ideal, lam)
-    return reduced, wit_new, ctx
+    return reduced, wit_new, ReductionContext(shaped, basis, cobasis,
+                                              b_ideal, lam)
 
 
 def base_case_invert(shaped: ShapedRow, witness: SeriesMatrix
@@ -331,37 +321,30 @@ def base_case_invert(shaped: ShapedRow, witness: SeriesMatrix
     if det2(h0) != dom.fone:
         raise SkewError("base-case leading determinant is not 1")
     _require_shape(h_series, shaped.shapes.h_mat, "base-case H")
-    return InvertibilityData(shaped, witness, 0, b_row, t_series, h_series)
+    return InvertibilityData(0, b_row, t_series, h_series)
 
 
 def lift_invertibility(child: InvertibilityData, ctx: ReductionContext,
-                       parent: ShapedRow, parent_witness: SeriesMatrix,
                        bound: int = ideals.PRINCIPAL_BOUND
                        ) -> InvertibilityData:
-    """Rebuild level-n invertibility of the parent row from the child's."""
+    """Level-n invertibility of ctx.parent from the child's (b~, T~):
+    b = (b~1, -lambda*b~2*x)*P and T = C*([T~1; twisted T~2*x^-1]*M)*x."""
+    parent = ctx.parent
     dom = parent.dom
     lam = ctx.lam
-    s_e, q_e = ctx.a0
-    neg_v, u = ctx.abar0
     mu = _principal_or_obstruction(parent.shapes.twist_ratio(1),
                                    "lift scaling constant", bound)
     m_const = SeriesMatrix.from_const(dom, [[dom.fone, dom.fzero],
                                             [dom.fzero, mu]])
     btil1, btil2 = child.b.rows[0]
     bbar = mul(btil2, TruncatedSeries.const(dom, lam)).shift(1)
-    a0_row = SeriesMatrix.from_const(dom, [[s_e, q_e]])
-    abar0_row = SeriesMatrix.from_const(dom, [[neg_v, u]])
-    b_row = (SeriesMatrix(dom, [[btil1]]) @ a0_row) \
-        - (SeriesMatrix(dom, [[bbar]]) @ abar0_row)
-    trow1, trow2 = (SeriesMatrix(dom, [r]) for r in child.T.rows)
-    tbar_rows = (trow1 @ m_const).shift(1)
+    b_row = SeriesMatrix(dom, [[btil1, -bbar]]) @ ctx.basis
+    trow1, trow2 = child.T.rows
     lam_inv = lam.inverse()
-    inner = trow2.map(lambda s: s.map_coeffs(
-        lambda c: dom.sigma_pow(c * lam_inv, 1)))
-    t_rows = (inner.shift(-1) @ m_const).shift(1)
-    abar0_perp = SeriesMatrix.from_const(dom, [[u], [-neg_v]])
-    a0_perp = SeriesMatrix.from_const(dom, [[q_e], [-s_e]])
-    t_series = (abar0_perp @ tbar_rows) + (a0_perp @ t_rows)
+    twisted = [s.map_coeffs(lambda c: dom.sigma_pow(c * lam_inv, 1)).shift(-1)
+               for s in trow2]
+    t_series = ctx.cobasis @ (SeriesMatrix(dom, [trow1, twisted])
+                              @ m_const).shift(1)
     h_series = _stack(parent.row, b_row) @ t_series
     n = child.n + 1
     for r, row in enumerate(h_series.rows):
@@ -384,8 +367,7 @@ def lift_invertibility(child: InvertibilityData, ctx: ReductionContext,
     _require_shape(b_row, parent.shapes.b_row, "lifted b row")
     _require_shape(t_series, parent.shapes.t_mat, "lifted T")
     _require_shape(h_series, parent.shapes.h_mat, "lifted H")
-    return InvertibilityData(parent, parent_witness, n, b_row, t_series,
-                             h_series)
+    return InvertibilityData(n, b_row, t_series, h_series)
 
 
 @dataclass
@@ -431,11 +413,12 @@ class CompletionCertificate:
             return textio.matrix_from_json(dom, obj[key])
 
         prec = textio.certified_prec(textio.json_int(obj["prec"], "prec"), 1)
+        n = textio.certified_prec(textio.json_int(obj["n"], "n"), 0, "n")
         return CompletionCertificate(
             spec,
             textio.ideal_lattice_from_json(dom, obj["ideal"]),
             textio.ideal_lattice_from_json(dom, obj["a_ideal"]),
-            m("row"), m("witness"), textio.json_int(obj["n"], "n"),
+            m("row"), m("witness"), n,
             m("b"), m("T"), m("H"), m("final"), m("final_inv"), prec,
         )
 
@@ -459,15 +442,14 @@ def complete_unimodular_row(shaped: ShapedRow, t: SeriesMatrix, prec: int,
         raise PrecisionError(
             f"need {prec + n} known orders (reduction depth {n}), "
             f"have {avail}", deficit=prec + n - avail)
-    chain = []   # (row, witness, context) of each reduced level
+    chain = []   # the context of each reduced level
     cur_row, cur_wit = shaped, t2
     for _ in range(n):
-        reduced, wit, ctx = reduce_row(cur_row, cur_wit, bound)
-        chain.append((cur_row, cur_wit, ctx))
-        cur_row, cur_wit = reduced, wit
+        cur_row, cur_wit, ctx = reduce_row(cur_row, cur_wit, bound)
+        chain.append(ctx)
     data = base_case_invert(cur_row, cur_wit)
-    for parent_row, parent_wit, ctx in reversed(chain):
-        data = lift_invertibility(data, ctx, parent_row, parent_wit, bound)
+    for ctx in reversed(chain):
+        data = lift_invertibility(data, ctx, bound)
     if not shaped.a_ideal.is_unit:
         raise SkewError("final conversion needs the unit shape ideal")
     det_hn = det2(data.H.coeff_matrix(n))
@@ -508,13 +490,13 @@ def verify_completion(cert: CompletionCertificate) -> VerifyReport:
     shape_check("H shape membership", cert.H, shapes.h_mat)
 
     wit_prod = (cert.row @ cert.witness).rows[0][0]
-    wdiff = wit_prod - TruncatedSeries.x_power(dom, cert.n)
-    if wdiff.coeffs and wdiff.val <= cert.n:
-        rep.add("row * witness = x^n", False, "", wdiff.val)
+    bad, _ = disagreement(SeriesMatrix(dom, [[wit_prod]]), SeriesMatrix(
+        dom, [[TruncatedSeries.x_power(dom, cert.n)]]))
+    if bad is not None and bad <= cert.n:
+        rep.add("row * witness = x^n", False, "", bad)
     else:
-        trailing_ok = all(c.is_integral for c in wdiff.coeffs)
-        rep.add("row * witness = x^n", trailing_ok,
-                "" if trailing_ok else "trailing coefficients not integral")
+        rep.add("row * witness = x^n", wit_prod.ring,
+                "" if wit_prod.ring else "trailing coefficients not integral")
 
     prod = _stack(cert.row, cert.b) @ cert.T
     bad_order, bound = disagreement(prod, cert.H)

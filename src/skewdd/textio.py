@@ -39,7 +39,8 @@ def json_int(value, what: str) -> int:
 
 
 def certified_prec(value: int, least: int, what: str = "prec") -> int:
-    """A certified precision in least..MAX_ORDER (a memory cap, not a time cap)."""
+    """A certified precision or reduction depth in least..MAX_ORDER (a
+    memory cap, not a time cap)."""
     if not least <= value <= MAX_ORDER:
         raise ValueError(f"{what} must be in {least}..{MAX_ORDER}, not {value}")
     return value

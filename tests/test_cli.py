@@ -173,6 +173,9 @@ MALFORMED = {
     "infinite series prec":
         ("extension", lambda obj: obj["q"].update(prec=float("inf"))),
     "boolean n": ("completion", lambda obj: obj.update(n=True)),
+    # a reduction depth is an order count: 0..MAX_ORDER
+    "negative n": ("completion", lambda obj: obj.update(n=-1)),
+    "huge n": ("completion", lambda obj: obj.update(n=10 ** 9)),
     "float completion prec":
         ("completion", lambda obj: _bump(obj, "prec", 0.5)),
     # a certified order range must be nonempty: extension prec >= 0,

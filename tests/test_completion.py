@@ -23,7 +23,7 @@ from skewdd.errors import (
     SkewError,
 )
 from skewdd.ideals import from_generators, from_ring_generators, unit_ideal
-from skewdd.series import SeriesMatrix, TruncatedSeries
+from skewdd.series import SeriesMatrix, TruncatedSeries, det2
 from skewdd.textio import parse_series
 
 from conftest import completion_test_ideal, random_unimodular_row
@@ -104,7 +104,7 @@ def test_base_case_examples(zz, z5):
     # (1+w)/2 * 2 + 1 * (-w) = 1
     wit = SeriesMatrix.from_const(z5, [[z5.felem(2)], [z5.felem(0, -1)]])
     data = base_case_invert(shaped, wit)
-    assert verify_partial_shapes(data)
+    assert verify_partial_shapes(shaped, data)
     h0 = data.H.coeff_matrix(0)
     assert h0[0][0] * h0[1][1] - h0[0][1] * h0[1][0] == z5.fone
 
@@ -164,8 +164,8 @@ def test_shape_table_matches_the_five_families(any_domain):
         assert table.j_ainv == j_lat.mul(table.ainv)
 
 
-def verify_partial_shapes(data):
-    shapes = data.row.shapes
+def verify_partial_shapes(shaped, data):
+    shapes = shaped.shapes
     from skewdd.completion import _shape_violation
     return (_shape_violation(data.b, shapes.b_row) is None
             and _shape_violation(data.T, shapes.t_mat) is None
@@ -280,6 +280,33 @@ def test_random_rows_complete(any_domain):
         rep = verify_completion(cert)
         assert rep.ok, list(rep.lines())
     assert saw_positive_level
+
+
+def test_each_level_is_one_determinant_one_change_of_basis(any_domain):
+    """Every reduce_row step's basis P has determinant 1 and its cobasis C
+    gives P * C = diag(1, -1); on a depth-1 row, the lift of the base case
+    through the step's context is the b, T and H of the full chain."""
+    dom = any_domain
+    rng = random.Random(51)
+    j_lat = completion_test_ideal(dom)
+    levels = depth_one = 0
+    for _ in range(20):
+        shaped, t = random_unimodular_row(dom, j_lat, rng)
+        n, wit = check_unimodular(shaped, t)
+        row = shaped
+        for _ in range(n):
+            row, wit, ctx = reduce_row(row, wit)
+            levels += 1
+            assert det2(ctx.basis.coeff_matrix(0)) == dom.fone
+            assert (ctx.basis @ ctx.cobasis).coeff_matrix(0) \
+                == [[dom.fone, dom.fzero], [dom.fzero, -dom.fone]]
+        if n == 1:
+            depth_one += 1
+            data = lift_invertibility(base_case_invert(row, wit), ctx)
+            cert = complete_unimodular_row(shaped, t, 8)
+            assert (data.n, data.b, data.T, data.H) \
+                == (cert.n, cert.b, cert.T, cert.H)
+    assert levels and depth_one
 
 
 def test_extended_ideal_iso_examples(z5, zz):

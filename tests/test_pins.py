@@ -1,7 +1,8 @@
 """Certificate bytes of jobs 0..19 at seed 0 against bench/digests.json,
-the functions a traced benchmark run wraps, and the counts of one
+the functions a traced benchmark run wraps, the counts of one
 benchmark job's final inverse (elements built, coefficient matrices read)
-and of its verifier's comparisons and identity product.
+and of its verifier's comparisons and identity product, and the
+row-by-witness products of a completion job.
 
 Each workload's first twenty jobs run through ``skewdd.cli.main`` with
 the benchmark's own input generator, job runner and digest check, so a
@@ -98,8 +99,8 @@ def test_final_inverse_builds_one_element_per_coefficient(tmp_path,
 def test_verifier_compares_products_without_building_elements(tmp_path,
                                                                monkeypatch):
     """verify_completion on a seed-0 complete-p32 certificate builds no
-    FieldElem inside disagreement: the products are compared with H and
-    the identity coefficient by coefficient, not through a difference
+    FieldElem inside disagreement: the products are compared with x^n, H
+    and the identity coefficient by coefficient, not through a difference
     series. Counted, not timed."""
     job = gen.make_job("complete-p32", 0, DENSE_INVERSE_JOB)
     res = run.run_job(cli.main, job, tmp_path)
@@ -129,7 +130,7 @@ def test_verifier_compares_products_without_building_elements(tmp_path,
     report = completion.verify_completion(cert)
     monkeypatch.undo()
     assert report.ok
-    assert calls == 3
+    assert calls == 4
     assert built == 0
 
 
@@ -190,3 +191,31 @@ def test_identity_product_builds_only_its_nonzero_window(tmp_path,
     stored = sum(len(s.coeffs) for row in prod.rows for s in row)
     assert stored == 2
     assert built <= 2 * stored
+
+
+def test_row_witness_products_are_depth_plus_four(tmp_path, monkeypatch):
+    """Each seed-0 complete-p32 job 0..39 (depths 0 to 4; complete-row,
+    then verify) forms one 1x2 by 2x1 product per reduction level and
+    four more: check_unimodular, the base case and the verifier's
+    row * witness once per verifier call. A level's change of basis goes
+    through 2x2 constant matrices, not through row-by-column products.
+    Counted, not timed."""
+    counts = []
+    matmul = series.SeriesMatrix.__matmul__
+
+    def counting(self, other):
+        if self.shape == (1, 2) and getattr(other, "shape", None) == (2, 1):
+            counts[-1] += 1
+        return matmul(self, other)
+
+    monkeypatch.setattr(series.SeriesMatrix, "__matmul__", counting)
+    depths = set()
+    for index in range(40):
+        counts.append(0)
+        res = run.run_job(cli.main, gen.make_job("complete-p32", 0, index),
+                          tmp_path)
+        assert res.ok
+        depth = json.loads(res.data)["n"]
+        depths.add(depth)
+        assert counts[-1] == depth + 4, (index, depth, counts[-1])
+    assert {0, 1} <= depths and max(depths) >= 2

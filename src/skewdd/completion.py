@@ -40,7 +40,8 @@ from .errors import (
 from . import ideals
 from .ideals import FracIdeal, unit_ideal
 from .reporting import VerifyReport
-from .series import SeriesMatrix, TruncatedSeries, det2, disagreement, mul
+from .series import (SeriesMatrix, TruncatedSeries, det2, disagreement,
+                     scale_column, scale_right)
 from . import textio
 
 
@@ -110,14 +111,18 @@ class ShapeTable:
 
 
 def _shape_violation(mat: SeriesMatrix, shape_of):
-    """First (row, col, order) whose coefficient escapes its shape ideal."""
+    """First (row, col, order) whose coefficient escapes its shape ideal.
+
+    A shape depends only on the parity of the order, so each entry's
+    ideal is looked up once per parity.
+    """
+    tables = (shape_of(0), shape_of(1))
     for r, row in enumerate(mat.rows):
         for c, series in enumerate(row):
+            at = (tables[0][r][c], tables[1][r][c])
             for j, coef in enumerate(series.coeffs):
-                if not coef:
-                    continue
                 order = series.val + j
-                if not shape_of(order)[r][c].contains(coef):
+                if coef and not at[order % 2].contains(coef):
                     return (r, c, order)
     return None
 
@@ -274,7 +279,7 @@ def reduce_row(shaped: ShapedRow, witness: SeriesMatrix,
                                     bound)
     cobasis = SeriesMatrix.from_const(dom, [[u, q_e], [v, -s_e]])
     alpha, abar = (shaped.row @ cobasis).rows[0]
-    ent2 = mul(abar.shift(-1), TruncatedSeries.const(dom, lam.inverse()))
+    ent2 = scale_right(abar.shift(-1), lam.inverse())
     (tbar,), (neg_tlow,) = (basis @ witness).rows
     wit_new = SeriesMatrix(dom, [[tbar.shift(-1)], [(-neg_tlow).map_coeffs(
         lambda c: lam * dom.sigma_pow(c, 1))]])
@@ -334,17 +339,15 @@ def lift_invertibility(child: InvertibilityData, ctx: ReductionContext,
     lam = ctx.lam
     mu = _principal_or_obstruction(parent.shapes.twist_ratio(1),
                                    "lift scaling constant", bound)
-    m_const = SeriesMatrix.from_const(dom, [[dom.fone, dom.fzero],
-                                            [dom.fzero, mu]])
     btil1, btil2 = child.b.rows[0]
-    bbar = mul(btil2, TruncatedSeries.const(dom, lam)).shift(1)
+    bbar = scale_right(btil2, lam).shift(1)
     b_row = SeriesMatrix(dom, [[btil1, -bbar]]) @ ctx.basis
     trow1, trow2 = child.T.rows
     lam_inv = lam.inverse()
     twisted = [s.map_coeffs(lambda c: dom.sigma_pow(c * lam_inv, 1)).shift(-1)
                for s in trow2]
-    t_series = ctx.cobasis @ (SeriesMatrix(dom, [trow1, twisted])
-                              @ m_const).shift(1)
+    t_series = ctx.cobasis @ scale_column(SeriesMatrix(dom, [trow1, twisted]),
+                                          mu).shift(1)
     h_series = _stack(parent.row, b_row) @ t_series
     n = child.n + 1
     for r, row in enumerate(h_series.rows):
@@ -452,13 +455,12 @@ def complete_unimodular_row(shaped: ShapedRow, t: SeriesMatrix, prec: int,
         data = lift_invertibility(data, ctx, bound)
     if not shaped.a_ideal.is_unit:
         raise SkewError("final conversion needs the unit shape ideal")
-    det_hn = det2(data.H.coeff_matrix(n))
-    m2 = SeriesMatrix.from_const(dom, [[dom.fone, dom.fzero],
-                                       [dom.fzero, det_hn.inverse()]])
-    s_mat = data.H.shift(-n) @ m2
-    s_inv = s_mat.invert(prec + n + 2)
+    # S = H x^-n diag(1, det(H_n)^-1) has a determinant-1 lowest
+    # coefficient matrix
+    det_inv = det2(data.H.coeff_matrix(n)).inverse()
+    s_inv = scale_column(data.H.shift(-n), det_inv).invert(prec + n + 2)
     final = _stack(shaped.row, data.b)
-    final_inv = (data.T.shift(-n) @ m2) @ s_inv
+    final_inv = scale_column(data.T.shift(-n), det_inv) @ s_inv
     cert = CompletionCertificate(
         dom.spec, shaped.j_ideal, shaped.a_ideal, shaped.row, t2, n,
         data.b, data.T, data.H, final, final_inv, prec)
@@ -494,6 +496,10 @@ def verify_completion(cert: CompletionCertificate) -> VerifyReport:
         dom, [[TruncatedSeries.x_power(dom, cert.n)]]))
     if bad is not None and bad <= cert.n:
         rep.add("row * witness = x^n", False, "", bad)
+    elif wit_prod.known_to is not None and wit_prod.known_to <= cert.n:
+        # agreement below order n says nothing about the x^n term
+        rep.add("row * witness = x^n", False,
+                f"product known only below order {wit_prod.known_to}")
     else:
         rep.add("row * witness = x^n", wit_prod.ring,
                 "" if wit_prod.ring else "trailing coefficients not integral")

@@ -273,14 +273,15 @@ class FieldElem:
     __slots__ = ("dom", "num", "den")
 
     def __init__(self, dom: Domain, num: RingElem, den: int = 1):
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        if den < 0:
-            num, den = -num, -den
-        g = gcd(num.content(), den)
-        if g > 1:
-            num = RingElem(dom, num.a // g, num.b // g)
-            den //= g
+        if den != 1:   # den == 1 is already in lowest terms
+            if den == 0:
+                raise ZeroDivisionError("zero denominator")
+            if den < 0:
+                num, den = -num, -den
+            g = gcd(num.content(), den)
+            if g > 1:
+                num = RingElem(dom, num.a // g, num.b // g)
+                den //= g
         self.dom = dom
         self.num = num
         self.den = den

@@ -41,8 +41,8 @@ from .errors import (
 from . import ideals
 from .ideals import FracIdeal, echelon, from_ring_generators
 from .reporting import VerifyReport
-from .series import (SeriesMatrix, TruncatedSeries, disagreement, mul,
-                     relaxed_product, sum_products)
+from .series import (SeriesMatrix, TruncatedSeries, disagreement,
+                     relaxed_product, scale_right, sum_products)
 from . import textio
 
 STALL_DEPTH = 4
@@ -365,7 +365,7 @@ def verify_extension_certificate(cert: ExtensionCertificate) -> VerifyReport:
     rep.add("q has lowest coefficient 1 at order 0",
             not cert.q.is_known_zero and cert.q.valuation() == 0
             and cert.q.lowest() == dom.fone)
-    lhs = [mul(cert.q, TruncatedSeries.const(dom, a)) for a in (a1, a2)]
+    lhs = [scale_right(cert.q, a.to_field()) for a in (a1, a2)]
     first_bad, verified = disagreement(SeriesMatrix(dom, [lhs]),
                                        cert.g @ cert.A)
     # the claim covers orders through prec: a bound of prec + 1 is needed

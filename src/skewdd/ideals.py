@@ -270,10 +270,15 @@ class FracIdeal:
             return self
         if self.is_zero or other.is_zero:
             return zero_ideal(self.dom)
+        den = self.den * other.den
+        if not self.dom.is_quad:
+            return FracIdeal(self.dom, self.a * other.a, den=den)
+        # the four products of the two Z-bases span the product over Z,
+        # so no w-multiples are needed
         u1, u2 = self.two_generators()
         v1, v2 = other.two_generators()
-        return from_ring_generators(self.dom, [u1 * v1, u1 * v2, u2 * v1, u2 * v2],
-                                    self.den * other.den)
+        return _lattice_ideal(self.dom, [[p.b, p.a] for p in (
+            u1 * v1, u1 * v2, u2 * v1, u2 * v2)], den)
 
     def add(self, other: "FracIdeal") -> "FracIdeal":
         if self.is_zero:
@@ -345,7 +350,13 @@ def from_ring_generators(dom: Domain, gens: list[RingElem], den: int = 1
         for g in gens:
             m = gcd(m, g.a)
         return FracIdeal(dom, m, den=den)
-    ech, pivots, _ = echelon(_coefficient_rows(dom, gens))
+    return _lattice_ideal(dom, _coefficient_rows(dom, gens), den)
+
+
+def _lattice_ideal(dom: Domain, rows: list[list[int]], den: int) -> FracIdeal:
+    """The ideal whose numerator lattice the coordinate rows (b, a) of
+    elements a + b*w span over Z, divided by den, in HNF."""
+    ech, pivots, _ = echelon(rows)
     if pivots != [0, 1]:
         raise SkewError("generators do not span a rank-2 lattice")
     c, b = ech[0][0], ech[0][1]

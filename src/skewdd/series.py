@@ -11,17 +11,20 @@ through min(val(f) + known_to(g), val(g) + known_to(f)) and never
 beyond; no operation ever claims an order it cannot compute. Values are
 immutable and operations pure.
 
-Every product goes through one kernel, sum_products: a sum of twisted
-products (mul is its one-pair case, and each entry of a matrix product
-one call). It reads each factor once into integer lanes (a_i, b_i) over
-one positive common denominator, with coefficient (a_i + b_i*w) / den
-(over Z there is no b lane). It convolves the lanes with plain int
-arithmetic by walking the shorter factor: each of its coefficients adds
-one scaled copy of the other factor's lanes into an accumulator, so a
-pair costs O(min(nf, step*ng)) Python steps rather than one dot product
-per output order. Elements are built only inside the product's nonzero
-window, found on the combined integer parts: one FieldElem, so one gcd,
-per order from the first to the last nonzero one.
+A constant factor is a scaling, not a product: scale_right(f, c) sets
+order i to f_i * sigma^i(c), and scale_column(m, c) is m @ diag(1, c).
+Every product of two series goes through one kernel, sum_products: a
+sum of twisted products (mul is its one-pair case, and each entry of a
+matrix product one call). It reads each factor once into integer lanes
+(a_i, b_i) over one positive common denominator, with coefficient
+(a_i + b_i*w) / den (over Z there is no b lane). It convolves the lanes
+with plain int arithmetic by walking the shorter factor: each of its
+coefficients adds one scaled copy of the other factor's lanes into an
+accumulator, so a pair costs O(min(nf, step*ng)) Python steps rather
+than one dot product per output order. Elements are built only inside
+the product's nonzero window, found on the combined integer parts: one
+FieldElem, so one gcd, per order from the first to the last nonzero
+one.
 
 Order-by-order products share one relaxed recursion, relaxed_product
 (van der Hoeven, "Relax, but don't be too lazy", J. Symbolic Comput.
@@ -243,6 +246,29 @@ class TruncatedSeries:
 def mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """Twisted Cauchy product; precision follows the min rule."""
     return sum_products(f.dom, [(f, g)])
+
+
+def scale_right(f: TruncatedSeries, c: FieldElem) -> TruncatedSeries:
+    """f * c for a constant c: order i becomes f_i * sigma^i(c).
+
+    The value of mul(f, const(c)) without a convolution: f itself when
+    c = 1, the exact zero when c = 0, and otherwise f's window with
+    known_to unchanged (an exact constant bounds nothing, and a nonzero
+    c keeps every nonzero coefficient nonzero).
+    """
+    if not c:
+        return TruncatedSeries.zero(f.dom)
+    if c == f.dom.fone or not f.coeffs:
+        return f
+    at = (c, f.dom.sigma_pow(c, 1))
+    return TruncatedSeries(f.dom, f.val, [
+        a * at[(f.val + j) % 2] if a else a for j, a in enumerate(f.coeffs)],
+        f.known_to)
+
+
+def scale_column(m: "SeriesMatrix", c: FieldElem) -> "SeriesMatrix":
+    """m @ diag(1, c): the second column scaled on the right by c."""
+    return SeriesMatrix(m.dom, [[a, scale_right(b, c)] for a, b in m.rows])
 
 
 def _lanes(coeffs, quad: bool):

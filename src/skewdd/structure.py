@@ -19,7 +19,7 @@ from . import ideals
 from .ideals import FracIdeal, from_ring_generators
 from .classgroup import class_group, sigma_acts_trivially
 from .completion import extended_ideal_iso
-from .series import TruncatedSeries, mul
+from .series import TruncatedSeries, mul, scale_right
 from . import textio
 
 
@@ -167,7 +167,7 @@ def stable_rank_witness(dom: Domain, a: RingElem) -> StableRankWitness:
     a_plus_x = TruncatedSeries.from_coeff_map(dom, [(0, af), (1, dom.fone)])
     second = TruncatedSeries.from_coeff_map(
         dom, [(0, af * af), (1, b.to_field())])
-    lhs = mul(a_plus_x, TruncatedSeries.const(dom, af)) - second
+    lhs = scale_right(a_plus_x, af) - second
     expected = TruncatedSeries.from_coeff_map(dom, [(1, -dom.fone)])
     identity_ok = (lhs - expected).is_exact_zero
     cases = {}

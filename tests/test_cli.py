@@ -132,6 +132,25 @@ def test_verify_tampered_exits_3(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_verify_truncated_witness_exits_3(tmp_path, capsys, zz):
+    """row * witness = x^n needs the product known past order n: the
+    classic row's certificate (n = 1) with its witness replaced by two
+    zero series known below order 1 agrees with x^1 wherever it is known,
+    and proves nothing."""
+    out_path = tmp_path / "cert.json"
+    code, _, _ = run(capsys, *classic_row_argv(tmp_path, zz),
+                     "--out", str(out_path))
+    assert code == 0
+    obj = json.loads(out_path.read_text())
+    assert obj["n"] == 1
+    obj["witness"] = [[{"val": 0, "coeffs": [], "prec": 1}]] * 2
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "verify", str(bad_path))
+    assert code == 3
+    assert "FAIL: row * witness = x^n" in out
+
+
 def _bump(obj, key, by):
     obj[key] = obj[key] + by
 

@@ -2,6 +2,7 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from skewdd import completion, ideals
 from skewdd.completion import (
@@ -170,6 +171,55 @@ def verify_partial_shapes(shaped, data):
     return (_shape_violation(data.b, shapes.b_row) is None
             and _shape_violation(data.T, shapes.t_mat) is None
             and _shape_violation(data.H, shapes.h_mat) is None)
+
+
+def reference_shape_violation(mat, shape_of):
+    """First (row, col, order) escaping its shape, one lookup per
+    coefficient."""
+    for r, row in enumerate(mat.rows):
+        for c, series in enumerate(row):
+            for j, coef in enumerate(series.coeffs):
+                order = series.val + j
+                if coef and not shape_of(order)[r][c].contains(coef):
+                    return (r, c, order)
+    return None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_shape_violation_matches_a_per_coefficient_lookup(any_domain, data):
+    """The once-per-parity lookup finds the same first violation, or none,
+    as a lookup per coefficient, for every family of the shape table."""
+    from skewdd.completion import _shape_violation
+    dom = any_domain
+    j_lat = completion_test_ideal(dom)
+    a_lat = data.draw(st.sampled_from([unit_ideal(dom), j_lat,
+                                       j_lat.sigma(1)]))
+    shape_of = getattr(completion.ShapeTable(dom, j_lat, a_lat),
+                       data.draw(st.sampled_from(sorted(
+                           completion.ShapeTable.RULE))))
+    part = st.integers(-3, 3)
+
+    def coefficient(r, c, order):
+        if not data.draw(st.integers(0, 9)):   # often outside the shape
+            return dom.felem(data.draw(part),
+                             data.draw(part) if dom.is_quad else 0,
+                             data.draw(st.sampled_from([1, 2, 3])))
+        g1, g2 = shape_of(order)[r][c].gens()
+        return g1 * data.draw(part) + g2 * data.draw(part)
+
+    def entry(r, c):
+        val = data.draw(st.integers(-2, 2))
+        return TruncatedSeries(dom, val, [
+            coefficient(r, c, val + j)
+            for j in range(data.draw(st.integers(0, 4)))])
+
+    shape = shape_of(0)
+    mat = SeriesMatrix(dom, [[entry(r, c) for c in range(len(shape[0]))]
+                             for r in range(len(shape))])
+    assert _shape_violation(mat, shape_of) \
+        == reference_shape_violation(mat, shape_of)
 
 
 def test_full_completion_classic_row(zz):

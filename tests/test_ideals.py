@@ -362,3 +362,25 @@ def test_express_in_generators_round_trip(any_domain, data):
     assert all(isinstance(c, RingElem) for c in coeffs)
     assert sum((g * c.to_field() for g, c in zip(gens, coeffs)),
                dom.fzero) == e
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_ideal_product_matches_the_generator_path(any_domain, data):
+    """FracIdeal.mul, which echelons the four products of the two Z-bases,
+    equals from_ring_generators of those products over the product of the
+    denominators, which also spans their w-multiples; fractional and unit
+    ideals included."""
+    dom = any_domain
+
+    def ideal():
+        if not data.draw(st.integers(0, 3)):
+            return unit_ideal(dom)
+        return from_generators(dom, data.draw(generator_lists(dom)))
+
+    u, v = ideal(), ideal()
+    u1, u2 = u.two_generators()
+    v1, v2 = v.two_generators()
+    want = from_ring_generators(dom, [u1 * v1, u1 * v2, u2 * v1, u2 * v2],
+                                u.den * v.den)
+    assert fields(u.mul(v)) == fields(want)

@@ -1,8 +1,9 @@
 """Certificate bytes of jobs 0..19 at seed 0 against bench/digests.json,
 the functions a traced benchmark run wraps, the counts of one
 benchmark job's final inverse (elements built, coefficient matrices read)
-and of its verifier's comparisons and identity product, and the
-row-by-witness products of a completion job.
+and of its verifier's comparisons and identity product, the
+row-by-witness products and series products of a completion job, and
+the echelon rows of one ideal product.
 
 Each workload's first twenty jobs run through ``skewdd.cli.main`` with
 the benchmark's own input generator, job runner and digest check, so a
@@ -23,7 +24,7 @@ import gen  # noqa: E402
 import run  # noqa: E402
 import spans  # noqa: E402
 
-from skewdd import cli, completion, domains, series  # noqa: E402
+from skewdd import cli, completion, domains, ideals, series  # noqa: E402
 
 PIN_JOBS = 20
 # seed-0 complete-p32 job whose final 2x2 inverse has no zero coefficient
@@ -219,3 +220,46 @@ def test_row_witness_products_are_depth_plus_four(tmp_path, monkeypatch):
         depths.add(depth)
         assert counts[-1] == depth + 4, (index, depth, counts[-1])
     assert {0, 1} <= depths and max(depths) >= 2
+
+
+@pytest.mark.parametrize("index, depth, products", [(0, 0, 36), (34, 2, 66)])
+def test_series_products_per_completion_job(tmp_path, monkeypatch, index,
+                                            depth, products):
+    """complete-row then verify on a seed-0 complete-p32 job forms
+    36 + 15 * depth series products: a constant factor (the final
+    conversion's diag(1, det(H_n)^-1), the lift's diag(1, mu), lambda and
+    lambda^-1) is a scaling, not a product. Counted, not timed."""
+    calls = 0
+    kernel = series.sum_products
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(series, "sum_products", counting)
+    res = run.run_job(cli.main, gen.make_job("complete-p32", 0, index),
+                      tmp_path)
+    assert res.ok
+    assert json.loads(res.data)["n"] == depth
+    assert calls == products
+
+
+def test_ideal_product_echelons_four_rows(monkeypatch):
+    """A product of two quadratic ideals echelons the four products of
+    their Z-bases, not those and their w-multiples. Counted, not timed."""
+    dom = domains.get_domain(domains.DomainSpec("quad", -5, "id"))
+    p2, p3 = (ideals.from_ring_generators(dom, [dom.elem(p), dom.elem(1, 1)])
+              for p in (2, 3))
+    rows = []
+    echelon = ideals.echelon
+
+    def recording(m, *args, **kwargs):
+        rows.append(len(m))
+        return echelon(m, *args, **kwargs)
+
+    monkeypatch.setattr(ideals, "echelon", recording)
+    product = p2.mul(p3)
+    monkeypatch.undo()
+    assert rows == [4]
+    assert product == ideals.from_ring_generators(dom, [dom.elem(1, 1)])

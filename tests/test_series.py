@@ -10,7 +10,8 @@ from skewdd.domains import FieldElem, RingElem
 from skewdd.errors import PrecisionError, SingularError, SkewError
 from skewdd.series import (SeriesMatrix, TruncatedSeries, _kt_add, _kt_min,
                            _lanes, _with_sum, det2, disagreement,
-                           matrix_invert, relaxed_product, sum_products)
+                           matrix_invert, relaxed_product, scale_column,
+                           scale_right, sum_products)
 from skewdd.textio import format_series, parse_series
 
 from conftest import rand_ring_elem
@@ -366,6 +367,36 @@ def test_sum_products_matches_naive(any_domain, data):
                                          kernel_series(dom)), max_size=4))
     assert_same_series(sum_products(dom, pairs),
                        naive_sum_products(dom, pairs))
+
+
+def constants(dom):
+    """0, 1, -1, w (over Q(w)) or a random element over a denominator."""
+    part = st.integers(-40, 40)
+    special = [dom.fzero, dom.fone, -dom.fone]
+    if dom.is_quad:
+        special.append(dom.omega.to_field())
+    return st.one_of(st.sampled_from(special), st.builds(
+        dom.felem, part, part if dom.is_quad else st.just(0),
+        st.sampled_from([1, 2, 3, 7, 12])))
+
+
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_scaling_matches_the_product_with_a_constant(any_domain, data):
+    """scale_right(f, c) is f * const(c), and scale_column(m, c) is
+    m @ diag(1, c), through the product kernel, in val, coeffs and
+    known_to; odd valuations make the twist act on the conj domains."""
+    dom = any_domain
+    c = data.draw(constants(dom))
+    f = data.draw(kernel_series(dom))
+    assert_same_series(scale_right(f, c),
+                       sum_products(dom, [(f, TruncatedSeries.const(dom, c))]))
+    m = SeriesMatrix(dom, [[data.draw(kernel_series(dom)) for _ in range(2)]
+                           for _ in range(2)])
+    want = m @ SeriesMatrix.from_const(dom, [[1, 0], [0, c]])
+    for got_row, want_row in zip(scale_column(m, c).rows, want.rows):
+        for got, ref in zip(got_row, want_row):
+            assert_same_series(got, ref)
 
 
 # --------------------------------------- inversion recursion vs. per term

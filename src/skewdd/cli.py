@@ -2,10 +2,10 @@
 
 Exit codes: 0 success / verification passed, 2 usage or unsupported
 domain, 3 verification failure (including a malformed certificate and
-an engine's failed self-check) or invalid input data, 4 search
-obstruction (missing principal generator, exhausted bound), 5 precision
-deficit. All emitted JSON is canonical (sorted keys, no floats), so
-fixed flags give byte-identical files.
+an engine's failed self-check) or invalid input data, 4 obstruction
+(missing principal generator, or the real-quadratic principal scan
+exhausted --bound), 5 precision deficit. All emitted JSON is canonical
+(sorted keys, no floats), so fixed flags give byte-identical files.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import sys
 
 from .domains import get_domain
 from .errors import (
-    BoundExceeded,
     MembershipError,
     NotUnimodular,
     PrecisionError,
@@ -188,9 +187,8 @@ def demo_gauss_conj() -> None:
     print("Gaussian integers with conjugation")
     dom = get_domain(textio.parse_domain("quad:-1:conj"))
     c = ideals.from_ring_generators(dom, [dom.elem(1, 1)])
-    verdict = structure.simplicity_probe(dom, [c])
     _check("(1+i) is sigma-fixed, so R has a proper two-sided ideal",
-           verdict.simple is False)
+           structure.simplicity_witness(dom) == c)
     inv = structure.asano_inverse(c)
     print(f"  two-sided inverse of (1+i)R is generated by {inv!r}")
     _check("the inverse multiplies back to the unit ideal",
@@ -250,7 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"certified series orders, at most "
                             f"{textio.MAX_ORDER} (default 12)"),
         "--bound": dict(type=int, default=ideals.PRINCIPAL_BOUND,
-                        help="search bound for generator hunts"),
+                        help="coordinate bound of the real-quadratic "
+                             "principal generator scan, the only bounded "
+                             "search"),
         "--out": dict(help="output path for the JSON artifact"),
     }
 
@@ -299,7 +299,7 @@ def main(argv=None) -> int:
     except (NotUnimodular, MembershipError) as err:
         print(f"verification failure: {err}", file=sys.stderr)
         return 3
-    except (SigmaClassObstruction, BoundExceeded) as err:
+    except SigmaClassObstruction as err:
         print(f"obstruction: {err}", file=sys.stderr)
         return 4
     except PrecisionError as err:

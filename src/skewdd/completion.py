@@ -373,6 +373,11 @@ def lift_invertibility(child: InvertibilityData, ctx: ReductionContext,
     return InvertibilityData(n, b_row, t_series, h_series)
 
 
+# the shape of each matrix a completion certificate holds
+_CERT_SHAPES = {"row": (1, 2), "witness": (2, 1), "b": (1, 2), "T": (2, 2),
+                "H": (2, 2), "final": (2, 2), "final_inv": (2, 2)}
+
+
 @dataclass
 class CompletionCertificate:
     """Row, witness, completion data and the final invertible matrix."""
@@ -413,7 +418,7 @@ class CompletionCertificate:
         dom = get_domain(spec)
 
         def m(key):
-            return textio.matrix_from_json(dom, obj[key])
+            return textio.matrix_from_json(dom, obj[key], _CERT_SHAPES[key])
 
         prec = textio.certified_prec(textio.json_int(obj["prec"], "prec"), 1)
         n = textio.certified_prec(textio.json_int(obj["n"], "n"), 0, "n")

@@ -247,9 +247,8 @@ class ExtensionCertificate:
         dom = get_domain(spec)
         ideal = textio.ideal_lattice_from_json(dom, obj["ideal"])
         g0 = tuple(textio.parse_field_elem(dom, s).as_ring() for s in obj["g0"])
-        g = SeriesMatrix(dom, [[textio.series_from_json(dom, s)
-                                for s in obj["g"]]])
-        a_mat = textio.matrix_from_json(dom, obj["A"])
+        g = textio.matrix_from_json(dom, [obj["g"]], (1, 2))
+        a_mat = textio.matrix_from_json(dom, obj["A"], (2, 2))
         q = textio.series_from_json(dom, obj["q"])
         prec = textio.certified_prec(textio.json_int(obj["prec"], "prec"), 0)
         return ExtensionCertificate(spec, ideal, g0, g, a_mat, q, prec,

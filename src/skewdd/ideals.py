@@ -11,11 +11,15 @@ closed form on the fields.
 All heavy lifting reduces to integer row echelon forms of small
 matrices, with the transformation matrix kept when explicit coefficients
 are needed (express_in_generators and friends).
+
+Nothing here is sampled. The second-generator scan of
+one_and_half_generator is complete, since the index [u : aD] bounds it;
+the imaginary-quadratic principal scan covers its whole solution box.
+Only the real-quadratic principal scan stops at a bound.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -28,10 +32,6 @@ from .errors import (
     ZeroIdealError,
 )
 
-# random candidates one_and_half_generator tries after the natural ones,
-# and the bound on their coefficients in the HNF generators
-SECOND_GEN_CANDIDATES = 10_000
-SECOND_GEN_COEFF_BOUND = 1_000
 # default coordinate bound of the real-quadratic principal generator scan
 PRINCIPAL_BOUND = 100_000
 
@@ -432,36 +432,46 @@ def express_in_product(e: FieldElem, u_gens, v_gens) -> list[list[RingElem]]:
     return [[coeffs[0], coeffs[1]], [coeffs[2], coeffs[3]]]
 
 
-def one_and_half_generator(u: FracIdeal, a: RingElem) -> RingElem:
-    """Some b in u with (a, b) = u, given a nonzero a in u.
+def _shells_up_to_sign(n: int):
+    """Integer pairs (x, y) on the square shells max(|x|, |y|) = 1 .. n,
+    one of each pair +-(x, y): shell 1 as (0, 1), (1, 0), (1, 1), (1, -1),
+    then each shell r as its top edge (x, r) and the inside of its right
+    edge (r, y)."""
+    yield from ((0, 1), (1, 0), (1, 1), (1, -1))
+    for r in range(2, n + 1):
+        for x in range(-r, r + 1):
+            yield x, r
+        for y in range(1 - r, r):
+            yield r, y
 
-    Verified search: natural candidates first, then small combinations of
-    the HNF generators drawn from random.Random(0), so the answer depends
-    only on (u, a); every candidate is confirmed by HNF equality, so a
-    returned value is always correct.
+
+def one_and_half_generator(u: FracIdeal, a: RingElem) -> RingElem:
+    """Some b in u with (a, b) = u, given a nonzero a in an integral u.
+
+    Candidates are b = x*g1 + y*g2 on the HNF generators, up to sign,
+    since (a, -b) = (a, b): first g2, g1, g1 + g2 and g1 - g2, then the
+    square shells max(|x|, |y|) = r for r = 2 .. n, n = [u : aD]. Each is
+    confirmed by HNF equality. The scan is complete: (a, b) depends only
+    on b mod aD, n*u lies in aD, so the shells up to n meet every class
+    of u/aD, and some class generates u together with a (Cohen, GTM 138,
+    section 4.7). Running out of candidates is therefore an internal
+    error.
     """
     if u.is_zero:
         raise ZeroIdealError("zero ideal")
+    if not u.is_integral:
+        raise SkewError("need an integral ideal")
     if not a:
         raise SkewError("need a nonzero element")
     if not u.contains(a):
         raise MembershipError(a, u)
     g1, g2 = u.two_generators()
-
-    def good(b: RingElem) -> bool:
-        return bool(b) and from_ring_generators(u.dom, [a, b]) == u
-
-    for cand in (g2, g1, g1 + g2, g1 - g2):
-        if good(cand):
-            return cand
-    rng = random.Random(0)
-    for _ in range(SECOND_GEN_CANDIDATES):
-        r1 = rng.randint(-SECOND_GEN_COEFF_BOUND, SECOND_GEN_COEFF_BOUND)
-        r2 = rng.randint(-SECOND_GEN_COEFF_BOUND, SECOND_GEN_COEFF_BOUND)
-        cand = g1 * r1 + g2 * r2
-        if good(cand):
-            return cand
-    raise BoundExceeded(SECOND_GEN_CANDIDATES, "no second generator found")
+    for x, y in _shells_up_to_sign(abs(a.norm()) // u.index):
+        b = g1 * x + g2 * y
+        if b and from_ring_generators(u.dom, [a, b]) == u:
+            return b
+    raise SkewError("internal error: the complete shell scan found no "
+                    "second generator")
 
 
 def _norm_form(u: FracIdeal) -> tuple[int, int, int]:

@@ -507,11 +507,15 @@ def disagreement(left: SeriesMatrix, right: SeriesMatrix):
     differs (None when none does); verified_bound is the common exclusive
     order below which the agreeing entries are known to agree (None when
     they agree exactly). Callers compare it with their own claimed bound.
+    Matrices of different shapes are refused (SkewError).
 
     Coefficients are compared in place, with no difference series built:
     a FieldElem is canonical (positive den, gcd 1), so equal values have
     equal parts.
     """
+    if left.shape != right.shape:
+        raise SkewError(f"cannot compare a {left.shape} matrix with a "
+                        f"{right.shape} one")
     bad = None
     bound = None
     for ra, rb in zip(left.rows, right.rows):

@@ -1,8 +1,9 @@
 """Executable witnesses for the structural facts about R = D((x; sigma)).
 
 Everything here is a finite, machine-checked computation attached to a
-verdict: a simplicity probe over candidate ideals, two-sided inverses
-for sigma-fixed extended ideals, the length-2 unimodular row that no
+verdict: a sigma-fixed ramified prime, whose extension is a proper
+two-sided ideal (so R is not simple), two-sided inverses for
+sigma-fixed extended ideals, the length-2 unimodular row that no
 single elementary reduction can shorten (stable rank in the sense of
 Bass, proved by a three-case split on the valuation of the multiplier,
 each case checked exactly), and the K0 summary with its nonprincipality
@@ -23,78 +24,44 @@ from .series import TruncatedSeries, mul, scale_right
 from . import textio
 
 
-def _prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n > 0, increasing, by trial division."""
-    out, p = [], 2
+def _least_prime_factor(n: int) -> int:
+    """The least prime factor of n >= 2, by trial division."""
+    p = 2
     while p * p <= n:
         if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
+            return p
         p += 1
-    return out + [n] if n > 1 else out
+    return n
 
 
-def default_simplicity_candidates(dom: Domain) -> list[FracIdeal]:
-    """Ramified primes (divisors of the discriminant), plus small primes
-    over the integers; every candidate is a proper nonzero ideal."""
-    if not dom.is_quad:
-        return [FracIdeal(dom, 2), FracIdeal(dom, 3)]
-    out = []
-    disc = abs(dom.disc)
-    for p in _prime_factors(disc):
-        if p == 2 and not dom.omega_t:
-            gen2 = dom.omega if dom.d % 4 == 2 else dom.one + dom.omega
-            cand = from_ring_generators(dom, [dom.elem(2), gen2])
-        else:
-            root = dom.omega if not dom.omega_t else dom.elem(-1, 2)
-            cand = from_ring_generators(dom, [dom.elem(p), root])
-        if not cand.is_zero and not cand.is_unit:
-            out.append(cand)
-    return out
+def simplicity_witness(dom: Domain) -> FracIdeal:
+    """A proper two-sided ideal of R, which is therefore never simple.
 
-
-@dataclass
-class SimplicityVerdict:
-    simple: bool | None          # False = non-simple; None = undecided
-    witness: FracIdeal | None
-    checked: list
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": "non_simple" if self.simple is False else "inconclusive",
-            "witness": self.witness.to_json() if self.witness else None,
-            "candidates_checked": [c.to_json() for c in self.checked],
-        }
-
-
-def simplicity_probe(dom: Domain, candidates: list[FracIdeal] | None = None
-                     ) -> SimplicityVerdict:
-    """Search the candidates for a sigma-fixed proper ideal.
-
-    A hit certifies non-simplicity (the extended ideal is two-sided,
-    re-checked on generators); no hit only reports the candidates tried,
-    since the universal statement quantifies over all ideals.
+    Over Z the witness is (2). Over a quadratic order it is the prime P
+    above the least prime factor p of |disc|: (2, w) or (2, 1 + w) when
+    d = 2 or 3 mod 4 (then p = 2), else (p, sqrt d) = (p, 2w - 1). P is
+    ramified (P*P = (p)), so P is its own conjugate and either sigma
+    fixes it; then x*g = sigma(g)*x keeps each generator g inside P*R,
+    and P*R is a two-sided ideal. Checked here: P is proper and nonzero,
+    sigma(P) = P, and sigma(g) lies in P for both generators. SkewError
+    if a check fails.
     """
-    if candidates is None:
-        candidates = default_simplicity_candidates(dom)
-    for cand in candidates:
-        if cand.is_zero or cand.is_unit:
-            raise SkewError("candidates must be proper nonzero ideals")
-    if not dom.conj_sigma:
-        witness = candidates[0] if candidates else None
-        if witness is not None:
-            return SimplicityVerdict(False, witness, list(candidates))
-        return SimplicityVerdict(None, None, [])
-    for cand in candidates:
-        if cand.sigma(1) == cand:
-            for g in cand.two_generators():
-                # x * g = sigma(g) * x must stay inside the extended ideal
-                if not cand.contains(dom.sigma_pow(g, 1)):
-                    raise SkewError("sigma-fixed candidate failed the "
-                                    "two-sidedness recheck")
-            return SimplicityVerdict(False, cand, list(candidates))
-    return SimplicityVerdict(None, None, list(candidates))
+    if not dom.is_quad:
+        witness = FracIdeal(dom, 2)
+    else:
+        p = _least_prime_factor(abs(dom.disc))
+        if p == 2:
+            gen = dom.omega if dom.d % 4 == 2 else dom.one + dom.omega
+        else:
+            gen = dom.elem(-1, 2)
+        witness = from_ring_generators(dom, [dom.elem(p), gen])
+    if witness.is_zero or witness.is_unit:
+        raise SkewError(f"{witness!r} is not a proper nonzero ideal")
+    if witness.sigma(1) != witness or not all(
+            witness.contains(dom.sigma_pow(g, 1))
+            for g in witness.two_generators()):
+        raise SkewError(f"sigma does not fix {witness!r}")
+    return witness
 
 
 def asano_inverse(j_ideal: FracIdeal) -> FracIdeal:
@@ -189,7 +156,7 @@ class StructureReport:
     h: int
     class_structure: str
     sigma_trivial: bool
-    simplicity: SimplicityVerdict
+    simplicity_witness: FracIdeal
     k0_text: str
     witness_ideal: FracIdeal | None
     stable_rank: StableRankWitness
@@ -200,7 +167,8 @@ class StructureReport:
             "class_number": self.h,
             "class_group": self.class_structure,
             "sigma_acts_trivially": self.sigma_trivial,
-            "simplicity": self.simplicity.to_json(),
+            "simplicity": {"verdict": "non_simple",
+                           "witness": self.simplicity_witness.to_json()},
             "k0": self.k0_text,
             "nonprincipal_witness":
                 self.witness_ideal.to_json() if self.witness_ideal else None,
@@ -213,14 +181,8 @@ class StructureReport:
             f"class number h = {self.h} (G(D) = {self.class_structure})",
             f"sigma acts trivially on G(D): {self.sigma_trivial}",
         ]
-        if self.simplicity.simple is False:
-            lines.append(
-                f"R is not simple; sigma-fixed witness ideal "
-                f"{self.simplicity.witness!r}")
-        else:
-            lines.append(
-                "simplicity undecided over "
-                f"{len(self.simplicity.checked)} candidate ideals")
+        lines.append(f"R is not simple; sigma-fixed witness ideal "
+                     f"{self.simplicity_witness!r}")
         lines.append(self.k0_text)
         if self.witness_ideal is not None:
             lines.append(
@@ -243,7 +205,8 @@ class StructureReport:
 
 
 def k0_report(dom: Domain) -> StructureReport:
-    """Class data, simplicity probe, K0 conclusion and stable-rank proof."""
+    """Class data, simplicity witness, K0 conclusion and stable-rank
+    proof."""
     cg = class_group(dom)  # UnsupportedDomain for real quadratic
     trivial = sigma_acts_trivially(dom)
     witness = None
@@ -268,4 +231,4 @@ def k0_report(dom: Domain) -> StructureReport:
     sr = stable_rank_witness(dom, dom.elem(2))
     return StructureReport(
         dom, cg.h, cg.structure_text(), trivial,
-        simplicity_probe(dom), k0_text, witness, sr)
+        simplicity_witness(dom), k0_text, witness, sr)

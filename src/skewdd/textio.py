@@ -219,6 +219,9 @@ def series_from_json(dom: Domain, obj: dict):
     prec = obj.get("prec")
     if prec is not None:
         prec = _order(json_int(prec, "series prec"), "series prec")
+        if any(c for c in coeffs[max(0, prec - val):]):
+            raise ValueError(f"series {obj!r} has a nonzero coefficient at "
+                             f"or past its prec {prec}")
     return TruncatedSeries(dom, val, coeffs, prec)
 
 
@@ -226,9 +229,14 @@ def matrix_to_json(m) -> list:
     return [[series_to_json(s) for s in row] for row in m.rows]
 
 
-def matrix_from_json(dom: Domain, obj: list):
+def matrix_from_json(dom: Domain, obj: list, shape: tuple[int, int]):
+    """A rows x cols array of series objects; any other shape is refused."""
     from .series import SeriesMatrix
 
+    rows, cols = shape
+    if not (isinstance(obj, list) and len(obj) == rows and all(
+            isinstance(row, list) and len(row) == cols for row in obj)):
+        raise ValueError(f"expected a {rows}x{cols} matrix of series")
     return SeriesMatrix(dom, [[series_from_json(dom, s) for s in row]
                               for row in obj])
 

@@ -191,6 +191,8 @@ MALFORMED = {
     "float val": ("extension", lambda obj: _bump(obj["q"], "val", 0.0)),
     "infinite series prec":
         ("extension", lambda obj: obj["q"].update(prec=float("inf"))),
+    "coefficient past its prec":
+        ("extension", lambda obj: obj["q"].update(prec=obj["q"]["val"])),
     "boolean n": ("completion", lambda obj: obj.update(n=True)),
     # a reduction depth is an order count: 0..MAX_ORDER
     "negative n": ("completion", lambda obj: obj.update(n=-1)),
@@ -261,7 +263,8 @@ def test_verify_malformed_certificate_exits_3(tmp_path, capsys, zz, tamper):
     "complete-row prec -3", f"complete-row prec {MAX_ORDER + 1}",
     f"extend prec {MAX_ORDER + 1}", "extend prec 100000000",
     "exponent past the order bound", "two O-terms", "decimal coefficient",
-    "ideal b past a", "ideal with a reducible den", "d past the cap"])
+    "ideal b past a", "ideal with a reducible den", "d past the cap",
+    "row coefficient past its prec"])
 def test_malformed_cli_input_exits_2(tmp_path, capsys, zz, case):
     gens = ["--gens", '["2+1*x^1"]']
     if case == "gens not strings":
@@ -289,6 +292,10 @@ def test_malformed_cli_input_exits_2(tmp_path, capsys, zz, case):
             argv[argv.index("--ideal") + 1] = "[1]"
         elif case == "row file without row":
             (tmp_path / "row.json").write_text('{"foo": 1}')
+        elif case == "row coefficient past its prec":
+            row = json.loads((tmp_path / "row.json").read_text())
+            row[0] = {"val": 0, "coeffs": ["2", "1"], "prec": 1}
+            (tmp_path / "row.json").write_text(json.dumps(row))
         elif case.startswith("complete-row prec"):
             argv[argv.index("--prec") + 1] = case.split()[-1]
         elif case.startswith("ideal "):

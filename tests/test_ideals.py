@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -8,6 +10,7 @@ from skewdd.domains import DomainSpec, RingElem, get_domain
 from skewdd.errors import (
     BoundExceeded,
     MembershipError,
+    SkewError,
     UnsupportedDomain,
     ZeroIdealError,
 )
@@ -20,6 +23,8 @@ from skewdd.ideals import (
 from skewdd.textio import ideal_lattice_from_json
 
 from conftest import DOMAIN_SPECS, rand_frac_ideal, rand_ideal, rand_ring_elem
+
+SRC = Path(ideals.__file__).parent
 
 
 def test_from_generators_examples(z5, zz):
@@ -163,6 +168,61 @@ def test_one_and_half_generator_random(any_domain):
             continue
         b = ideals.one_and_half_generator(u, a)
         assert from_ring_generators(any_domain, [a, b]) == u
+
+
+def test_one_and_half_generator_past_the_natural_candidates(monkeypatch):
+    """Seeded (u, a) with a = (g1*i + g2*j)*m, m in {6, 30, 210}, on which
+    g2, g1, g1 + g2 and g1 - g2 all fail: the shell scan still answers,
+    with b in u and (a, b) = u, and within 24 HNF checks per answer."""
+    calls, checks = [0], []
+
+    def counting(dom, gens, den=1):
+        calls[0] += 1
+        return from_ring_generators(dom, gens, den)
+
+    monkeypatch.setattr(ideals, "from_ring_generators", counting)
+    rng = random.Random(5)
+    for d in (-1, -5, -23, 2, 3, 10, 13):
+        dom = get_domain(DomainSpec("quad", d, "id"))
+        for _ in range(150):
+            u = rand_ideal(dom, rng)
+            g1, g2 = u.two_generators()
+            a = (g1 * rng.randint(-3, 3) + g2 * rng.randint(-3, 3)) \
+                * rng.choice((6, 30, 210))
+            if not a or any(from_ring_generators(dom, [a, b]) == u
+                            for b in (g2, g1, g1 + g2, g1 - g2) if b):
+                continue
+            calls[0] = 0
+            b = ideals.one_and_half_generator(u, a)
+            checks.append(calls[0])
+            assert u.contains(b)
+            assert from_ring_generators(dom, [a, b]) == u
+    assert len(checks) >= 100
+    assert max(checks) <= 24
+
+
+def test_one_and_half_generator_rejects_bad_input(z5):
+    p2 = from_ring_generators(z5, [z5.elem(2), z5.elem(1, 1)])
+    with pytest.raises(SkewError, match="integral"):
+        ideals.one_and_half_generator(FracIdeal(z5, 2, 1, 1, 3), z5.elem(2))
+    with pytest.raises(MembershipError):
+        ideals.one_and_half_generator(p2, z5.elem(3))
+    with pytest.raises(SkewError):
+        ideals.one_and_half_generator(p2, z5.zero)
+
+
+def test_no_module_imports_random():
+    """Nothing in the package is sampled: no module imports random."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "random" for name in names), \
+                path.name
 
 
 def test_principal_generator_examples(z5, root2):

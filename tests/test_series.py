@@ -746,3 +746,16 @@ def test_disagreement_matches_difference_series(any_domain, data):
     left = SeriesMatrix(dom, [[a for a, _ in row] for row in entries])
     right = SeriesMatrix(dom, [[b for _, b in row] for row in entries])
     assert disagreement(left, right) == reference_disagreement(left, right)
+
+
+def test_disagreement_refuses_unequal_shapes(zz):
+    """Matrices of different shapes are refused, not compared on their
+    common part, where these would agree."""
+    one = TruncatedSeries.const(zz, 1)
+    square = SeriesMatrix(zz, [[one, one], [one, one]])
+    for other in (SeriesMatrix(zz, [[one, one]]),
+                  SeriesMatrix(zz, [[one], [one]]),
+                  SeriesMatrix(zz, [[one, one, one], [one, one, one]])):
+        for left, right in ((square, other), (other, square)):
+            with pytest.raises(SkewError, match="cannot compare"):
+                disagreement(left, right)

@@ -8,35 +8,25 @@ from skewdd.ideals import FracIdeal, from_ring_generators
 from skewdd.series import TruncatedSeries
 
 
-def test_simplicity_gauss_example(gauss):
-    cand = from_ring_generators(gauss, [gauss.elem(1, 1)])
-    verdict = structure.simplicity_probe(gauss, [cand])
-    assert verdict.simple is False
-    assert verdict.witness == cand
-    # the witness is re-checked: sigma fixes it
-    assert verdict.witness.sigma(1) == verdict.witness
-
-
-def test_simplicity_sqrt2_examples(root2):
-    ramified = from_ring_generators(root2, [root2.elem(0, 1)])
-    assert structure.simplicity_probe(root2, [ramified]).simple is False
-    p7 = from_ring_generators(root2, [root2.elem(7), root2.elem(3, 1)])
-    verdict = structure.simplicity_probe(root2, [p7])
-    assert verdict.simple is None
-    assert verdict.checked == [p7]
-
-
-def test_simplicity_identity_sigma(zz, z5):
-    assert structure.simplicity_probe(zz).simple is False
-    assert structure.simplicity_probe(z5).simple is False
-
-
-def test_default_candidates_are_ramified(any_domain):
-    for cand in structure.default_simplicity_candidates(any_domain):
-        assert not cand.is_zero and not cand.is_unit
-        if any_domain.is_quad:
-            # ramified primes are sigma-fixed
-            assert cand.conj() == cand
+def reference_candidates(dom):
+    """The candidate list the old simplicity search walked, with the
+    sieve in place of its trial division: ramified primes (divisors of
+    the discriminant) over quadratic orders, (2) and (3) over the
+    integers. Its first entry was the reported witness."""
+    if not dom.is_quad:
+        return [FracIdeal(dom, 2), FracIdeal(dom, 3)]
+    out = []
+    disc = abs(dom.disc)
+    for p in sieved_ramified_primes(disc):
+        if p == 2 and not dom.omega_t:
+            gen2 = dom.omega if dom.d % 4 == 2 else dom.one + dom.omega
+            cand = from_ring_generators(dom, [dom.elem(2), gen2])
+        else:
+            root = dom.omega if not dom.omega_t else dom.elem(-1, 2)
+            cand = from_ring_generators(dom, [dom.elem(p), root])
+        if not cand.is_zero and not cand.is_unit:
+            out.append(cand)
+    return out
 
 
 def sieved_ramified_primes(disc: int):
@@ -53,16 +43,70 @@ def sieved_ramified_primes(disc: int):
     return out
 
 
+SMALL_DOMAINS = [get_domain(DomainSpec("quad", d, sigma))
+                 for d in range(-399, 400) if abs(d) >= 2 and _is_squarefree(d)
+                 for sigma in ("id", "conj")]
+
+
+def test_simplicity_gauss_example(gauss):
+    witness = structure.simplicity_witness(gauss)
+    assert witness == from_ring_generators(gauss, [gauss.elem(1, 1)])
+    assert witness.sigma(1) == witness
+
+
+def test_simplicity_sqrt2_examples(root2):
+    ramified = from_ring_generators(root2, [root2.elem(0, 1)])
+    assert structure.simplicity_witness(root2) == ramified
+
+
+def test_simplicity_identity_sigma(zz, z5):
+    assert structure.simplicity_witness(zz) == FracIdeal(zz, 2)
+    assert structure.simplicity_witness(z5) == FracIdeal(z5, 2, 1, 1)
+
+
+def test_default_candidates_are_ramified(any_domain):
+    """The witness is the old search's first candidate, and is proper and
+    sigma-fixed, as every old candidate was."""
+    witness = structure.simplicity_witness(any_domain)
+    cands = reference_candidates(any_domain)
+    assert witness == cands[0]
+    for cand in cands:
+        assert not cand.is_zero and not cand.is_unit
+        assert cand.sigma(1) == cand
+
+
+def test_witness_matches_the_reference_search(zz):
+    """For int and every squarefree 2 <= |d| < 400 under both sigma, the
+    witness is the reference's first candidate, sigma-fixed, and a
+    ramified prime: P*P = (p) for the least prime p below it."""
+    assert structure.simplicity_witness(zz) == reference_candidates(zz)[0]
+    for dom in SMALL_DOMAINS:
+        witness = structure.simplicity_witness(dom)
+        assert witness == reference_candidates(dom)[0]
+        assert witness.sigma(1) == witness
+        p = sieved_ramified_primes(abs(dom.disc))[0]
+        assert witness.mul(witness) == FracIdeal(dom, p, 0, p)
+
+
 def test_candidates_match_the_sieve(monkeypatch):
-    """Trial division finds the same ramified primes as the sieve, so the
-    candidate lists are equal for every squarefree 2 <= |d| < 400."""
-    doms = [get_domain(DomainSpec("quad", d, sigma))
-            for d in range(-399, 400) if abs(d) >= 2 and _is_squarefree(d)
-            for sigma in ("id", "conj")]
-    got = [structure.default_simplicity_candidates(dom) for dom in doms]
-    monkeypatch.setattr(structure, "_prime_factors", sieved_ramified_primes)
-    assert got == [structure.default_simplicity_candidates(dom)
-                   for dom in doms]
+    """Trial division finds the same least ramified prime as the sieve,
+    so the witnesses are equal for every squarefree 2 <= |d| < 400."""
+    got = [structure.simplicity_witness(dom) for dom in SMALL_DOMAINS]
+    monkeypatch.setattr(structure, "_least_prime_factor",
+                        lambda n: sieved_ramified_primes(n)[0])
+    assert got == [structure.simplicity_witness(dom)
+                   for dom in SMALL_DOMAINS]
+
+
+def test_simplicity_witness_checks_its_claims(monkeypatch, gauss, z5c):
+    """Forced onto a prime that does not ramify, the witness is refused:
+    (3, 2i - 1) is the unit ideal, and conjugation moves (3, 2w - 1), a
+    prime above 3 in Z[sqrt(-5)]."""
+    monkeypatch.setattr(structure, "_least_prime_factor", lambda n: 3)
+    with pytest.raises(SkewError, match="proper"):
+        structure.simplicity_witness(gauss)
+    with pytest.raises(SkewError, match="sigma does not fix"):
+        structure.simplicity_witness(z5c)
 
 
 def test_asano_inverse_examples(gauss, zz, root2):
@@ -166,7 +210,8 @@ def test_report_json_shape(z5):
     payload = rep.to_json()
     assert payload["class_number"] == 2
     assert payload["sigma_acts_trivially"] is True
-    assert payload["simplicity"]["verdict"] == "non_simple"
+    assert payload["simplicity"] == {"verdict": "non_simple",
+                                     "witness": {"hnf": [2, 1, 1]}}
     sr = payload["stable_rank_witness"]
     assert sr["identity_ok"] is True
     assert "samples" not in sr

@@ -39,7 +39,8 @@ from .errors import (
     SkewError,
 )
 from . import ideals
-from .ideals import FracIdeal, echelon, from_ring_generators
+from .ideals import (FracIdeal, combine_transform, echelon,
+                     from_ring_generators)
 from .reporting import VerifyReport
 from .series import (SeriesMatrix, TruncatedSeries, disagreement,
                      relaxed_product, scale_right, sum_products)
@@ -68,9 +69,13 @@ class _OrderWindow:
 
     Rows are the coefficient vectors (orders 0..T, untwisted coordinates)
     of gens[j] * c * x^s for every generator, every shift s <= T and
-    c in {1, w}. Echelon rows with pivot in order block t are elements of
-    the ideal vanishing below t; their leading coefficients at block t
-    generate the order-t lower bound for the constant ideal.
+    c in {1, w}. Order m of that product is g_(m-s) * sigma^(m-s)(c), so
+    the row for shift s is the row for shift 0 behind s zero blocks.
+    Echelon rows with pivot in order block t are elements of the ideal
+    vanishing below t; their leading coefficients at block t generate the
+    order-t lower bound for the constant ideal. The window keeps the
+    echelon's operation record, not a transform, and row_series replays
+    it for just the row it reads.
     """
 
     def __init__(self, dom: Domain, gens: list[TruncatedSeries], top: int):
@@ -80,22 +85,21 @@ class _OrderWindow:
         consts = [dom.one, dom.omega] if dom.is_quad else [dom.one]
         rows, seeds = [], []
         for j, g in enumerate(gens):
+            unshifted = []
+            for c in consts:
+                cf, vec = c.to_field(), []
+                for i in range(top + 1):
+                    ce = (g.coeff(i) * dom.sigma_pow(cf, i)).as_ring()
+                    vec.extend([ce.b, ce.a] if dom.is_quad else [ce.a])
+                unshifted.append(vec)
             for s in range(top + 1):
-                for c in consts:
-                    vec = []
-                    for m in range(top + 1):
-                        if m - s < 0:
-                            coef = dom.fzero
-                        else:
-                            coef = g.coeff(m - s) * dom.sigma_pow(
-                                c.to_field(), m - s)
-                        ce = coef.as_ring()
-                        vec.extend([ce.b, ce.a] if dom.is_quad else [ce.a])
-                    rows.append(vec)
+                for c, vec in zip(consts, unshifted):
+                    rows.append([0] * (blocks * s)
+                                + vec[:blocks * (top + 1 - s)])
                     seeds.append((j, s, c))
         self.blocks = blocks
         self.seeds = seeds
-        self.ech, self.pivots, self.transform = echelon(rows, want_transform=True)
+        self.ech, self.pivots, self.ops = echelon(rows)
 
     def leaders(self):
         """(row_index, order_block, leading RingElem) per pivot row."""
@@ -117,9 +121,12 @@ class _OrderWindow:
 
     def row_series(self, idx: int) -> TruncatedSeries:
         """The ideal element sum_j gens[j] * r_j whose coefficients are
-        echelon row idx, with the right factors r_j read off the transform."""
+        echelon row idx, with the right factors r_j read off row idx of
+        the echelon transform, replayed from the operation record."""
+        unit = [0] * len(self.seeds)
+        unit[idx] = 1
         items = [[] for _ in self.gens]
-        for k, coef in enumerate(self.transform[idx]):
+        for k, coef in enumerate(combine_transform(self.ops, unit)):
             if coef:
                 j, s, c = self.seeds[k]
                 items[j].append((s, c * coef))

@@ -9,8 +9,9 @@ membership and index queries O(1) afterwards, and conjugation is a
 closed form on the fields.
 
 All heavy lifting reduces to integer row echelon forms of small
-matrices, with the transformation matrix kept when explicit coefficients
-are needed (express_in_generators and friends).
+matrices. An echelon form records its row operations instead of carrying
+a transformation matrix, and explicit coefficients (express_in_generators
+and friends) replay that record on just the combination they need.
 
 Nothing here is sampled. The second-generator scan of
 one_and_half_generator is complete, since the index [u : aD] bounds it;
@@ -51,72 +52,93 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-def echelon(rows: list[list[int]], want_transform: bool = False):
+def echelon(rows: list[list[int]]):
     """Integer row echelon form with positive pivots, columns left to right.
 
-    Returns (ech, pivots, transform). ech is the full list of transformed
-    rows (zero rows at the bottom), pivots the list of pivot column
-    indices for the leading rows, and transform a unimodular matrix U
-    with U * input = ech (None unless requested). Entries above each
-    pivot are reduced into [0, pivot).
+    Returns (ech, pivots, ops). ech is the full list of transformed rows
+    (zero rows at the bottom), pivots the list of pivot column indices
+    for the leading rows, and ops the row operations in the order they
+    were applied; combine_transform reads any combination of the rows of
+    the unimodular U with U * input = ech off that record, so U itself
+    is never built. Entries above each pivot are reduced into [0, pivot).
+    Rows from the pivot slot down are zero left of the current column,
+    so each operation touches only the columns from it onward.
     """
     m = [list(r) for r in rows]
     k = len(m)
     ncols = len(m[0]) if k else 0
-    u = [[int(i == j) for j in range(k)] for i in range(k)] if want_transform else None
-
-    def rowop(i, j, ci, cj, di, dj):
-        # (row_i, row_j) <- (ci*row_i + cj*row_j, di*row_i + dj*row_j)
-        for t in range(ncols):
-            a, b = m[i][t], m[j][t]
-            m[i][t] = ci * a + cj * b
-            m[j][t] = di * a + dj * b
-        if u is not None:
-            for t in range(k):
-                a, b = u[i][t], u[j][t]
-                u[i][t] = ci * a + cj * b
-                u[j][t] = di * a + dj * b
-
-    def swap(i, j):
-        m[i], m[j] = m[j], m[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
-
-    def negate(i):
-        m[i] = [-v for v in m[i]]
-        if u is not None:
-            u[i] = [-v for v in u[i]]
-
+    ops = []
     pivots = []
     r = 0
     for col in range(ncols):
         if r >= k:
             break
         for i in range(r + 1, k):
-            if m[i][col] == 0:
+            b = m[i][col]
+            if not b:
                 continue
-            if m[r][col] == 0:
-                swap(r, i)
+            a = m[r][col]
+            if not a:
+                m[r], m[i] = m[i], m[r]
+                ops.append((r, i))
                 continue
-            a, b = m[r][col], m[i][col]
             g, x, y = xgcd(a, b)
-            rowop(r, i, x, y, -(b // g), a // g)
-        if m[r][col] == 0:
+            u, v = -(b // g), a // g
+            top, low = m[r], m[i]
+            for t in range(col, ncols):
+                p, q = top[t], low[t]
+                top[t] = x * p + y * q
+                low[t] = u * p + v * q
+            ops.append((r, i, x, y, u, v))
+        row = m[r]
+        piv = row[col]
+        if not piv:
             continue
-        if m[r][col] < 0:
-            negate(r)
-        piv = m[r][col]
+        if piv < 0:
+            for t in range(col, ncols):
+                row[t] = -row[t]
+            piv = -piv
+            ops.append((r,))
         for j in range(r):
             q = m[j][col] // piv
             if q:
-                for t in range(ncols):
-                    m[j][t] -= q * m[r][t]
-                if u is not None:
-                    for t in range(k):
-                        u[j][t] -= q * u[r][t]
+                above = m[j]
+                for t in range(col, ncols):
+                    above[t] -= q * row[t]
+                ops.append((j, r, q))
         pivots.append(col)
         r += 1
-    return m, pivots, u
+    return m, pivots, ops
+
+
+def combine_transform(ops, v: list[int]) -> list[int]:
+    """v * U for the unimodular U with U * rows = ech, where
+    (ech, _, ops) = echelon(rows).
+
+    U is the product of the recorded operations, so v * U replays them
+    last to first, each transposed and on the at most two entries of v
+    it mixes: (i, j) swaps rows i and j, (i,) negates row i, (j, r, q)
+    subtracts q * row r from row j, and (i, j, a, b, c, d) replaces
+    (row i, row j) by (a*row i + b*row j, c*row i + d*row j). The unit
+    vector e_i gives row i of U, the input combination that is echelon
+    row i (a kernel vector when that row is zero).
+    """
+    w = list(v)
+    for op in reversed(ops):
+        if len(op) == 6:
+            i, j, a, b, c, d = op
+            wi, wj = w[i], w[j]
+            w[i] = a * wi + c * wj
+            w[j] = b * wi + d * wj
+        elif len(op) == 3:
+            j, r, q = op
+            w[r] -= q * w[j]
+        elif len(op) == 2:
+            i, j = op
+            w[i], w[j] = w[j], w[i]
+        else:
+            w[op[0]] = -w[op[0]]
+    return w
 
 
 def solve_in_rowspace(target: list[int], ech, pivots) -> list[int]:
@@ -393,8 +415,9 @@ def _coefficient_rows(dom: Domain, gens: list[RingElem]):
 def express_in_generators(e: FieldElem, gens: list) -> list[RingElem]:
     """Coefficients u_j in D with e = sum gens_j * u_j.
 
-    Solved over the Z-basis {gens_j, gens_j * w} by echelon form with
-    transformation; raises MembershipError when e is outside the module.
+    Solved over the Z-basis {gens_j, gens_j * w} by echelon form, with
+    the solution on the echelon rows carried back to the basis by
+    combine_transform; raises MembershipError when e is outside the module.
     """
     felems = [g.to_field() if isinstance(g, RingElem) else g for g in gens]
     if not felems or all(not g for g in felems):
@@ -406,12 +429,12 @@ def express_in_generators(e: FieldElem, gens: list) -> list[RingElem]:
     rows = _coefficient_rows(dom, [(g * scale).as_ring() for g in felems])
     et = (e * scale).as_ring()
     target = [et.b, et.a] if dom.is_quad else [et.a]
-    ech, pivots, u = echelon(rows, want_transform=True)
+    ech, pivots, ops = echelon(rows)
     try:
         z = solve_in_rowspace(target, ech, pivots)
     except MembershipError:
         raise MembershipError(e, from_generators(dom, felems)) from None
-    w = [sum(z[i] * u[i][j] for i in range(len(z))) for j in range(len(rows))]
+    w = combine_transform(ops, z)
     out = []
     per = 2 if dom.is_quad else 1
     for j in range(len(felems)):

@@ -444,3 +444,132 @@ def test_ideal_product_matches_the_generator_path(any_domain, data):
     want = from_ring_generators(dom, [u1 * v1, u1 * v2, u2 * v1, u2 * v2],
                                 u.den * v.den)
     assert fields(u.mul(v)) == fields(want)
+
+
+def reference_echelon(rows):
+    """ideals.echelon as it was before it recorded its operations: every
+    row operation runs on whole rows and on the full k x k transform U
+    with U * rows = ech, which is returned in place of the record."""
+    m = [list(r) for r in rows]
+    k = len(m)
+    ncols = len(m[0]) if k else 0
+    u = [[int(i == j) for j in range(k)] for i in range(k)]
+
+    def rowop(i, j, ci, cj, di, dj):
+        # (row_i, row_j) <- (ci*row_i + cj*row_j, di*row_i + dj*row_j)
+        for t in range(ncols):
+            a, b = m[i][t], m[j][t]
+            m[i][t] = ci * a + cj * b
+            m[j][t] = di * a + dj * b
+        for t in range(k):
+            a, b = u[i][t], u[j][t]
+            u[i][t] = ci * a + cj * b
+            u[j][t] = di * a + dj * b
+
+    def swap(i, j):
+        m[i], m[j] = m[j], m[i]
+        u[i], u[j] = u[j], u[i]
+
+    def negate(i):
+        m[i] = [-v for v in m[i]]
+        u[i] = [-v for v in u[i]]
+
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        if r >= k:
+            break
+        for i in range(r + 1, k):
+            if m[i][col] == 0:
+                continue
+            if m[r][col] == 0:
+                swap(r, i)
+                continue
+            a, b = m[r][col], m[i][col]
+            g, x, y = ideals.xgcd(a, b)
+            rowop(r, i, x, y, -(b // g), a // g)
+        if m[r][col] == 0:
+            continue
+        if m[r][col] < 0:
+            negate(r)
+        piv = m[r][col]
+        for j in range(r):
+            q = m[j][col] // piv
+            if q:
+                for t in range(ncols):
+                    m[j][t] -= q * m[r][t]
+                for t in range(k):
+                    u[j][t] -= q * u[r][t]
+        pivots.append(col)
+        r += 1
+    return m, pivots, u
+
+
+ECHELON_ENTRIES = st.one_of(st.just(0), st.integers(-9, 9),
+                            st.integers(-10 ** 6, 10 ** 6))
+
+
+@st.composite
+def echelon_inputs(draw):
+    """0-14 rows of 1-8 columns: random rows with zeros and negative
+    entries, all-zero rows, repeats and integer combinations of earlier
+    rows, and some columns set to zero throughout."""
+    ncols = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(["random", "zero", "repeat", "combine"])
+                    if rows else st.just("random"))
+        if kind == "random":
+            rows.append(draw(st.lists(ECHELON_ENTRIES, min_size=ncols,
+                                      max_size=ncols)))
+        elif kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows),
+                                   max_size=len(rows)))
+            rows.append([sum(c * row[t] for c, row in zip(coeffs, rows))
+                         for t in range(ncols)])
+    for col in draw(st.sets(st.integers(0, ncols - 1), max_size=ncols - 1)):
+        for row in rows:
+            row[col] = 0
+    return rows
+
+
+@st.composite
+def window_shaped_inputs(draw):
+    """Rows shaped like an order window: for each of 1-3 base vectors of
+    1 or 2 entries per order block, its copies shifted by 0..top blocks."""
+    blocks = draw(st.sampled_from([1, 2]))
+    top = draw(st.integers(0, 8 // blocks - 1))
+    width = blocks * (top + 1)
+    rows = []
+    for _ in range(draw(st.integers(1, min(3, 14 // (top + 1))))):
+        base = draw(st.lists(st.integers(-4, 4), min_size=width,
+                             max_size=width))
+        rows.extend([0] * (blocks * s) + base[:width - blocks * s]
+                    for s in range(top + 1))
+    return rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rows=st.one_of(echelon_inputs(), window_shaped_inputs()),
+       data=st.data())
+def test_echelon_replays_the_reference_transform(rows, data):
+    """echelon gives the reference's ech and pivots, and replaying its
+    operation record gives every row of the reference transform, kernel
+    rows included, and z * U for any z; U * rows is ech."""
+    ech, pivots, ops = ideals.echelon(rows)
+    want_ech, want_pivots, want_u = reference_echelon(rows)
+    assert ech == want_ech
+    assert pivots == want_pivots
+    k = len(rows)
+    u = [ideals.combine_transform(ops, [int(i == j) for j in range(k)])
+         for i in range(k)]
+    assert u == want_u
+    z = data.draw(st.lists(st.integers(-50, 50), min_size=k, max_size=k))
+    assert ideals.combine_transform(ops, z) == [
+        sum(z[i] * u[i][j] for i in range(k)) for j in range(k)]
+    assert [[sum(u[i][j] * rows[j][t] for j in range(k))
+             for t in range(len(rows[0]))] for i in range(k)] == ech

@@ -2,8 +2,9 @@
 the functions a traced benchmark run wraps, the counts of one
 benchmark job's final inverse (elements built, coefficient matrices read)
 and of its verifier's comparisons and identity product, the
-row-by-witness products and series products of a completion job, and
-the echelon rows of one ideal product.
+row-by-witness products and series products of a completion job, the
+echelon rows of one ideal product, and the order-window rows that an
+extension job replays from an echelon's operation record.
 
 Each workload's first twenty jobs run through ``skewdd.cli.main`` with
 the benchmark's own input generator, job runner and digest check, so a
@@ -24,9 +25,12 @@ import gen  # noqa: E402
 import run  # noqa: E402
 import spans  # noqa: E402
 
-from skewdd import cli, completion, domains, ideals, series  # noqa: E402
+from skewdd import (cli, completion, domains, extension, ideals,  # noqa: E402
+                    series)
 
 PIN_JOBS = 20
+# seed-0 extend-window job on quad:-5:id with escape order 4
+ESCAPE_JOB = 11
 # seed-0 complete-p32 job whose final 2x2 inverse has no zero coefficient
 DENSE_INVERSE_JOB = 8
 
@@ -263,3 +267,63 @@ def test_ideal_product_echelons_four_rows(monkeypatch):
     monkeypatch.undo()
     assert rows == [4]
     assert product == ideals.from_ring_generators(dom, [dom.elem(1, 1)])
+
+
+def test_order_windows_replay_only_the_rows_they_read(tmp_path,
+                                                      monkeypatch):
+    """Each normalize_generators call of a seed-0 extend-window job with
+    escape order 4 replays no operation record of a window below its
+    final order, and the final window's record once per row that
+    row_series reads, on that leader row's unit vector; the only other
+    replays are express_in_generators' one per target. Counted, not
+    timed."""
+    calls, inside = [], []
+    normalize = extension.normalize_generators
+    window = extension._OrderWindow
+    combine = ideals.combine_transform
+    row_series = window.row_series
+
+    def normalizing(*args):
+        calls.append({"windows": [], "replays": [], "reads": []})
+        inside.append(True)
+        try:
+            return normalize(*args)
+        finally:
+            inside.pop()
+
+    def building(dom, gens, top):
+        built = window(dom, gens, top)
+        if inside:
+            calls[-1]["windows"].append(built)
+        return built
+
+    def replaying(ops, v):
+        if inside:
+            calls[-1]["replays"].append((ops, list(v)))
+        return combine(ops, v)
+
+    def reading(self, idx):
+        calls[-1]["reads"].append(idx)
+        return row_series(self, idx)
+
+    monkeypatch.setattr(extension, "normalize_generators", normalizing)
+    monkeypatch.setattr(extension, "_OrderWindow", building)
+    monkeypatch.setattr(extension, "combine_transform", replaying)
+    monkeypatch.setattr(ideals, "combine_transform", replaying)
+    monkeypatch.setattr(window, "row_series", reading)
+    job = gen.make_job("extend-window", 0, ESCAPE_JOB)
+    assert job.domain == "quad:-5:id"
+    assert gen.ESCAPES[ESCAPE_JOB // len(gen.ALL_DOMAINS)] == 4
+    assert run.run_job(cli.main, job, tmp_path).ok
+    monkeypatch.undo()
+    # the lowest coefficients' ideal, then one repair reaching order 4
+    assert [len(call["windows"]) for call in calls] == [1, 5]
+    for call in calls:
+        *below, final = call["windows"]
+        assert not [ops for ops, _ in call["replays"]
+                    if any(ops is w.ops for w in below)]
+        replayed = [v for ops, v in call["replays"] if ops is final.ops]
+        assert replayed == [[int(k == idx) for k in range(len(final.seeds))]
+                            for idx in call["reads"]]
+        assert set(call["reads"]) <= {idx for idx, _, _ in final.leaders()}
+        assert len(call["replays"]) == len(replayed) + 2

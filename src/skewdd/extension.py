@@ -15,16 +15,21 @@ fraction field. Multiplication by q then carries the extended ideal
 extend builds (A, q) one order at a time on series.relaxed_product,
 the recursion the series inverse also runs on.
 
-One order-window loop (`_levels`) serves both the constant-ideal
-bound and the generator normalization: it rebuilds the window of right
-combinations at orders 0, 1, ... and reads off the coefficient ideal at
-each order. The constant-ideal computation is a verified lower bound: it
-stops when that ideal is stable for STALL_DEPTH = 4 consecutive orders
-(exact for polynomial generators whose cancellations resolve within the
-window). When a candidate J is too small, the inductive step fails a
-membership test and reports the strictly larger lower bound to restart
-with (ConstIdealUnderestimate); drivers loop on that error, and the
-lattice index drops each round, so at most log2(index) restarts happen.
+The repair loop starts J at the ideal of lowest coefficients. When J is
+too small, the inductive step fails a membership test at some order n
+and reports the strictly larger J + s_n * sigma^n(J)^(-1), still inside
+the constant ideal (ConstIdealUnderestimate); the lattice index drops
+each round, so at most log2(index) repairs happen. Each round
+normalize_generators rebuilds the row g from the windows of right
+combinations at orders 0, 1, ..., and the coefficient ideal it reads
+only grows with the order. Its search stops at a proven order, not at a
+guess: if g came from window t, the enlarged J is realized by window
+n + 2t. For r = g * (A mod x^n) and tau in J^(-1), the element
+z = r_1 (a_2 tau) - r_2 (a_1 tau) has integral multipliers, vanishes
+below n and has order-n coefficient s_n * sigma^n(tau). g's multipliers
+on the generators span x^-t..x^t and those of A mod x^n span
+x^0..x^(n-1), so z * x^t lies in window n + 2t with its leading
+coefficient at order n + t, and window t <= n + 2t already realized J.
 """
 
 from __future__ import annotations
@@ -45,8 +50,6 @@ from .reporting import VerifyReport
 from .series import (SeriesMatrix, TruncatedSeries, disagreement,
                      relaxed_product, scale_right, sum_products)
 from . import textio
-
-STALL_DEPTH = 4
 
 
 def _normalized_ring_gens(gens: list[TruncatedSeries]) -> list[TruncatedSeries]:
@@ -135,91 +138,47 @@ class _OrderWindow:
             for g, its in zip(self.gens, items)])
 
 
-def _max_window(gens: list[TruncatedSeries]) -> int | None:
-    """Highest usable order window (None when all generators are exact)."""
-    best = None
-    for g in gens:
-        if g.known_to is not None:
-            avail = g.known_to - 1  # coefficients known at orders 0..known_to-1
-            best = avail if best is None else min(best, avail)
-    return best
-
-
-def _levels(norm: list[TruncatedSeries]):
-    """(window, level ideal) at orders t = 0, 1, ..., stopping after the
-    highest usable order window when the generators are truncated."""
-    limit = _max_window(norm)
-    t = 0
-    while limit is None or t <= limit:
-        window = _OrderWindow(norm[0].dom, norm, t)
-        yield window, window.level_ideal(t)
-        t += 1
-
-
-def constant_ideal_bounded(gens: list[TruncatedSeries]) -> FracIdeal:
-    """Lower bound for the constant ideal of the right ideal sum(gens_j R).
-
-    Stops when the order-by-order coefficient ideal is unchanged for
-    STALL_DEPTH consecutive orders or hits the unit ideal; raises
-    PrecisionError when the generators run out of known orders first.
-    """
-    norm = _normalized_ring_gens(gens)
-    limit = _max_window(norm)
-    if limit is not None and limit < STALL_DEPTH:
-        raise PrecisionError(
-            f"need at least {STALL_DEPTH} known orders per generator",
-            deficit=STALL_DEPTH - limit)
-    current, run = None, 0
-    for _, level in _levels(norm):
-        if level == current:
-            run += 1
-        else:
-            current, run = level, 1
-        if run >= STALL_DEPTH or current.is_unit:
-            return current
-    raise PrecisionError(
-        "constant ideal did not stabilize within known orders",
-        deficit=STALL_DEPTH - run)
-
-
 def normalize_generators(j_ideal: FracIdeal, gens: list[TruncatedSeries],
-                         ) -> SeriesMatrix:
+                         top: int) -> tuple[SeriesMatrix, int]:
     """Row (f1, f2) of right combinations with lowest coefficients
-    two_generators(j_ideal), each at valuation 0.
+    two_generators(j_ideal), each at valuation 0, and the first window
+    order t <= top whose level ideal holds both targets.
 
-    MembershipError when the combination table never realizes the target
-    ideal (the supplied j_ideal overestimates the achievable constants):
-    for exact generators once the level ideal has stalled for STALL_DEPTH
-    orders, for truncated ones once the known orders run out.
+    MembershipError when no window through top realizes the targets, or
+    the known orders run out first.
     """
     norm = _normalized_ring_gens(gens)
     dom = norm[0].dom
     targets = j_ideal.two_generators()
-    exact = _max_window(norm) is None
-    level, stable = None, 0
-    for window, lv in _levels(norm):
-        if all(lv.contains(a) for a in targets):
+    # a generator known through order k - 1 allows windows 0..k - 1
+    last = min([top, *(g.known_to - 1 for g in norm if g.known_to is not None)])
+    for t in range(last + 1):
+        window = _OrderWindow(dom, norm, t)
+        level = window.level_ideal(t)
+        if all(level.contains(a) for a in targets):
             break
-        stable = stable + 1 if lv == level else 0
-        level = lv
-        if exact and stable >= STALL_DEPTH:
-            raise MembershipError(targets, lv,
-                                  "targets not realizable from the generators")
     else:
         raise MembershipError(targets, level,
-                              "targets not realizable within precision")
+                              "targets not realizable within precision"
+                              if last < top else
+                              f"targets not realizable by window order {top}")
     leaders = window.leaders()
     leader_elems = [e.to_field() for (_, _, e) in leaders]
+    coeffs = [ideals.express_in_generators(a.to_field(), leader_elems)
+              for a in targets]
+    # each leader row read is replayed and multiplied out once
+    rows = {idx: window.row_series(idx).shift(-blk)
+            for k, (idx, blk, _) in enumerate(leaders)
+            if any(us[k] for us in coeffs)}
     entries = []
-    for target in targets:
-        coeffs = ideals.express_in_generators(target.to_field(), leader_elems)
+    for target, us in zip(targets, coeffs):
         acc = sum_products(dom, [
-            (window.row_series(idx).shift(-blk), TruncatedSeries.const(dom, u))
-            for (idx, blk, _), u in zip(leaders, coeffs) if u])
+            (rows[idx], TruncatedSeries.const(dom, u))
+            for (idx, _, _), u in zip(leaders, us) if u])
         if acc.is_known_zero or acc.valuation() != 0 or acc.lowest() != target.to_field():
             raise SkewError("normalized generator lost its lowest coefficient")
         entries.append(acc)
-    return SeriesMatrix(dom, [entries])
+    return SeriesMatrix(dom, [entries]), t
 
 
 @dataclass
@@ -400,19 +359,20 @@ def extend_with_repair(gens: list[TruncatedSeries], prec: int):
     """Driver loop: start from the lowest-coefficient ideal and repair.
 
     Returns (certificate, repairs) where repairs counts the
-    ConstIdealUnderestimate rounds taken.
+    ConstIdealUnderestimate rounds taken. Window 0 realizes the lowest
+    coefficients' ideal, and a repair at order n of a row read from
+    window t is realized by window n + 2t (module docstring).
     """
     norm = _normalized_ring_gens(gens)
     dom = norm[0].dom
     j_ideal = from_ring_generators(dom, [g.lowest().as_ring() for g in norm])
+    # two generators are already a row whose lowest coefficients generate J
+    if len(norm) == 2:
+        row, t = SeriesMatrix(dom, [list(norm)]), 0
+    else:
+        row, t = normalize_generators(j_ideal, norm, 0)
     repairs = 0
     while True:
-        # each repair strictly enlarges J, so before the first one the
-        # lowest coefficients of two generators already generate J
-        if len(norm) == 2 and repairs == 0:
-            row = SeriesMatrix(dom, [list(norm)])
-        else:
-            row = normalize_generators(j_ideal, norm)
         try:
             return extend(j_ideal, row, prec), repairs
         except ConstIdealUnderestimate as err:
@@ -420,3 +380,4 @@ def extend_with_repair(gens: list[TruncatedSeries], prec: int):
                 raise SkewError("repair loop failed to enlarge the ideal")
             j_ideal = err.enlarged
             repairs += 1
+            row, t = normalize_generators(j_ideal, norm, err.order + 2 * t)

@@ -84,6 +84,23 @@ def test_extend_repair_case(tmp_path, capsys):
     assert obj["ideal"] == {"hnf": [1, 0, 1]}
 
 
+@pytest.mark.parametrize("gens", ['["2","2+1*x^5"]',
+                                  '["2+1*x^1","2+1*x^7+1*x^1"]'])
+def test_extend_exact_generators_with_a_unit_difference(tmp_path, capsys,
+                                                        gens):
+    """The two generators differ by a power of x, so they generate R; the
+    lowest coefficients stay in (2) far beyond four orders."""
+    out_path = tmp_path / "cert.json"
+    code, out, _ = run(capsys, "extend", "--domain", "int", "--gens", gens,
+                       "--prec", "12", "--out", str(out_path))
+    assert code == 0
+    assert "constant ideal: (1)" in out
+    assert "repairs: 1" in out
+    code, out, _ = run(capsys, "verify", str(out_path))
+    assert code == 0
+    assert "FAIL" not in out
+
+
 def test_extend_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["extend", "--domain", "int"])

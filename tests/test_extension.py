@@ -8,7 +8,6 @@ from skewdd import extension, ideals
 from skewdd.errors import ConstIdealUnderestimate, MembershipError, PrecisionError
 from skewdd.extension import (
     ExtensionCertificate,
-    constant_ideal_bounded,
     extend,
     extend_with_repair,
     normalize_generators,
@@ -34,44 +33,30 @@ def count_windows(monkeypatch):
     return built
 
 
-def test_constant_ideal_examples(zz, z5, monkeypatch):
-    built = count_windows(monkeypatch)
-    assert constant_ideal_bounded([parse_series(zz, "2+1*x^1")]).a == 2
-    # (2) at orders 0..3 is four equal levels in a row: stop there
-    assert built == [0, 1, 2, 3]
-    assert constant_ideal_bounded(
-        [parse_series(zz, "2+1*x^1"), parse_series(zz, "2")]).a == 1
-    got = constant_ideal_bounded(
-        [parse_series(z5, "2+1*x^1"), parse_series(z5, "1+1*w")])
-    assert got.is_unit
-
-
-def test_constant_ideal_precision(zz):
-    short = TruncatedSeries(zz, 0, [zz.felem(2), zz.fone], 2)
-    with pytest.raises(PrecisionError):
-        constant_ideal_bounded([short])
-
-
-def test_constant_ideal_shifted_generators(zz):
-    # valuation is normalized away before the table is built
-    f = parse_series(zz, "2*x^3+1*x^4")
-    assert constant_ideal_bounded([f]).a == 2
-
-
 def test_normalize_generators_examples(zz, z5):
-    ng = normalize_generators(from_ring_generators(zz, [zz.elem(2)]),
-                              [parse_series(zz, "2+1*x^1")])
+    ng, t = normalize_generators(from_ring_generators(zz, [zz.elem(2)]),
+                                 [parse_series(zz, "2+1*x^1")], 0)
+    assert t == 0
     assert ng.rows[0][0] == parse_series(zz, "2+1*x^1")
     assert ng.rows[0][1] == parse_series(zz, "2+1*x^1")
+    # valuation is normalized away before the window is built
+    assert normalize_generators(from_ring_generators(zz, [zz.elem(2)]),
+                                [parse_series(zz, "2*x^3+1*x^4")], 0) == (ng, 0)
     p2 = from_ring_generators(z5, [z5.elem(2), z5.elem(1, 1)])
     gens = [parse_series(z5, "2"), parse_series(z5, "1+1*w")]
-    ng = normalize_generators(p2, gens)
+    ng, t = normalize_generators(p2, gens, 0)
+    assert t == 0
     assert ng.rows[0][0].lowest() == z5.felem(2)
     assert ng.rows[0][1].lowest() == z5.felem(1, 1)
     # unit-ideal target realized through the recorded cancellation
-    ng = normalize_generators(unit_ideal(zz),
-                              [parse_series(zz, "2+1*x^1"), parse_series(zz, "2")])
+    ng, t = normalize_generators(
+        unit_ideal(zz), [parse_series(zz, "2+1*x^1"), parse_series(zz, "2")], 8)
+    assert t == 1
     assert ng.rows[0][0].lowest() == zz.fone
+    # ... but not when the search must stop at window 0
+    with pytest.raises(MembershipError):
+        normalize_generators(
+            unit_ideal(zz), [parse_series(zz, "2+1*x^1"), parse_series(zz, "2")], 0)
 
 
 def test_normalize_generators_pinned_rows(zz, z5, z5c):
@@ -98,7 +83,9 @@ def test_normalize_generators_pinned_rows(zz, z5, z5c):
          [(0, ["1", "-7-3*w", "3*w"], 5), (0, ["1*w", "-15+7*w", "-15"], 5)]),
     ]
     for dom, target, gens, rows in cases:
-        got = normalize_generators(target, [parse_series(dom, s) for s in gens])
+        # the known orders, not top, end the truncated cases' search
+        got, _ = normalize_generators(
+            target, [parse_series(dom, s) for s in gens], 8)
         want = SeriesMatrix(dom, [[
             series_from_json(dom, {"val": val, "coeffs": coeffs, "prec": kt})
             for val, coeffs, kt in rows]])
@@ -108,8 +95,8 @@ def test_normalize_generators_pinned_rows(zz, z5, z5c):
 def test_normalize_unrealizable_target(zz, monkeypatch):
     built = count_windows(monkeypatch)
     with pytest.raises(MembershipError):
-        normalize_generators(unit_ideal(zz), [parse_series(zz, "2+2*x^1")])
-    # exact generators: give up once the level (2) has repeated four times
+        normalize_generators(unit_ideal(zz), [parse_series(zz, "2+2*x^1")], 4)
+    # exact generators: the search ends at window order top
     assert built == [0, 1, 2, 3, 4]
 
 
@@ -313,12 +300,12 @@ def test_extend_with_nontrivial_corrections(any_domain):
 
 def test_vanishing_columns_feed_the_constant_ideal(z5c):
     """Columns satisfying the vanishing hypothesis through order n-1 push
-    their order-n combination into the constant-ideal lower bound.
+    their order-n combination into the constant ideal.
 
     The columns s_i = A_i sigma^i(g0perp * q), q in J^(-1), satisfy the
     hypothesis by the certificate identity, so g * s has valuation >= n,
     and whenever the valuation is exactly n the lowest coefficient must
-    pass the membership check against constant_ideal_bounded.
+    lie in the certificate's constant ideal.
     """
     dom = z5c
     rng = random.Random(42)
@@ -327,7 +314,6 @@ def test_vanishing_columns_feed_the_constant_ideal(z5c):
     for _ in range(6):
         row = row_with_ideal_tails(dom, j_lat, rng, 10)
         cert = extend(j_lat, row, 10)
-        const_lower = constant_ideal_bounded(list(row.rows[0]))
         jinv = cert.ideal.inverse()
         a1, a2 = cert.g0
         g0perp = [a2.to_field(), (-a1).to_field()]
@@ -352,7 +338,7 @@ def test_vanishing_columns_feed_the_constant_ideal(z5c):
                 continue
             assert prod.valuation() >= n
             if prod.valuation() == n:
-                assert const_lower.contains(prod.lowest())
+                assert cert.ideal.contains(prod.lowest())
                 hits += 1
     assert hits > 10
 

@@ -3,8 +3,10 @@ the functions a traced benchmark run wraps, the counts of one
 benchmark job's final inverse (elements built, coefficient matrices read)
 and of its verifier's comparisons and identity product, the
 row-by-witness products and series products of a completion job, the
-echelon rows of one ideal product, and the order-window rows that an
-extension job replays from an echelon's operation record.
+echelon rows of one ideal product, the order-window rows that an
+extension job replays from an echelon's operation record, the windows
+that realize each repair, and one extension certificate of exact
+generators.
 
 Each workload's first twenty jobs run through ``skewdd.cli.main`` with
 the benchmark's own input generator, job runner and digest check, so a
@@ -12,6 +14,7 @@ change that alters any certificate byte fails here, not only in a
 benchmark run. bench/gen.py and bench/run.py are imported, not changed.
 """
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -326,4 +329,63 @@ def test_order_windows_replay_only_the_rows_they_read(tmp_path,
         assert replayed == [[int(k == idx) for k in range(len(final.seeds))]
                             for idx in call["reads"]]
         assert set(call["reads"]) <= {idx for idx, _, _ in final.leaders()}
+        assert len(set(call["reads"])) == len(call["reads"])
         assert len(call["replays"]) == len(replayed) + 2
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_repairs_are_realized_by_the_proven_window(tmp_path, monkeypatch,
+                                                   seed):
+    """After a repair at order n of a row read from window t, the
+    normalize_generators call of each seed-0/1 extend-window job 0..39
+    gets top = n + 2t, and searched past that top, the first window
+    that realizes the enlarged ideal is never beyond it. Counted, not
+    timed."""
+    events = []
+    normalize = extension.normalize_generators
+    extend = extension.extend
+
+    def unbounded(j_ideal, gens, top):
+        row, t = normalize(j_ideal, gens, 10 ** 6)
+        events.append(("window", top, t))
+        return row, t
+
+    def recording(j_ideal, g, prec):
+        try:
+            return extend(j_ideal, g, prec)
+        except extension.ConstIdealUnderestimate as err:
+            events.append(("repair", err.order))
+            raise
+
+    monkeypatch.setattr(extension, "normalize_generators", unbounded)
+    monkeypatch.setattr(extension, "extend", recording)
+    slack = []
+    for index in range(40):
+        events.clear()
+        job = gen.make_job("extend-window", seed, index)
+        assert run.run_job(cli.main, job, tmp_path).ok
+        # three generators: window 0 first, then one window per repair
+        (kind, top, t), *rest = events
+        assert (kind, top, t) == ("window", 0, 0)
+        for (kind, n), (_, top, found) in zip(rest[::2], rest[1::2]):
+            assert kind == "repair"
+            assert top == n + 2 * t
+            assert found <= top
+            slack.append(top - found)
+            t = found
+        assert len(rest) == 2 * len(rest[::2])
+    monkeypatch.undo()
+    # 28 repairs at either seed; the bound is met with equality
+    assert len(slack) == 28
+    assert min(slack) == 0
+
+
+def test_unit_difference_certificate_is_pinned(tmp_path):
+    """(2 + x^5) - 2 = x^5 is a unit, so the right ideal (2, 2 + x^5) over
+    Z is R: one repair at order 5, realized by window 5."""
+    out = tmp_path / "cert.json"
+    assert cli.main(["extend", "--domain", "int", "--gens",
+                     '["2","2+1*x^5"]', "--prec", "12",
+                     "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "a46e95689456bb6f3346e6d4e4f9531ac5c7becd5892e698c6f7c3b0ad99dc35")

@@ -15,16 +15,21 @@ A constant factor is a scaling, not a product: scale_right(f, c) sets
 order i to f_i * sigma^i(c), and scale_column(m, c) is m @ diag(1, c).
 Every product of two series goes through one kernel, sum_products: a
 sum of twisted products (mul is its one-pair case, and each entry of a
-matrix product one call). It reads each factor once into integer lanes
+matrix product one call). It reads each factor into integer lanes
 (a_i, b_i) over one positive common denominator, with coefficient
-(a_i + b_i*w) / den (over Z there is no b lane). It convolves the lanes
-with plain int arithmetic by walking the shorter factor: each of its
-coefficients adds one scaled copy of the other factor's lanes into an
-accumulator, so a pair costs O(min(nf, step*ng)) Python steps rather
-than one dot product per output order. Elements are built only inside
-the product's nonzero window, found on the combined integer parts: one
-FieldElem, so one gcd, per order from the first to the last nonzero
-one.
+(a_i + b_i*w) / den (over Z there is no b lane), plus the Karatsuba
+lane a_i + b_i and, when sigma is conjugation, the same lanes of the
+conjugated coefficients. A series reads its whole window into lanes at
+most once and keeps them (the coefficients stay FieldElems, and equality
+and hashing ignore the kept lanes); a factor cut shorter is sliced from
+the kept lanes, or read alone and not kept if none are. The kernel
+convolves the lanes with plain int arithmetic by walking the shorter
+factor: each of its coefficients adds one scaled copy of the other
+factor's lanes into an accumulator, so a pair costs O(min(nf, step*ng))
+Python steps rather than one dot product per output order. Elements are
+built only inside the product's nonzero window, found on the combined
+integer parts: one FieldElem, so one gcd, per order from the first to
+the last nonzero one.
 
 Order-by-order products share one relaxed recursion, relaxed_product
 (van der Hoeven, "Relax, but don't be too lazy", J. Symbolic Comput.
@@ -61,25 +66,28 @@ def _kt_add(kt, shift: int):
 class TruncatedSeries:
     """Immutable truncated series; see the module docstring."""
 
-    __slots__ = ("dom", "val", "coeffs", "known_to")
+    __slots__ = ("dom", "val", "coeffs", "known_to", "_form")
 
     def __init__(self, dom: Domain, val: int, coeffs, known_to=None):
-        coeffs = list(coeffs)
+        coeffs = tuple(coeffs)
         # strip leading and trailing zero coefficients; implicit zeros are
         # recovered from val and known_to
-        while coeffs and not coeffs[0]:
-            coeffs.pop(0)
-            val += 1
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
+        lo, hi = 0, len(coeffs)
+        while lo < hi and not coeffs[lo]:
+            lo += 1
+        while hi > lo and not coeffs[hi - 1]:
+            hi -= 1
+        coeffs = coeffs[lo:hi]
+        val += lo
         if known_to is not None and coeffs and val + len(coeffs) > known_to:
             raise SkewError("coefficients extend past known_to")
         if not coeffs:
             val = known_to if known_to is not None else 0
         self.dom = dom
         self.val = val
-        self.coeffs = tuple(coeffs)
+        self.coeffs = coeffs
         self.known_to = known_to
+        self._form = None   # the kept lane form, see lanes_below
 
     # ---------------------------------------------------------- constructors
     @staticmethod
@@ -87,7 +95,7 @@ class TruncatedSeries:
         if isinstance(c, RingElem):
             c = c.to_field()
         if isinstance(c, int):
-            c = dom.felem(c)
+            c = FieldElem(dom, RingElem(dom, c, 0), 1)
         return TruncatedSeries(dom, 0, [c], known_to)
 
     @staticmethod
@@ -242,6 +250,25 @@ class TruncatedSeries:
         """Two-sided inverse: the 1x1 case of matrix_invert."""
         return matrix_invert(SeriesMatrix(self.dom, [[self]]), prec).rows[0][0]
 
+    def lanes_below(self, room: int):
+        """(den, plain, conj): the lane form of the coefficients below
+        order val + room, see _lane_form.
+
+        The whole window is read once and kept; a shorter cut is sliced
+        from the kept form, or read alone (and not kept) if there is none.
+        """
+        form = self._form
+        if room < len(self.coeffs):
+            if form is None:
+                return _lane_form(self.dom, self.coeffs[:room])
+            den, plain, conj = form
+            cut = [lane[:room] for lane in plain]
+            return den, cut, (cut if conj is plain
+                              else [lane[:room] for lane in conj])
+        if form is None:
+            form = self._form = _lane_form(self.dom, self.coeffs)
+        return form
+
 
 def mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """Twisted Cauchy product; precision follows the min rule."""
@@ -291,19 +318,33 @@ def _with_sum(lanes):
     return [*lanes, [x + y for x, y in zip(*lanes)]]
 
 
+def _lane_form(dom: Domain, coeffs):
+    """(den, plain, conj): plain holds the lanes of coeffs with the
+    Karatsuba lane a + b (over Q(w)), conj the same for the conjugated
+    coefficients when sigma is conjugation and plain itself otherwise."""
+    den, lanes = _lanes(coeffs, dom.is_quad)
+    plain = _with_sum(lanes)
+    if not dom.conj_sigma:
+        return den, plain, plain
+    # conj(a + b*w) = (a + b*omega_t) - b*w
+    a, b = lanes
+    return den, plain, _with_sum([[u + v * dom.omega_t for u, v in zip(a, b)],
+                                  [-v for v in b]])
+
+
 def sum_products(dom: Domain, pairs) -> TruncatedSeries:
     """Sum of the twisted products f * g over pairs, known through the
     least of their min-rule bounds (an exact-zero factor contributes
     nothing and bounds nothing).
 
     Each factor is cut at the room left below the output's top order and
-    read once into integer lanes, and every pair is scaled to the common
-    denominator of all the products. A pair then walks whichever factor
-    needs fewer scaled-vector adds: nf for f, or step * ng for g (step 2
-    when sigma is conjugation, else 1). Walking f adds f_j times g's
-    lanes, conjugated when sigma^(val(f)+j) twists them, into the
-    accumulator; walking g adds sigma^e(g_i) times f's lanes of parity e
-    into every step-th order. Zero scalars are skipped.
+    read into integer lanes (lanes_below), and every pair is scaled to
+    the common denominator of all the products. A pair then walks
+    whichever factor needs fewer scaled-vector adds: nf for f, or
+    step * ng for g (step 2 when sigma is conjugation, else 1). Walking
+    f adds f_j times g's lanes, conjugated when sigma^(val(f)+j) twists
+    them, into the accumulator; walking g adds sigma^e(g_i) times f's
+    lanes of parity e into every step-th order. Zero scalars are skipped.
 
     The sums are then combined into each order's integer parts (over
     Q(w), a + b*omega_c and c - a - b + b*omega_t from the Karatsuba sums
@@ -333,30 +374,20 @@ def sum_products(dom: Domain, pairs) -> TruncatedSeries:
     for f, g in live:
         room = hi - f.val - g.val   # orders of f * g below hi
         if room > 0:
-            factors.append((f.val, g.val, room,
-                            _lanes(f.coeffs[:room], quad),
-                            _lanes(g.coeffs[:room], quad)))
+            factors.append((f.val, g.val, room, f.lanes_below(room),
+                            g.lanes_below(room)))
     den = 1
-    for *_, (fd, _), (gd, _) in factors:
+    for *_, (fd, _, _), (gd, _, _) in factors:
         den = lcm(den, fd * gd)
     # per order: sum a_f a_g and, over Q(w), sum b_f b_g and
     # sum (a_f + b_f)(a_g + b_g), which give the w part (Karatsuba)
     sums = [[0] * (hi - lo) for _ in range(3 if quad else 1)]
-    for fv, gv, room, (fd, fl), (gd, gl) in factors:
+    for fv, gv, room, (fd, fl, _), (gd, *twisted) in factors:
+        # twisted: g's lanes as seen by the even and the odd orders of f
         scale = den // (fd * gd)
         if scale != 1:
             fl = [[x * scale for x in lane] for lane in fl]
-        fl = _with_sum(fl)
-        # g's lanes as seen by the even and the odd orders of f
-        plain = _with_sum(gl)
-        twisted = [plain, plain]
-        if dom.conj_sigma:
-            # conj(a + b*w) = (a + b*omega_t) - b*w
-            ga, gb = gl
-            twisted[1] = _with_sum([[u + v * dom.omega_t
-                                     for u, v in zip(ga, gb)],
-                                    [-v for v in gb]])
-        nf, ng = len(fl[0]), len(plain[0])
+        nf, ng = len(fl[0]), len(twisted[0][0])
         # f_j sigma^(fv+j)(g_i) lands in accumulator slot base + j + i
         base = fv + gv - lo
         if nf <= step * ng:   # walk f: add f_j * g into slots base + j ...

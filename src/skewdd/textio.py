@@ -4,13 +4,19 @@ Element syntax: a sum of signed terms, each an optional `p` or `p/q` in
 ASCII digits then an optional `*w` (`w` alone is `1*w`; the `*` may be
 left out), read with integer arithmetic only; the generator of the
 quadratic order is always spelled `w`. Elements are written `a`, `a+b*w`
-or `a-b*w` with each part in lowest terms (`-3/4+5/6*w`, `1*w`). Series
-syntax: `2+1*x^1+(1+1*w)*x^3+O(x^8)`, with negative exponents allowed
-and at most one O-term, the exclusive precision bound; structured
-coefficients are parenthesized. Every order read (an exponent, an
-O-term, a JSON `val`, last stored order or `prec`) must lie within
-+-MAX_ORDER. All JSON emitted by the package is canonical: sorted keys,
-compact separators, integers and strings only.
+or `a-b*w` with each part in lowest terms (`-3/4+5/6*w`, `1*w`).
+parse_field_elem reads text in exactly those written forms (`a`, `b*w`
+or `a+-b*w`, each part `p` or `p/q`) with one regex match; any other
+text goes to the term loop, parse_terms, which reads every form and
+words every refusal. Both give the same element.
+
+Series syntax: `2+1*x^1+(1+1*w)*x^3+O(x^8)`, with negative exponents
+allowed and at most one O-term, the exclusive precision bound, written
+like a term's power of x: `O(x)` is `O(x^1)`, and `O(x5)` is refused as
+`2*x5` is. Structured coefficients are parenthesized. Every order read
+(an exponent, an O-term, a JSON `val`, last stored order or `prec`) must
+lie within +-MAX_ORDER. All JSON emitted by the package is canonical:
+sorted keys, compact separators, integers and strings only.
 """
 
 from __future__ import annotations
@@ -73,12 +79,36 @@ def format_field_elem(e: FieldElem) -> str:
     return f"{_ratio(a, den)}{'+' if b > 0 else '-'}{wpart}"
 
 
+# exactly the forms format_field_elem writes: a, b*w or a+-b*w, each
+# part p or p/q with q > 0
+_CANONICAL_RE = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?"
+                           r"(?:(\*w)|([+-][0-9]+)(?:/(0*[1-9][0-9]*))?\*w)?")
 _TERM_RE = re.compile(r"([+-])(?:([0-9]+)(?:/([0-9]+))?)?(\*?w)?")
 
 
 def parse_field_elem(dom: Domain, text: str) -> FieldElem:
     if not isinstance(text, str):
         raise ValueError(f"element must be a string, not {text!r}")
+    m = _CANONICAL_RE.fullmatch(text)
+    if m is None:
+        return parse_terms(dom, text)
+    p, q, w_only, r, s = m.groups()
+    if (w_only or r) and not dom.is_quad:
+        return parse_terms(dom, text)   # which refuses the w
+    a, den = int(p), int(q or 1)
+    if w_only:
+        a, b = 0, a
+    elif r is None:
+        b = 0
+    else:
+        b, b_den = int(r), int(s or 1)
+        if b_den != den:
+            a, b, den = a * b_den, b * den, den * b_den
+    return FieldElem(dom, RingElem(dom, a, b), den)
+
+
+def parse_terms(dom: Domain, text: str) -> FieldElem:
+    """parse_field_elem's term loop, which reads any element text."""
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty element")
@@ -136,7 +166,7 @@ def format_series(f) -> str:
     return "+".join(pieces).replace("+-", "-")
 
 
-_O_RE = re.compile(r"^O\(x\^?(-?[0-9]+)\)$")
+_O_RE = re.compile(r"^O\(x(?:\^(-?[0-9]+))?\)$")
 _X_RE = re.compile(r"^(.*?)\*?x(?:\^(-?[0-9]+))?$")
 
 
@@ -176,7 +206,7 @@ def parse_series(dom: Domain, text: str):
                 raise ValueError("negative O-term")
             if known_to is not None:
                 raise ValueError(f"series {text!r} has two O-terms")
-            known_to = _order(int(mo.group(1)), "O-term order")
+            known_to = _order(int(mo.group(1) or 1), "O-term order")
             continue
         mx = _X_RE.match(body)
         if mx and not body.endswith("w"):

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -168,6 +170,33 @@ def test_verify_truncated_witness_exits_3(tmp_path, capsys, zz):
     assert "FAIL: row * witness = x^n" in out
 
 
+def test_verify_padded_witness_exits_3_in_time(tmp_path, capsys, zz):
+    """A certificate whose witness entries are padded with zeros in front
+    to 2 * MAX_ORDER stored coefficients (val -MAX_ORDER, so the nonzero
+    ones move up to the top orders) is refused in linear time: the zeros
+    are stripped in one pass, not one list.pop(0) at a time."""
+    import time
+
+    out_path = tmp_path / "cert.json"
+    code, _, _ = run(capsys, *classic_row_argv(tmp_path, zz),
+                     "--out", str(out_path))
+    assert code == 0
+    obj = json.loads(out_path.read_text())
+    for (entry,) in obj["witness"]:
+        assert entry["prec"] is None
+        entry["coeffs"] = (["0"] * (2 * MAX_ORDER - len(entry["coeffs"]))
+                           + entry["coeffs"])
+        entry["val"] = -MAX_ORDER
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(obj))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", str(bad_path))
+    elapsed = time.perf_counter() - start
+    assert code == 3
+    assert "FAIL: row * witness = x^n" in out
+    assert elapsed < 2.0
+
+
 def _bump(obj, key, by):
     obj[key] = obj[key] + by
 
@@ -281,7 +310,7 @@ def test_verify_malformed_certificate_exits_3(tmp_path, capsys, zz, tamper):
     f"extend prec {MAX_ORDER + 1}", "extend prec 100000000",
     "exponent past the order bound", "two O-terms", "decimal coefficient",
     "ideal b past a", "ideal with a reducible den", "d past the cap",
-    "row coefficient past its prec"])
+    "row coefficient past its prec", "O-term without a caret"])
 def test_malformed_cli_input_exits_2(tmp_path, capsys, zz, case):
     gens = ["--gens", '["2+1*x^1"]']
     if case == "gens not strings":
@@ -291,6 +320,9 @@ def test_malformed_cli_input_exits_2(tmp_path, capsys, zz, case):
                 "--gens", f'["1+1*x^{MAX_ORDER + 1}"]']
     elif case == "two O-terms":
         argv = ["extend", "--domain", "int", "--gens", '["1+O(x^5)+O(x^3)"]']
+    elif case == "O-term without a caret":
+        argv = ["extend", "--domain", "int", "--gens",
+                '["2+1*x^1+O(x5)","3+O(x^5)"]', "--prec", "3"]
     elif case == "decimal coefficient":
         argv = ["extend", "--domain", "int", "--gens", '["2.0+1*x^1"]']
     elif case == "coefficient 1/0":
@@ -507,6 +539,28 @@ def test_certificates_verify_in_fresh_process(tmp_path, zz):
         check = fresh(["verify", str(path)])
         assert check.returncode == 0
         assert "FAIL" not in check.stdout
+
+
+def test_python_dash_m_skewdd_runs_the_command_line(tmp_path):
+    """`python -m skewdd verify` on the pinned unit-difference certificate
+    (tests/test_pins.py) exits 0, as the installed script does."""
+    import subprocess
+    import sys
+
+    import skewdd
+
+    out = tmp_path / "cert.json"
+    assert main(["extend", "--domain", "int", "--gens", '["2","2+1*x^5"]',
+                 "--prec", "12", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "a46e95689456bb6f3346e6d4e4f9531ac5c7becd5892e698c6f7c3b0ad99dc35")
+    src = str(Path(skewdd.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    check = subprocess.run([sys.executable, "-m", "skewdd", "verify", str(out)],
+                           capture_output=True, text=True, env=env)
+    assert check.returncode == 0, check.stderr
+    assert "FAIL" not in check.stdout
 
 
 def test_unknown_schema_exits_2(tmp_path, capsys):

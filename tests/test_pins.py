@@ -1,7 +1,7 @@
 """Certificate bytes of jobs 0..19 at seed 0 against bench/digests.json,
 the functions a traced benchmark run wraps, the counts of one
 benchmark job's final inverse (elements built, coefficient matrices read)
-and of its verifier's comparisons and identity product, the
+and of its verifier's comparisons, identity product and lane reads, the
 row-by-witness products and series products of a completion job, the
 echelon rows of one ideal product, the order-window rows that an
 extension job replays from an echelon's operation record, the windows
@@ -140,6 +140,37 @@ def test_verifier_compares_products_without_building_elements(tmp_path,
     assert report.ok
     assert calls == 4
     assert built == 0
+
+
+def test_verifier_reads_each_series_into_lanes_once(tmp_path, monkeypatch):
+    """verify_completion on the seed-1 complete-p32 job 0 certificate reads
+    each stored series that it multiplies in full into integer lanes at
+    most once, although final and final_inv enter two products each; a
+    second verify of the same loaded certificate reads none of them.
+    Counted, not timed."""
+    res = run.run_job(cli.main, gen.make_job("complete-p32", 1, 0), tmp_path)
+    assert res.ok
+    cert = completion.CompletionCertificate.from_json(json.loads(res.data))
+    stored = {id(s.coeffs)
+              for m in (cert.row, cert.witness, cert.b, cert.T, cert.H,
+                        cert.final, cert.final_inv)
+              for row in m.rows for s in row if s.coeffs}
+    reads = []
+    lanes = series._lanes
+
+    def recording(coeffs, quad):
+        reads.append(id(coeffs))
+        return lanes(coeffs, quad)
+
+    monkeypatch.setattr(series, "_lanes", recording)
+    assert completion.verify_completion(cert).ok
+    first = [r for r in reads if r in stored]
+    reads.clear()
+    assert completion.verify_completion(cert).ok
+    monkeypatch.undo()
+    assert len(first) >= 8   # final and final_inv at least
+    assert len(first) == len(set(first))
+    assert [r for r in reads if r in stored] == []
 
 
 def test_final_inverse_reads_only_the_stored_orders(tmp_path, monkeypatch):

@@ -645,10 +645,12 @@ def walk_factors(draw, dom):
     return factor(nf), factor(ng)
 
 
-def lanes_below_top(dom, pairs):
+def lanes_below_top(dom, pairs, kept=None):
     """The factor lengths sum_products may read into lanes, in call order:
     each factor of a pair with nonzero terms, cut at the room that the
-    pair has below the output's top order."""
+    pair has below the output's top order. Given kept, the ids of the
+    series whose lane form is kept, a kept factor is not read, and a
+    factor read whole is added to kept."""
     live = [(f, g) for f, g in pairs if f.coeffs and g.coeffs]
     if not live:
         return []
@@ -660,8 +662,15 @@ def lanes_below_top(dom, pairs):
     reads = []
     for f, g in live:
         room = hi - f.val - g.val
-        if room > 0:
-            reads += [min(len(f.coeffs), room), min(len(g.coeffs), room)]
+        if room <= 0:
+            continue
+        for h in (f, g):
+            if kept is None:
+                reads.append(min(len(h.coeffs), room))
+            elif id(h) not in kept:
+                reads.append(min(len(h.coeffs), room))
+                if room >= len(h.coeffs):
+                    kept.add(id(h))
     return reads
 
 
@@ -689,6 +698,73 @@ def test_shorter_factor_walk_matches_per_order_kernel(any_domain, data,
     monkeypatch.setattr(series, "_lanes", _lanes)
     assert_same_series(got, reference_sum_products(dom, pairs))
     assert reads == lanes_below_top(dom, pairs)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(data=st.data())
+def test_kept_lanes_are_read_once_and_sliced(any_domain, data, monkeypatch):
+    """Factors whose lane form is already kept, some of them used in two
+    pairs or twice in one call: their cuts are sliced from the lanes of
+    the whole window, over its denominator, and the products still match
+    the per-order kernel. A series is read whole at most once, and a
+    second product of the same pairs reads only the cuts of factors that
+    were never read whole."""
+    dom = any_domain
+    pairs = [data.draw(walk_factors(dom))
+             for _ in range(data.draw(st.integers(1, 3)))]
+    if data.draw(st.booleans()):
+        pairs.append(pairs[0][::-1])
+    kept = set()
+    for h in {id(h): h for pair in pairs for h in pair}.values():
+        if h.coeffs and data.draw(st.booleans()):
+            h.lanes_below(len(h.coeffs))
+            kept.add(id(h))
+    reads = []
+
+    def recording(coeffs, quad):
+        reads.append(len(coeffs))
+        return _lanes(coeffs, quad)
+
+    monkeypatch.setattr(series, "_lanes", recording)
+    got = sum_products(dom, pairs)
+    first = reads[:]
+    again = sum_products(dom, pairs)
+    monkeypatch.setattr(series, "_lanes", _lanes)
+    want = reference_sum_products(dom, pairs)
+    assert_same_series(got, want)
+    assert_same_series(again, want)
+    assert first == lanes_below_top(dom, pairs, kept)
+    assert reads[len(first):] == lanes_below_top(dom, pairs, kept)
+
+
+def test_kept_lanes_leave_equality_and_hash_alone(any_domain):
+    dom = any_domain
+    a = TruncatedSeries(dom, -1, [dom.felem(3, 0, 2), dom.fzero,
+                                  dom.felem(-1, 1 if dom.is_quad else 0, 5)],
+                        4)
+    b = TruncatedSeries(dom, -1, a.coeffs, 4)
+    assert a.lanes_below(3) is a.lanes_below(5)   # read once, kept
+    assert a == b and hash(a) == hash(b)
+    den, plain, conj = a.lanes_below(1)   # a cut, sliced
+    assert den == 10 and plain[0] == [15]
+    assert (conj is plain) == (not dom.conj_sigma)
+
+
+def test_leading_zeros_strip_in_linear_time(zz):
+    """2 * MAX_ORDER leading zeros cost one pass, not one list.pop(0) each
+    (quadratic: seconds at this length)."""
+    import time
+
+    from skewdd.textio import MAX_ORDER
+
+    coeffs = [zz.fzero] * (2 * MAX_ORDER) + [zz.fone, zz.fzero]
+    start = time.perf_counter()
+    f = TruncatedSeries(zz, -5, coeffs)
+    elapsed = time.perf_counter() - start
+    assert (f.val, f.coeffs) == (2 * MAX_ORDER - 5, (zz.fone,))
+    assert elapsed < 0.2
 
 
 # ------------------------------------ disagreement vs. the difference series

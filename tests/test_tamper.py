@@ -7,13 +7,17 @@ job 1 over quad:-5:id and complete-p8 jobs 2 and 4 over quad:-5:conj and
 quad:2:conj. One field at a time is replaced by each hostile value:
 every top-level field but `audit` (which verify does not read), every
 domain field, hnf entry and g0 entry, and the val, prec and first
-coefficient of every series.
+coefficient of every series. The sweep is repeated after the clean
+certificate passed verify in the same process, and an in-memory sweep
+nudges one coefficient of one series at a time beside the series of a
+certificate that was just verified, whose integer lanes are kept.
 """
 
 import contextlib
 import io
 import json
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -24,7 +28,9 @@ sys.path.insert(0, str(BENCH))
 import gen  # noqa: E402
 import run  # noqa: E402
 
-from skewdd import cli  # noqa: E402
+from skewdd import cli, completion, extension  # noqa: E402
+from skewdd.errors import SkewError  # noqa: E402
+from skewdd.series import SeriesMatrix, TruncatedSeries  # noqa: E402
 from skewdd.textio import MAX_ORDER  # noqa: E402
 
 HOSTILE = [1.5, True, "x", [], {}, MAX_ORDER + 1]
@@ -77,14 +83,8 @@ def _verify(path):
     return code, err.getvalue()
 
 
-@pytest.mark.parametrize("workload, index, edits", [
-    ("extend-window", 1, 210), ("complete-p8", 2, 510), ("complete-p8", 4, 510)])
-def test_verify_rejects_every_single_field_edit(tmp_path, workload, index,
-                                                edits):
-    job = gen.make_job(workload, 0, index)
-    res = run.run_job(cli.main, job, tmp_path)
-    assert res.ok, res.detail
-    cert = json.loads(res.data)
+def _single_field_sweep(tmp_path, cert):
+    """(cases, unexpected) of verify on each single-field edit of cert."""
     bad_path = tmp_path / "tampered.json"
     unexpected, cases = [], 0
     for path in tamper_paths(cert):
@@ -98,8 +98,94 @@ def test_verify_rejects_every_single_field_edit(tmp_path, workload, index,
             want = 2 if path == ("schema",) else 3
             if code != want or err.count("\n") > 1:
                 unexpected.append((path, value, code, err[:200]))
+    return cases, unexpected
+
+
+@pytest.mark.parametrize("workload, index, edits", [
+    ("extend-window", 1, 210), ("complete-p8", 2, 510), ("complete-p8", 4, 510)])
+def test_verify_rejects_every_single_field_edit(tmp_path, workload, index,
+                                                edits):
+    job = gen.make_job(workload, 0, index)
+    res = run.run_job(cli.main, job, tmp_path)
+    assert res.ok, res.detail
+    assert _single_field_sweep(tmp_path, json.loads(res.data)) == (edits, [])
+
+
+@pytest.mark.parametrize("workload, index, edits", [
+    ("extend-window", 1, 210), ("complete-p8", 2, 510)])
+def test_edits_are_rejected_after_a_clean_verify(tmp_path, workload, index,
+                                                 edits):
+    """The verdict does not depend on what the process verified before:
+    the same sweep, after the clean certificate passed verify in this
+    process."""
+    job = gen.make_job(workload, 0, index)
+    res = run.run_job(cli.main, job, tmp_path)   # verifies the clean file
+    assert res.ok, res.detail
+    clean_path = tmp_path / "clean.json"
+    clean_path.write_bytes(res.data)
+    assert _verify(clean_path) == (0, "")
+    assert _single_field_sweep(tmp_path, json.loads(res.data)) == (edits, [])
+
+
+def _nudged(s):
+    """s with its lowest stored coefficient plus 1; s itself if none."""
+    if not s.coeffs:
+        return s
+    return TruncatedSeries(s.dom, s.val, (s.coeffs[0] + 1, *s.coeffs[1:]),
+                           s.known_to)
+
+
+def _nudged_entries(cert):
+    """(field, entry, cert) with one series entry nudged; every other
+    series is the object of cert itself."""
+    for field in fields(cert):
+        value = getattr(cert, field.name)
+        if isinstance(value, TruncatedSeries):
+            if value.coeffs:
+                yield field.name, (), replace(cert, **{field.name:
+                                                       _nudged(value)})
+        elif isinstance(value, SeriesMatrix):
+            for r, row in enumerate(value.rows):
+                for c, s in enumerate(row):
+                    if not s.coeffs:
+                        continue
+                    rows = [list(x) for x in value.rows]
+                    rows[r][c] = _nudged(s)
+                    yield field.name, (r, c), replace(cert, **{
+                        field.name: SeriesMatrix(value.dom, rows)})
+
+
+@pytest.mark.parametrize("workload, index, edits", [
+    ("extend-window", 1, 5), ("complete-p8", 2, 19), ("complete-p32", 0, 18)])
+def test_nudged_entry_fails_beside_series_already_verified(
+        tmp_path, workload, index, edits):
+    """One coefficient changed by 1 in one series of a certificate that
+    has just been verified, every other series shared with it (so their
+    integer lanes are already kept): each such certificate fails, and the
+    clean one still passes after them."""
+    job = gen.make_job(workload, 0, index)
+    res = run.run_job(cli.main, job, tmp_path)
+    assert res.ok, res.detail
+    obj = json.loads(res.data)
+    if obj["schema"] == "completion-cert/v1":
+        cert = completion.CompletionCertificate.from_json(obj)
+        check = completion.verify_completion
+    else:
+        cert = extension.ExtensionCertificate.from_json(obj)
+        check = extension.verify_extension_certificate
+    assert check(cert).ok
+    passed, cases = [], 0
+    for name, entry, edited in _nudged_entries(cert):
+        cases += 1
+        try:
+            ok = check(edited).ok
+        except (ArithmeticError, ValueError, SkewError):
+            ok = False
+        if ok:
+            passed.append((name, entry))
     assert cases == edits
-    assert unexpected == []
+    assert passed == []
+    assert check(cert).ok
 
 
 def shape_edits(cert):

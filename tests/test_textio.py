@@ -1,19 +1,44 @@
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from skewdd.textio import format_field_elem, parse_field_elem
+from skewdd import textio
+from skewdd.textio import (format_field_elem, parse_field_elem, parse_series,
+                           parse_terms)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_element_round_trip(any_domain, data):
+def test_element_round_trip(any_domain, data, monkeypatch):
+    """Written text reads back in one match: the term loop never runs."""
     dom = any_domain
     part = st.integers(-10**6, 10**6)
     e = data.draw(st.builds(
         dom.felem, part, part if dom.is_quad else st.just(0),
         st.sampled_from([1, 1, 2, 3, 4, 6, 7, 12, 35, 10**9 + 7])))
-    assert parse_field_elem(dom, format_field_elem(e)) == e
+
+    def no_loop(dom, text):
+        raise AssertionError(f"{text!r} went to the term loop")
+
+    with monkeypatch.context() as m:
+        m.setattr(textio, "parse_terms", no_loop)
+        assert parse_field_elem(dom, format_field_elem(e)) == e
+
+
+def _outcome(parse, dom, text):
+    try:
+        return parse(dom, text)
+    except ValueError as err:
+        return str(err)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.text(alphabet="0123456789+-/*w \u0663", max_size=12))
+def test_one_match_agrees_with_the_term_loop(any_domain, text):
+    """On any text, the same element or the same refusal as the loop."""
+    assert (_outcome(parse_field_elem, any_domain, text)
+            == _outcome(parse_terms, any_domain, text))
 
 
 @pytest.mark.parametrize("a, b, den, text", [
@@ -61,3 +86,16 @@ def test_w_outside_the_integers_is_refused(zz):
     with pytest.raises(ValueError, match="integer domain"):
         parse_field_elem(zz, "1+w")
     assert parse_field_elem(zz, "1+w-w") == zz.fone
+
+
+@pytest.mark.parametrize("text, known_to", [
+    ("2+O(x)", 1), ("2+O(x^1)", 1), ("2+O(x^5)", 5), ("1*x^-3+O(x^-2)", -2)])
+def test_o_term_reads_like_a_power_of_x(zz, text, known_to):
+    assert parse_series(zz, text).known_to == known_to
+
+
+@pytest.mark.parametrize("text", ["2+O(x5)", "2+O(x^)", "2+O(x^+5)",
+                                  "2+O(5)", "2+3*x5"])
+def test_o_term_and_power_spellings_are_refused(zz, text):
+    with pytest.raises(ValueError):
+        parse_series(zz, text)

@@ -85,6 +85,8 @@ def _load_series_list(dom, path: str, key: str) -> list:
 
 def cmd_complete_row(args) -> int:
     textio.certified_prec(args.prec, 1, "--prec")
+    if args.bound < 0:
+        raise ValueError(f"--bound must be at least 0, not {args.bound}")
     dom = get_domain(textio.parse_domain(args.domain))
     j_ideal = textio.ideal_lattice_from_json(dom, json.loads(args.ideal))
     row = SeriesMatrix(dom, [_load_series_list(dom, args.row, "row")])

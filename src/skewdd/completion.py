@@ -21,12 +21,19 @@ over the idealized ring [[R, I^(-1)], [I, I*I^(-1)]], in certified steps:
 Every intermediate coefficient is checked against its declared
 fractional-ideal shape, reductions consume exactly one known order, and
 verify_completion recomputes all products independently.
+
+What depends only on a level's pair (J, A) is computed once per pair:
+shape_table hands every row, step and verifier of that pair one shared
+ShapeTable (its shape ideals and the base case's matrix T0), and the
+principal generators lambda and mu come from the memo of
+ideals.principal_generator. Both memos hold immutable values and keep
+the last ideals.MEMO_SIZE keys; every per-row check still runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partialmethod
+from functools import cached_property, lru_cache, partialmethod
 
 from .domains import Domain, DomainSpec, FieldElem, get_domain
 from .errors import (
@@ -60,7 +67,12 @@ class ShapeTable:
     sigma^i depends only on i mod 2, and one parity serves both when sigma
     is the identity. J and A are inverted once, each right-hand factor is
     twisted once per parity, and no product of the same two ideals is
-    formed twice. The steps read ainv, j_ainv = J*A^-1 and twist_ratio.
+    formed twice. The steps read ainv, j_ainv = J*A^-1, twist_ratio and
+    the base case's matrix t0, formed on first use.
+
+    Every value of a table, t0 included, is fixed by (J, A), so one
+    table serves every caller: obtain it from shape_table, which builds
+    one per (J, A).
     """
 
     RULE = {"row": (("1",), ("1/A", "A/J")),
@@ -70,6 +82,7 @@ class ShapeTable:
             "witness_col": (("A", "J/A"), ("1",))}
 
     def __init__(self, dom: Domain, jf: FracIdeal, af: FracIdeal):
+        self.dom, self.j_ideal, self.a_ideal = dom, jf, af
         jinv, self.ainv = jf.inverse(), af.inverse()
         one = unit_ideal(dom)
         products = {}
@@ -109,6 +122,34 @@ class ShapeTable:
         """J * sigma^i(J^-1), the H shape at (1, 1)."""
         return self.h_mat(i)[1][1]
 
+    @cached_property
+    def t0(self) -> tuple:
+        """The base case's constant matrix T0 = [[a', b], [-s*q, p]].
+
+        s and b are the first HNF generators of J and A, a' completes s*b
+        to a generating pair of A (verified search), and the Bezout
+        identity a'*p + s*b*q = 1 is solved with p, q in A^(-1).
+        """
+        s_r = self.j_ideal.two_generators()[0]
+        b_r = self.a_ideal.two_generators()[0]
+        sb = s_r * b_r
+        aprime = ideals.one_and_half_generator(self.a_ideal, sb).to_field()
+        sb = sb.to_field()
+        u_prime, v_prime = _bezout_two_fractional(
+            self.dom, self.ainv.scale(aprime), self.ainv.scale(sb))
+        return ((aprime, b_r.to_field()),
+                (-(s_r.to_field() * (v_prime / sb)), u_prime / aprime))
+
+
+@lru_cache(maxsize=ideals.MEMO_SIZE)
+def shape_table(dom: Domain, jf: FracIdeal, af: FracIdeal) -> ShapeTable:
+    """The one ShapeTable of (J, A), shared by every caller.
+
+    Ideals are canonical, so equal pairs are one key; the table is built
+    once while it stays among the last ideals.MEMO_SIZE pairs asked for.
+    """
+    return ShapeTable(dom, jf, af)
+
 
 def _shape_violation(mat: SeriesMatrix, shape_of):
     """First (row, col, order) whose coefficient escapes its shape ideal.
@@ -141,14 +182,14 @@ class ShapedRow:
     """Row in [sigma^i(A^-1), sigma^i(J^-1 A)] with valuation 0.
 
     Shape membership of every known coefficient is checked at
-    construction, so a ShapedRow is valid by existence. shapes, when
-    given, is the ShapeTable of (j_ideal, a_ideal).
+    construction, so a ShapedRow is valid by existence. shapes is the
+    shared ShapeTable of (j_ideal, a_ideal).
     """
 
     __slots__ = ("dom", "row", "j_ideal", "a_ideal", "shapes")
 
     def __init__(self, row: SeriesMatrix, j_ideal: FracIdeal,
-                 a_ideal: FracIdeal, shapes: ShapeTable | None = None):
+                 a_ideal: FracIdeal):
         if row.shape != (1, 2):
             raise SkewError("shaped row must be 1x2")
         if j_ideal.is_zero or a_ideal.is_zero:
@@ -162,7 +203,7 @@ class ShapedRow:
         self.row = row
         self.j_ideal = j_ideal
         self.a_ideal = a_ideal
-        self.shapes = shapes or ShapeTable(row.dom, j_ideal, a_ideal)
+        self.shapes = shape_table(row.dom, j_ideal, a_ideal)
         _require_shape(row, self.shapes.row, "row")
 
 
@@ -265,7 +306,7 @@ def reduce_row(shaped: ShapedRow, witness: SeriesMatrix,
     if not b_ideal.is_integral or b_ideal.is_zero:
         raise SkewError("reduction ideal B is not a nonzero integral ideal")
     # the reduced row's table: B^-1, J*B^-1 and sigma(J^-1*B) come from it
-    b_shapes = ShapeTable(dom, shaped.j_ideal, b_ideal)
+    b_shapes = shape_table(dom, shaped.j_ideal, b_ideal)
     w1 = af.mul(b_shapes.ainv).scale(s_e) if s_e else None
     w2 = shapes.j_ainv.mul(b_shapes.ainv).scale(q_e) if q_e else None
     u_prime, v_prime = _bezout_two_fractional(dom, w1, w2)
@@ -284,7 +325,7 @@ def reduce_row(shaped: ShapedRow, witness: SeriesMatrix,
     wit_new = SeriesMatrix(dom, [[tbar.shift(-1)], [(-neg_tlow).map_coeffs(
         lambda c: lam * dom.sigma_pow(c, 1))]])
     reduced = ShapedRow(SeriesMatrix(dom, [[alpha, ent2]]), shaped.j_ideal,
-                        b_ideal, b_shapes)
+                        b_ideal)
     _require_shape(wit_new, reduced.shapes.witness_col, "reduced witness")
     return reduced, wit_new, ReductionContext(shaped, basis, cobasis,
                                               b_ideal, lam)
@@ -292,28 +333,14 @@ def reduce_row(shaped: ShapedRow, witness: SeriesMatrix,
 
 def base_case_invert(shaped: ShapedRow, witness: SeriesMatrix
                      ) -> InvertibilityData:
-    """Level-0 invertibility: a constant determinant-1 matrix T0.
-
-    Picks nonzero s in J and b in A, completes s*b to a generating pair
-    of A (verified search), and solves the Bezout identity in A^(-1).
+    """Level-0 invertibility: the constant matrix T0 of the row's (J, A)
+    (ShapeTable.t0), checked to have determinant 1.
     """
     dom = shaped.dom
-    j_ideal, a_ideal = shaped.j_ideal, shaped.a_ideal
     prod = (shaped.row @ witness).rows[0][0]
     if prod.valuation() != 0 or prod.lowest() != dom.fone:
         raise NotUnimodular("base case needs a0 * t0 = 1")
-    s_r = j_ideal.two_generators()[0]
-    b_r = a_ideal.two_generators()[0]
-    sb = s_r * b_r
-    aprime = ideals.one_and_half_generator(a_ideal, sb)
-    ainv = shaped.shapes.ainv
-    w1 = ainv.scale(aprime.to_field())
-    w2 = ainv.scale(sb.to_field())
-    u_prime, v_prime = _bezout_two_fractional(dom, w1, w2)
-    p = u_prime / aprime.to_field()
-    q2 = v_prime / sb.to_field()
-    t0_mat = [[aprime.to_field(), b_r.to_field()],
-              [-(s_r.to_field() * q2), p]]
+    t0_mat = shaped.shapes.t0
     if det2(t0_mat) != dom.fone:
         raise SkewError("base-case matrix does not have determinant 1")
     t0_col = (witness.rows[0][0].coeff(0), witness.rows[1][0].coeff(0))

@@ -22,6 +22,7 @@ Only the real-quadratic principal scan stops at a bound.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, lcm
 
 from .domains import Domain, FieldElem, RingElem
@@ -35,6 +36,9 @@ from .errors import (
 
 # default coordinate bound of the real-quadratic principal generator scan
 PRINCIPAL_BOUND = 100_000
+# entries kept by each process-wide memo (principal generators here, shape
+# tables in completion); the least recently used entry goes first
+MEMO_SIZE = 512
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -511,6 +515,7 @@ def _perfect_sqrt(n: int) -> int | None:
     return r if r * r == n else None
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def principal_generator(u: FracIdeal, coeff_bound: int = PRINCIPAL_BOUND):
     """A generator of u when u is principal.
 
@@ -520,6 +525,10 @@ def principal_generator(u: FracIdeal, coeff_bound: int = PRINCIPAL_BOUND):
     is scanned completely, and None is a proof of nonprincipality. Real
     quadratic: y runs up to coeff_bound and BoundExceeded signals an
     undecided search.
+
+    The answer is a function of (u, coeff_bound) alone and is remembered
+    for the last MEMO_SIZE of them. BoundExceeded is raised, never
+    remembered, so a call's outcome does not depend on earlier calls.
     """
     if u.is_zero:
         raise ZeroIdealError("zero ideal")

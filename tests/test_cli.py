@@ -511,13 +511,25 @@ def test_search_obstruction_exits_4(tmp_path, capsys, root2):
                                     for s in shaped.row.rows[0]]))
     wit_path.write_text(json.dumps([series_to_json(col[0])
                                     for col in t.rows]))
-    ideal_json = json.dumps(j_lat.to_json())
-    code, _, err = run(capsys, "complete-row", "--domain", "quad:2:conj",
-                       "--ideal", ideal_json, "--row", str(row_path),
-                       "--witness", str(wit_path), "--prec", "6",
-                       "--bound", "0")
+    argv = ["complete-row", "--domain", "quad:2:conj",
+            "--ideal", json.dumps(j_lat.to_json()), "--row", str(row_path),
+            "--witness", str(wit_path), "--prec", "6"]
+    # the default bound finds every generator; what it found is
+    # remembered, yet the same input at bound 0 still exits 4, and the
+    # default bound exits 0 again afterwards
+    assert run(capsys, *argv)[0] == 0
+    code, _, err = run(capsys, *argv, "--bound", "0")
     assert code == 4
     assert "obstruction" in err
+    assert run(capsys, *argv)[0] == 0
+
+
+def test_negative_bound_is_a_usage_error(tmp_path, capsys, zz):
+    code, out, err = run(capsys, *classic_row_argv(tmp_path, zz),
+                         "--bound", "-7")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --bound must be at least 0, not -7\n"
 
 
 def test_certificates_verify_in_fresh_process(tmp_path, zz):

@@ -266,6 +266,18 @@ def test_principal_generator_real_bound(root2):
         ideals.principal_generator(p7, coeff_bound=0)
 
 
+def test_principal_generator_answer_ignores_earlier_calls(root2):
+    """A generator found under a large bound is remembered for that bound
+    only: the same ideal under a small bound is undecided again."""
+    p7 = from_generators(root2, [root2.felem(7), root2.felem(3, 1)])
+    gen = ideals.principal_generator(p7, coeff_bound=1000)
+    assert from_generators(root2, [gen]) == p7
+    for _ in range(2):
+        with pytest.raises(BoundExceeded):
+            ideals.principal_generator(p7, coeff_bound=0)
+    assert ideals.principal_generator(p7, coeff_bound=1000) == gen
+
+
 def test_ideal_classes_isomorphic_examples(z5, zz):
     p2 = from_generators(z5, [z5.felem(2), z5.felem(1, 1)])
     p3 = from_generators(z5, [z5.felem(3), z5.felem(1, 1)])

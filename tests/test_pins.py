@@ -3,6 +3,7 @@ the functions a traced benchmark run wraps, the counts of one
 benchmark job's final inverse (elements built, coefficient matrices read)
 and of its verifier's comparisons, identity product and lane reads, the
 row-by-witness products and series products of a completion job, the
+shape tables and second-generator scans of forty completion jobs, the
 echelon rows of one ideal product, the order-window rows that an
 extension job replays from an echelon's operation record, the windows
 that realize each repair, and one extension certificate of exact
@@ -281,6 +282,35 @@ def test_series_products_per_completion_job(tmp_path, monkeypatch, index,
     assert res.ok
     assert json.loads(res.data)["n"] == depth
     assert calls == products
+
+
+def test_each_level_pair_is_built_once(tmp_path, monkeypatch):
+    """With the memos cleared, seed-0 complete-p8 jobs 0..39 (complete-row,
+    then verify) build one ShapeTable and run one 1.5-generator scan per
+    distinct (J, A), however many rows, steps and verifier calls share
+    the pair. Counted, not timed."""
+    completion.shape_table.cache_clear()
+    ideals.principal_generator.cache_clear()
+    built, scans = [], []
+    init = completion.ShapeTable.__init__
+    scan = ideals.one_and_half_generator
+
+    def building(self, dom, jf, af):
+        built.append((jf, af))
+        init(self, dom, jf, af)
+
+    def scanning(u, a):
+        scans.append(u)
+        return scan(u, a)
+
+    monkeypatch.setattr(completion.ShapeTable, "__init__", building)
+    monkeypatch.setattr(ideals, "one_and_half_generator", scanning)
+    for index in range(40):
+        res = run.run_job(cli.main, gen.make_job("complete-p8", 0, index),
+                          tmp_path)
+        assert res.ok
+    assert len(built) == len(set(built))
+    assert 0 < len(scans) <= len(built)
 
 
 def test_ideal_product_echelons_four_rows(monkeypatch):

@@ -15,12 +15,18 @@ over the idealized ring [[R, I^(-1)], [I, I*I^(-1)]], in certified steps:
   complete_unimodular_row
                      runs the chain, converts the top-level data
                      into an invertible matrix with its two-sided
-                     inverse and checks the result once with
-                     verify_completion.
+                     inverse, solved in one relaxed pass
+                     (series.right_divide), and checks the result
+                     once with verify_completion.
 
 Every intermediate coefficient is checked against its declared
 fractional-ideal shape, reductions consume exactly one known order, and
 verify_completion recomputes all products independently.
+
+The final inverse is the left solution X of X * S = T', where
+final * T' = S follows from [row; b] * T = H: X = T' S^-1 is a right
+inverse of final, and over the skew field of Laurent series a one-sided
+inverse of a square matrix is two-sided (complete_unimodular_row).
 
 What depends only on a level's pair (J, A) is computed once per pair:
 shape_table hands every row, step and verifier of that pair one shared
@@ -48,7 +54,7 @@ from . import ideals
 from .ideals import FracIdeal, unit_ideal
 from .reporting import VerifyReport
 from .series import (SeriesMatrix, TruncatedSeries, det2, disagreement,
-                     scale_column, scale_right)
+                     right_divide, scale_column, scale_right)
 from . import textio
 
 
@@ -465,8 +471,20 @@ def complete_unimodular_row(shaped: ShapedRow, t: SeriesMatrix, prec: int,
 
     Needs n extra known orders beyond prec and fails fast with the exact
     deficit otherwise. The final conversion requires the top shape ideal
-    to be the whole domain (rows over [R, I^(-1)]). The certificate is
-    returned only after verify_completion passes; a failed check raises
+    to be the whole domain (rows over [R, I^(-1)]). With d = det(H_n),
+    S = H x^-n diag(1, d^-1) and T' = T x^-n diag(1, d^-1), the lifted
+    identity [row; b] * T = H gives final * T' = S, and S_0 has
+    determinant 1. final_inv is the solution X of X * S = T', found
+    order by order in one relaxed pass (series.right_divide) with no
+    inverse of S formed: X = T' S^-1, so final * X = S S^-1 = 1. A
+    one-sided inverse of a square matrix over the skew field of Laurent
+    series is two-sided, so X is final's two-sided inverse. Row i of X
+    is known through min(known_to(S), prec + n + 2) plus the least
+    valuation in row i of T', as the min rule gives the product
+    T' @ S^-1.
+
+    The certificate is returned only after verify_completion passes,
+    which checks both products with the identity; a failed check raises
     SkewError naming the failed checks.
     """
     dom = shaped.dom
@@ -488,11 +506,13 @@ def complete_unimodular_row(shaped: ShapedRow, t: SeriesMatrix, prec: int,
     if not shaped.a_ideal.is_unit:
         raise SkewError("final conversion needs the unit shape ideal")
     # S = H x^-n diag(1, det(H_n)^-1) has a determinant-1 lowest
-    # coefficient matrix
+    # coefficient matrix, and final * T' = S for T' = T x^-n diag(1,
+    # det(H_n)^-1)
     det_inv = det2(data.H.coeff_matrix(n)).inverse()
-    s_inv = scale_column(data.H.shift(-n), det_inv).invert(prec + n + 2)
     final = _stack(shaped.row, data.b)
-    final_inv = scale_column(data.T.shift(-n), det_inv) @ s_inv
+    final_inv = right_divide(scale_column(data.T.shift(-n), det_inv),
+                             scale_column(data.H.shift(-n), det_inv),
+                             prec + n + 2)
     cert = CompletionCertificate(
         dom.spec, shaped.j_ideal, shaped.a_ideal, shaped.row, t2, n,
         data.b, data.T, data.H, final, final_inv, prec)

@@ -13,7 +13,7 @@ matrix with A_0 = Id, and q is a unit-lowest-term series over the
 fraction field. Multiplication by q then carries the extended ideal
 (g0 entries) * R onto I, which is what the certificate witnesses.
 extend builds (A, q) one order at a time on series.relaxed_product,
-the recursion the series inverse also runs on.
+the recursion that also runs series division and inversion.
 
 The repair loop starts J at the ideal of lowest coefficients. When J is
 too small, the inductive step fails a membership test at some order n

@@ -33,14 +33,17 @@ the last nonzero one.
 
 Order-by-order products share one relaxed recursion, relaxed_product
 (van der Hoeven, "Relax, but don't be too lazy", J. Symbolic Comput.
-34, 2002): order t of L * R, where the caller finds R_t only once order
-t of the sum is known. It keeps L and the R_t found so far as integer
-lanes, twisted once per parity, and each order costs three integer dot
-products per entry, each as long as L up to its last nonzero L_j: the
-cost per order follows the degree of the known factor, so a degree-d
-matrix inverts with O(d) terms per order. Its two callers are
-matrix_invert (a series inverts as the 1x1 case), which normalises each
-output coefficient once, and extension.extend. A 2x2 matrix whose
+34, 2002): order t of L * R or of R * L, where the caller finds R_t
+only once order t of the sum is known. It keeps the R_t found so far as
+integer lanes, once each, and the known L once per parity, and each
+order costs three integer dot products per entry, each as long as L up
+to its last nonzero L_j: the cost per order follows the degree of the
+known factor, so a degree-d matrix divides with O(d) terms per order.
+Its callers are right_divide, which solves X * a = b for b * a^-1 with
+the unknown on the left and normalises each output coefficient once
+(the final conversion of a completion is one such solve, and
+matrix_invert divides the identity; a series inverts as the 1x1 case),
+and extension.extend, with the unknown on the right. A 2x2 matrix whose
 lowest coefficient matrix is singular is refused with SingularError,
 even when it is invertible over the series ring.
 """
@@ -326,10 +329,14 @@ def _lane_form(dom: Domain, coeffs):
     plain = _with_sum(lanes)
     if not dom.conj_sigma:
         return den, plain, plain
-    # conj(a + b*w) = (a + b*omega_t) - b*w
+    return den, plain, _with_sum(_conj_lanes(lanes, dom.omega_t))
+
+
+def _conj_lanes(lanes, omega_t):
+    """The lanes [a, b] of the conjugates: conj(a + b*w) = (a + b*omega_t)
+    - b*w."""
     a, b = lanes
-    return den, plain, _with_sum([[u + v * dom.omega_t for u, v in zip(a, b)],
-                                  [-v for v in b]])
+    return [[u + v * omega_t for u, v in zip(a, b)], [-v for v in b]]
 
 
 def sum_products(dom: Domain, pairs) -> TruncatedSeries:
@@ -613,33 +620,50 @@ def _const_inverse(m):
 
 
 def matrix_invert(a: SeriesMatrix, prec: int | None = None) -> SeriesMatrix:
-    """Two-sided inverse of a 1x1 or 2x2 series matrix.
+    """Two-sided inverse of a 1x1 or 2x2 series matrix: right_divide of
+    the identity by a, known through min(known_to(a) - 2v, prec) for the
+    least valuation v of an entry (an exact a needs an explicit prec).
 
-    Let v be the least valuation of an entry. The lowest coefficient
-    matrix a_v must be invertible over the field. The inverse is
-    b = sum_t b_t x^(t-v), and order t of a * b = 1 gives
+    A singular lowest coefficient matrix raises SingularError, also for
+    a 2x2 matrix that is invertible over the series ring, such as
+    [[2 + x, 4 + 3x], [1, 2]] over Z (determinant -x).
+    """
+    return right_divide(SeriesMatrix.identity(a.dom, len(a.rows)), a, prec)
 
-        b_t = sigma^v(a_v^-1 (delta_t - S_t)),
-        S_t = sum_(j=1..t) a_(v+j) sigma^(v+j)(b_(t-j))
 
-    (sigma^-v = sigma^v, as sigma is an involution): relaxed_product
-    with L_j = a_(v+j) up to the highest stored order of a (the orders
-    past it are zero) and twist offset v, so an order costs O(d) terms
-    for a of degree d, whatever prec. b is known through
-    min(known_to(a) - 2v, prec); an exact a needs an explicit prec. b_0
-    is sigma^v(a_v^-1); an order with no term (s None) has S_t = 0, so
-    b_t = 0. Each b_t entry is normalised once.
+def right_divide(b: SeriesMatrix, a: SeriesMatrix,
+                 prec: int | None = None) -> SeriesMatrix:
+    """b * a^-1 for an exact b and a 1x1 or 2x2 matrix a, solved in one
+    relaxed pass from X * a = b, with no inverse of a formed.
 
-    A singular a_v raises SingularError, also for a 2x2 matrix that is
-    invertible over the series ring, such as [[2 + x, 4 + 3x], [1, 2]]
-    over Z (determinant -x). The final conversion of a completion, the
-    one 2x2 inverse any command takes, has det a_v = 1.
+    Let v be the least valuation of an entry of a. The lowest coefficient
+    matrix a_v must be invertible over the field. With o the least
+    valuation of an entry of b, minus v, X = sum_t X_t x^(o+t) and order
+    o + v + t of X * a = b gives
+
+        X_t = (b_(o+v+t) - S_t) sigma^(o+t)(a_v^-1),
+        S_t = sum_(j=1..t) X_(t-j) sigma^(o+t-j)(a_(v+j)):
+
+    relaxed_product with the unknown on the left, L_j = a_(v+j) up to the
+    highest stored order of a (the orders past it are zero), so an order
+    costs O(d) terms for a of degree d, whatever prec.
+
+    Row i of X is known through min(known_to(a) - 2v, prec) plus the
+    least valuation in row i of b: what the min rule gives the product b
+    @ matrix_invert(a, prec), as an exact b bounds nothing. A row of X
+    reads only the same row of b and of the earlier X_t, so past its
+    bound a row is left zero; every stored coefficient is normalised
+    once. A singular a_v raises SingularError.
     """
     r, c = a.shape
     if r != c:
         raise SkewError("only square matrices invert")
     if r > 2:
         raise SkewError("only 1x1 and 2x2 supported")
+    if b.shape[1] != r:
+        raise SkewError(f"shape mismatch {b.shape} / {a.shape}")
+    if b.known_to is not None:
+        raise SkewError("only an exact matrix is divided")
     dom = a.dom
     v = a.min_val
     inv_a0 = _const_inverse(a.coeff_matrix(v))
@@ -652,92 +676,153 @@ def matrix_invert(a: SeriesMatrix, prec: int | None = None) -> SeriesMatrix:
     if out_kt is None:
         raise PrecisionError(
             "inverting an exact series needs an explicit prec")
-    nterms = max(out_kt + v, 0)
-    # a_(v+j) = 0 past the highest stored order, which lies below known_to
+    # per row of b: its least valuation (None for a zero row, which
+    # stays exactly zero) and the orders of X that row needs
+    lows = [min((s.val for s in row if s.coeffs), default=None)
+            for row in b.rows]
+    o = min((low for low in lows if low is not None), default=0) - v
+    counts = [0 if low is None else max(out_kt + low - o, 0) for low in lows]
+    nterms = max(counts)
+    # a row of X needs a_(v+j) for j < out_kt + v past its own start
+    # (earlier orders of the row are zero), and a_(v+j) = 0 past the
+    # highest stored order, which lies below known_to
     top = max(s.val + len(s.coeffs) - 1 for r in a.rows for s in r if s.coeffs)
-    depth = min(nterms - 1, top - v)
+    depth = min(out_kt + v - 1, top - v)
     i_den, inv = inv_a0
+    wc, wt = dom.omega_c, dom.omega_t
+    # sigma^(o+t)(a_v^-1), by the parity of o + t
+    invs = [inv]
+    if dom.conj_sigma:
+        invs.append([[(x + y * wt, -y) for x, y in row] for row in inv])
+    # b_at[t, p]: row p of b_(o+v+t) where it is nonzero and read, as
+    # integer pairs (a, b) over one denominator (b = 0 over Z)
+    b_at = {}
+    for p, row in enumerate(b.rows):
+        for q, f in enumerate(row):
+            for j, e in enumerate(f.coeffs):
+                t = f.val + j - o - v
+                if e and t < counts[p]:
+                    b_at.setdefault((t, p), [dom.fzero] * r)[q] = e
+    for key, coeffs in b_at.items():
+        den, lanes = _lanes(coeffs, True)
+        b_at[key] = den, list(zip(*lanes))
     idx = range(r)
-    twist = dom.conj_sigma and v % 2
+    zeros = [dom.fzero] * r
 
     def step(t, den, s):
-        if not t:   # delta_0 - S_0 is the identity
-            den, rhs = 1, [[(int(p == q), 0) for q in idx] for p in idx]
-        elif s is None:   # S_t = 0, so b_t = 0
-            return [[dom.fzero for q in idx] for p in idx]
-        else:
-            rhs = [[(-x, -y) for x, y in row] for row in s]
-        bt = []
-        for p in idx:
+        inv_t = invs[(o + t) % len(invs)]
+        xt = []
+        for p, count in enumerate(counts):
+            if t >= count:
+                xt.append(zeros)
+                continue
+            # b_(o+v+t) - S_t, row p, over the denominator d
+            d, rhs = (den, [(-x, -y) for x, y in s[p]]) if s \
+                else (1, [(0, 0)] * r)
+            if (t, p) in b_at:
+                b_den, b_row = b_at[t, p]
+                g = lcm(d, b_den)
+                f, fb = g // d, g // b_den
+                d, rhs = g, [(x * f + bx * fb, y * f + by * fb)
+                             for (x, y), (bx, by) in zip(rhs, b_row)]
             row = []
             for q in idx:
                 x = y = 0
-                for e, h in zip(inv[p], rhs):
-                    ex, ey = _qmul(dom, e, h[q])
-                    x, y = x + ex, y + ey
-                if twist:
-                    x, y = x + y * dom.omega_t, -y
-                row.append(FieldElem(dom, RingElem(dom, x, y), i_den * den)
+                for (hx, hy), m in zip(rhs, inv_t):
+                    mx, my = m[q]
+                    hm = hy * my
+                    x += hx * mx + hm * wc
+                    y += hx * my + hy * mx + hm * wt
+                row.append(FieldElem(dom, RingElem(dom, x, y), i_den * d)
                            if x or y else dom.fzero)
-            bt.append(row)
-        return bt
+            xt.append(row)
+        return xt
 
-    bs = relaxed_product(dom, [a.coeff_matrix(v + j)
-                               for j in range(1, depth + 1)], v, nterms, step)
+    xs = relaxed_product(dom, [a.coeff_matrix(v + j)
+                               for j in range(1, depth + 1)],
+                         o, nterms, step, left=True)
     return SeriesMatrix(dom, [
-        [TruncatedSeries(dom, -v, [b[p][q] for b in bs], out_kt) for q in idx]
-        for p in idx])
+        [TruncatedSeries(dom, o, [x[p][q] for x in xs[:count]],
+                         None if low is None else out_kt + low)
+         for q in idx]
+        for p, (count, low) in enumerate(zip(counts, lows))])
 
 
-def relaxed_product(dom: Domain, known, offset: int, nterms: int, step):
+def relaxed_product(dom: Domain, known, offset: int, nterms: int, step,
+                    left: bool = False):
     """[R_0, ..., R_(nterms-1)], each R_t the matrix of FieldElems that
-    step returns once order t of L * R is known.
+    step returns once order t of L * R (or of R * L, when left) is known.
 
-    known holds the r x k coefficient matrices L_1, L_2, ..., and
-    L_j = 0 past its end. Order t calls step(t, den, s), where s holds
+    known holds the coefficient matrices L_1, L_2, ..., and L_j = 0 past
+    its end; offset is the order of the left factor's first coefficient
+    (L_0, or R_0 when left). Order t calls step(t, den, s), where s holds
 
-        S_t = sum_(j=1..t) L_j sigma^(offset+j)(R_(t-j))
+        S_t = sum_(j=1..t) L_j sigma^(offset+j)(R_(t-j))       (L * R)
+        S_t = sum_(j=1..t) R_(t-j) sigma^(offset+t-j)(L_j)     (R * L)
 
-    as r rows of integer pairs (a, b), entry (a + b*w) / den (b = 0 over
+    as rows of integer pairs (a, b), entry (a + b*w) / den (b = 0 over
     Z). s is None when no term enters: at t = 0, and at every t when
     each L_j is zero. A step keys its start on t == 0 and reads None at
     t > 0 as S_t = 0.
 
+    Both sides run one loop: order t is the inner sum of K_j U_(t-j),
+    j = 1..t, with the unknown U_i stored once, as it is found, and the
+    known K_j once per parity of e = offset + t. As sigma^2 = 1,
+
+        L * R: K_j = sigma^e(L_j),        U_i = sigma^i(R_i),
+               S_t = sigma^e(inner), since
+               L_j sigma^(offset+j)(R_(t-j))
+                   = sigma^e(sigma^e(L_j) sigma^(t-j)(R_(t-j)));
+        R * L: K_j = sigma^(e+j)(L_j)^T,  U_i = R_i^T,
+               S_t = inner^T, as the entries commute.
+
     Trailing zero matrices of known are dropped first, so each order
     costs as much as L up to its last nonzero L_j, not as much as t.
-    Row p of L_len, ..., L_1 is read once into lanes over one common
-    denominator, entries side by side. Column q of the R_i found so far
-    is kept the same way over the lcm of their denominators, once as
-    sigma^(offset+i)(R_i) for even t and once as sigma^(offset+i+1)(R_i)
-    for odd t (sigma^(offset+t-i) = sigma^(offset+t+i)); the lanes are
-    rescaled when that lcm grows. Entry (p, q) of S_t is then three
+    Row p of K_len, ..., K_1 is read once into lanes over one common
+    denominator, entries side by side, and twisted for the other parity
+    on the integer parts. Column q of the U_i found so far is kept the
+    same way over the lcm of their denominators; the lanes are rescaled
+    when that lcm grows. Entry (p, q) of the inner sum is then three
     integer dot products over the Karatsuba lanes a, b and a + b, with
     w^2 = omega_c + omega_t * w applied once.
     """
     quad, wc, wt = dom.is_quad, dom.omega_c, dom.omega_t
+    conj = dom.conj_sigma
     known = list(known)
     while known and not any(c for row in known[-1] for c in row):
         known.pop()   # L_j = 0 past the last nonzero L_j costs nothing
     depth = len(known)
     l_den = r_den = 1
     if depth:
+        if left:
+            known = [list(zip(*m)) for m in known]
         r, k = len(known[0]), len(known[0][0])
+        width = depth * k
         l_den, lanes = _lanes([m[p][s] for p in range(r)
                                for m in reversed(known) for s in range(k)],
                               quad)
-        width = depth * k
-        rows = [[lane[p * width:(p + 1) * width] for lane in _with_sum(lanes)]
-                for p in range(r)]
-    # cols[e][q]: lanes of column q of sigma^(offset+i+e)(R_i), i = 0, 1, ...
-    cols = [[] for _ in range(dom.sigma_order)]
+        if left and conj:   # entry i is of K_j, j = depth - i % width // k
+            a, b = lanes
+            for i in range(len(a)):
+                if (depth - i % width // k) % 2:
+                    a[i], b[i] = a[i] + b[i] * wt, -b[i]
+        # rows[e][p]: the lanes of row p of sigma^e(K_len), ..., sigma^e(K_1)
+        rows = [[[lane[p * width:(p + 1) * width] for lane in _with_sum(ls)]
+                 for p in range(r)]
+                for ls in ([lanes, _conj_lanes(lanes, wt)] if conj
+                           else [lanes])]
+    cols = []   # cols[q]: lanes of column q of U_0, U_1, ...
     out = []
     for t in range(nterms):
         span = min(t, depth)
         s = None
         if span:
-            hs = [[lane[(depth - span) * k:] for lane in row] for row in rows]
-            us = [[lane[(t - span) * k:] for lane in col]
-                  for col in cols[t % len(cols)]]
+            e = (offset + t) % len(rows)
+            cut = (depth - span) * k
+            hs = [[lane[cut:] for lane in row] for row in rows[e]] if cut \
+                else rows[e]
+            cut = (t - span) * k
+            us = [[lane[cut:] for lane in col] for col in cols]
             s = []
             for h in hs:
                 s_row = []
@@ -746,10 +831,14 @@ def relaxed_product(dom: Domain, known, offset: int, nterms: int, step):
                     if quad:
                         bb = sum(map(mul_int, h[1], u[1]))
                         ab = sum(map(mul_int, h[2], u[2])) - aa - bb
-                        s_row.append((aa + bb * wc, ab + bb * wt))
+                        x, y = aa + bb * wc, ab + bb * wt
+                        s_row.append((x + y * wt, -y) if e and not left
+                                     else (x, y))
                     else:
                         s_row.append((aa, 0))
                 s.append(s_row)
+            if left:
+                s = [list(row) for row in zip(*s)]
         rt = step(t, l_den * r_den, s)
         out.append(rt)
         if not depth or t + 1 == nterms:   # no later order reads R_t
@@ -758,21 +847,22 @@ def relaxed_product(dom: Domain, known, offset: int, nterms: int, step):
         if new_den != r_den:
             f = new_den // r_den
             for col in cols:
-                for col_lanes in col:
-                    for lane in col_lanes:
-                        lane[:] = [u * f for u in lane]
+                for lane in col:
+                    lane[:] = [u * f for u in lane]
             r_den = new_den
-        for e, col in enumerate(cols):
-            if not col:
-                col.extend([[] for _ in rows[0]] for _ in rt[0])
-            conj = dom.conj_sigma and (offset + t + e) % 2
-            for q, col_lanes in enumerate(col):
-                for row in rt:
-                    c = row[q]
-                    f = r_den // c.den
-                    x, y = c.num.a * f, c.num.b * f
-                    if conj:
+        u_t = rt if left else list(zip(*rt))
+        if not cols:
+            cols = [[[] for _ in rows[0][0]] for _ in u_t]
+        twist = conj and not left and t % 2
+        for col, entries in zip(cols, u_t):
+            for c in entries:
+                f = r_den // c.den
+                x = c.num.a * f
+                if quad:
+                    y = c.num.b * f
+                    if twist:
                         x, y = x + y * wt, -y
-                    for lane, z in zip(col_lanes, (x, y, x + y)):
-                        lane.append(z)
+                    col[1].append(y)
+                    col[2].append(x + y)
+                col[0].append(x)
     return out

@@ -8,7 +8,8 @@ import pytest
 
 from skewdd import completion, ideals
 from skewdd.domains import DomainSpec, get_domain
-from skewdd.series import SeriesMatrix, TruncatedSeries
+from skewdd.series import (SeriesMatrix, TruncatedSeries, det2,
+                           matrix_invert, scale_column)
 
 # the five domain instances exercised throughout: Z, both automorphisms on
 # Z[sqrt(-5)], the Gaussian integers and the real quadratic Z[sqrt(2)]
@@ -145,3 +146,20 @@ def random_unit_series(dom, prec, rng):
         coeffs.append(dom.felem(rng.randint(-3, 3),
                                 rng.randint(-3, 3) if dom.is_quad else 0))
     return TruncatedSeries(dom, 0, coeffs, prec + 1)
+
+
+def two_pass_final_inverse(cert):
+    """A completion's final inverse by the inverse-then-product route:
+    scale_column(T x^-n, d^-1) @ matrix_invert(S, prec + n + 2), with
+    d = det(H_n) and S = H x^-n diag(1, d^-1)."""
+    n = cert.n
+    det_inv = det2(cert.H.coeff_matrix(n)).inverse()
+    s_inv = matrix_invert(scale_column(cert.H.shift(-n), det_inv),
+                          cert.prec + n + 2)
+    return scale_column(cert.T.shift(-n), det_inv) @ s_inv
+
+
+def assert_same_matrix(got, want):
+    """Entrywise: the same valuation, coefficients and known_to."""
+    assert [[(s.val, s.coeffs, s.known_to) for s in row] for row in got.rows] \
+        == [[(s.val, s.coeffs, s.known_to) for s in row] for row in want.rows]

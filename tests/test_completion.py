@@ -27,7 +27,8 @@ from skewdd.ideals import from_generators, from_ring_generators, unit_ideal
 from skewdd.series import SeriesMatrix, TruncatedSeries, det2
 from skewdd.textio import parse_series
 
-from conftest import completion_test_ideal, random_unimodular_row
+from conftest import (assert_same_matrix, completion_test_ideal,
+                      random_unimodular_row, two_pass_final_inverse)
 
 
 def classic_row(zz):
@@ -330,6 +331,36 @@ def test_random_rows_complete(any_domain):
         rep = verify_completion(cert)
         assert rep.ok, list(rep.lines())
     assert saw_positive_level
+
+
+def truncated(mat, known_to):
+    return mat.map(lambda s: TruncatedSeries(
+        s.dom, s.val, s.coeffs[:max(known_to - s.val, 0)], known_to))
+
+
+def test_final_inverse_matches_the_two_pass_route(any_domain):
+    """The one-pass final_inv of rows at depths 0, 1 and 2 equals the
+    inverse of S times T' entry by entry, coefficients and known_to: for
+    exact rows, and for the same rows cut to prec + 2n known orders,
+    whose S is not exact."""
+    dom = any_domain
+    rng = random.Random(51)
+    j_lat = completion_test_ideal(dom)
+    depths = set()
+    for _ in range(20):
+        shaped, t = random_unimodular_row(dom, j_lat, rng)
+        cert = complete_unimodular_row(shaped, t, 8)
+        depths.add(cert.n)
+        assert_same_matrix(cert.final_inv, two_pass_final_inverse(cert))
+        avail = 8 + 2 * cert.n
+        cut = ShapedRow(truncated(shaped.row, avail), shaped.j_ideal,
+                        shaped.a_ideal)
+        cut_cert = complete_unimodular_row(cut, truncated(t, avail - min(
+            s.val for col in t.rows for s in col if s.coeffs)), 8)
+        assert cut_cert.final_inv.known_to < cert.final_inv.known_to
+        assert_same_matrix(cut_cert.final_inv,
+                           two_pass_final_inverse(cut_cert))
+    assert depths == {0, 1, 2}
 
 
 def test_each_level_is_one_determinant_one_change_of_basis(any_domain):

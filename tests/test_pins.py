@@ -1,7 +1,9 @@
 """Certificate bytes of jobs 0..19 at seed 0 against bench/digests.json,
 the functions a traced benchmark run wraps, the counts of one
 benchmark job's final inverse (elements built, coefficient matrices read)
-and of its verifier's comparisons, identity product and lane reads, the
+and its agreement with the inverse-then-product route on eighty jobs per
+completion workload, the counts of a verifier's comparisons, identity
+product and lane reads, the
 row-by-witness products and series products of a completion job, the
 shape tables and second-generator scans of forty completion jobs, the
 echelon rows of one ideal product, the order-window rows that an
@@ -31,6 +33,7 @@ import spans  # noqa: E402
 
 from skewdd import (cli, completion, domains, extension, ideals,  # noqa: E402
                     series)
+from conftest import assert_same_matrix, two_pass_final_inverse  # noqa: E402
 
 PIN_JOBS = 20
 # seed-0 extend-window job on quad:-5:id with escape order 4
@@ -70,23 +73,31 @@ def test_traced_benchmark_targets_resolve():
         sys.modules.update(saved)
 
 
-def test_final_inverse_builds_one_element_per_coefficient(tmp_path,
-                                                          monkeypatch):
-    """The final inverse of a complete-p32 job builds at most one FieldElem
-    per stored output coefficient, nterms * n^2 at most; a fall-back to
-    per-term field arithmetic builds thousands. Counted, not timed."""
+def final_conversion_inputs(tmp_path, monkeypatch):
+    """(T', S, prec) that the final conversion of the seed-0 complete-p32
+    job DENSE_INVERSE_JOB hands right_divide."""
     seen = []
-    invert = series.matrix_invert
+    divide = completion.right_divide
 
-    def capture(a, prec=None):
-        seen.append((a, prec))
-        return invert(a, prec)
+    def capture(b, a, prec=None):
+        seen.append((b, a, prec))
+        return divide(b, a, prec)
 
-    monkeypatch.setattr(series, "matrix_invert", capture)
+    monkeypatch.setattr(completion, "right_divide", capture)
     job = gen.make_job("complete-p32", 0, DENSE_INVERSE_JOB)
     assert run.run_job(cli.main, job, tmp_path).ok
-    monkeypatch.setattr(series, "matrix_invert", invert)
-    (a, prec), = seen
+    monkeypatch.undo()
+    (inputs,) = seen
+    return inputs
+
+
+def test_final_inverse_builds_one_element_per_coefficient(tmp_path,
+                                                          monkeypatch):
+    """The one-pass final inverse of a complete-p32 job builds at most one
+    FieldElem per stored output coefficient, and none for T', for S or
+    for orders past a row's bound; a fall-back to per-term field
+    arithmetic builds thousands. Counted, not timed."""
+    b, a, prec = final_conversion_inputs(tmp_path, monkeypatch)
     built = 0
     init = domains.FieldElem.__init__
 
@@ -96,13 +107,38 @@ def test_final_inverse_builds_one_element_per_coefficient(tmp_path,
         init(self, *args)
 
     monkeypatch.setattr(domains.FieldElem, "__init__", counting)
-    inv = series.matrix_invert(a, prec)
+    final_inv = series.right_divide(b, a, prec)
     monkeypatch.undo()
-    n = len(a.rows)
-    nterms = inv.known_to + a.min_val
-    stored = sum(len(s.coeffs) for row in inv.rows for s in row)
-    assert stored == nterms * n * n
+    # every entry is stored from its valuation up to its bound
+    assert all(s.val + len(s.coeffs) == s.known_to
+               for row in final_inv.rows for s in row)
+    stored = sum(len(s.coeffs) for row in final_inv.rows for s in row)
     assert built <= stored
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("workload", ["complete-p8", "complete-p32"])
+def test_final_inverse_matches_the_two_pass_route(tmp_path, monkeypatch,
+                                                  workload, seed):
+    """The final_inv of each seed-0/1 completion job 0..39 (seed-0
+    complete-p32 job DENSE_INVERSE_JOB among them), as the engine builds
+    it, equals T' @ matrix_invert(S, prec + n + 2): the same coefficients
+    and known_to in every entry."""
+    certs = []
+    check = completion.verify_completion
+
+    def capture(cert):
+        certs.append(cert)
+        return check(cert)
+
+    monkeypatch.setattr(completion, "verify_completion", capture)
+    for index in range(40):
+        certs.clear()
+        assert run.run_job(cli.main, gen.make_job(workload, seed, index),
+                           tmp_path).ok
+        engine = certs[0]   # the engine's own check, before any JSON
+        assert_same_matrix(engine.final_inv, two_pass_final_inverse(engine))
+    assert DENSE_INVERSE_JOB < 40
 
 
 def test_verifier_compares_products_without_building_elements(tmp_path,
@@ -175,31 +211,21 @@ def test_verifier_reads_each_series_into_lanes_once(tmp_path, monkeypatch):
 
 
 def test_final_inverse_reads_only_the_stored_orders(tmp_path, monkeypatch):
-    """The final inverse of a complete-p32 job hands relaxed_product one
-    coefficient matrix a_(v+j) per order from v + 1 through S's highest
-    stored order, not one per output order: S is an exact polynomial of
-    low degree, and the orders past it are zero. Counted, not timed."""
-    seen = []
-    invert = series.matrix_invert
-
-    def capture(a, prec=None):
-        seen.append((a, prec))
-        return invert(a, prec)
-
-    monkeypatch.setattr(series, "matrix_invert", capture)
-    job = gen.make_job("complete-p32", 0, DENSE_INVERSE_JOB)
-    assert run.run_job(cli.main, job, tmp_path).ok
-    monkeypatch.setattr(series, "matrix_invert", invert)
-    (a, prec), = seen
+    """The one-pass final inverse of a complete-p32 job hands
+    relaxed_product one coefficient matrix a_(v+j) of S per order from
+    v + 1 through S's highest stored order, not one per output order: S
+    is an exact polynomial of low degree, and the orders past it are
+    zero. Counted, not timed."""
+    b, a, prec = final_conversion_inputs(tmp_path, monkeypatch)
     depths = []
     relaxed = series.relaxed_product
 
-    def recording(dom, known, *args):
+    def recording(dom, known, *args, **kwargs):
         depths.append(len(known))
-        return relaxed(dom, known, *args)
+        return relaxed(dom, known, *args, **kwargs)
 
     monkeypatch.setattr(series, "relaxed_product", recording)
-    series.matrix_invert(a, prec)
+    series.right_divide(b, a, prec)
     monkeypatch.undo()
     top = max(s.val + len(s.coeffs) - 1 for row in a.rows for s in row
               if s.coeffs)
@@ -261,13 +287,15 @@ def test_row_witness_products_are_depth_plus_four(tmp_path, monkeypatch):
     assert {0, 1} <= depths and max(depths) >= 2
 
 
-@pytest.mark.parametrize("index, depth, products", [(0, 0, 36), (34, 2, 66)])
+@pytest.mark.parametrize("index, depth, products", [(0, 0, 32), (34, 2, 62)])
 def test_series_products_per_completion_job(tmp_path, monkeypatch, index,
                                             depth, products):
     """complete-row then verify on a seed-0 complete-p32 job forms
-    36 + 15 * depth series products: a constant factor (the final
+    32 + 15 * depth series products: a constant factor (the final
     conversion's diag(1, det(H_n)^-1), the lift's diag(1, mu), lambda and
-    lambda^-1) is a scaling, not a product. Counted, not timed."""
+    lambda^-1) is a scaling, not a product, and the final inverse is
+    solved in one relaxed pass, with no product T' @ S^-1. Counted, not
+    timed."""
     calls = 0
     kernel = series.sum_products
 

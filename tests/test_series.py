@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from skewdd import series
-from skewdd.domains import FieldElem, RingElem
+from skewdd.domains import FieldElem, RingElem, get_domain
 from skewdd.errors import PrecisionError, SingularError, SkewError
 from skewdd.series import (SeriesMatrix, TruncatedSeries, _kt_add, _kt_min,
                            _lanes, _with_sum, det2, disagreement,
@@ -14,7 +14,7 @@ from skewdd.series import (SeriesMatrix, TruncatedSeries, _kt_add, _kt_min,
                            scale_right, sum_products)
 from skewdd.textio import format_series, parse_series
 
-from conftest import rand_ring_elem
+from conftest import DOMAIN_SPECS, assert_same_matrix, rand_ring_elem
 
 
 def rand_series(dom, rng, val_range=(-3, 3), length=4, prec_extra=(0, 3)):
@@ -487,14 +487,15 @@ def test_invert_matches_per_term_recursion(any_domain, n, data):
 
 # ------------------------------------ relaxed recursion vs. per-term sums
 @st.composite
-def relaxed_inputs(draw, dom):
+def relaxed_inputs(draw, dom, left=False):
     """(shape, known, offset, rs): shape (r, k, m) is 1x1 * 1x1, 2x2 * 2x2
     or 1x2 * 2x2; known holds the r x k matrices L_1, L_2, ..., from none
     to more than the orders asked, often ending in all-zero matrices; rs
     holds the k x m matrices R_t that the caller's step returns, one per
-    order asked; entries have denominators 1..35 and may be zero; the
-    offset is -2..2."""
+    order asked (when left, L_j is k x m and R_t is r x k); entries have
+    denominators 1..35 and may be zero; the offset is -2..2."""
     r, k, m = draw(st.sampled_from([(1, 1, 1), (2, 2, 2), (1, 2, 2)]))
+    l_shape, r_shape = ((k, m), (r, k)) if left else ((r, k), (k, m))
     part = st.integers(-40, 40)
     entry = st.one_of(st.just(dom.fzero), st.builds(
         dom.felem, part, part if dom.is_quad else st.just(0),
@@ -504,10 +505,11 @@ def relaxed_inputs(draw, dom):
         return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
 
     nterms = draw(st.integers(0, 7))
-    known = [matrix(r, k) for _ in range(draw(st.integers(0, nterms + 1)))]
-    known += [[[dom.fzero] * k for _ in range(r)]
+    known = [matrix(*l_shape)
+             for _ in range(draw(st.integers(0, nterms + 1)))]
+    known += [[[dom.fzero] * l_shape[1] for _ in range(l_shape[0])]
               for _ in range(draw(st.integers(0, 3)))]
-    rs = [matrix(k, m) for _ in range(nterms)]
+    rs = [matrix(*r_shape) for _ in range(nterms)]
     return (r, k, m), known, draw(st.integers(-2, 2)), rs
 
 
@@ -545,6 +547,115 @@ def test_relaxed_product_matches_per_term_sums(any_domain, data):
         got = [[FieldElem(dom, RingElem(dom, a, b), den) for a, b in row]
                for row in s]
         assert got == want
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_relaxed_product_left_matches_per_term_sums(any_domain, data):
+    """With the unknown on the left, every S_t equals the per-term FieldElem
+    sum of R_(t-j) sigma^(offset+t-j)(L_j): the R_t are stored once and
+    the L_j once per parity, so odd offsets and orders on the conj
+    domains check the twist of each L_j by its own order."""
+    dom = any_domain
+    (r, k, m), known, offset, rs = data.draw(relaxed_inputs(dom, left=True))
+    seen = []
+
+    def step(t, den, s):
+        seen.append((t, den, s))
+        return rs[t]
+
+    assert relaxed_product(dom, known, offset, len(rs), step,
+                           left=True) == rs
+    assert [t for t, _, _ in seen] == list(range(len(rs)))
+    for t, den, s in seen:
+        terms = range(1, min(t, len(known)) + 1)
+        want = [[sum((rs[t - j][p][i]
+                      * dom.sigma_pow(known[j - 1][i][q], offset + t - j)
+                      for j in terms for i in range(k)), dom.fzero)
+                 for q in range(m)] for p in range(r)]
+        if s is None:
+            assert not t or not any(c for mat in known for row in mat
+                                    for c in row)
+            assert not any(c for row in want for c in row)
+            continue
+        got = [[FieldElem(dom, RingElem(dom, a, b), den) for a, b in row]
+               for row in s]
+        assert got == want
+
+
+# --------------------------------- one-pass right division vs. per term
+@st.composite
+def dividends(draw, dom, rows, n):
+    """An exact rows x n matrix b: entries of valuation -3..3 with up to
+    four coefficients over unrelated denominators, or exact zeros (a
+    whole row of them stays an exact-zero row of b * a^-1)."""
+    part = st.integers(-40, 40)
+    coeff = st.builds(dom.felem, part, part if dom.is_quad else st.just(0),
+                      st.sampled_from([1, 1, 2, 3, 7, 12]))
+    entry = st.one_of(
+        st.just(TruncatedSeries.zero(dom)),
+        st.builds(lambda v, cs: TruncatedSeries(dom, v, cs),
+                  st.integers(-3, 3), st.lists(coeff, min_size=1,
+                                               max_size=4)))
+    return SeriesMatrix(dom, [[draw(entry) for _ in range(n)]
+                              for _ in range(rows)])
+
+
+@KERNEL_SETTINGS
+@given(data=st.data())
+@pytest.mark.parametrize("n", [1, 2])
+def test_right_divide_matches_the_product_with_the_inverse(any_domain, n,
+                                                          data):
+    """right_divide(b, a, prec) is b @ a^-1 with a^-1 from the per-term
+    recursion: the same coefficients and known_to in every entry, as the
+    min rule gives the product (each row known through the inverse's
+    bound plus the row's least valuation in b)."""
+    a, prec = data.draw(invertible_matrices(any_domain, n))
+    b = data.draw(dividends(any_domain, data.draw(st.integers(1, 2)), n))
+    inv = SeriesMatrix(any_domain, reference_inverse(a, prec))
+    assert_same_matrix(series.right_divide(b, a, prec), b @ inv)
+
+
+@pytest.mark.parametrize("spec", [s for s in DOMAIN_SPECS
+                                  if s.sigma == "conj"],
+                         ids=lambda s: f"{s.kind}:{s.d}:{s.sigma}")
+def test_odd_valuations_on_conj_domains(spec):
+    """On the conj domains, 2x2 matrices of odd valuation -1, 1 or 3, with
+    right-hand sides of odd and even valuations: matrix_invert equals
+    the per-term recursion, and right_divide equals the product with
+    it. The single stored copy of the unknown is twisted by its own
+    order, so an odd valuation is where a parity slip would show."""
+    dom = get_domain(spec)
+    rng = random.Random(23)
+    checked = 0
+    while checked < 12:
+        v = rng.choice((-1, 1, 3))
+        kt = None if rng.random() < 0.5 else v + rng.randint(2, 6)
+        a = SeriesMatrix(dom, [[rand_series(dom, rng, (v, v),
+                                            rng.randint(1, 4), (1, 3))
+                                for _ in range(2)] for _ in range(2)])
+        if kt is None:
+            a = a.map(lambda s: TruncatedSeries(dom, s.val, s.coeffs))
+        if a.min_val != v or not det2(a.coeff_matrix(v)):
+            continue
+        checked += 1
+        prec = rng.randint(2, 9)
+        inv = SeriesMatrix(dom, reference_inverse(a, prec))
+        assert matrix_invert(a, prec) == inv
+        b = SeriesMatrix(dom, [[TruncatedSeries(
+            dom, rng.randint(-2, 3), [dom.felem(rng.randint(-9, 9),
+                                                rng.randint(-9, 9), 2)
+                                      for _ in range(rng.randint(1, 3))])
+            for _ in range(2)] for _ in range(2)])
+        assert_same_matrix(series.right_divide(b, a, prec), b @ inv)
+
+
+def test_right_divide_refuses_an_inexact_dividend(zz):
+    a = SeriesMatrix.identity(zz)
+    b = SeriesMatrix.identity(zz, known_to=4)
+    with pytest.raises(SkewError, match="exact"):
+        series.right_divide(b, a, 4)
 
 
 # ------------------------------- shorter-factor walk vs. per-order kernel

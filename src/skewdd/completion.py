@@ -469,9 +469,8 @@ def complete_unimodular_row(shaped: ShapedRow, t: SeriesMatrix, prec: int,
                             ) -> CompletionCertificate:
     """Full pipeline: n reductions, base case, n lifts, final conversion.
 
-    Needs n extra known orders beyond prec and fails fast with the exact
-    deficit otherwise. The final conversion requires the top shape ideal
-    to be the whole domain (rows over [R, I^(-1)]). With d = det(H_n),
+    The final conversion requires the top shape ideal to be the whole
+    domain (rows over [R, I^(-1)]). With d = det(H_n),
     S = H x^-n diag(1, d^-1) and T' = T x^-n diag(1, d^-1), the lifted
     identity [row; b] * T = H gives final * T' = S, and S_0 has
     determinant 1. final_inv is the solution X of X * S = T', found
@@ -483,18 +482,30 @@ def complete_unimodular_row(shaped: ShapedRow, t: SeriesMatrix, prec: int,
     valuation in row i of T', as the min rule gives the product
     T' @ S^-1.
 
+    That rule sets the precision needed. T starts at order 0, so H is
+    known no further than the row, S = H x^-n through known_to(row) - n,
+    and a row of T' whose least valuation is -n makes X, and with it the
+    identity products that verify_completion checks through prec, known
+    through known_to(row) - 2n. The row must therefore be known through
+    order prec + 2n, and the witness through prec (each reduction reads
+    one more order of it). Fewer known orders fail fast with
+    PrecisionError carrying the exact deficit.
+
     The certificate is returned only after verify_completion passes,
     which checks both products with the identity; a failed check raises
     SkewError naming the failed checks.
     """
     dom = shaped.dom
     n, t2 = check_unimodular(shaped, t)
-    avail = min((k for k in (shaped.row.known_to, t2.known_to)
-                 if k is not None), default=None)
-    if avail is not None and avail < prec + n:
+    # t2 = t x^n, so the witness through prec is t2 through prec + n
+    deficit = max((need - known for known, need in (
+        (shaped.row.known_to, prec + 2 * n), (t2.known_to, prec + n))
+        if known is not None), default=0)
+    if deficit > 0:
         raise PrecisionError(
-            f"need {prec + n} known orders (reduction depth {n}), "
-            f"have {avail}", deficit=prec + n - avail)
+            f"need the row known through order {prec + 2 * n} and the "
+            f"witness through order {prec} (reduction depth {n}): "
+            f"deficit {deficit}", deficit=deficit)
     chain = []   # the context of each reduced level
     cur_row, cur_wit = shaped, t2
     for _ in range(n):

@@ -25,11 +25,13 @@ and hashing ignore the kept lanes); a factor cut shorter is sliced from
 the kept lanes, or read alone and not kept if none are. The kernel
 convolves the lanes with plain int arithmetic by walking the shorter
 factor: each of its coefficients adds one scaled copy of the other
-factor's lanes into an accumulator, so a pair costs O(min(nf, step*ng))
-Python steps rather than one dot product per output order. Elements are
-built only inside the product's nonzero window, found on the combined
-integer parts: one FieldElem, so one gcd, per order from the first to
-the last nonzero one.
+factor's lanes into an accumulator slice, in one list comprehension, so
+a pair costs O(min(nf, step*ng)) Python steps rather than one dot
+product per output order. A pair whose denominators fall short of the
+common one rescales whichever side holds fewer integers. Elements are
+built only inside the product's nonzero window, found from both ends on
+the combined integer parts: one FieldElem, so one gcd, per order from
+the first to the last nonzero one.
 
 Order-by-order products share one relaxed recursion, relaxed_product
 (van der Hoeven, "Relax, but don't be too lazy", J. Symbolic Comput.
@@ -51,7 +53,7 @@ even when it is invertible over the series ring.
 from __future__ import annotations
 
 from math import lcm
-from operator import add, mul as mul_int
+from operator import mul as mul_int
 
 from .domains import Domain, FieldElem, RingElem
 from .errors import PrecisionError, SingularError, SkewError
@@ -344,60 +346,79 @@ def sum_products(dom: Domain, pairs) -> TruncatedSeries:
     least of their min-rule bounds (an exact-zero factor contributes
     nothing and bounds nothing).
 
-    Each factor is cut at the room left below the output's top order and
-    read into integer lanes (lanes_below), and every pair is scaled to
-    the common denominator of all the products. A pair then walks
-    whichever factor needs fewer scaled-vector adds: nf for f, or
-    step * ng for g (step 2 when sigma is conjugation, else 1). Walking
+    One pass over the pairs finds the output's bound, its lowest and top
+    orders and the pairs with terms. Each factor is cut at the room left
+    below the output's top order and read into integer lanes
+    (lanes_below), and every pair is scaled to the common denominator of
+    all the products (an lcm only when the running one is not already a
+    multiple). A pair then walks whichever factor needs fewer
+    scaled-vector adds: nf for f, or step * ng for g (step 2 when sigma
+    is conjugation, else 1). g has step distinct twisted forms, so the
+    walked side is also the one with fewer integers, and it alone is
+    rescaled when the pair's denominator falls short. Walking
     f adds f_j times g's lanes, conjugated when sigma^(val(f)+j) twists
     them, into the accumulator; walking g adds sigma^e(g_i) times f's
-    lanes of parity e into every step-th order. Zero scalars are skipped.
+    lanes of parity e into every step-th order. Each add is one list
+    comprehension over an accumulator slice; zero scalars are skipped.
 
     The sums are then combined into each order's integer parts (over
     Q(w), a + b*omega_c and c - a - b + b*omega_t from the Karatsuba sums
-    a, b, c, which need not vanish at a zero order). Elements are built
-    only from the first to the last order with a nonzero part, each
+    a, b, c, which need not vanish at a zero order; over Z the sum
+    itself). The first and the last order with a nonzero part are found
+    from the two ends, and elements are built only between them, each
     normalised once.
     """
-    kt = None
+    kt = lo = hi = None
     live = []
     for f, g in pairs:
-        if f.is_exact_zero or g.is_exact_zero:
-            continue
-        kt = _kt_min(kt, _kt_add(g.known_to, f.val),
-                     _kt_add(f.known_to, g.val))
-        if f.coeffs and g.coeffs:
+        fc, gc, fk, gk = f.coeffs, g.coeffs, f.known_to, g.known_to
+        if not (fc or fk is not None) or not (gc or gk is not None):
+            continue   # an exact-zero factor
+        if gk is not None and (kt is None or f.val + gk < kt):
+            kt = f.val + gk
+        if fk is not None and (kt is None or g.val + fk < kt):
+            kt = g.val + fk
+        if fc and gc:
             live.append((f, g))
+            v = f.val + g.val
+            top = v + len(fc) + len(gc) - 1
+            if lo is None:
+                lo, hi = v, top
+            else:
+                lo, hi = min(lo, v), max(hi, top)
     if not live:
         return TruncatedSeries.zero(dom, kt)
-    lo = min(f.val + g.val for f, g in live)
-    hi = max(f.val + g.val + len(f.coeffs) + len(g.coeffs) - 1
-             for f, g in live)
-    if kt is not None:
-        hi = min(hi, kt)
+    if kt is not None and kt < hi:
+        hi = kt
     quad = dom.is_quad
     step = 2 if dom.conj_sigma else 1
     factors = []
+    den = 1
     for f, g in live:
         room = hi - f.val - g.val   # orders of f * g below hi
         if room > 0:
-            factors.append((f.val, g.val, room, f.lanes_below(room),
-                            g.lanes_below(room)))
-    den = 1
-    for *_, (fd, _, _), (gd, _, _) in factors:
-        den = lcm(den, fd * gd)
+            fform, gform = f.lanes_below(room), g.lanes_below(room)
+            factors.append((f.val, g.val, room, fform, gform))
+            d = fform[0] * gform[0]
+            if den % d:
+                den = lcm(den, d)
     # per order: sum a_f a_g and, over Q(w), sum b_f b_g and
     # sum (a_f + b_f)(a_g + b_g), which give the w part (Karatsuba)
     sums = [[0] * (hi - lo) for _ in range(3 if quad else 1)]
     for fv, gv, room, (fd, fl, _), (gd, *twisted) in factors:
         # twisted: g's lanes as seen by the even and the odd orders of f
-        scale = den // (fd * gd)
-        if scale != 1:
-            fl = [[x * scale for x in lane] for lane in fl]
         nf, ng = len(fl[0]), len(twisted[0][0])
+        walk_f = nf <= step * ng   # g has step distinct twisted forms
+        scale = den // (fd * gd)
+        if scale != 1:   # rescale the side walked, which has fewer integers
+            if walk_f:
+                fl = [[x * scale for x in lane] for lane in fl]
+            else:   # one form per parity, shared when sigma = id
+                twisted = [[[y * scale for y in lane] for lane in side]
+                           for side in twisted[:step]] * (2 // step)
         # f_j sigma^(fv+j)(g_i) lands in accumulator slot base + j + i
         base = fv + gv - lo
-        if nf <= step * ng:   # walk f: add f_j * g into slots base + j ...
+        if walk_f:   # walk f: add f_j * g into slots base + j ...
             for j in range(nf):
                 s = base + j
                 e = s + min(ng, room - j)
@@ -405,7 +426,8 @@ def sum_products(dom: Domain, pairs) -> TruncatedSeries:
                 for acc, f_lane, g_lane in zip(sums, fl, g_twisted):
                     c = f_lane[j]
                     if c:
-                        acc[s:e] = map(add, acc[s:e], map(c.__mul__, g_lane))
+                        acc[s:e] = [x + c * y
+                                    for x, y in zip(acc[s:e], g_lane)]
         else:   # walk g: add sigma^par(g_i) * f's parity-par coefficients
             for par in range(step):
                 j0 = (par - fv) % step   # first j with fv + j of parity par
@@ -419,23 +441,36 @@ def sum_products(dom: Domain, pairs) -> TruncatedSeries:
                     for acc, f_lane, g_lane in zip(sums, f_par, twisted[par]):
                         c = g_lane[i]
                         if c:
-                            acc[s:e:step] = map(add, acc[s:e:step],
-                                                map(c.__mul__, f_lane))
+                            acc[s:e:step] = [x + c * y for x, y in
+                                             zip(acc[s:e:step], f_lane)]
     if quad:
         # w^2 = omega_c + omega_t * w
         aa, bb, cc = sums
-        parts = list(zip([a + b * dom.omega_c for a, b in zip(aa, bb)],
-                         [c - a - b + b * dom.omega_t
-                          for a, b, c in zip(aa, bb, cc)]))
+        wc, wt = dom.omega_c, dom.omega_t
+        xs = [a + b * wc for a, b in zip(aa, bb)]
+        ys = [c - a - b + b * wt for a, b, c in zip(aa, bb, cc)]
     else:
-        parts = [(a, 0) for a in sums[0]]
-    nonzero = [i for i, (x, y) in enumerate(parts) if x or y]
-    if not nonzero:
+        xs = sums[0]
+        ys = None
+    # the window from the first to the last order with a nonzero part
+    n = len(xs)
+    first = 0
+    while first < n and not (xs[first] or ys and ys[first]):
+        first += 1
+    if first == n:
         return TruncatedSeries.zero(dom, kt)
-    first, last = nonzero[0], nonzero[-1]
-    return TruncatedSeries(dom, lo + first, [
-        FieldElem(dom, RingElem(dom, x, y), den) if x or y else dom.fzero
-        for x, y in parts[first:last + 1]], kt)
+    last = n - 1
+    while not (xs[last] or ys and ys[last]):
+        last -= 1
+    fzero = dom.fzero
+    xs = xs[first:last + 1]
+    if ys is None:
+        coeffs = [FieldElem(dom, RingElem(dom, x, 0), den) if x else fzero
+                  for x in xs]
+    else:
+        coeffs = [FieldElem(dom, RingElem(dom, x, y), den) if x or y
+                  else fzero for x, y in zip(xs, ys[first:last + 1])]
+    return TruncatedSeries(dom, lo + first, coeffs, kt)
 
 
 class SeriesMatrix:

@@ -139,6 +139,28 @@ def completion_test_ideal(dom):
     return ideals.unit_ideal(dom)
 
 
+def seed_51_rows(dom, depths):
+    """(shaped, witness, n) for the rows of random_unimodular_row at seed
+    51 (20 draws on the domain's standing ideal) whose depth n is in
+    depths; every depth asked for occurs."""
+    rng = random.Random(51)
+    j_lat = completion_test_ideal(dom)
+    rows = []
+    for _ in range(20):
+        shaped, t = random_unimodular_row(dom, j_lat, rng)
+        n, _ = completion.check_unimodular(shaped, t)
+        if n in depths:
+            rows.append((shaped, t, n))
+    assert {n for *_, n in rows} == set(depths)
+    return rows
+
+
+def truncated(mat, known_to):
+    """mat with every entry cut to known_to."""
+    return mat.map(lambda s: TruncatedSeries(
+        s.dom, s.val, s.coeffs[:max(known_to - s.val, 0)], known_to))
+
+
 def random_unit_series(dom, prec, rng):
     """Series with unit lowest coefficient, known through order prec."""
     coeffs = [dom.felem(rng.choice([1, -1]))]

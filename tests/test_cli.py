@@ -495,6 +495,38 @@ def test_precision_deficit_exits_5(capsys):
     assert "precision deficit" in err
 
 
+def test_row_short_of_prec_plus_2n_exits_5(tmp_path, capsys, any_domain):
+    """The seed-51 rows at depths 1 and 2 cut to prec + 2n - 1 known
+    orders exit 5 with a deficit of 1 (not 3 from the engine's own
+    check); cut to prec + 2n they certify and verify."""
+    from conftest import completion_test_ideal, seed_51_rows, truncated
+    from skewdd.textio import format_domain
+
+    dom, prec = any_domain, 8
+    domain = format_domain(dom.spec)
+    ideal = json.dumps(completion_test_ideal(dom).to_json())
+    row_path, wit_path = tmp_path / "row.json", tmp_path / "t.json"
+    out = tmp_path / "cert.json"
+    for shaped, t, n in seed_51_rows(dom, {1, 2}):
+        wit_path.write_text(json.dumps([series_to_json(col[0])
+                                        for col in t.rows]))
+        for short in (1, 0):
+            row = truncated(shaped.row, prec + 2 * n - short)
+            row_path.write_text(json.dumps([series_to_json(s)
+                                            for s in row.rows[0]]))
+            code, _, err = run(
+                capsys, "complete-row", "--domain", domain, "--ideal", ideal,
+                "--row", str(row_path), "--witness", str(wit_path),
+                "--prec", str(prec), "--out", str(out))
+            if short:
+                assert code == 5, err
+                assert "precision deficit" in err
+                assert err.rstrip().endswith("deficit 1")
+            else:
+                assert code == 0, err
+                assert run(capsys, "verify", str(out))[0] == 0
+
+
 def test_search_obstruction_exits_4(tmp_path, capsys, root2):
     import random as _random
 

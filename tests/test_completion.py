@@ -28,7 +28,8 @@ from skewdd.series import SeriesMatrix, TruncatedSeries, det2
 from skewdd.textio import parse_series
 
 from conftest import (assert_same_matrix, completion_test_ideal,
-                      random_unimodular_row, two_pass_final_inverse)
+                      random_unimodular_row, seed_51_rows, truncated,
+                      two_pass_final_inverse)
 
 
 def classic_row(zz):
@@ -309,7 +310,7 @@ def test_precision_deficit_fails_fast(zz):
                           [parse_series(zz, "1*x^-1")]])
     with pytest.raises(PrecisionError) as exc:
         complete_unimodular_row(shaped, t, 8)
-    assert exc.value.deficit == 8 + 1 - 4
+    assert exc.value.deficit == 8 + 2 * 1 - 4   # depth 1: prec + 2n orders
 
 
 def test_shape_violation_rejected(z5c):
@@ -331,11 +332,6 @@ def test_random_rows_complete(any_domain):
         rep = verify_completion(cert)
         assert rep.ok, list(rep.lines())
     assert saw_positive_level
-
-
-def truncated(mat, known_to):
-    return mat.map(lambda s: TruncatedSeries(
-        s.dom, s.val, s.coeffs[:max(known_to - s.val, 0)], known_to))
 
 
 def test_final_inverse_matches_the_two_pass_route(any_domain):
@@ -361,6 +357,39 @@ def test_final_inverse_matches_the_two_pass_route(any_domain):
         assert_same_matrix(cut_cert.final_inv,
                            two_pass_final_inverse(cut_cert))
     assert depths == {0, 1, 2}
+
+
+def test_row_needs_prec_plus_2n_known_orders(any_domain):
+    """A depth-n row known through prec + 2n - 1 orders is refused with
+    deficit 1 before any work; through prec + 2n it certifies, and its
+    identity products reach prec (the fail-fast bound is the one the
+    final inverse's precision sets)."""
+    prec = 8
+    for shaped, t, n in seed_51_rows(any_domain, {1, 2}):
+        for short in (1, 0):
+            avail = prec + 2 * n - short
+            cut = ShapedRow(truncated(shaped.row, avail), shaped.j_ideal,
+                            shaped.a_ideal)
+            if short:
+                with pytest.raises(PrecisionError) as exc:
+                    complete_unimodular_row(cut, t, prec)
+                assert exc.value.deficit == 1
+            else:
+                cert = complete_unimodular_row(cut, t, prec)
+                assert (cert.n, cert.final_inv.known_to) == (n, prec)
+                assert verify_completion(cert).ok
+
+
+def test_witness_needs_prec_known_orders(any_domain):
+    """The witness, as given, needs prec known orders at every depth: one
+    short is refused with deficit 1, and exactly prec certifies."""
+    prec = 8
+    for shaped, t, n in seed_51_rows(any_domain, {1, 2}):
+        with pytest.raises(PrecisionError) as exc:
+            complete_unimodular_row(shaped, truncated(t, prec - 1), prec)
+        assert exc.value.deficit == 1
+        cert = complete_unimodular_row(shaped, truncated(t, prec), prec)
+        assert verify_completion(cert).ok
 
 
 def test_each_level_is_one_determinant_one_change_of_basis(any_domain):

@@ -850,6 +850,83 @@ def test_kept_lanes_are_read_once_and_sliced(any_domain, data, monkeypatch):
     assert reads[len(first):] == lanes_below_top(dom, pairs, kept)
 
 
+def fraction_series(dom, rng, val, length, den, known_to=None):
+    """length coefficients over den, the first one 1/den so that den is
+    the lane denominator; None known_to means exact."""
+    coeffs = [dom.felem(1, 0, den)] + [
+        dom.felem(rng.randint(-99, 99),
+                  rng.randint(-99, 99) if dom.is_quad else 0, den)
+        for _ in range(length - 1)]
+    return TruncatedSeries(dom, val, coeffs, known_to)
+
+
+# (f.val, g.val): even, and odd on either side or both
+KERNEL_VALS = [(0, 0), (-1, 0), (0, 3), (1, -3)]
+
+
+@pytest.mark.parametrize("fv, gv", KERNEL_VALS)
+@pytest.mark.parametrize("walk", ["f", "g"])
+def test_rescaled_walks_match_per_order_kernel(any_domain, walk, fv, gv):
+    """Sums of two pairs over the denominators 3 and 5, so each pair is
+    rescaled to 15: with f short and g long (f is walked and rescaled),
+    and with f long and g short (g is walked and its twisted lanes are
+    rescaled), at even and odd valuations, exact and cut by known_to."""
+    dom = any_domain
+    step = dom.sigma_order
+    rng = random.Random(f"{walk}{fv}{gv}")
+    lengths = [(2, 12), (3, 10)] if walk == "f" else [(12, 2), (13, 3)]
+    for nf, ng in lengths:
+        assert (nf <= step * ng) == (walk == "f")
+    for cut in (None, "f", "g"):
+        pairs = []
+        for (nf, ng), den in zip(lengths, (3, 5)):
+            f = fraction_series(dom, rng, fv, nf, den)
+            g = fraction_series(dom, rng, gv, ng, 1)
+            if cut == "f":   # cuts the product in the middle of g's walk
+                f = fraction_series(dom, rng, fv, nf, den, fv + nf)
+            elif cut == "g":
+                g = fraction_series(dom, rng, gv, ng, 1, gv + ng + 1)
+            pairs.append((f, g))
+        got = sum_products(dom, pairs)
+        want = reference_sum_products(dom, pairs)
+        assert_same_series(got, want)
+        assert got.coeffs and 15 in {c.den for c in got.coeffs}
+        if cut is not None:
+            assert got.known_to is not None
+        # the same sum again reads the kept lanes, which rescaling left as
+        # they were
+        assert_same_series(sum_products(dom, pairs), want)
+
+
+@pytest.mark.parametrize("fv", [0, 1])
+def test_identity_products_cancel_to_the_exact_constant(any_domain, fv):
+    """u @ u^-1 and u^-1 @ u for u a product of elementary matrices with
+    long fractional entries: each entry sums two products whose terms
+    cancel to the exact zero above order 0, through both walks, and
+    equals the per-order kernel and the identity exactly (val, coeffs
+    and known_to None)."""
+    dom = any_domain
+    rng = random.Random(fv)
+    one = TruncatedSeries.const(dom, dom.fone)
+    zero = TruncatedSeries.zero(dom)
+    u = u_inv = SeriesMatrix.identity(dom)
+    for k, (length, den) in enumerate([(2, 3), (9, 5), (3, 7), (11, 1)]):
+        e = fraction_series(dom, rng, fv, length, den)
+        if k % 2:
+            m, m_inv = [[one, e], [zero, one]], [[one, -e], [zero, one]]
+        else:
+            m, m_inv = [[one, zero], [e, one]], [[one, zero], [-e, one]]
+        u = u @ SeriesMatrix(dom, m)
+        u_inv = SeriesMatrix(dom, m_inv) @ u_inv
+    for left, right in ((u, u_inv), (u_inv, u)):
+        for i in range(2):
+            for j in range(2):
+                pairs = [(left.rows[i][t], right.rows[t][j]) for t in range(2)]
+                got = sum_products(dom, pairs)
+                assert_same_series(got, reference_sum_products(dom, pairs))
+                assert_same_series(got, one if i == j else zero)
+
+
 def test_kept_lanes_leave_equality_and_hash_alone(any_domain):
     dom = any_domain
     a = TruncatedSeries(dom, -1, [dom.felem(3, 0, 2), dom.fzero,

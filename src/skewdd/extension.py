@@ -13,7 +13,13 @@ matrix with A_0 = Id, and q is a unit-lowest-term series over the
 fraction field. Multiplication by q then carries the extended ideal
 (g0 entries) * R onto I, which is what the certificate witnesses.
 extend builds (A, q) one order at a time on series.relaxed_product,
-the recursion that also runs series division and inversion.
+the recursion that also runs series division and inversion. At order n
+the obstruction s_n is written in J * sigma^n(J), which the four
+products a_j sigma^n(a_k) of the lowest coefficients span. Both
+supported automorphisms square to the identity, so that spanning set
+depends only on n mod 2: extend echelons it once per parity
+(ideals.PreparedBasis) and solves every order against it, on integer
+pairs.
 
 The repair loop starts J at the ideal of lowest coefficients. When J is
 too small, the inductive step fails a membership test at some order n
@@ -47,9 +53,10 @@ from . import ideals
 from .ideals import (FracIdeal, combine_transform, echelon,
                      from_ring_generators)
 from .reporting import VerifyReport
-from .series import (SeriesMatrix, TruncatedSeries, disagreement,
+from .series import (SeriesMatrix, TruncatedSeries, _qmul, disagreement,
                      relaxed_product, scale_right, sum_products)
 from . import textio
+from .textio import format_parts
 
 
 def _normalized_ring_gens(gens: list[TruncatedSeries]) -> list[TruncatedSeries]:
@@ -227,11 +234,20 @@ def extend(j_ideal: FracIdeal, g: SeriesMatrix, prec: int
 
     Order n of g * A is srow_n + g_0 A_n, where relaxed_product hands
     srow_n = sum_(i=1..n) g_i sigma^i(A_(n-i)) as integer pairs (g and A
-    are integral, so over denominator 1). The obstruction s_n is written
-    inside J * sigma^n(J) to produce A_n, and q_n is read off (with both
-    row components cross checked). A failed membership aborts with
+    are integral, so over denominator 1). The obstruction
+    s_n = srow_n,1 sigma^n(a2) - srow_n,2 sigma^n(a1) is written inside
+    J * sigma^n(J) to produce A_n, and q_n is read off (with both row
+    components cross checked). A failed membership aborts with
     ConstIdealUnderestimate carrying the strictly larger lower bound
     J + s_n * sigma^n(J)^(-1).
+
+    J * sigma^n(J) is spanned by the four products a_j sigma^n(a_k), and
+    sigma^n = sigma^(n mod sigma_order) since sigma squares to the
+    identity, so the basis s_n is solved in depends only on the parity
+    of n. Each parity's basis is echeloned once, when an order of that
+    parity first has s_n != 0, and lives for this call only; the order
+    loop itself runs on integer pairs, and an order with s_n = 0 solves
+    nothing.
     """
     dom = g.dom
     if g.shape != (1, 2):
@@ -251,50 +267,78 @@ def extend(j_ideal: FracIdeal, g: SeriesMatrix, prec: int
     if from_ring_generators(dom, [a1, a2]) != j_ideal:
         raise SkewError("lowest coefficients do not generate the given ideal")
 
+    quad = dom.is_quad
+    g0 = [(a1.a, a1.b), (a2.a, a2.b)]
+    # per parity p: sigma^p(a1) and sigma^p(a2) as pairs, and
+    # sigma^p(a1)^(-1) as (pair, positive denominator)
+    sig, inv = [], []
+    for p in range(dom.sigma_order):
+        s1, s2 = dom.sigma_pow(a1, p), dom.sigma_pow(a2, p)
+        sig.append(((s1.a, s1.b), (s2.a, s2.b)))
+        i1 = s1.to_field().inverse()
+        inv.append(((i1.num.a, i1.num.b), i1.den))
+    # per parity: the products a_j sigma^p(a_k), prepared on first use
+    bases = [None] * dom.sigma_order
+
     q_coeffs: list[FieldElem] = [dom.fone]
     audit = []
 
-    def step(n: int, _den: int, s) -> list[list[FieldElem]]:
+    def step(n: int, den: int, s) -> list[list[FieldElem]]:
+        if den != 1:
+            raise SkewError("internal error: extend's partial sum srow_n "
+                            f"has denominator {den}, not 1")
         if not n:
             return [[dom.fone, dom.fzero], [dom.fzero, dom.fone]]
-        sig_a1 = dom.sigma_pow(a1, n)
-        sig_a2 = dom.sigma_pow(a2, n)
+        p = n % len(sig)
+        sa1, sa2 = sig[p]
         # srow = sum_{i=1..n} g_i sigma^i(A_{n-i}), integral; None is 0
-        srow = ([RingElem(dom, x, y) for x, y in s[0]] if s is not None
-                else [dom.zero, dom.zero])
-        s_n = srow[0] * sig_a2 - srow[1] * sig_a1
-        if s_n:
+        r1, r2 = s[0] if s is not None else ((0, 0), (0, 0))
+        (x1, y1), (x2, y2) = _qmul(dom, r1, sa2), _qmul(dom, r2, sa1)
+        sn = (x1 - x2, y1 - y2)
+        if sn[0] or sn[1]:
+            basis = bases[p]
+            if basis is None:
+                basis = bases[p] = ideals.product_basis(
+                    (a1, a2), [RingElem(dom, *e) for e in sig[p]])
+            # the products are integral, so the basis scale is 1
             try:
-                c = ideals.express_in_product(
-                    s_n.to_field(), (a1.to_field(), a2.to_field()),
-                    (sig_a1.to_field(), sig_a2.to_field()))
+                c = basis.solve([sn[1], sn[0]] if quad else [sn[0]])
             except MembershipError:
+                s_n = RingElem(dom, *sn)
                 inv_sig_j = j_ideal.sigma(n).inverse()
                 enlarged = j_ideal.add(inv_sig_j.scale(s_n.to_field()))
                 if not enlarged.is_integral:
                     raise SkewError("enlarged constant ideal is not integral")
                 raise ConstIdealUnderestimate(enlarged, n, s_n) from None
-            a_n = [[-c[0][1], c[0][0]], [-c[1][1], c[1][0]]]
+            # c_jk as pairs, (j, k) in row-major order
+            cs = list(zip(c[::2], c[1::2])) if quad else [(x, 0) for x in c]
+            c_text = [[format_parts(*e) for e in cs[:2]],
+                      [format_parts(*e) for e in cs[2:]]]
+            a_n = [[(-cs[1][0], -cs[1][1]), cs[0]],
+                   [(-cs[3][0], -cs[3][1]), cs[2]]]
+            # w = srow + g0 A_n, column by column
+            w = []
+            for r, e1, e2 in zip((r1, r2), *a_n):
+                u1, v1 = _qmul(dom, g0[0], e1)
+                u2, v2 = _qmul(dom, g0[1], e2)
+                w.append((r[0] + u1 + u2, r[1] + v1 + v2))
+            out = [[FieldElem(dom, RingElem(dom, *e)) for e in row]
+                   for row in a_n]
         else:
-            c = [[dom.zero, dom.zero], [dom.zero, dom.zero]]
-            a_n = [[dom.zero, dom.zero], [dom.zero, dom.zero]]
-        w = [
-            srow[col] + a1 * a_n[0][col] + a2 * a_n[1][col]
-            for col in range(2)
-        ]
-        if w[0] * sig_a2 != w[1] * sig_a1:
+            w = (r1, r2)
+            c_text = [["0", "0"], ["0", "0"]]
+            out = [[dom.fzero, dom.fzero], [dom.fzero, dom.fzero]]
+        if _qmul(dom, w[0], sa2) != _qmul(dom, w[1], sa1):
             raise SkewError(f"induction invariant failed at order {n}")
-        q_n = w[0].to_field() / sig_a1.to_field()
-        if sig_a2 and q_n * sig_a2.to_field() != w[1].to_field():
+        i1, i1_den = inv[p]
+        q_n = FieldElem(dom, RingElem(dom, *_qmul(dom, w[0], i1)), i1_den)
+        # sigma^n(a2) != 0: a2 is the lowest coefficient of f2
+        if _qmul(dom, (q_n.num.a, q_n.num.b), sa2) \
+                != (w[1][0] * q_n.den, w[1][1] * q_n.den):
             raise SkewError(f"q cross-check failed at order {n}")
         q_coeffs.append(q_n)
-        audit.append({
-            "n": n,
-            "s_n": textio.format_ring_elem(s_n),
-            "c": [[textio.format_ring_elem(c[j][k]) for k in range(2)]
-                  for j in range(2)],
-        })
-        return [[e.to_field() for e in row] for row in a_n]
+        audit.append({"n": n, "s_n": format_parts(*sn), "c": c_text})
+        return out
 
     a_mats = relaxed_product(dom, [[[f1.coeff(i), f2.coeff(i)]]
                                    for i in range(1, prec + 1)],

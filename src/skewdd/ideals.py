@@ -11,7 +11,8 @@ closed form on the fields.
 All heavy lifting reduces to integer row echelon forms of small
 matrices. An echelon form records its row operations instead of carrying
 a transformation matrix, and explicit coefficients (express_in_generators
-and friends) replay that record on just the combination they need.
+and friends) replay that record on just the combination they need. A
+PreparedBasis keeps one such echelon for many targets.
 
 Nothing here is sampled. The second-generator scan of
 one_and_half_generator is complete, since the index [u : aD] bounds it;
@@ -416,6 +417,62 @@ def _coefficient_rows(dom: Domain, gens: list[RingElem]):
     return rows
 
 
+class PreparedBasis:
+    """Generators of a D-module prepared once for many solves.
+
+    Holds the common denominator scale of the generators and the echelon
+    form (ech, pivots, ops) of the integer coordinate rows of scale * g_j
+    and scale * g_j * w. solve writes one integral target over those
+    rows, express one field element over the generators; the echelon is
+    not repeated per target.
+    """
+
+    __slots__ = ("dom", "gens", "scale", "ech", "pivots", "ops")
+
+    def __init__(self, gens: list):
+        felems = [g.to_field() if isinstance(g, RingElem) else g for g in gens]
+        if not felems or all(not g for g in felems):
+            raise SkewError("need at least one nonzero generator")
+        dom = felems[0].dom
+        scale = 1
+        for g in felems:
+            scale = lcm(scale, g.den)
+        self.dom = dom
+        self.gens = felems
+        self.scale = scale
+        self.ech, self.pivots, self.ops = echelon(_coefficient_rows(
+            dom, [(g * scale).as_ring() for g in felems]))
+
+    def solve(self, target: list[int]) -> list[int]:
+        """Integers (u_j, v_j) per generator, flattened (u_j alone over
+        Z), with scale * e = sum scale * g_j * (u_j + v_j * w) for the
+        element e whose scaled coordinates (b, a) (over Z: (a)) are
+        target. Raises MembershipError(target, None) when there are none.
+        """
+        return combine_transform(
+            self.ops, solve_in_rowspace(target, self.ech, self.pivots))
+
+    def express(self, e: FieldElem) -> list[RingElem]:
+        """Coefficients u_j in D with e = sum gens_j * u_j; raises
+        MembershipError(e, module) when e is outside the module."""
+        dom = self.dom
+        # module elements are integral over scale: a larger denominator
+        # puts e outside it
+        k, rem = divmod(self.scale, e.den)
+        try:
+            if rem:
+                raise MembershipError(e, None)
+            et = e.num
+            w = self.solve([et.b * k, et.a * k] if dom.is_quad
+                           else [et.a * k])
+        except MembershipError:
+            raise MembershipError(e, from_generators(dom, self.gens)) from None
+        if dom.is_quad:
+            return [RingElem(dom, w[j], w[j + 1])
+                    for j in range(0, len(w), 2)]
+        return [RingElem(dom, x) for x in w]
+
+
 def express_in_generators(e: FieldElem, gens: list) -> list[RingElem]:
     """Coefficients u_j in D with e = sum gens_j * u_j.
 
@@ -423,39 +480,20 @@ def express_in_generators(e: FieldElem, gens: list) -> list[RingElem]:
     the solution on the echelon rows carried back to the basis by
     combine_transform; raises MembershipError when e is outside the module.
     """
-    felems = [g.to_field() if isinstance(g, RingElem) else g for g in gens]
-    if not felems or all(not g for g in felems):
-        raise SkewError("need at least one nonzero generator")
-    dom = felems[0].dom
-    scale = e.den
-    for g in felems:
-        scale = lcm(scale, g.den)
-    rows = _coefficient_rows(dom, [(g * scale).as_ring() for g in felems])
-    et = (e * scale).as_ring()
-    target = [et.b, et.a] if dom.is_quad else [et.a]
-    ech, pivots, ops = echelon(rows)
-    try:
-        z = solve_in_rowspace(target, ech, pivots)
-    except MembershipError:
-        raise MembershipError(e, from_generators(dom, felems)) from None
-    w = combine_transform(ops, z)
-    out = []
-    per = 2 if dom.is_quad else 1
-    for j in range(len(felems)):
-        if dom.is_quad:
-            out.append(RingElem(dom, w[per * j], w[per * j + 1]))
-        else:
-            out.append(RingElem(dom, w[j]))
-    return out
+    return PreparedBasis(gens).express(e)
+
+
+def product_basis(u_gens, v_gens) -> PreparedBasis:
+    """The four products u_gens[j] * v_gens[k], (j, k) in row-major
+    order, prepared for solves."""
+    g1, g2 = u_gens
+    h1, h2 = v_gens
+    return PreparedBasis([g1 * h1, g1 * h2, g2 * h1, g2 * h2])
 
 
 def express_in_product(e: FieldElem, u_gens, v_gens) -> list[list[RingElem]]:
     """Matrix (c_jk) in D with e = sum c_jk * u_gens[j] * v_gens[k]."""
-    g1, g2 = u_gens
-    h1, h2 = v_gens
-    prods = [g1 * h1, g1 * h2, g2 * h1, g2 * h2]
-    prods = [p.to_field() if isinstance(p, RingElem) else p for p in prods]
-    coeffs = express_in_generators(e, prods)
+    coeffs = product_basis(u_gens, v_gens).express(e)
     return [[coeffs[0], coeffs[1]], [coeffs[2], coeffs[3]]]
 
 

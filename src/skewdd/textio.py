@@ -66,11 +66,15 @@ def _ratio(p: int, q: int) -> str:
 
 
 def format_ring_elem(e: RingElem) -> str:
-    return format_field_elem(e.to_field())
+    return format_parts(e.a, e.b)
 
 
 def format_field_elem(e: FieldElem) -> str:
-    a, b, den = e.num.a, e.num.b, e.den
+    return format_parts(e.num.a, e.num.b, e.den)
+
+
+def format_parts(a: int, b: int, den: int = 1) -> str:
+    """The text of (a + b*w) / den, den > 0."""
     if not b:
         return _ratio(a, den)
     wpart = f"{_ratio(abs(b), den)}*w"

@@ -185,3 +185,14 @@ def assert_same_matrix(got, want):
     """Entrywise: the same valuation, coefficients and known_to."""
     assert [[(s.val, s.coeffs, s.known_to) for s in row] for row in got.rows] \
         == [[(s.val, s.coeffs, s.known_to) for s in row] for row in want.rows]
+
+
+def corrected_row_text(dom):
+    """J and the text of a row over dom with lowest coefficients
+    generating J and tails in J, so extend needs no repair, whose s_n is
+    nonzero at several orders."""
+    if dom.is_quad:
+        return (ideals.from_ring_generators(dom, [dom.elem(2), dom.elem(1, 1)]),
+                ["2+(1+1*w)*x^1+2*x^3", "1+1*w+2*x^1+(1+1*w)*x^2"])
+    return (ideals.from_ring_generators(dom, [dom.elem(2)]),
+            ["2+4*x^1+2*x^3", "2+2*x^1+6*x^2"])

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from skewdd import extension, ideals
-from skewdd.errors import ConstIdealUnderestimate, MembershipError, PrecisionError
+from skewdd.errors import (ConstIdealUnderestimate, MembershipError,
+                           PrecisionError, SkewError)
 from skewdd.extension import (
     ExtensionCertificate,
     extend,
@@ -17,7 +18,8 @@ from skewdd.ideals import from_ring_generators, unit_ideal
 from skewdd.series import SeriesMatrix, TruncatedSeries, mul
 from skewdd.textio import format_ring_elem, parse_series, series_from_json
 
-from conftest import rand_ideal, rand_ring_elem, random_unit_series
+from conftest import (corrected_row_text, rand_ideal, rand_ring_elem,
+                      random_unit_series)
 
 
 def count_windows(monkeypatch):
@@ -432,3 +434,50 @@ def test_extend_matches_per_term_loop(any_domain, seed, prec, free):
         return
     cert = extend(j_lat, row, prec)
     assert (cert.A, cert.q, cert.audit) == want
+
+
+def corrected_row(dom):
+    """J and the row of corrected_row_text, parsed."""
+    j_lat, gens = corrected_row_text(dom)
+    return j_lat, SeriesMatrix(dom, [[parse_series(dom, s) for s in gens]])
+
+
+@pytest.mark.parametrize("pick", [0, 1, -1])
+def test_a_wrong_solution_fails_the_induction_invariant(any_domain,
+                                                        monkeypatch, pick):
+    """One solved c_jk off by 1 at one order makes extend's own invariant
+    check fail at that order; no certificate comes back."""
+    j_lat, row = corrected_row(any_domain)
+    solved = [a["n"] for a in extend(j_lat, row, 6).audit if a["s_n"] != "0"]
+    assert len(solved) >= 2
+    order = solved[pick]
+    solve = ideals.PreparedBasis.solve
+    calls = []
+
+    def off_by_one(self, target):
+        c = solve(self, target)
+        calls.append(target)
+        if len(calls) == solved.index(order) + 1:
+            c[0] += 1
+        return c
+
+    monkeypatch.setattr(ideals.PreparedBasis, "solve", off_by_one)
+    with pytest.raises(SkewError,
+                       match=f"^induction invariant failed at order {order}$"):
+        extend(j_lat, row, 6)
+
+
+def test_order_loop_refuses_a_fractional_partial_sum(zz, monkeypatch):
+    """g and A are integral, so relaxed_product hands every order's
+    partial sum over denominator 1; any other denominator is an internal
+    error, not a value to solve with."""
+    j_lat, row = corrected_row(zz)
+    relaxed = extension.relaxed_product
+
+    def doubling(dom, known, offset, nterms, step, *args):
+        return relaxed(dom, known, offset, nterms,
+                       lambda t, den, s: step(t, 2 * den, s), *args)
+
+    monkeypatch.setattr(extension, "relaxed_product", doubling)
+    with pytest.raises(SkewError, match="^internal error: .*denominator 2"):
+        extend(j_lat, row, 4)

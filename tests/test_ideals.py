@@ -438,6 +438,44 @@ def test_express_in_generators_round_trip(any_domain, data):
 
 @PROPERTY_SETTINGS
 @given(data=st.data())
+def test_prepared_basis_answers_as_express_in_generators(any_domain, data):
+    """One PreparedBasis, echeloned once, writes each of several targets
+    as express_in_generators does: the same coefficients on members, its
+    solve on their scaled coordinates included, and on non-members, those
+    whose denominator the generators cannot produce included, the same
+    MembershipError naming the same module."""
+    dom = any_domain
+    gens = data.draw(generator_lists(dom))
+    basis = ideals.PreparedBasis(gens)
+    module = from_generators(dom, gens)
+    b1, b2 = module.gens()
+    part = st.integers(-12, 12)
+    anything = st.builds(dom.felem, part, part if dom.is_quad else st.just(0),
+                         st.sampled_from([1, 2, 5, 7, 12, 24]))
+    for _ in range(4):
+        if data.draw(st.booleans()):
+            e = b1 * data.draw(part) + b2 * data.draw(part)
+        else:
+            e = data.draw(anything)
+        if module.contains(e):
+            want = ideals.express_in_generators(e, gens)
+            assert basis.express(e) == want
+            k = basis.scale // e.den
+            target = ([e.num.b * k, e.num.a * k] if dom.is_quad
+                      else [e.num.a * k])
+            assert basis.solve(target) == [x for c in want for x in (
+                (c.a, c.b) if dom.is_quad else (c.a,))]
+            continue
+        with pytest.raises(MembershipError) as one_shot:
+            ideals.express_in_generators(e, gens)
+        with pytest.raises(MembershipError) as prepared:
+            basis.express(e)
+        assert (prepared.value.element, prepared.value.lattice) \
+            == (one_shot.value.element, one_shot.value.lattice) == (e, module)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
 def test_ideal_product_matches_the_generator_path(any_domain, data):
     """FracIdeal.mul, which echelons the four products of the two Z-bases,
     equals from_ring_generators of those products over the product of the

@@ -8,8 +8,8 @@ row-by-witness products and series products of a completion job, the
 shape tables and second-generator scans of forty completion jobs, the
 echelon rows of one ideal product, the order-window rows that an
 extension job replays from an echelon's operation record, the windows
-that realize each repair, and one extension certificate of exact
-generators.
+that realize each repair, the echelons of extend's order loop, and one
+extension certificate of exact generators.
 
 Each workload's first twenty jobs run through ``skewdd.cli.main`` with
 the benchmark's own input generator, job runner and digest check, so a
@@ -32,8 +32,9 @@ import run  # noqa: E402
 import spans  # noqa: E402
 
 from skewdd import (cli, completion, domains, extension, ideals,  # noqa: E402
-                    series)
-from conftest import assert_same_matrix, two_pass_final_inverse  # noqa: E402
+                    series, textio)
+from conftest import (assert_same_matrix, corrected_row_text,  # noqa: E402
+                      two_pass_final_inverse)
 
 PIN_JOBS = 20
 # seed-0 extend-window job on quad:-5:id with escape order 4
@@ -467,6 +468,47 @@ def test_repairs_are_realized_by_the_proven_window(tmp_path, monkeypatch,
     # 28 repairs at either seed; the bound is met with equality
     assert len(slack) == 28
     assert min(slack) == 0
+
+
+@pytest.mark.parametrize("domain", ["quad:-5:conj", "quad:-5:id", "int"])
+def test_extend_echelons_once_per_parity(tmp_path, monkeypatch, domain):
+    """extend on a row whose s_n is nonzero at every order makes the same
+    number of ideals.echelon calls at --prec 8 and 24, and at most
+    sigma_order of them inside its order loop: one basis of
+    J * sigma^n(J) per parity of n. Counted, not timed."""
+    dom = domains.get_domain(textio.parse_domain(domain))
+    _, gens = corrected_row_text(dom)
+    calls, in_loop = [], []
+    echelon = ideals.echelon
+    relaxed = extension.relaxed_product
+
+    def counting(m, *args, **kwargs):
+        calls[-1]["all"] += 1
+        calls[-1]["loop"] += bool(in_loop)
+        return echelon(m, *args, **kwargs)
+
+    def looping(*args, **kwargs):
+        in_loop.append(True)
+        try:
+            return relaxed(*args, **kwargs)
+        finally:
+            in_loop.pop()
+
+    monkeypatch.setattr(ideals, "echelon", counting)
+    monkeypatch.setattr(extension, "relaxed_product", looping)
+    audits = []
+    for prec in (8, 24):
+        calls.append({"all": 0, "loop": 0})
+        out = tmp_path / f"cert{prec}.json"
+        assert cli.main(["extend", "--domain", domain, "--gens",
+                         json.dumps(gens), "--prec", str(prec),
+                         "--out", str(out)]) == 0
+        audits.append(json.loads(out.read_text())["audit"])
+    monkeypatch.undo()
+    assert all(a["s_n"] != "0" for audit in audits for a in audit)
+    assert [len(audit) for audit in audits] == [8, 24]
+    assert calls[0] == calls[1]
+    assert 0 < calls[0]["loop"] <= dom.sigma_order
 
 
 def test_unit_difference_certificate_is_pinned(tmp_path):

@@ -244,7 +244,7 @@ def _bezout_two_fractional(dom: Domain, w1: FracIdeal | None,
     """(u', v') with u' in w1, v' in w2, u' + v' = 1; None is the zero ideal."""
     g1, g2 = (w.gens() if w is not None and not w.is_zero else ()
               for w in (w1, w2))
-    coeffs = ideals.express_in_generators(dom.fone, [*g1, *g2])
+    coeffs = ideals.PreparedBasis([*g1, *g2]).express(dom.fone)
     c1, c2 = coeffs[:len(g1)], coeffs[len(g1):]
     return (sum((g * c.to_field() for g, c in zip(g1, c1)), dom.fzero),
             sum((g * c.to_field() for g, c in zip(g2, c2)), dom.fzero))

@@ -163,6 +163,13 @@ class Domain:
         return 2 if self.conj_sigma else 1
 
 
+def pair_mul(dom: Domain, x, y) -> tuple[int, int]:
+    """Product of the integer pairs (a, b) = a + b*w by the w^2 rule."""
+    (a, b), (c, d) = x, y
+    bd = b * d
+    return a * c + bd * dom.omega_c, a * d + b * c + bd * dom.omega_t
+
+
 class RingElem:
     """Element a + b*w of the order (b = 0 over the integers)."""
 

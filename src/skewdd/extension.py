@@ -28,9 +28,11 @@ the constant ideal (ConstIdealUnderestimate); the lattice index drops
 each round, so at most log2(index) repairs happen. Each round
 normalize_generators rebuilds the row g from the windows of right
 combinations at orders 0, 1, ..., and the coefficient ideal it reads
-only grows with the order. Its search stops at a proven order, not at a
-guess: if g came from window t, the enlarged J is realized by window
-n + 2t. For r = g * (A mod x^n) and tau in J^(-1), the element
+only grows with the order. Each window is tested and solved once,
+against one ideals.PreparedBasis of its leading coefficients. The
+search stops at a proven order, not at a guess: if g came from window
+t, the enlarged J is realized by window n + 2t. For
+r = g * (A mod x^n) and tau in J^(-1), the element
 z = r_1 (a_2 tau) - r_2 (a_1 tau) has integral multipliers, vanishes
 below n and has order-n coefficient s_n * sigma^n(tau). g's multipliers
 on the generators span x^-t..x^t and those of A mod x^n span
@@ -42,18 +44,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .domains import Domain, DomainSpec, FieldElem, RingElem, get_domain
+from .domains import (Domain, DomainSpec, FieldElem, RingElem, get_domain,
+                      pair_mul)
 from .errors import (
     ConstIdealUnderestimate,
     MembershipError,
     PrecisionError,
     SkewError,
 )
-from . import ideals
-from .ideals import (FracIdeal, combine_transform, echelon,
+from .ideals import (FracIdeal, PreparedBasis, combine_transform, echelon,
                      from_ring_generators)
 from .reporting import VerifyReport
-from .series import (SeriesMatrix, TruncatedSeries, _qmul, disagreement,
+from .series import (SeriesMatrix, TruncatedSeries, disagreement,
                      relaxed_product, scale_right, sum_products)
 from . import textio
 from .textio import format_parts
@@ -75,39 +77,49 @@ def _normalized_ring_gens(gens: list[TruncatedSeries]) -> list[TruncatedSeries]:
 
 
 class _OrderWindow:
-    """Echelonized coefficient table of right combinations up to order T.
+    """Echelonized coefficient table of right combinations up to order top.
 
-    Rows are the coefficient vectors (orders 0..T, untwisted coordinates)
-    of gens[j] * c * x^s for every generator, every shift s <= T and
+    Rows are the coefficient vectors (orders 0..top, untwisted coordinates)
+    of gens[j] * c * x^s for every generator, every shift s <= top and
     c in {1, w}. Order m of that product is g_(m-s) * sigma^(m-s)(c), so
     the row for shift s is the row for shift 0 behind s zero blocks.
     Echelon rows with pivot in order block t are elements of the ideal
     vanishing below t; their leading coefficients at block t generate the
     order-t lower bound for the constant ideal. The window keeps the
     echelon's operation record, not a transform, and row_series replays
-    it for just the row it reads.
+    it for just the row it reads. It grows in place, one order at a time,
+    so each product g_i * sigma^i(c) is formed once.
     """
 
     def __init__(self, dom: Domain, gens: list[TruncatedSeries], top: int):
         self.dom = dom
         self.gens = gens
-        blocks = 2 if dom.is_quad else 1
-        consts = [dom.one, dom.omega] if dom.is_quad else [dom.one]
+        self.blocks = 2 if dom.is_quad else 1
+        self.consts = [dom.one, dom.omega] if dom.is_quad else [dom.one]
+        # the shift-0 vectors, per generator and c
+        self.vectors = [[[] for _ in self.consts] for _ in gens]
+        self.top = -1
+        for _ in range(top + 1):
+            self.grow()
+
+    def grow(self):
+        """Raise top by one: each shift-0 vector gains a block, and the
+        table is rebuilt and echeloned again from the same integers."""
+        self.top = top = self.top + 1
+        dom, blocks = self.dom, self.blocks
+        twists = [(e.a, e.b) for e in (dom.sigma_pow(c, top)
+                                       for c in self.consts)]
         rows, seeds = [], []
-        for j, g in enumerate(gens):
-            unshifted = []
-            for c in consts:
-                cf, vec = c.to_field(), []
-                for i in range(top + 1):
-                    ce = (g.coeff(i) * dom.sigma_pow(cf, i)).as_ring()
-                    vec.extend([ce.b, ce.a] if dom.is_quad else [ce.a])
-                unshifted.append(vec)
+        for j, (g, vecs) in enumerate(zip(self.gens, self.vectors)):
+            gt = g.coeff(top).as_ring()
+            for c, vec in zip(twists, vecs):
+                a, b = pair_mul(dom, (gt.a, gt.b), c)
+                vec.extend([b, a] if dom.is_quad else [a])
             for s in range(top + 1):
-                for c, vec in zip(consts, unshifted):
+                for c, vec in zip(self.consts, vecs):
                     rows.append([0] * (blocks * s)
                                 + vec[:blocks * (top + 1 - s)])
                     seeds.append((j, s, c))
-        self.blocks = blocks
         self.seeds = seeds
         self.ech, self.pivots, self.ops = echelon(rows)
 
@@ -151,37 +163,46 @@ def normalize_generators(j_ideal: FracIdeal, gens: list[TruncatedSeries],
     two_generators(j_ideal), each at valuation 0, and the first window
     order t <= top whose level ideal holds both targets.
 
-    MembershipError when no window through top realizes the targets, or
-    the known orders run out first.
+    One PreparedBasis of each window's leaders tests both targets and,
+    in the window that holds them, gives their coefficients.
+    MembershipError, naming the last window's level ideal, when no window
+    through top realizes the targets, or the known orders run out first.
     """
     norm = _normalized_ring_gens(gens)
     dom = norm[0].dom
+    quad = dom.is_quad
     targets = j_ideal.two_generators()
     # a generator known through order k - 1 allows windows 0..k - 1
     last = min([top, *(g.known_to - 1 for g in norm if g.known_to is not None)])
+    window = _OrderWindow(dom, norm, 0)
     for t in range(last + 1):
-        window = _OrderWindow(dom, norm, t)
-        level = window.level_ideal(t)
-        if all(level.contains(a) for a in targets):
+        if t:
+            window.grow()
+        leaders = window.leaders()
+        basis = PreparedBasis([e for (_, _, e) in leaders])
+        try:
+            sols = [basis.solve([a.b, a.a] if quad else [a.a])
+                    for a in targets]
             break
+        except MembershipError:
+            pass
     else:
-        raise MembershipError(targets, level,
+        raise MembershipError(targets, window.level_ideal(window.top),
                               "targets not realizable within precision"
                               if last < top else
                               f"targets not realizable by window order {top}")
-    leaders = window.leaders()
-    leader_elems = [e.to_field() for (_, _, e) in leaders]
-    coeffs = [ideals.express_in_generators(a.to_field(), leader_elems)
-              for a in targets]
+    # per target, the coefficient u + v*w of each leader as a pair (u, v)
+    coeffs = [list(zip(w[::2], w[1::2])) if quad else [(u, 0) for u in w]
+              for w in sols]
     # each leader row read is replayed and multiplied out once
     rows = {idx: window.row_series(idx).shift(-blk)
             for k, (idx, blk, _) in enumerate(leaders)
-            if any(us[k] for us in coeffs)}
+            if any(any(us[k]) for us in coeffs)}
     entries = []
     for target, us in zip(targets, coeffs):
         acc = sum_products(dom, [
-            (rows[idx], TruncatedSeries.const(dom, u))
-            for (idx, _, _), u in zip(leaders, us) if u])
+            (rows[idx], TruncatedSeries.const(dom, RingElem(dom, *u)))
+            for (idx, _, _), u in zip(leaders, us) if any(u)])
         if acc.is_known_zero or acc.valuation() != 0 or acc.lowest() != target.to_field():
             raise SkewError("normalized generator lost its lowest coefficient")
         entries.append(acc)
@@ -293,13 +314,14 @@ def extend(j_ideal: FracIdeal, g: SeriesMatrix, prec: int
         sa1, sa2 = sig[p]
         # srow = sum_{i=1..n} g_i sigma^i(A_{n-i}), integral; None is 0
         r1, r2 = s[0] if s is not None else ((0, 0), (0, 0))
-        (x1, y1), (x2, y2) = _qmul(dom, r1, sa2), _qmul(dom, r2, sa1)
+        (x1, y1), (x2, y2) = pair_mul(dom, r1, sa2), pair_mul(dom, r2, sa1)
         sn = (x1 - x2, y1 - y2)
         if sn[0] or sn[1]:
             basis = bases[p]
             if basis is None:
-                basis = bases[p] = ideals.product_basis(
-                    (a1, a2), [RingElem(dom, *e) for e in sig[p]])
+                basis = bases[p] = PreparedBasis(
+                    [x * dom.sigma_pow(y, p) for x in (a1, a2)
+                     for y in (a1, a2)])
             # the products are integral, so the basis scale is 1
             try:
                 c = basis.solve([sn[1], sn[0]] if quad else [sn[0]])
@@ -319,8 +341,8 @@ def extend(j_ideal: FracIdeal, g: SeriesMatrix, prec: int
             # w = srow + g0 A_n, column by column
             w = []
             for r, e1, e2 in zip((r1, r2), *a_n):
-                u1, v1 = _qmul(dom, g0[0], e1)
-                u2, v2 = _qmul(dom, g0[1], e2)
+                u1, v1 = pair_mul(dom, g0[0], e1)
+                u2, v2 = pair_mul(dom, g0[1], e2)
                 w.append((r[0] + u1 + u2, r[1] + v1 + v2))
             out = [[FieldElem(dom, RingElem(dom, *e)) for e in row]
                    for row in a_n]
@@ -328,12 +350,12 @@ def extend(j_ideal: FracIdeal, g: SeriesMatrix, prec: int
             w = (r1, r2)
             c_text = [["0", "0"], ["0", "0"]]
             out = [[dom.fzero, dom.fzero], [dom.fzero, dom.fzero]]
-        if _qmul(dom, w[0], sa2) != _qmul(dom, w[1], sa1):
+        if pair_mul(dom, w[0], sa2) != pair_mul(dom, w[1], sa1):
             raise SkewError(f"induction invariant failed at order {n}")
         i1, i1_den = inv[p]
-        q_n = FieldElem(dom, RingElem(dom, *_qmul(dom, w[0], i1)), i1_den)
+        q_n = FieldElem(dom, RingElem(dom, *pair_mul(dom, w[0], i1)), i1_den)
         # sigma^n(a2) != 0: a2 is the lowest coefficient of f2
-        if _qmul(dom, (q_n.num.a, q_n.num.b), sa2) \
+        if pair_mul(dom, (q_n.num.a, q_n.num.b), sa2) \
                 != (w[1][0] * q_n.den, w[1][1] * q_n.den):
             raise SkewError(f"q cross-check failed at order {n}")
         q_coeffs.append(q_n)

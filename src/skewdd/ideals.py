@@ -10,9 +10,10 @@ closed form on the fields.
 
 All heavy lifting reduces to integer row echelon forms of small
 matrices. An echelon form records its row operations instead of carrying
-a transformation matrix, and explicit coefficients (express_in_generators
-and friends) replay that record on just the combination they need. A
-PreparedBasis keeps one such echelon for many targets.
+a transformation matrix, and explicit coefficients replay that record on
+just the combination they need. PreparedBasis is the one solver of "is e
+in this module, and with which coefficients": it keeps one such echelon
+for many targets.
 
 Nothing here is sampled. The second-generator scan of
 one_and_half_generator is complete, since the index [u : aD] bounds it;
@@ -393,15 +394,18 @@ def _lattice_ideal(dom: Domain, rows: list[list[int]], den: int) -> FracIdeal:
 
 def from_generators(dom: Domain, gens: list) -> FracIdeal:
     """D-module generated by field elements, as a fractional ideal."""
+    scale, ring_gens = _over_common_denominator(gens)
+    return from_ring_generators(dom, ring_gens, scale)
+
+
+def _over_common_denominator(gens: list) -> tuple[int, list[RingElem]]:
+    """The common denominator scale of ring or field elements, and
+    scale * g as a ring element for each g (zeros included)."""
     felems = [g.to_field() if isinstance(g, RingElem) else g for g in gens]
-    felems = [g for g in felems if g]
-    if not felems:
-        return zero_ideal(dom)
     scale = 1
     for g in felems:
         scale = lcm(scale, g.den)
-    ring_gens = [(g * scale).as_ring() for g in felems]
-    return from_ring_generators(dom, ring_gens, scale)
+    return scale, [g.num * (scale // g.den) for g in felems]
 
 
 def _coefficient_rows(dom: Domain, gens: list[RingElem]):
@@ -430,18 +434,13 @@ class PreparedBasis:
     __slots__ = ("dom", "gens", "scale", "ech", "pivots", "ops")
 
     def __init__(self, gens: list):
-        felems = [g.to_field() if isinstance(g, RingElem) else g for g in gens]
-        if not felems or all(not g for g in felems):
+        if not gens or all(not g for g in gens):
             raise SkewError("need at least one nonzero generator")
-        dom = felems[0].dom
-        scale = 1
-        for g in felems:
-            scale = lcm(scale, g.den)
-        self.dom = dom
-        self.gens = felems
-        self.scale = scale
-        self.ech, self.pivots, self.ops = echelon(_coefficient_rows(
-            dom, [(g * scale).as_ring() for g in felems]))
+        self.dom = gens[0].dom
+        self.gens = gens
+        self.scale, ring_gens = _over_common_denominator(gens)
+        self.ech, self.pivots, self.ops = echelon(
+            _coefficient_rows(self.dom, ring_gens))
 
     def solve(self, target: list[int]) -> list[int]:
         """Integers (u_j, v_j) per generator, flattened (u_j alone over
@@ -471,30 +470,6 @@ class PreparedBasis:
             return [RingElem(dom, w[j], w[j + 1])
                     for j in range(0, len(w), 2)]
         return [RingElem(dom, x) for x in w]
-
-
-def express_in_generators(e: FieldElem, gens: list) -> list[RingElem]:
-    """Coefficients u_j in D with e = sum gens_j * u_j.
-
-    Solved over the Z-basis {gens_j, gens_j * w} by echelon form, with
-    the solution on the echelon rows carried back to the basis by
-    combine_transform; raises MembershipError when e is outside the module.
-    """
-    return PreparedBasis(gens).express(e)
-
-
-def product_basis(u_gens, v_gens) -> PreparedBasis:
-    """The four products u_gens[j] * v_gens[k], (j, k) in row-major
-    order, prepared for solves."""
-    g1, g2 = u_gens
-    h1, h2 = v_gens
-    return PreparedBasis([g1 * h1, g1 * h2, g2 * h1, g2 * h2])
-
-
-def express_in_product(e: FieldElem, u_gens, v_gens) -> list[list[RingElem]]:
-    """Matrix (c_jk) in D with e = sum c_jk * u_gens[j] * v_gens[k]."""
-    coeffs = product_basis(u_gens, v_gens).express(e)
-    return [[coeffs[0], coeffs[1]], [coeffs[2], coeffs[3]]]
 
 
 def _shells_up_to_sign(n: int):

@@ -55,7 +55,7 @@ from __future__ import annotations
 from math import lcm
 from operator import mul as mul_int
 
-from .domains import Domain, FieldElem, RingElem
+from .domains import Domain, FieldElem, RingElem, pair_mul
 from .errors import PrecisionError, SingularError, SkewError
 
 
@@ -621,13 +621,6 @@ def det2(m) -> FieldElem:
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
-def _qmul(dom: Domain, x, y):
-    """Product of the pairs (a, b) = a + b*w; w^2 = omega_c + omega_t * w."""
-    (a, b), (c, d) = x, y
-    bd = b * d
-    return a * c + bd * dom.omega_c, a * d + b * c + bd * dom.omega_t
-
-
 def _const_inverse(m):
     """Inverse of a 1x1 or 2x2 matrix of field elements as (den, rows of
     (a, b) pairs) over one positive denominator; None if singular."""
@@ -638,20 +631,21 @@ def _const_inverse(m):
         adj, det = [[(1, 0)]], flat[0]
     else:
         (p, q), (r, s) = flat[:2], flat[2:]
-        det = tuple(x - y for x, y in zip(_qmul(dom, p, s), _qmul(dom, q, r)))
+        det = tuple(x - y for x, y in zip(pair_mul(dom, p, s),
+                                          pair_mul(dom, q, r)))
         if det == (0, 0):
             return None
         adj = [[s, (-q[0], -q[1])], [(-r[0], -r[1]), p]]
     # 1/det = u/norm: u is the conjugate over Q(w), 1 over Z
     if dom.is_quad:
         u = (det[0] + det[1] * dom.omega_t, -det[1])
-        norm = _qmul(dom, det, u)[0]
+        norm = pair_mul(dom, det, u)[0]
     else:
         u, norm = (1, 0), det[0]
     if norm < 0:
         u, norm = (-u[0], -u[1]), -norm
     u = (u[0] * den, u[1] * den)
-    return norm, [[_qmul(dom, e, u) for e in r] for r in adj]
+    return norm, [[pair_mul(dom, e, u) for e in r] for r in adj]
 
 
 def matrix_invert(a: SeriesMatrix, prec: int | None = None) -> SeriesMatrix:

@@ -69,17 +69,18 @@ def test_criterion_ideal_algebra():
                 g1, g2 = u.two_generators()
                 e = (g1 * rand_ring_elem(dom, rng)
                      + g2 * rand_ring_elem(dom, rng)).to_field()
-                coeffs = ideals.express_in_generators(
-                    e, [g1.to_field(), g2.to_field()])
+                coeffs = ideals.PreparedBasis(
+                    [g1.to_field(), g2.to_field()]).express(e)
                 total = dom.fzero
                 for g, c in zip((g1, g2), coeffs):
                     total = total + g.to_field() * c.to_field()
                 assert total == e
-                c = ideals.express_in_product(
-                    (g1 * g2).to_field(), (g1.to_field(), g2.to_field()),
-                    (g1.to_field(), g2.to_field()))
-                total = dom.fzero
                 gens = (g1.to_field(), g2.to_field())
+                c = ideals.PreparedBasis(
+                    [x * y for x in gens for y in gens]).express(
+                        (g1 * g2).to_field())
+                c = [c[:2], c[2:]]
+                total = dom.fzero
                 for j in range(2):
                     for kk in range(2):
                         total = total + c[j][kk].to_field() * gens[j] * gens[kk]

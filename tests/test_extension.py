@@ -25,13 +25,13 @@ from conftest import (corrected_row_text, rand_ideal, rand_ring_elem,
 def count_windows(monkeypatch):
     """Record the top order of every order window built from now on."""
     built = []
-    window = extension._OrderWindow
+    grow = extension._OrderWindow.grow
 
-    def counting(dom, gens, top):
-        built.append(top)
-        return window(dom, gens, top)
+    def counting(window):
+        grow(window)
+        built.append(window.top)
 
-    monkeypatch.setattr(extension, "_OrderWindow", counting)
+    monkeypatch.setattr(extension._OrderWindow, "grow", counting)
     return built
 
 
@@ -100,6 +100,15 @@ def test_normalize_unrealizable_target(zz, monkeypatch):
         normalize_generators(unit_ideal(zz), [parse_series(zz, "2+2*x^1")], 4)
     # exact generators: the search ends at window order top
     assert built == [0, 1, 2, 3, 4]
+
+
+def test_give_up_names_the_last_level_ideal(zz):
+    """A search that gives up names the level ideal of its last window,
+    (2) for 2 + 2x through window 4, built once, when it gives up."""
+    with pytest.raises(MembershipError) as err:
+        normalize_generators(unit_ideal(zz), [parse_series(zz, "2+2*x^1")], 4)
+    assert err.value.lattice == from_ring_generators(zz, [zz.elem(2)])
+    assert err.value.element == unit_ideal(zz).two_generators()
 
 
 def test_extend_pid_example(zz):
@@ -371,9 +380,11 @@ def reference_extend(j_ideal, g, prec):
         s_n = srow[0] * sig_a2 - srow[1] * sig_a1
         if s_n:
             try:
-                c = ideals.express_in_product(
-                    s_n.to_field(), (a1.to_field(), a2.to_field()),
-                    (sig_a1.to_field(), sig_a2.to_field()))
+                c = ideals.PreparedBasis(
+                    [x * y for x in (a1.to_field(), a2.to_field())
+                     for y in (sig_a1.to_field(), sig_a2.to_field())]
+                ).express(s_n.to_field())
+                c = [c[:2], c[2:]]
             except MembershipError:
                 enlarged = j_ideal.add(
                     j_ideal.sigma(n).inverse().scale(s_n.to_field()))

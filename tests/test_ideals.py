@@ -74,15 +74,16 @@ def test_contains_examples(z5, zz):
 
 
 def test_express_in_generators_examples(z5, zz):
-    coeffs = ideals.express_in_generators(zz.felem(6), [zz.felem(4), zz.felem(10)])
+    coeffs = ideals.PreparedBasis([zz.felem(4), zz.felem(10)]).express(
+        zz.felem(6))
     assert 4 * coeffs[0].a + 10 * coeffs[1].a == 6
     gens = [z5.felem(2), z5.felem(1, 1)]
-    coeffs = ideals.express_in_generators(z5.felem(1, -1), gens)
+    coeffs = ideals.PreparedBasis(gens).express(z5.felem(1, -1))
     total = z5.fzero
     for g, c in zip(gens, coeffs):
         total = total + g * c.to_field()
     assert total == z5.felem(1, -1)
-    coeffs = ideals.express_in_generators(gens[0], gens)
+    coeffs = ideals.PreparedBasis(gens).express(gens[0])
     total = z5.fzero
     for g, c in zip(gens, coeffs):
         total = total + g * c.to_field()
@@ -92,7 +93,7 @@ def test_express_in_generators_examples(z5, zz):
 def test_express_membership_error(z5):
     gens = [z5.felem(2), z5.felem(1, 1)]
     with pytest.raises(MembershipError):
-        ideals.express_in_generators(z5.felem(3), gens)
+        ideals.PreparedBasis(gens).express(z5.felem(3))
 
 
 def test_express_roundtrip_random(any_domain):
@@ -103,7 +104,7 @@ def test_express_roundtrip_random(any_domain):
         gens = [g1.to_field(), g2.to_field()]
         e = (g1 * rand_ring_elem(any_domain, rng)
              + g2 * rand_ring_elem(any_domain, rng)).to_field()
-        coeffs = ideals.express_in_generators(e, gens)
+        coeffs = ideals.PreparedBasis(gens).express(e)
         total = any_domain.fzero
         for g, c in zip(gens, coeffs):
             total = total + g * c.to_field()
@@ -112,7 +113,9 @@ def test_express_roundtrip_random(any_domain):
 
 def test_express_in_product_examples(z5, zz):
     gens = (z5.felem(2), z5.felem(1, 1))
-    c = ideals.express_in_product(z5.felem(2), gens, gens)
+    c = ideals.PreparedBasis([x * y for x in gens for y in gens]).express(
+        z5.felem(2))
+    c = [c[:2], c[2:]]
     total = z5.fzero
     for j in range(2):
         for k in range(2):
@@ -120,7 +123,9 @@ def test_express_in_product_examples(z5, zz):
     assert total == z5.felem(2)
     ugens = (zz.felem(2), zz.felem(2))
     vgens = (zz.felem(3), zz.felem(3))
-    c = ideals.express_in_product(zz.felem(6), ugens, vgens)
+    c = ideals.PreparedBasis([x * y for x in ugens for y in vgens]).express(
+        zz.felem(6))
+    c = [c[:2], c[2:]]
     total = zz.fzero
     for j in range(2):
         for k in range(2):
@@ -128,7 +133,9 @@ def test_express_in_product_examples(z5, zz):
     assert total == zz.felem(6)
     ugens = (z5.felem(1), z5.felem(1))
     vgens = (z5.felem(2), z5.felem(1, 1))
-    c = ideals.express_in_product(z5.felem(1, 1), ugens, vgens)
+    c = ideals.PreparedBasis([x * y for x in ugens for y in vgens]).express(
+        z5.felem(1, 1))
+    c = [c[:2], c[2:]]
     total = z5.fzero
     for j in range(2):
         for k in range(2):
@@ -430,7 +437,7 @@ def test_express_in_generators_round_trip(any_domain, data):
     gens = data.draw(generator_lists(dom))
     b1, b2 = from_generators(dom, gens).gens()
     e = b1 * data.draw(st.integers(-9, 9)) + b2 * data.draw(st.integers(-9, 9))
-    coeffs = ideals.express_in_generators(e, gens)
+    coeffs = ideals.PreparedBasis(gens).express(e)
     assert all(isinstance(c, RingElem) for c in coeffs)
     assert sum((g * c.to_field() for g, c in zip(gens, coeffs)),
                dom.fzero) == e
@@ -440,10 +447,10 @@ def test_express_in_generators_round_trip(any_domain, data):
 @given(data=st.data())
 def test_prepared_basis_answers_as_express_in_generators(any_domain, data):
     """One PreparedBasis, echeloned once, writes each of several targets
-    as express_in_generators does: the same coefficients on members, its
-    solve on their scaled coordinates included, and on non-members, those
-    whose denominator the generators cannot produce included, the same
-    MembershipError naming the same module."""
+    as a fresh PreparedBasis per target does: the same coefficients on
+    members, its solve on their scaled coordinates included, and on
+    non-members, those whose denominator the generators cannot produce
+    included, the same MembershipError naming the same module."""
     dom = any_domain
     gens = data.draw(generator_lists(dom))
     basis = ideals.PreparedBasis(gens)
@@ -458,7 +465,7 @@ def test_prepared_basis_answers_as_express_in_generators(any_domain, data):
         else:
             e = data.draw(anything)
         if module.contains(e):
-            want = ideals.express_in_generators(e, gens)
+            want = ideals.PreparedBasis(gens).express(e)
             assert basis.express(e) == want
             k = basis.scale // e.den
             target = ([e.num.b * k, e.num.a * k] if dom.is_quad
@@ -467,7 +474,7 @@ def test_prepared_basis_answers_as_express_in_generators(any_domain, data):
                 (c.a, c.b) if dom.is_quad else (c.a,))]
             continue
         with pytest.raises(MembershipError) as one_shot:
-            ideals.express_in_generators(e, gens)
+            ideals.PreparedBasis(gens).express(e)
         with pytest.raises(MembershipError) as prepared:
             basis.express(e)
         assert (prepared.value.element, prepared.value.lattice) \

@@ -17,6 +17,7 @@ change that alters any certificate byte fails here, not only in a
 benchmark run. bench/gen.py and bench/run.py are imported, not changed.
 """
 
+import copy
 import hashlib
 import json
 import sys
@@ -368,13 +369,13 @@ def test_order_windows_replay_only_the_rows_they_read(tmp_path,
     escape order 4 replays no operation record of a window below its
     final order, and the final window's record once per row that
     row_series reads, on that leader row's unit vector; the only other
-    replays are express_in_generators' one per target. Counted, not
-    timed."""
+    replays are the solves against each window's prepared leaders.
+    Counted, not timed."""
     calls, inside = [], []
     normalize = extension.normalize_generators
     window = extension._OrderWindow
     combine = ideals.combine_transform
-    row_series = window.row_series
+    grow, row_series = window.grow, window.row_series
 
     def normalizing(*args):
         calls.append({"windows": [], "replays": [], "reads": []})
@@ -384,11 +385,11 @@ def test_order_windows_replay_only_the_rows_they_read(tmp_path,
         finally:
             inside.pop()
 
-    def building(dom, gens, top):
-        built = window(dom, gens, top)
+    def building(self):
+        grow(self)
         if inside:
-            calls[-1]["windows"].append(built)
-        return built
+            # the window grows in place; a copy keeps this build's table
+            calls[-1]["windows"].append(copy.copy(self))
 
     def replaying(ops, v):
         if inside:
@@ -400,7 +401,7 @@ def test_order_windows_replay_only_the_rows_they_read(tmp_path,
         return row_series(self, idx)
 
     monkeypatch.setattr(extension, "normalize_generators", normalizing)
-    monkeypatch.setattr(extension, "_OrderWindow", building)
+    monkeypatch.setattr(window, "grow", building)
     monkeypatch.setattr(extension, "combine_transform", replaying)
     monkeypatch.setattr(ideals, "combine_transform", replaying)
     monkeypatch.setattr(window, "row_series", reading)
@@ -421,6 +422,63 @@ def test_order_windows_replay_only_the_rows_they_read(tmp_path,
         assert set(call["reads"]) <= {idx for idx, _, _ in final.leaders()}
         assert len(set(call["reads"])) == len(call["reads"])
         assert len(call["replays"]) == len(replayed) + 2
+
+
+@pytest.mark.parametrize("domain, windows", [("int", [0]),
+                                             ("quad:-5:id", [0, 4])])
+def test_window_search_solves_once_per_window(tmp_path, monkeypatch, domain,
+                                              windows):
+    """Each normalize_generators call of a seed-0 extend-window job with
+    escape order 4 echelons each window it builds and then that window's
+    leaders, and nothing after its last window; it forms each product
+    g_i * sigma^i(c), c in {1, w} (c = 1 over Z), once: gens x |c| x
+    (final window + 1) in all. Over Z the job needs no repair, so its one
+    call stops at window 0; on quad:-5:id a repair searches up to window
+    4. Counted, not timed."""
+    index = gen.ALL_DOMAINS.index(domain) + 2 * len(gen.ALL_DOMAINS)
+    assert gen.ESCAPES[2] == 4
+    dom = domains.get_domain(textio.parse_domain(domain))
+    calls, inside = [], []
+    normalize = extension.normalize_generators
+    echelon = ideals.echelon
+    pair_mul = extension.pair_mul
+
+    def normalizing(j_ideal, gens, top):
+        calls.append({"gens": len(gens), "echelons": [], "products": 0})
+        inside.append(True)
+        try:
+            row, t = normalize(j_ideal, gens, top)
+        finally:
+            inside.pop()
+        calls[-1]["window"] = t
+        return row, t
+
+    def recording(kind):
+        def run_echelon(m, *args, **kwargs):
+            if inside:
+                calls[-1]["echelons"].append(kind)
+            return echelon(m, *args, **kwargs)
+        return run_echelon
+
+    def multiplying(*args):
+        if inside:
+            calls[-1]["products"] += 1
+        return pair_mul(*args)
+
+    monkeypatch.setattr(extension, "normalize_generators", normalizing)
+    monkeypatch.setattr(extension, "echelon", recording("window"))
+    monkeypatch.setattr(ideals, "echelon", recording("leaders"))
+    monkeypatch.setattr(extension, "pair_mul", multiplying)
+    job = gen.make_job("extend-window", 0, index)
+    assert job.domain == domain
+    assert run.run_job(cli.main, job, tmp_path).ok
+    monkeypatch.undo()
+    assert [call["window"] for call in calls] == windows
+    for call in calls:
+        windows = call["window"] + 1
+        assert call["echelons"] == ["window", "leaders"] * windows
+        assert call["products"] \
+            == call["gens"] * (2 if dom.is_quad else 1) * windows
 
 
 @pytest.mark.parametrize("seed", [0, 1])

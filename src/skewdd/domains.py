@@ -185,6 +185,8 @@ class RingElem:
         return format_ring_elem(self)
 
     def _check(self, other) -> "RingElem":
+        if type(other) is RingElem and other.dom is self.dom:
+            return other
         if isinstance(other, int):
             return RingElem(self.dom, other, 0)
         if isinstance(other, RingElem):
@@ -298,12 +300,12 @@ class FieldElem:
         return format_field_elem(self)
 
     def _coerce(self, other) -> "FieldElem":
-        if isinstance(other, FieldElem):
+        if type(other) is FieldElem and other.dom is self.dom:
+            return other
+        if isinstance(other, (FieldElem, RingElem)):
             if other.dom is not self.dom:
                 raise SkewError("mixed domains")
-            return other
-        if isinstance(other, RingElem):
-            return other.to_field()
+            return other if isinstance(other, FieldElem) else other.to_field()
         if isinstance(other, int):
             return FieldElem(self.dom, RingElem(self.dom, other, 0), 1)
         if isinstance(other, Fraction):
@@ -313,6 +315,9 @@ class FieldElem:
         return None
 
     def __eq__(self, other):
+        if type(other) is FieldElem and other.dom is self.dom:
+            x, y = self.num, other.num
+            return self.den == other.den and x.a == y.a and x.b == y.b
         o = self._coerce(other)
         return o is not None and self.den == o.den and self.num == o.num
 
@@ -320,12 +325,16 @@ class FieldElem:
         return hash((id(self.dom), self.num.a, self.num.b, self.den))
 
     def __bool__(self):
-        return bool(self.num)
+        num = self.num
+        return bool(num.a or num.b)
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.den == 1 == o.den:
+            x, y = self.num, o.num
+            return FieldElem(self.dom, RingElem(self.dom, x.a + y.a, x.b + y.b))
         return FieldElem(self.dom, self.num * o.den + o.num * self.den,
                          self.den * o.den)
 

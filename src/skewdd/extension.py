@@ -28,8 +28,12 @@ the constant ideal (ConstIdealUnderestimate); the lattice index drops
 each round, so at most log2(index) repairs happen. Each round
 normalize_generators rebuilds the row g from the windows of right
 combinations at orders 0, 1, ..., and the coefficient ideal it reads
-only grows with the order. Each window is tested and solved once,
-against one ideals.PreparedBasis of its leading coefficients. The
+only grows with the order. Each window is tested against one
+ideals.PreparedBasis of its leading coefficients. One window serves
+every round of an extend_with_repair call and grows in place: the
+windows and their bases depend only on the generators, and J only
+grows, so a round tests the enlarged J against the orders already
+built, from order 0, and builds only the orders past them. The
 search stops at a proven order, not at a guess: if g came from window
 t, the enlarged J is realized by window n + 2t. For
 r = g * (A mod x^n) and tau in J^(-1), the element
@@ -87,8 +91,15 @@ class _OrderWindow:
     vanishing below t; their leading coefficients at block t generate the
     order-t lower bound for the constant ideal. The window keeps the
     echelon's operation record, not a transform, and row_series replays
-    it for just the row it reads. It grows in place, one order at a time,
-    so each product g_i * sigma^i(c) is formed once.
+    it for just the row it reads.
+
+    One window serves a whole repair loop: it grows in place, one order
+    at a time, so each product g_i * sigma^i(c) is formed once, and it
+    keeps what a later round reads again. Per order t it has reached,
+    levels[t] holds window t's leaders and one PreparedBasis of their
+    elements; rows holds the leader rows already read at its top order.
+    None of it depends on the ideal being searched for. top = -1 builds
+    an empty window.
     """
 
     def __init__(self, dom: Domain, gens: list[TruncatedSeries], top: int):
@@ -98,13 +109,18 @@ class _OrderWindow:
         self.consts = [dom.one, dom.omega] if dom.is_quad else [dom.one]
         # the shift-0 vectors, per generator and c
         self.vectors = [[[] for _ in self.consts] for _ in gens]
+        self.levels = []
         self.top = -1
         for _ in range(top + 1):
             self.grow()
 
     def grow(self):
-        """Raise top by one: each shift-0 vector gains a block, and the
-        table is rebuilt and echeloned again from the same integers."""
+        """Raise top by one: each shift-0 vector gains a block, the table
+        is rebuilt and echeloned again from the same integers, and the
+        new order's leaders are prepared once for every later search.
+        The levels of the orders below are kept as they were, so a repair
+        round grows the window only past the highest order an earlier
+        round reached."""
         self.top = top = self.top + 1
         dom, blocks = self.dom, self.blocks
         twists = [(e.a, e.b) for e in (dom.sigma_pow(c, top)
@@ -122,6 +138,10 @@ class _OrderWindow:
                     seeds.append((j, s, c))
         self.seeds = seeds
         self.ech, self.pivots, self.ops = echelon(rows)
+        leaders = self.leaders()
+        self.levels.append((leaders,
+                            PreparedBasis([e for (_, _, e) in leaders])))
+        self.rows = {}
 
     def leaders(self):
         """(row_index, order_block, leading RingElem) per pivot row."""
@@ -158,28 +178,36 @@ class _OrderWindow:
 
 
 def normalize_generators(j_ideal: FracIdeal, gens: list[TruncatedSeries],
-                         top: int) -> tuple[SeriesMatrix, int]:
+                         top: int, window: _OrderWindow | None = None
+                         ) -> tuple[SeriesMatrix, int]:
     """Row (f1, f2) of right combinations with lowest coefficients
     two_generators(j_ideal), each at valuation 0, and the first window
     order t <= top whose level ideal holds both targets.
 
-    One PreparedBasis of each window's leaders tests both targets and,
+    The PreparedBasis of each window's leaders tests both targets and,
     in the window that holds them, gives their coefficients.
     MembershipError, naming the last window's level ideal, when no window
     through top realizes the targets, or the known orders run out first.
+
+    window, when given, is the order window of the earlier rounds of one
+    repair loop over these generators (already normalized, as
+    window.gens; gens is then not read). Their ideals were smaller, so
+    it has not passed the window that realizes this one: its kept
+    orders are tested again from order 0, and it grows only past them.
     """
-    norm = _normalized_ring_gens(gens)
-    dom = norm[0].dom
+    if window is None:
+        norm = _normalized_ring_gens(gens)
+        window = _OrderWindow(norm[0].dom, norm, -1)
+    dom = window.dom
     quad = dom.is_quad
     targets = j_ideal.two_generators()
     # a generator known through order k - 1 allows windows 0..k - 1
-    last = min([top, *(g.known_to - 1 for g in norm if g.known_to is not None)])
-    window = _OrderWindow(dom, norm, 0)
+    last = min([top, *(g.known_to - 1 for g in window.gens
+                       if g.known_to is not None)])
     for t in range(last + 1):
-        if t:
+        if t > window.top:
             window.grow()
-        leaders = window.leaders()
-        basis = PreparedBasis([e for (_, _, e) in leaders])
+        leaders, basis = window.levels[t]
         try:
             sols = [basis.solve([a.b, a.a] if quad else [a.a])
                     for a in targets]
@@ -191,13 +219,17 @@ def normalize_generators(j_ideal: FracIdeal, gens: list[TruncatedSeries],
                               "targets not realizable within precision"
                               if last < top else
                               f"targets not realizable by window order {top}")
+    if t != window.top:
+        raise SkewError(f"internal error: order window {window.top} is "
+                        f"past window {t}, which realizes the ideal")
     # per target, the coefficient u + v*w of each leader as a pair (u, v)
     coeffs = [list(zip(w[::2], w[1::2])) if quad else [(u, 0) for u in w]
               for w in sols]
-    # each leader row read is replayed and multiplied out once
-    rows = {idx: window.row_series(idx).shift(-blk)
-            for k, (idx, blk, _) in enumerate(leaders)
-            if any(any(us[k]) for us in coeffs)}
+    # each leader row read is replayed and multiplied out once per window
+    rows = window.rows
+    for k, (idx, blk, _) in enumerate(leaders):
+        if idx not in rows and any(any(us[k]) for us in coeffs):
+            rows[idx] = window.row_series(idx).shift(-blk)
     entries = []
     for target, us in zip(targets, coeffs):
         acc = sum_products(dom, [
@@ -432,11 +464,13 @@ def extend_with_repair(gens: list[TruncatedSeries], prec: int):
     norm = _normalized_ring_gens(gens)
     dom = norm[0].dom
     j_ideal = from_ring_generators(dom, [g.lowest().as_ring() for g in norm])
+    # one order window for every round: J only grows from round to round
+    window = _OrderWindow(dom, norm, -1)
     # two generators are already a row whose lowest coefficients generate J
     if len(norm) == 2:
         row, t = SeriesMatrix(dom, [list(norm)]), 0
     else:
-        row, t = normalize_generators(j_ideal, norm, 0)
+        row, t = normalize_generators(j_ideal, norm, 0, window)
     repairs = 0
     while True:
         try:
@@ -446,4 +480,5 @@ def extend_with_repair(gens: list[TruncatedSeries], prec: int):
                 raise SkewError("repair loop failed to enlarge the ideal")
             j_ideal = err.enlarged
             repairs += 1
-            row, t = normalize_generators(j_ideal, norm, err.order + 2 * t)
+            row, t = normalize_generators(j_ideal, norm, err.order + 2 * t,
+                                          window)

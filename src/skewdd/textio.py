@@ -90,15 +90,18 @@ _CANONICAL_RE = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?"
 _TERM_RE = re.compile(r"([+-])(?:([0-9]+)(?:/([0-9]+))?)?(\*?w)?")
 
 
-def parse_field_elem(dom: Domain, text: str) -> FieldElem:
+def parse_field_elem(dom: Domain, text: str, sign: int = 1) -> FieldElem:
+    """The element text spells, times sign (1 or -1): a series term folds
+    its sign into its coefficient here."""
     if not isinstance(text, str):
         raise ValueError(f"element must be a string, not {text!r}")
     m = _CANONICAL_RE.fullmatch(text)
-    if m is None:
-        return parse_terms(dom, text)
-    p, q, w_only, r, s = m.groups()
-    if (w_only or r) and not dom.is_quad:
-        return parse_terms(dom, text)   # which refuses the w
+    if m is not None:
+        p, q, w_only, r, s = m.groups()
+    if m is None or ((w_only or r) and not dom.is_quad):
+        # the term loop reads every other form and refuses a stray w
+        e = parse_terms(dom, text)
+        return e if sign > 0 else -e
     a, den = int(p), int(q or 1)
     if w_only:
         a, b = 0, a
@@ -108,6 +111,8 @@ def parse_field_elem(dom: Domain, text: str) -> FieldElem:
         b, b_den = int(r), int(s or 1)
         if b_den != den:
             a, b, den = a * b_den, b * den, den * b_den
+    if sign < 0:
+        a, b = -a, -b
     return FieldElem(dom, RingElem(dom, a, b), den)
 
 
@@ -170,11 +175,25 @@ def format_series(f) -> str:
     return "+".join(pieces).replace("+-", "-")
 
 
-_O_RE = re.compile(r"^O\(x(?:\^(-?[0-9]+))?\)$")
-_X_RE = re.compile(r"^(.*?)\*?x(?:\^(-?[0-9]+))?$")
+# one signed term of series text: the O-term, or a coefficient (in
+# parentheses, or bare and then free of signs; empty means 1 before an x)
+# with an optional x, *x or x^k. A line break may end an x-term or the
+# O-term, and a term ends at the next sign or at the end of the text.
+_SERIES_TERM_RE = re.compile(r"""
+    ([+-])
+    (?: (O) \( x (?: \^ (-?[0-9]+) )? \) \n?
+      | (?: \( ([^()]*) \) | ([0-9/*w]*?) )
+        (?: (\*?x) (?: \^ (-?[0-9]+) )? \n? )?
+    )
+    (?= [+-] | \Z )""", re.VERBOSE)
 
 
 def parse_series(dom: Domain, text: str):
+    """A series from text, read term by term, left to right, in one pass.
+
+    Terms at one order add up, spaces are ignored, and an x without a
+    power is x^1. ValueError for anything else.
+    """
     from .series import TruncatedSeries
 
     if not isinstance(text, str):
@@ -186,46 +205,33 @@ def parse_series(dom: Domain, text: str):
         return TruncatedSeries.zero(dom)
     if s[0] not in "+-":
         s = "+" + s
-    # split into signed top-level terms (parens protect coefficient sums)
-    terms = []
-    depth = 0
-    start = 0
-    for k, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and depth == 0 and k > start and s[k - 1] != "^":
-            terms.append(s[start:k])
-            start = k
-    terms.append(s[start:])
+    match = _SERIES_TERM_RE.match
     known_to = None
     items = []
-    for tok in terms:
-        sign = -1 if tok[0] == "-" else 1
-        body = tok[1:]
-        mo = _O_RE.match(body)
-        if mo:
-            if sign < 0:
+    pos, end = 0, len(s)
+    while pos < end:
+        m = match(s, pos)
+        if m is None:
+            raise ValueError(f"cannot parse the series term {s[pos:pos + 40]!r}")
+        pos = m.end()
+        sign, o_term, o_exp, inner, bare, x, exp = m.groups()
+        if o_term:
+            if sign == "-":
                 raise ValueError("negative O-term")
             if known_to is not None:
                 raise ValueError(f"series {text!r} has two O-terms")
-            known_to = _order(int(mo.group(1) or 1), "O-term order")
+            known_to = _order(int(o_exp or 1), "O-term order")
             continue
-        mx = _X_RE.match(body)
-        if mx and not body.endswith("w"):
-            coef_s, exp_s = mx.group(1), mx.group(2)
-            exp = _order(int(exp_s), "exponent") if exp_s is not None else 1
-            coef_s = coef_s or "1"
+        sign = 1 if sign == "+" else -1
+        if inner is not None or bare:
+            coef = parse_field_elem(dom, bare or inner, sign)
+        elif x:
+            coef = dom.fone if sign > 0 else -dom.fone
         else:
-            coef_s, exp = body, 0
-        if coef_s.startswith("(") and coef_s.endswith(")"):
-            coef_s = coef_s[1:-1]
-        coef = parse_field_elem(dom, coef_s)
-        if sign < 0:
-            coef = -coef
-        items.append((exp, coef))
-    if known_to is not None and any(i >= known_to for i, c in items if c):
+            raise ValueError("empty element")
+        items.append((_order(int(exp), "exponent") if exp is not None
+                      else 1 if x else 0, coef))
+    if known_to is not None and any(c for i, c in items if i >= known_to):
         raise ValueError(
             f"series {text!r} has terms at or past its O(x^{known_to}) bound")
     return TruncatedSeries.from_coeff_map(dom, items, known_to)

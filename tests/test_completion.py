@@ -30,6 +30,7 @@ from skewdd.textio import parse_series
 from conftest import (assert_same_matrix, completion_test_ideal,
                       random_unimodular_row, seed_51_rows, truncated,
                       two_pass_final_inverse)
+from reference import reference_shape_violation
 
 
 def classic_row(zz):
@@ -173,18 +174,6 @@ def verify_partial_shapes(shaped, data):
     return (_shape_violation(data.b, shapes.b_row) is None
             and _shape_violation(data.T, shapes.t_mat) is None
             and _shape_violation(data.H, shapes.h_mat) is None)
-
-
-def reference_shape_violation(mat, shape_of):
-    """First (row, col, order) escaping its shape, one lookup per
-    coefficient."""
-    for r, row in enumerate(mat.rows):
-        for c, series in enumerate(row):
-            for j, coef in enumerate(series.coeffs):
-                order = series.val + j
-                if coef and not shape_of(order)[r][c].contains(coef):
-                    return (r, c, order)
-    return None
 
 
 @settings(max_examples=60, deadline=None, derandomize=True,

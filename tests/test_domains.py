@@ -1,9 +1,11 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
 from skewdd.domains import DomainSpec, get_domain
+from skewdd.errors import SkewError
 
 from conftest import rand_ring_elem
 
@@ -110,3 +112,20 @@ def test_exact_division_roundtrip(any_domain):
         e = rand_ring_elem(any_domain, rng).to_field()
         f = rand_ring_elem(any_domain, rng, nonzero=True).to_field()
         assert (e / f) * f == e
+
+
+@pytest.mark.parametrize("op", [operator.eq, operator.add, operator.mul])
+def test_elements_of_two_domains_never_meet(z5, z5c, root2, zz, op):
+    """==, + and * across two domains raise SkewError, for ring and field
+    elements, integral or not, from either side; a field element meets a
+    ring element of another domain the same way under + and *."""
+    pairs = [(z5.elem(1, 1), z5c.elem(1, 1)), (zz.elem(3), z5.elem(3)),
+             (z5.felem(1, 1), z5c.felem(1, 1)),
+             (z5.felem(1, 1, 2), root2.felem(1, 1, 2)),
+             (zz.fone, z5.fone)]
+    if op is not operator.eq:
+        pairs += [(z5.felem(1, 1), z5c.elem(1, 1)), (zz.fone, z5.one)]
+    for x, y in pairs:
+        for left, right in ((x, y), (y, x)):
+            with pytest.raises(SkewError, match="mixed domains"):
+                op(left, right)

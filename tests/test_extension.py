@@ -16,10 +16,11 @@ from skewdd.extension import (
 )
 from skewdd.ideals import from_ring_generators, unit_ideal
 from skewdd.series import SeriesMatrix, TruncatedSeries, mul
-from skewdd.textio import format_ring_elem, parse_series, series_from_json
+from skewdd.textio import parse_series, series_from_json
 
 from conftest import (corrected_row_text, rand_ideal, rand_ring_elem,
                       random_unit_series)
+from reference import reference_extend
 
 
 def count_windows(monkeypatch):
@@ -352,63 +353,6 @@ def test_vanishing_columns_feed_the_constant_ideal(z5c):
                 assert cert.ideal.contains(prod.lowest())
                 hits += 1
     assert hits > 10
-
-
-def reference_extend(j_ideal, g, prec):
-    """extend's order loop with srow_n = sum_(i=1..n) g_i sigma^i(A_(n-i))
-    rebuilt from scratch at every order by per-term RingElem products.
-    Returns (A, q, audit) without the verifier call; raises
-    ConstIdealUnderestimate where extend does."""
-    dom = g.dom
-    f1, f2 = g.rows[0]
-    a1 = f1.coeff(0).as_ring()
-    a2 = f2.coeff(0).as_ring()
-    a_mats = [[[dom.one, dom.zero], [dom.zero, dom.one]]]
-    q_coeffs = [dom.fone]
-    audit = []
-    for n in range(1, prec + 1):
-        sig_a1 = dom.sigma_pow(a1, n)
-        sig_a2 = dom.sigma_pow(a2, n)
-        srow = [dom.zero, dom.zero]
-        for i in range(1, n + 1):
-            gi = [f1.coeff(i).as_ring(), f2.coeff(i).as_ring()]
-            am = a_mats[n - i]
-            for col in range(2):
-                srow[col] = srow[col] + (
-                    gi[0] * dom.sigma_pow(am[0][col], i)
-                    + gi[1] * dom.sigma_pow(am[1][col], i))
-        s_n = srow[0] * sig_a2 - srow[1] * sig_a1
-        if s_n:
-            try:
-                c = ideals.PreparedBasis(
-                    [x * y for x in (a1.to_field(), a2.to_field())
-                     for y in (sig_a1.to_field(), sig_a2.to_field())]
-                ).express(s_n.to_field())
-                c = [c[:2], c[2:]]
-            except MembershipError:
-                enlarged = j_ideal.add(
-                    j_ideal.sigma(n).inverse().scale(s_n.to_field()))
-                raise ConstIdealUnderestimate(enlarged, n, s_n) from None
-            a_n = [[-c[0][1], c[0][0]], [-c[1][1], c[1][0]]]
-        else:
-            c = [[dom.zero, dom.zero], [dom.zero, dom.zero]]
-            a_n = [[dom.zero, dom.zero], [dom.zero, dom.zero]]
-        a_mats.append(a_n)
-        w = [srow[col] + a1 * a_n[0][col] + a2 * a_n[1][col]
-             for col in range(2)]
-        q_coeffs.append(w[0].to_field() / sig_a1.to_field())
-        audit.append({
-            "n": n,
-            "s_n": format_ring_elem(s_n),
-            "c": [[format_ring_elem(c[j][k]) for k in range(2)]
-                  for j in range(2)],
-        })
-    a_series = SeriesMatrix(dom, [[TruncatedSeries.from_coeff_map(
-        dom, [(i, a_mats[i][r][col].to_field()) for i in range(prec + 1)],
-        prec + 1) for col in range(2)] for r in range(2)])
-    q = TruncatedSeries.from_coeff_map(
-        dom, [(i, q_coeffs[i]) for i in range(prec + 1)], prec + 1)
-    return a_series, q, audit
 
 
 def row_with_free_tails(dom, j_lat, rng, prec):

@@ -23,6 +23,7 @@ from skewdd.ideals import (
 from skewdd.textio import ideal_lattice_from_json
 
 from conftest import DOMAIN_SPECS, rand_frac_ideal, rand_ideal, rand_ring_elem
+from reference import reference_echelon
 
 SRC = Path(ideals.__file__).parent
 
@@ -501,65 +502,6 @@ def test_ideal_product_matches_the_generator_path(any_domain, data):
     want = from_ring_generators(dom, [u1 * v1, u1 * v2, u2 * v1, u2 * v2],
                                 u.den * v.den)
     assert fields(u.mul(v)) == fields(want)
-
-
-def reference_echelon(rows):
-    """ideals.echelon as it was before it recorded its operations: every
-    row operation runs on whole rows and on the full k x k transform U
-    with U * rows = ech, which is returned in place of the record."""
-    m = [list(r) for r in rows]
-    k = len(m)
-    ncols = len(m[0]) if k else 0
-    u = [[int(i == j) for j in range(k)] for i in range(k)]
-
-    def rowop(i, j, ci, cj, di, dj):
-        # (row_i, row_j) <- (ci*row_i + cj*row_j, di*row_i + dj*row_j)
-        for t in range(ncols):
-            a, b = m[i][t], m[j][t]
-            m[i][t] = ci * a + cj * b
-            m[j][t] = di * a + dj * b
-        for t in range(k):
-            a, b = u[i][t], u[j][t]
-            u[i][t] = ci * a + cj * b
-            u[j][t] = di * a + dj * b
-
-    def swap(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def negate(i):
-        m[i] = [-v for v in m[i]]
-        u[i] = [-v for v in u[i]]
-
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        if r >= k:
-            break
-        for i in range(r + 1, k):
-            if m[i][col] == 0:
-                continue
-            if m[r][col] == 0:
-                swap(r, i)
-                continue
-            a, b = m[r][col], m[i][col]
-            g, x, y = ideals.xgcd(a, b)
-            rowop(r, i, x, y, -(b // g), a // g)
-        if m[r][col] == 0:
-            continue
-        if m[r][col] < 0:
-            negate(r)
-        piv = m[r][col]
-        for j in range(r):
-            q = m[j][col] // piv
-            if q:
-                for t in range(ncols):
-                    m[j][t] -= q * m[r][t]
-                for t in range(k):
-                    u[j][t] -= q * u[r][t]
-        pivots.append(col)
-        r += 1
-    return m, pivots, u
 
 
 ECHELON_ENTRIES = st.one_of(st.just(0), st.integers(-9, 9),

@@ -365,31 +365,34 @@ def test_ideal_product_echelons_four_rows(monkeypatch):
 
 def test_order_windows_replay_only_the_rows_they_read(tmp_path,
                                                       monkeypatch):
-    """Each normalize_generators call of a seed-0 extend-window job with
-    escape order 4 replays no operation record of a window below its
-    final order, and the final window's record once per row that
-    row_series reads, on that leader row's unit vector; the only other
-    replays are the solves against each window's prepared leaders.
-    Counted, not timed."""
-    calls, inside = [], []
+    """The seed-0 extend-window job with escape order 4 keeps one order
+    window through its repair rounds. Each normalize_generators call
+    replays no operation record of a window below the one it stops at,
+    and that window's record once per row that row_series reads, on that
+    leader row's unit vector; the only other replays are the solves
+    against each window's prepared leaders. Counted, not timed."""
+    calls, inside, windows = [], [], []
     normalize = extension.normalize_generators
     window = extension._OrderWindow
     combine = ideals.combine_transform
     grow, row_series = window.grow, window.row_series
 
     def normalizing(*args):
-        calls.append({"windows": [], "replays": [], "reads": []})
+        calls.append({"grown": 0, "replays": [], "reads": []})
         inside.append(True)
         try:
-            return normalize(*args)
+            row, t = normalize(*args)
         finally:
             inside.pop()
+        calls[-1]["window"] = t
+        return row, t
 
     def building(self):
         grow(self)
         if inside:
-            # the window grows in place; a copy keeps this build's table
-            calls[-1]["windows"].append(copy.copy(self))
+            # the window grows in place; a copy keeps this order's table
+            windows.append(copy.copy(self))
+            calls[-1]["grown"] += 1
 
     def replaying(ops, v):
         if inside:
@@ -410,10 +413,13 @@ def test_order_windows_replay_only_the_rows_they_read(tmp_path,
     assert gen.ESCAPES[ESCAPE_JOB // len(gen.ALL_DOMAINS)] == 4
     assert run.run_job(cli.main, job, tmp_path).ok
     monkeypatch.undo()
-    # the lowest coefficients' ideal, then one repair reaching order 4
-    assert [len(call["windows"]) for call in calls] == [1, 5]
+    # the lowest coefficients' ideal at window 0, then one repair that
+    # grows the same window through orders 1..4
+    assert [(call["grown"], call["window"]) for call in calls] \
+        == [(1, 0), (4, 4)]
+    assert [w.top for w in windows] == [0, 1, 2, 3, 4]
     for call in calls:
-        *below, final = call["windows"]
+        *below, final = windows[:call["window"] + 1]
         assert not [ops for ops, _ in call["replays"]
                     if any(ops is w.ops for w in below)]
         replayed = [v for ops, v in call["replays"] if ops is final.ops]
@@ -428,13 +434,15 @@ def test_order_windows_replay_only_the_rows_they_read(tmp_path,
                                              ("quad:-5:id", [0, 4])])
 def test_window_search_solves_once_per_window(tmp_path, monkeypatch, domain,
                                               windows):
-    """Each normalize_generators call of a seed-0 extend-window job with
-    escape order 4 echelons each window it builds and then that window's
-    leaders, and nothing after its last window; it forms each product
-    g_i * sigma^i(c), c in {1, w} (c = 1 over Z), once: gens x |c| x
-    (final window + 1) in all. Over Z the job needs no repair, so its one
-    call stops at window 0; on quad:-5:id a repair searches up to window
-    4. Counted, not timed."""
+    """The seed-0 extend-window job with escape order 4 echelons each
+    window order once, then that order's leaders, and nothing after its
+    last window; each normalize_generators call does so only for the
+    orders past the last call's window, as one window serves every
+    repair round. It forms each product g_i * sigma^i(c), c in {1, w}
+    (c = 1 over Z), once per job: gens x |c| x (final window + 1) in
+    all. Over Z the job needs no repair, so its one call stops at window
+    0; on quad:-5:id a repair grows the window through order 4. Counted,
+    not timed."""
     index = gen.ALL_DOMAINS.index(domain) + 2 * len(gen.ALL_DOMAINS)
     assert gen.ESCAPES[2] == 4
     dom = domains.get_domain(textio.parse_domain(domain))
@@ -443,11 +451,11 @@ def test_window_search_solves_once_per_window(tmp_path, monkeypatch, domain,
     echelon = ideals.echelon
     pair_mul = extension.pair_mul
 
-    def normalizing(j_ideal, gens, top):
+    def normalizing(j_ideal, gens, top, window=None):
         calls.append({"gens": len(gens), "echelons": [], "products": 0})
         inside.append(True)
         try:
-            row, t = normalize(j_ideal, gens, top)
+            row, t = normalize(j_ideal, gens, top, window)
         finally:
             inside.pop()
         calls[-1]["window"] = t
@@ -474,11 +482,37 @@ def test_window_search_solves_once_per_window(tmp_path, monkeypatch, domain,
     assert run.run_job(cli.main, job, tmp_path).ok
     monkeypatch.undo()
     assert [call["window"] for call in calls] == windows
+    built = -1
     for call in calls:
-        windows = call["window"] + 1
-        assert call["echelons"] == ["window", "leaders"] * windows
+        grown = call["window"] - built
+        built = call["window"]
+        assert call["echelons"] == ["window", "leaders"] * grown
         assert call["products"] \
-            == call["gens"] * (2 if dom.is_quad else 1) * windows
+            == call["gens"] * (2 if dom.is_quad else 1) * grown
+
+
+def test_each_window_order_grows_once_per_job(tmp_path, monkeypatch):
+    """extend_with_repair keeps one order window for all its repair
+    rounds, so each seed-0 extend-window job 0..39 grows the window
+    through each order at most once, in order: the escape-4 job on
+    quad:-5:id grows orders 0..4, five windows over two rounds, where
+    rebuilding the window every round grew six. Counted, not timed."""
+    grown = []
+    grow = extension._OrderWindow.grow
+
+    def growing(self):
+        grow(self)
+        grown.append(self.top)
+
+    monkeypatch.setattr(extension._OrderWindow, "grow", growing)
+    for index in range(40):
+        grown.clear()
+        job = gen.make_job("extend-window", 0, index)
+        assert run.run_job(cli.main, job, tmp_path).ok
+        assert grown == list(range(len(grown)))
+        if index == ESCAPE_JOB:
+            assert grown == [0, 1, 2, 3, 4]
+    monkeypatch.undo()
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -493,8 +527,8 @@ def test_repairs_are_realized_by_the_proven_window(tmp_path, monkeypatch,
     normalize = extension.normalize_generators
     extend = extension.extend
 
-    def unbounded(j_ideal, gens, top):
-        row, t = normalize(j_ideal, gens, 10 ** 6)
+    def unbounded(j_ideal, gens, top, window=None):
+        row, t = normalize(j_ideal, gens, 10 ** 6, window)
         events.append(("window", top, t))
         return row, t
 

@@ -1,6 +1,4 @@
 import random
-from math import lcm
-from operator import mul
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -8,13 +6,14 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from skewdd import series
 from skewdd.domains import FieldElem, RingElem, get_domain
 from skewdd.errors import PrecisionError, SingularError, SkewError
-from skewdd.series import (SeriesMatrix, TruncatedSeries, _kt_add, _kt_min,
-                           _lanes, _with_sum, det2, disagreement,
-                           matrix_invert, relaxed_product, scale_column,
-                           scale_right, sum_products)
+from skewdd.series import (SeriesMatrix, TruncatedSeries, _lanes, det2,
+                           disagreement, matrix_invert, relaxed_product,
+                           scale_column, scale_right, sum_products)
 from skewdd.textio import format_series, parse_series
 
 from conftest import DOMAIN_SPECS, assert_same_matrix, rand_ring_elem
+from reference import (reference_disagreement, reference_inverse,
+                       reference_sum_products)
 
 
 def rand_series(dom, rng, val_range=(-3, 3), length=4, prec_extra=(0, 3)):
@@ -400,47 +399,6 @@ def test_scaling_matches_the_product_with_a_constant(any_domain, data):
 
 
 # --------------------------------------- inversion recursion vs. per term
-def reference_inverse(a, prec):
-    """The inverse by the coefficient recursion in per-term FieldElem
-    arithmetic: one field product and one field sum per term."""
-    dom = a.dom
-    sig = dom.sigma_pow
-    v = a.min_val
-    m = a.coeff_matrix(v)
-    if len(m) == 1:
-        inv_a0 = [[m[0][0].inverse()]]
-    else:
-        inv_det = det2(m).inverse()
-        inv_a0 = [[m[1][1] * inv_det, -m[0][1] * inv_det],
-                  [-m[1][0] * inv_det, m[0][0] * inv_det]]
-    out_kt = prec
-    if a.known_to is not None:
-        out_kt = a.known_to - 2 * v if prec is None \
-            else min(prec, a.known_to - 2 * v)
-    nterms = max(out_kt + v, 0)
-    idx = range(len(inv_a0))
-    depth = nterms - 1
-    if a.known_to is not None:
-        depth = min(depth, a.known_to - 1 - v)
-    higher = [a.coeff_matrix(v + j) for j in range(1, depth + 1)]
-    bs = []
-    for t in range(nterms):
-        rhs = [[dom.fone if t == 0 and p == q else dom.fzero for q in idx]
-               for p in idx]
-        for j in range(1, min(t, depth) + 1):
-            aj, bj = higher[j - 1], bs[t - j]
-            for s in idx:
-                for q in idx:
-                    e = sig(bj[s][q], v + j)
-                    for p in idx:
-                        rhs[p][q] = rhs[p][q] - aj[p][s] * e
-        bs.append([[sig(sum((inv_a0[p][s] * rhs[s][q] for s in idx),
-                            dom.fzero), v)
-                    for q in idx] for p in idx])
-    return [[TruncatedSeries(dom, -v, [b[p][q] for b in bs], out_kt)
-             for q in idx] for p in idx]
-
-
 @st.composite
 def invertible_matrices(draw, dom, n):
     """(a, prec): an n x n matrix whose lowest coefficient matrix is
@@ -659,68 +617,6 @@ def test_right_divide_refuses_an_inexact_dividend(zz):
 
 
 # ------------------------------- shorter-factor walk vs. per-order kernel
-def reference_sum_products(dom, pairs):
-    """series.sum_products by the per-order method: the same lanes, common
-    denominator and output build, with one integer dot product of f's
-    lanes and g's reversed lanes per output order, parity and lane."""
-    kt = None
-    live = []
-    for f, g in pairs:
-        if f.is_exact_zero or g.is_exact_zero:
-            continue
-        kt = _kt_min(kt, _kt_add(g.known_to, f.val),
-                     _kt_add(f.known_to, g.val))
-        if f.coeffs and g.coeffs:
-            live.append((f, g))
-    if not live:
-        return TruncatedSeries.zero(dom, kt)
-    lo = min(f.val + g.val for f, g in live)
-    hi = max(f.val + g.val + len(f.coeffs) + len(g.coeffs) - 1
-             for f, g in live)
-    if kt is not None:
-        hi = min(hi, kt)
-    quad = dom.is_quad
-    step = 2 if dom.conj_sigma else 1
-    factors = [(_lanes(f.coeffs, quad), _lanes(g.coeffs, quad))
-               for f, g in live]
-    den = 1
-    for (fd, _), (gd, _) in factors:
-        den = lcm(den, fd * gd)
-    sums = [[0] * (hi - lo) for _ in range(3 if quad else 1)]
-    for (f, g), ((fd, fl), (gd, gl)) in zip(live, factors):
-        scale = den // (fd * gd)
-        if scale != 1:
-            fl = [[x * scale for x in lane] for lane in fl]
-        fl = _with_sum(fl)
-        plain = [lane[::-1] for lane in _with_sum(gl)]
-        twisted = [plain, plain]
-        if dom.conj_sigma:
-            ga, gb = gl
-            conj = [[u + v * dom.omega_t for u, v in zip(ga, gb)],
-                    [-v for v in gb]]
-            twisted[1] = [lane[::-1] for lane in _with_sum(conj)]
-        nf, ng = len(f.coeffs), len(g.coeffs)
-        base = f.val + g.val
-        for m in range(base, min(hi, base + nf + ng - 1)):
-            s = m - base
-            j0 = max(0, s - ng + 1)
-            j1 = min(s, nf - 1) + 1
-            for js in range(j0, min(j0 + step, j1)):
-                kr = ng - 1 - s + js
-                for acc, x, y in zip(sums, fl, twisted[(f.val + js) % 2]):
-                    acc[m - lo] += sum(map(mul, x[js:j1:step],
-                                           y[kr::step]))
-    if quad:
-        aa, bb, cc = sums
-        nums = [RingElem(dom, a + b * dom.omega_c,
-                         c - a - b + b * dom.omega_t)
-                for a, b, c in zip(aa, bb, cc)]
-    else:
-        nums = [RingElem(dom, a) for a in sums[0]]
-    return TruncatedSeries(dom, lo, [FieldElem(dom, n, den) if n else dom.fzero
-                                     for n in nums], kt)
-
-
 @st.composite
 def walk_factors(draw, dom):
     """(f, g) with 1..40 coefficients each, g often only 1..4 long and
@@ -956,22 +852,6 @@ def test_leading_zeros_strip_in_linear_time(zz):
 
 
 # ------------------------------------ disagreement vs. the difference series
-def reference_disagreement(left, right):
-    """series.disagreement through the difference series: left - right is
-    built entry by entry."""
-    bad = None
-    bound = None
-    for ra, rb in zip(left.rows, right.rows):
-        for a, b in zip(ra, rb):
-            diff = a - b
-            if diff.coeffs:
-                bad = diff.val if bad is None else min(bad, diff.val)
-            elif diff.known_to is not None:
-                bound = diff.known_to if bound is None \
-                    else min(bound, diff.known_to)
-    return bad, bound
-
-
 @st.composite
 def nearly_equal_entries(draw, dom):
     """(a, b): b repeats a's coefficients, changed at up to two orders and

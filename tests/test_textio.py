@@ -1,9 +1,23 @@
+import json
+import sys
+import time
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from skewdd import textio
+from skewdd import cli, textio
+from skewdd.domains import get_domain
+from skewdd.series import TruncatedSeries
 from skewdd.textio import (format_field_elem, parse_field_elem, parse_series,
                            parse_terms)
+
+from reference import reference_parse_series
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+sys.path.insert(0, str(BENCH))
+
+import gen  # noqa: E402
 
 
 @settings(max_examples=60, deadline=None, derandomize=True,
@@ -99,3 +113,109 @@ def test_o_term_reads_like_a_power_of_x(zz, text, known_to):
 def test_o_term_and_power_spellings_are_refused(zz, text):
     with pytest.raises(ValueError):
         parse_series(zz, text)
+
+
+# ------------------------------ one-pass series reader vs. split-then-match
+# whole terms, the parts they are made of, and stray characters; the
+# valid forms are listed twice, so that about one text in five is
+# accepted over a quadratic domain (one in ten over int, which refuses w)
+SERIES_TERMS = 2 * ["2", "1/2", "7/10", "w", "2*w", "3w", "(1+1*w)",
+                    "(-3/4+5/6*w)", "(2)", "0", "x", "*x", "x^3", "x^-2",
+                    "x^0", "2*x^3", "-1/2*x", "(1-w)*x^2", "3x^1",
+                    "(2)x^-1", "w*x"] \
+    + ["()", "((1))", "2**x", "O(x)", "O(x^4)", "O(x^-1)", "O(x^0)",
+       "O(x5)", "O(x^)", "O(3)"]
+SERIES_STRAYS = ["+", "-", "(", ")", "^", "x", "*", "/", "w", "O(", " ",
+                 "\n", "0", "7", "^-", "x^", "1.5", "\u0663", "\t"]
+
+
+@st.composite
+def series_texts(draw):
+    """Signed terms, each sign kept, dropped or doubled, then up to three
+    stray characters inserted, characters dropped or doubled."""
+    signs = 6 * ["+", "-"] + ["", "--", "+-", "-+"]
+    text = "".join(draw(st.sampled_from(signs))
+                   + draw(st.sampled_from(SERIES_TERMS))
+                   for _ in range(draw(st.integers(0, 6))))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2, 3]))):
+        k = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["insert", "drop", "double"]))
+        if edit == "insert":
+            text = text[:k] + draw(st.sampled_from(SERIES_STRAYS)) + text[k:]
+        elif edit == "drop":
+            text = text[:k] + text[k + 1:]
+        else:
+            text = text[:k + 1] + text[k:]
+    return text
+
+
+def _series_outcome(parse, dom, text):
+    try:
+        f = parse(dom, text)
+    except ValueError:
+        return ValueError
+    return f, f.known_to
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=series_texts())
+def test_one_pass_series_reader_agrees_with_the_reference(any_domain, text):
+    """On any text, the same series with the same known_to, or ValueError
+    from both."""
+    assert (_series_outcome(parse_series, any_domain, text)
+            == _series_outcome(reference_parse_series, any_domain, text))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_series_reader_agrees_on_the_benchmark_generators(seed):
+    for index in range(40):
+        job = gen.make_job("extend-window", seed, index)
+        dom = get_domain(textio.parse_domain(job.domain))
+        for text in json.loads(job.args[job.args.index("--gens") + 1]):
+            got = parse_series(dom, text)
+            assert (got, got.known_to) \
+                == _series_outcome(reference_parse_series, dom, text)
+
+
+HOSTILE_LENGTH = 200_000
+HOSTILE_SECONDS = 2.0
+HOSTILE_TEXTS = {
+    "w run": "w" * HOSTILE_LENGTH,
+    "x run": "x" * HOSTILE_LENGTH,
+    "digit run": "7" * HOSTILE_LENGTH,
+    "( run": "(" * HOSTILE_LENGTH,
+    "^ run": "^" * HOSTILE_LENGTH,
+    "(1+ run": "(1+" * (HOSTILE_LENGTH // 3),
+    "+1 terms": "+1" * (HOSTILE_LENGTH // 2),
+    "(1)*x^i terms": "+".join(f"(1)*x^{i}" for i in range(20_000)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_TEXTS))
+def test_hostile_series_text_is_read_within_a_budget(z5, name):
+    """About 200,000 characters each: refused with ValueError or read,
+    either within the budget, so no term pattern backtracks without
+    bound."""
+    text = HOSTILE_TEXTS[name]
+    start = time.perf_counter()
+    try:
+        got = parse_series(z5, text)
+    except ValueError:
+        got = None
+    assert time.perf_counter() - start < HOSTILE_SECONDS
+    if name == "+1 terms":
+        assert got == TruncatedSeries.const(z5, z5.felem(HOSTILE_LENGTH // 2))
+    elif name == "(1)*x^i terms":
+        assert got == TruncatedSeries(z5, 0, [z5.fone] * 20_000)
+    else:
+        assert got is None
+
+
+@pytest.mark.parametrize("name", ["( run", "x run"])
+def test_hostile_series_text_exits_2_with_one_line(name, capsys):
+    code = cli.main(["extend", "--domain", "int", "--gens",
+                     json.dumps([HOSTILE_TEXTS[name]]), "--prec", "4"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1

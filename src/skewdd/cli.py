@@ -113,7 +113,8 @@ def cmd_verify(args) -> int:
         load = completion.CompletionCertificate.from_json
         check = completion.verify_completion
     else:
-        raise ValueError(f"unknown certificate schema {schema!r}")
+        raise ValueError(
+            f"unknown certificate schema {textio.quote_input(schema)}")
     try:
         report = check(load(obj))
     except (KeyError, IndexError, TypeError, ValueError, ArithmeticError,

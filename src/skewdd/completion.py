@@ -16,12 +16,27 @@ over the idealized ring [[R, I^(-1)], [I, I*I^(-1)]], in certified steps:
                      runs the chain, converts the top-level data
                      into an invertible matrix with its two-sided
                      inverse, solved in one relaxed pass
-                     (series.right_divide), and checks the result
-                     once with verify_completion.
+                     (series.right_divide), and checks the conversion
+                     once with verify_final_conversion.
 
 Every intermediate coefficient is checked against its declared
-fractional-ideal shape, reductions consume exactly one known order, and
-verify_completion recomputes all products independently.
+fractional-ideal shape and reductions consume exactly one known order.
+verify_completion recomputes all products independently: the chain's
+nine checks and the final conversion's four. The engine's own check
+runs only the four, because its steps have already fixed each of the
+nine, with the same functions on the same immutable objects:
+
+  row shape                 the ShapedRow the caller built with (J, A)
+  witness shape             check_unimodular on t (the witness shape
+                            does not depend on the order's parity)
+  b, T and H shapes         the top step's _require_shape calls
+  row * witness = x^n       check_unimodular's row * t = 1, shifted by n
+  [a; b] * T reproduces H   H is that very product
+  vanishing below n,        the top lift's checks; at n = 0,
+  det(H_n)                  det(H_0) = 1 and twist_ratio(0) = D
+
+The identity products stay in the engine: they cross-check
+series.right_divide, which no earlier step does.
 
 The final inverse is the left solution X of X * S = T', where
 final * T' = S follows from [row; b] * T = H: X = T' S^-1 is a right
@@ -489,12 +504,34 @@ def complete_unimodular_row(shaped: ShapedRow, t: SeriesMatrix, prec: int,
     through known_to(row) - 2n. The row must therefore be known through
     order prec + 2n, and the witness through prec (each reduction reads
     one more order of it). Fewer known orders fail fast with
-    PrecisionError carrying the exact deficit.
+    PrecisionError carrying the exact deficit; prec below 1 (or above
+    textio.MAX_ORDER) is refused with ValueError.
 
-    The certificate is returned only after verify_completion passes,
-    which checks both products with the identity; a failed check raises
-    SkewError naming the failed checks.
+    The certificate is returned only after verify_final_conversion
+    passes, which checks both products with the identity; a failed
+    check raises SkewError naming the failed checks. The other nine
+    lines of verify_completion are not rerun here: each checks a fact
+    that a step of this function has already fixed, with the same
+    functions on the same immutable objects:
+
+      row shape           ShapedRow, built by the caller with this (J, A)
+      witness shape       check_unimodular on t; witness_col does not
+                          depend on the parity of the order, so t x^n
+                          passes exactly when t does
+      b, T and H shapes   _require_shape in the top step, with
+                          shaped.shapes: lift_invertibility (n >= 1)
+                          or base_case_invert (n = 0)
+      row * witness = x^n check_unimodular's disagreement(row @ t, 1);
+                          row @ t2 is that product shifted by n, known
+                          past order n by the deficit check and prec >= 1
+      [a; b] * T = H      H is that very product of the same objects
+      vanishing below n,  the top lift's own checks; at n = 0,
+      det(H_n)            det(H_0) = 1 and twist_ratio(0) = D
+
+    verify_completion, and with it skewdd verify, still runs all
+    thirteen checks on the written certificate.
     """
+    textio.certified_prec(prec, 1)
     dom = shaped.dom
     n, t2 = check_unimodular(shaped, t)
     # t2 = t x^n, so the witness through prec is t2 through prec + n
@@ -527,12 +564,20 @@ def complete_unimodular_row(shaped: ShapedRow, t: SeriesMatrix, prec: int,
     cert = CompletionCertificate(
         dom.spec, shaped.j_ideal, shaped.a_ideal, shaped.row, t2, n,
         data.b, data.T, data.H, final, final_inv, prec)
-    verify_completion(cert).require_ok()
+    verify_final_conversion(cert).require_ok()
     return cert
 
 
+def _add_shape_check(rep: VerifyReport, name: str, mat: SeriesMatrix,
+                     shape_of) -> None:
+    bad = _shape_violation(mat, shape_of)
+    rep.add(name, bad is None, "" if bad is None else f"entry {bad[:2]}",
+            None if bad is None else bad[2])
+
+
 def verify_completion(cert: CompletionCertificate) -> VerifyReport:
-    """Recompute every product, shape membership and determinant claim."""
+    """Recompute every product, shape membership and determinant claim:
+    the chain's nine checks, then verify_final_conversion's four."""
     dom = get_domain(cert.spec)
     rep = VerifyReport()
     try:
@@ -542,17 +587,11 @@ def verify_completion(cert: CompletionCertificate) -> VerifyReport:
         rep.add("row shape membership", False, str(err))
         return rep
     shapes = shaped.shapes
-
-    def shape_check(name, mat, fn):
-        bad = _shape_violation(mat, fn)
-        rep.add(name, bad is None,
-                "" if bad is None else f"entry {bad[:2]}",
-                None if bad is None else bad[2])
-
-    shape_check("witness shape membership", cert.witness, shapes.witness_col)
-    shape_check("b row shape membership", cert.b, shapes.b_row)
-    shape_check("T shape membership", cert.T, shapes.t_mat)
-    shape_check("H shape membership", cert.H, shapes.h_mat)
+    _add_shape_check(rep, "witness shape membership", cert.witness,
+                     shapes.witness_col)
+    _add_shape_check(rep, "b row shape membership", cert.b, shapes.b_row)
+    _add_shape_check(rep, "T shape membership", cert.T, shapes.t_mat)
+    _add_shape_check(rep, "H shape membership", cert.H, shapes.h_mat)
 
     wit_prod = (cert.row @ cert.witness).rows[0][0]
     bad, _ = disagreement(SeriesMatrix(dom, [[wit_prod]]), SeriesMatrix(
@@ -586,12 +625,25 @@ def verify_completion(cert: CompletionCertificate) -> VerifyReport:
     except PrecisionError:
         rep.add("det(H_n) generates J * sigma^n(J^-1)", False,
                 "order n not known")
+    rep.checks += verify_final_conversion(cert).checks
+    return rep
+
+
+def verify_final_conversion(cert: CompletionCertificate) -> VerifyReport:
+    """The last four checks of verify_completion: final stacks the row
+    over b, final_inv has the H shape, and both products of final and
+    final_inv are the identity through order prec.
+
+    J and A must be nonzero, as in any certificate whose row passes its
+    shape check; complete_unimodular_row runs only these checks.
+    """
+    dom = get_domain(cert.spec)
+    rep = VerifyReport()
     rep.add("final matrix stacks the row over b",
             cert.final.rows[0] == cert.row.rows[0]
             and cert.final.rows[1] == cert.b.rows[0])
-
-    shape_check("final inverse shape membership", cert.final_inv,
-                shapes.h_mat)
+    _add_shape_check(rep, "final inverse shape membership", cert.final_inv,
+                     shape_table(dom, cert.ideal, cert.a_ideal).h_mat)
     ident = SeriesMatrix.identity(dom)
     for name, both in (("final * final_inv = Id", cert.final @ cert.final_inv),
                        ("final_inv * final = Id", cert.final_inv @ cert.final)):

@@ -56,9 +56,12 @@ class DomainSpec:
 
     def __post_init__(self):
         if self.kind not in ("int", "quad"):
-            raise ValueError(f"unknown domain kind {self.kind!r}")
+            from .textio import quote_input
+            raise ValueError(f"unknown domain kind {quote_input(self.kind)}")
         if self.sigma not in (SIGMA_ID, SIGMA_CONJ):
-            raise ValueError(f"unknown automorphism {self.sigma!r}")
+            from .textio import quote_input
+            raise ValueError(
+                f"unknown automorphism {quote_input(self.sigma)}")
         if self.kind == "int":
             if self.d is not None:
                 raise ValueError("kind 'int' takes no d")
@@ -79,9 +82,11 @@ class DomainSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "DomainSpec":
+        from .textio import json_int, quote_input
+
         if not isinstance(obj, dict):
-            raise ValueError(f"domain must be a JSON object, not {obj!r}")
-        from .textio import json_int
+            raise ValueError(
+                f"domain must be a JSON object, not {quote_input(obj)}")
 
         # d and sigma pass through even for "int", which refuses them
         d = obj.get("d")
@@ -197,7 +202,10 @@ class RingElem:
 
     def __eq__(self, other):
         o = self._check(other)
-        return o is not None and self.a == o.a and self.b == o.b
+        if o is None:
+            # a FieldElem compares itself, raising on a foreign domain
+            return NotImplemented
+        return self.a == o.a and self.b == o.b
 
     def __hash__(self):
         return hash((id(self.dom), self.a, self.b))
@@ -322,7 +330,10 @@ class FieldElem:
         return o is not None and self.den == o.den and self.num == o.num
 
     def __hash__(self):
-        return hash((id(self.dom), self.num.a, self.num.b, self.den))
+        num = self.num
+        if self.den == 1:   # equal to its RingElem, so hashed like it
+            return hash((id(self.dom), num.a, num.b))
+        return hash((id(self.dom), num.a, num.b, self.den))
 
     def __bool__(self):
         num = self.num

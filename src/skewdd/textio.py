@@ -33,6 +33,21 @@ from .errors import SkewError
 MAX_ORDER = 2 ** 16
 
 
+# longest quotation of an input that a refusal message carries
+QUOTE_CHARS = 60
+
+
+def quote_input(value) -> str:
+    """repr(value) for a refusal message, clipped to QUOTE_CHARS characters
+    with the input's length added, so that a huge input gives a short
+    message; a short input is quoted whole, as repr gives it."""
+    text = repr(value)
+    if len(text) <= QUOTE_CHARS:
+        return text
+    size = len(value) if isinstance(value, str) else len(text)
+    return f"{text[:QUOTE_CHARS]}... ({size} characters)"
+
+
 def json_int(value, what: str) -> int:
     """A JSON integer read from a certificate or an input file.
 
@@ -40,7 +55,8 @@ def json_int(value, what: str) -> int:
     a string included, raises ValueError instead of being cast.
     """
     if type(value) is not int:
-        raise ValueError(f"{what} must be a JSON integer, not {value!r}")
+        raise ValueError(f"{what} must be a JSON integer, not "
+                         f"{quote_input(value)}")
     return value
 
 
@@ -94,7 +110,7 @@ def parse_field_elem(dom: Domain, text: str, sign: int = 1) -> FieldElem:
     """The element text spells, times sign (1 or -1): a series term folds
     its sign into its coefficient here."""
     if not isinstance(text, str):
-        raise ValueError(f"element must be a string, not {text!r}")
+        raise ValueError(f"element must be a string, not {quote_input(text)}")
     m = _CANONICAL_RE.fullmatch(text)
     if m is not None:
         p, q, w_only, r, s = m.groups()
@@ -131,12 +147,13 @@ def parse_terms(dom: Domain, text: str) -> FieldElem:
     while pos < len(s):
         m = _TERM_RE.match(s, pos)
         if m is None or not (m.group(2) or m.group(4)):
-            raise ValueError(f"cannot parse element {text!r}")
+            raise ValueError(f"cannot parse element {quote_input(text)}")
         pos = m.end()
         sign, p, q, w = m.groups()
         p, q = int(p or 1), int(q or 1)
         if not q:
-            raise ValueError(f"zero denominator in element {text!r}")
+            raise ValueError(
+                f"zero denominator in element {quote_input(text)}")
         if den % q:
             a, b, p, den = a * q, b * q, p * den, den * q
         else:
@@ -197,7 +214,7 @@ def parse_series(dom: Domain, text: str):
     from .series import TruncatedSeries
 
     if not isinstance(text, str):
-        raise ValueError(f"series must be a string, not {text!r}")
+        raise ValueError(f"series must be a string, not {quote_input(text)}")
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty series")
@@ -219,7 +236,8 @@ def parse_series(dom: Domain, text: str):
             if sign == "-":
                 raise ValueError("negative O-term")
             if known_to is not None:
-                raise ValueError(f"series {text!r} has two O-terms")
+                raise ValueError(
+                    f"series {quote_input(text)} has two O-terms")
             known_to = _order(int(o_exp or 1), "O-term order")
             continue
         sign = 1 if sign == "+" else -1
@@ -233,7 +251,8 @@ def parse_series(dom: Domain, text: str):
                       else 1 if x else 0, coef))
     if known_to is not None and any(c for i, c in items if i >= known_to):
         raise ValueError(
-            f"series {text!r} has terms at or past its O(x^{known_to}) bound")
+            f"series {quote_input(text)} has terms at or past its "
+            f"O(x^{known_to}) bound")
     return TruncatedSeries.from_coeff_map(dom, items, known_to)
 
 
@@ -251,7 +270,7 @@ def series_from_json(dom: Domain, obj: dict):
 
     if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list):
         raise ValueError(f"a series is an object with a coeffs array, "
-                         f"not {obj!r}")
+                         f"not {quote_input(obj)}")
     val = _order(json_int(obj.get("val"), "series val"), "series val")
     coeffs = [parse_field_elem(dom, s) for s in obj["coeffs"]]
     if coeffs:
@@ -260,8 +279,8 @@ def series_from_json(dom: Domain, obj: dict):
     if prec is not None:
         prec = _order(json_int(prec, "series prec"), "series prec")
         if any(c for c in coeffs[max(0, prec - val):]):
-            raise ValueError(f"series {obj!r} has a nonzero coefficient at "
-                             f"or past its prec {prec}")
+            raise ValueError(f"series {quote_input(obj)} has a nonzero "
+                             f"coefficient at or past its prec {prec}")
     return TruncatedSeries(dom, val, coeffs, prec)
 
 
@@ -290,7 +309,7 @@ def ideal_lattice_from_json(dom: Domain, obj: dict):
     key = "gens" if isinstance(obj, dict) and "gens" in obj else "hnf"
     if not isinstance(obj, dict) or not isinstance(obj.get(key), list):
         raise ValueError(f"an ideal is an object with a gens or an hnf "
-                         f"array, not {obj!r}")
+                         f"array, not {quote_input(obj)}")
     if key == "gens":
         ideal = ideals.from_generators(
             dom, [parse_field_elem(dom, s) for s in obj["gens"]])
@@ -304,10 +323,10 @@ def ideal_lattice_from_json(dom: Domain, obj: dict):
         try:
             ideal = ideals.FracIdeal(dom, *hnf, den=den)
         except SkewError as err:
-            raise ValueError(f"ideal {obj!r}: {err}") from None
+            raise ValueError(f"ideal {quote_input(obj)}: {err}") from None
         if ideal.to_json()["hnf"] != hnf or ideal.den != den:
-            raise ValueError(f"ideal {obj!r} is not in canonical form: "
-                             f"it is {ideal.to_json()!r}")
+            raise ValueError(f"ideal {quote_input(obj)} is not in canonical "
+                             f"form: it is {quote_input(ideal.to_json())}")
     if not ideal.is_integral:
         raise ValueError("expected an integral ideal")
     return ideal
@@ -322,7 +341,8 @@ def parse_domain(text: str) -> DomainSpec:
         return DomainSpec("quad", int(parts[1]), parts[2])
     if s.startswith("{"):
         return DomainSpec.from_json(json.loads(s))
-    raise ValueError(f"cannot parse domain {text!r} (want int or quad:d:id|conj)")
+    raise ValueError(f"cannot parse domain {quote_input(text)} "
+                     f"(want int or quad:d:id|conj)")
 
 
 def format_domain(spec: DomainSpec) -> str:

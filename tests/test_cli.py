@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -8,6 +9,7 @@ import pytest
 from skewdd import cli, completion, extension
 from skewdd.cli import main
 from skewdd.reporting import VerifyReport
+from skewdd.series import SeriesMatrix, TruncatedSeries
 from skewdd.textio import (MAX_ORDER, canonical_json, parse_series,
                            series_to_json)
 
@@ -364,32 +366,37 @@ def test_malformed_cli_input_exits_2(tmp_path, capsys, zz, case):
                                      "demo zsqrt-5", "demo stable-rank"])
 def test_each_certificate_is_verified_once(tmp_path, capsys, monkeypatch, zz,
                                            command):
+    """An extension is checked once by verify_extension_certificate; a
+    completion once by verify_final_conversion, and verify_completion
+    never runs inside the engine, whose steps make its other checks."""
     out = ["--out", str(tmp_path / "cert.json")]
     if command == "extend":
         # the repair case builds two candidates and emits one certificate
-        module, name = extension, "verify_extension_certificate"
+        module, names = extension, ["verify_extension_certificate"]
         argv = ["extend", "--domain", "quad:-5:id",
                 "--gens", '["2+1*x^1","1+1*w"]', "--prec", "8", *out]
-    elif command == "complete-row":
-        module, name = completion, "verify_completion"
-        argv = [*classic_row_argv(tmp_path, zz), *out]
     elif command == "demo zsqrt-5":
-        module, name = extension, "verify_extension_certificate"
+        module, names = extension, ["verify_extension_certificate"]
         argv = command.split()
     else:
-        module, name = completion, "verify_completion"
-        argv = command.split()
-    verifier = getattr(module, name)
-    calls = []
+        module, names = completion, ["verify_final_conversion",
+                                     "verify_completion"]
+        argv = (command.split() if command.startswith("demo")
+                else [*classic_row_argv(tmp_path, zz), *out])
+    calls = {name: 0 for name in names}
 
-    def counting(cert):
-        calls.append(cert)
-        return verifier(cert)
+    def counting(name, verifier):
+        def check(cert):
+            calls[name] += 1
+            return verifier(cert)
+        return check
 
-    monkeypatch.setattr(module, name, counting)
+    for name in names:
+        monkeypatch.setattr(module, name,
+                            counting(name, getattr(module, name)))
     code, _, _ = run(capsys, *argv)
     assert code == 0
-    assert len(calls) == 1
+    assert calls == dict(zip(names, [1, 0]))
 
 
 def test_internal_verification_failure_exits_3(tmp_path, capsys, monkeypatch,
@@ -399,11 +406,63 @@ def test_internal_verification_failure_exits_3(tmp_path, capsys, monkeypatch,
         rep.add("final * final_inv = Id", False, "", 3)
         return rep
 
-    monkeypatch.setattr(completion, "verify_completion", failing)
+    monkeypatch.setattr(completion, "verify_final_conversion", failing)
     code, _, err = run(capsys, *classic_row_argv(tmp_path, zz))
     assert code == 3
     assert err == ("verification failure: internal verification failed: "
                    "FAIL: final * final_inv = Id at order 3\n")
+
+
+def plus_one_at(mat, r, c, order):
+    """mat with 1 added to entry (r, c) at the given order."""
+    rows = [list(row) for row in mat.rows]
+    f = rows[r][c]
+    coeffs = {i: f.coeff(i) for i in range(f.val, f.val + len(f.coeffs))}
+    coeffs[order] = coeffs.get(order, mat.dom.fzero) + 1
+    low = min(coeffs)
+    rows[r][c] = TruncatedSeries(
+        mat.dom, low, [coeffs.get(i, mat.dom.fzero)
+                       for i in range(low, max(coeffs) + 1)], f.known_to)
+    return SeriesMatrix(mat.dom, rows)
+
+
+def assert_identity_check_refuses(tmp_path, capsys, zz):
+    out_path = tmp_path / "cert.json"
+    code, _, err = run(capsys, *classic_row_argv(tmp_path, zz),
+                       "--out", str(out_path))
+    assert code == 3
+    assert not out_path.exists()
+    assert err.startswith("verification failure: internal verification "
+                          "failed: ")
+    assert err.count("\n") == 1
+    assert "FAIL: final * final_inv = Id at order " in err
+
+
+def test_perturbed_final_inverse_exits_3(tmp_path, capsys, monkeypatch, zz):
+    """One wrong coefficient of the relaxed solve is caught by the
+    engine's own identity products, which nothing before them makes."""
+    divide = completion.right_divide
+
+    def wrong(b, a, prec):
+        x = divide(b, a, prec)
+        return plus_one_at(x, 0, 0, x.rows[0][0].val)
+
+    monkeypatch.setattr(completion, "right_divide", wrong)
+    assert_identity_check_refuses(tmp_path, capsys, zz)
+
+
+def test_perturbed_top_level_h_exits_3(tmp_path, capsys, monkeypatch, zz):
+    """H of the top step (the one lift of the depth-1 classic row) off by
+    one at order n: final_inv is T H^-1 up to scaling, so the identity
+    products catch it although the chain's checks are not rerun."""
+    lift = completion.lift_invertibility
+
+    def wrong(child, ctx, bound):
+        data = lift(child, ctx, bound)
+        return dataclasses.replace(data, H=plus_one_at(data.H, 0, 0, data.n))
+
+    monkeypatch.setattr(completion, "lift_invertibility", wrong)
+    assert_identity_check_refuses(tmp_path, capsys, zz)
 
 
 def test_complete_row_command(tmp_path, capsys, zz):

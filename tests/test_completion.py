@@ -302,6 +302,23 @@ def test_precision_deficit_fails_fast(zz):
     assert exc.value.deficit == 8 + 2 * 1 - 4   # depth 1: prec + 2n orders
 
 
+def test_prec_below_one_is_refused(zz):
+    """prec 0 or below is refused with ValueError, as --prec and
+    CompletionCertificate.from_json refuse it: the engine's own check
+    leaves row * witness = x^n to check_unimodular, which fixes the x^n
+    term only when the product is known past order n. prec 1 on a row
+    known through exactly 1 + 2n orders certifies in full."""
+    shaped, t = classic_row(zz)
+    for prec in (0, -3):
+        with pytest.raises(ValueError, match=f"prec must be in 1..65536, "
+                                             f"not {prec}"):
+            complete_unimodular_row(shaped, t, prec)
+    cut = ShapedRow(truncated(shaped.row, 3), shaped.j_ideal, shaped.a_ideal)
+    cert = complete_unimodular_row(cut, truncated(t, 1), 1)
+    assert cert.n == 1
+    assert verify_completion(cert).ok
+
+
 def test_shape_violation_rejected(z5c):
     j_lat = from_ring_generators(z5c, [z5c.elem(2), z5c.elem(1, 1)])
     # second entry must have coefficients in sigma^i(J^-1); 1/3 is not

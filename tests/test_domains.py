@@ -117,15 +117,31 @@ def test_exact_division_roundtrip(any_domain):
 @pytest.mark.parametrize("op", [operator.eq, operator.add, operator.mul])
 def test_elements_of_two_domains_never_meet(z5, z5c, root2, zz, op):
     """==, + and * across two domains raise SkewError, for ring and field
-    elements, integral or not, from either side; a field element meets a
-    ring element of another domain the same way under + and *."""
+    elements, integral or not, from either side, a field element meeting
+    a ring element of another domain included."""
     pairs = [(z5.elem(1, 1), z5c.elem(1, 1)), (zz.elem(3), z5.elem(3)),
              (z5.felem(1, 1), z5c.felem(1, 1)),
              (z5.felem(1, 1, 2), root2.felem(1, 1, 2)),
-             (zz.fone, z5.fone)]
-    if op is not operator.eq:
-        pairs += [(z5.felem(1, 1), z5c.elem(1, 1)), (zz.fone, z5.one)]
+             (zz.fone, z5.fone),
+             (z5.felem(1, 1), z5c.elem(1, 1)), (zz.fone, z5.one)]
     for x, y in pairs:
         for left, right in ((x, y), (y, x)):
             with pytest.raises(SkewError, match="mixed domains"):
                 op(left, right)
+
+
+def test_ring_and_field_elements_of_one_domain_agree(any_domain):
+    """A ring element equals its field element from either side, and the
+    two hash alike; e / 2 equals e only for e = 0, from either side."""
+    dom = any_domain
+    rng = random.Random(8)
+    assert dom.one == dom.fone and dom.fone == dom.one
+    assert dom.zero == dom.fzero and dom.fzero == dom.zero
+    for _ in range(50):
+        e = rand_ring_elem(dom, rng)
+        f = e.to_field()
+        assert e == f and f == e and not e != f
+        assert hash(e) == hash(f) and len({e, f}) == 1
+        half = dom.felem(e.a, e.b, 2)
+        assert (half == e) is (e == half) is (not e)
+    assert dom.one != "1" and dom.one != 1.0 + 0.5

@@ -2,7 +2,8 @@
 the functions a traced benchmark run wraps, the counts of one
 benchmark job's final inverse (elements built, coefficient matrices read)
 and its agreement with the inverse-then-product route on eighty jobs per
-completion workload, the counts of a verifier's comparisons, identity
+completion workload, the full verifier's verdict on the engine's own
+certificates, the counts of a verifier's comparisons, identity
 product and lane reads, the
 row-by-witness products and series products of a completion job, the
 shape tables and second-generator scans of forty completion jobs, the
@@ -118,6 +119,26 @@ def test_final_inverse_builds_one_element_per_coefficient(tmp_path,
     assert built <= stored
 
 
+def engine_certificates(tmp_path, monkeypatch, workload, seed):
+    """The certificates of jobs 0..39 as the engine returns them, taken at
+    its own final check, before any JSON."""
+    certs, engine = [], []
+    check = completion.verify_final_conversion
+
+    def capture(cert):
+        certs.append(cert)
+        return check(cert)
+
+    monkeypatch.setattr(completion, "verify_final_conversion", capture)
+    for index in range(40):
+        certs.clear()
+        assert run.run_job(cli.main, gen.make_job(workload, seed, index),
+                           tmp_path).ok
+        engine.append(certs[0])   # then verify's own call
+    monkeypatch.undo()
+    return engine
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("workload", ["complete-p8", "complete-p32"])
 def test_final_inverse_matches_the_two_pass_route(tmp_path, monkeypatch,
@@ -126,21 +147,21 @@ def test_final_inverse_matches_the_two_pass_route(tmp_path, monkeypatch,
     complete-p32 job DENSE_INVERSE_JOB among them), as the engine builds
     it, equals T' @ matrix_invert(S, prec + n + 2): the same coefficients
     and known_to in every entry."""
-    certs = []
-    check = completion.verify_completion
-
-    def capture(cert):
-        certs.append(cert)
-        return check(cert)
-
-    monkeypatch.setattr(completion, "verify_completion", capture)
-    for index in range(40):
-        certs.clear()
-        assert run.run_job(cli.main, gen.make_job(workload, seed, index),
-                           tmp_path).ok
-        engine = certs[0]   # the engine's own check, before any JSON
-        assert_same_matrix(engine.final_inv, two_pass_final_inverse(engine))
+    for cert in engine_certificates(tmp_path, monkeypatch, workload, seed):
+        assert_same_matrix(cert.final_inv, two_pass_final_inverse(cert))
     assert DENSE_INVERSE_JOB < 40
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("workload", ["complete-p8", "complete-p32"])
+def test_engine_certificates_pass_the_full_verifier(tmp_path, monkeypatch,
+                                                    workload, seed):
+    """The engine checks only the final conversion; every certificate it
+    returns for seed-1/2 completion jobs 0..39 still passes all thirteen
+    checks of verify_completion."""
+    for cert in engine_certificates(tmp_path, monkeypatch, workload, seed):
+        report = completion.verify_completion(cert)
+        assert report.ok and len(report.checks) == 13, list(report.lines())
 
 
 def test_verifier_compares_products_without_building_elements(tmp_path,
@@ -261,11 +282,12 @@ def test_identity_product_builds_only_its_nonzero_window(tmp_path,
     assert built <= 2 * stored
 
 
-def test_row_witness_products_are_depth_plus_four(tmp_path, monkeypatch):
+def test_row_witness_products_are_depth_plus_three(tmp_path, monkeypatch):
     """Each seed-0 complete-p32 job 0..39 (depths 0 to 4; complete-row,
     then verify) forms one 1x2 by 2x1 product per reduction level and
-    four more: check_unimodular, the base case and the verifier's
-    row * witness once per verifier call. A level's change of basis goes
+    three more: check_unimodular, the base case and the verifier's
+    row * witness. The engine's own check does not form it again:
+    check_unimodular has fixed it. A level's change of basis goes
     through 2x2 constant matrices, not through row-by-column products.
     Counted, not timed."""
     counts = []
@@ -285,19 +307,20 @@ def test_row_witness_products_are_depth_plus_four(tmp_path, monkeypatch):
         assert res.ok
         depth = json.loads(res.data)["n"]
         depths.add(depth)
-        assert counts[-1] == depth + 4, (index, depth, counts[-1])
+        assert counts[-1] == depth + 3, (index, depth, counts[-1])
     assert {0, 1} <= depths and max(depths) >= 2
 
 
-@pytest.mark.parametrize("index, depth, products", [(0, 0, 32), (34, 2, 62)])
+@pytest.mark.parametrize("index, depth, products", [(0, 0, 27), (34, 2, 57)])
 def test_series_products_per_completion_job(tmp_path, monkeypatch, index,
                                             depth, products):
     """complete-row then verify on a seed-0 complete-p32 job forms
-    32 + 15 * depth series products: a constant factor (the final
+    27 + 15 * depth series products: a constant factor (the final
     conversion's diag(1, det(H_n)^-1), the lift's diag(1, mu), lambda and
-    lambda^-1) is a scaling, not a product, and the final inverse is
-    solved in one relaxed pass, with no product T' @ S^-1. Counted, not
-    timed."""
+    lambda^-1) is a scaling, not a product, the final inverse is
+    solved in one relaxed pass, with no product T' @ S^-1, and the
+    engine's own check forms only the two identity products, not
+    [a; b] @ T or row @ witness again. Counted, not timed."""
     calls = 0
     kernel = series.sum_products
 

@@ -212,10 +212,30 @@ def test_hostile_series_text_is_read_within_a_budget(z5, name):
         assert got is None
 
 
-@pytest.mark.parametrize("name", ["( run", "x run"])
+@pytest.mark.parametrize("name", ["( run", "x run", "w run", "digit run",
+                                  "^ run", "(1+ run"])
 def test_hostile_series_text_exits_2_with_one_line(name, capsys):
+    """A refusal quotes at most textio.QUOTE_CHARS characters of its
+    input, with the input's length: one short line, not an echo of
+    200,000 characters."""
     code = cli.main(["extend", "--domain", "int", "--gens",
                      json.dumps([HOSTILE_TEXTS[name]]), "--prec", "4"])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < 200, err
+
+
+def test_quote_input_clips_only_long_inputs():
+    for short in ("", "1+w", "w" * 58, {"hnf": [2, 0, 1]}, [1, 2], 1.5):
+        assert textio.quote_input(short) == repr(short)
+    long_text = "w" * HOSTILE_LENGTH
+    assert textio.quote_input(long_text) == (
+        "'" + "w" * 59 + f"... ({HOSTILE_LENGTH} characters)")
+    big = {"coeffs": ["1"] * 1000}
+    assert textio.quote_input(big) == (
+        repr(big)[:60] + f"... ({len(repr(big))} characters)")
+    with pytest.raises(ValueError) as err:
+        parse_series(get_domain(textio.parse_domain("int")), long_text)
+    assert str(err.value) == ("cannot parse element "
+                              + textio.quote_input(long_text))

@@ -11,6 +11,7 @@ exhausted --bound), 5 precision deficit. All emitted JSON is canonical
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 
@@ -23,10 +24,28 @@ from .errors import (
     SkewError,
     UnsupportedDomain,
 )
-from . import completion, extension, ideals, structure
-from .classgroup import class_group, sigma_acts_trivially
+from . import ideals, textio
 from .series import SeriesMatrix, TruncatedSeries
-from . import textio
+
+
+def _lazy(name: str):
+    """The submodule skewdd.<name>, registered in sys.modules now and
+    executed on its first attribute access, so that a command compiles
+    and runs only the engines it touches."""
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+completion, extension, structure, classgroup = map(
+    _lazy, ("completion", "extension", "structure", "classgroup"))
 
 
 def _write_out(payload: dict, out: str | None):
@@ -46,8 +65,8 @@ def _load_json(path: str) -> dict:
 
 def cmd_classgroup(args) -> int:
     dom = get_domain(textio.parse_domain(args.domain))
-    cg = class_group(dom)
-    trivial = sigma_acts_trivially(dom)
+    cg = classgroup.class_group(dom)
+    trivial = classgroup.sigma_acts_trivially(dom)
     forms = ",".join(f"({a},{b},{c})" for a, b, c in cg.forms) \
         if cg.disc is not None else "(1)"
     print(f"h={cg.h}, forms=[{forms}], sigma_trivial={str(trivial).lower()}")
@@ -166,7 +185,7 @@ def demo_hilbert() -> None:
 def demo_zsqrt5() -> None:
     print("ideal classes and the extension engine over Z[sqrt(-5)]")
     dom = get_domain(textio.parse_domain("quad:-5:id"))
-    cg = class_group(dom)
+    cg = classgroup.class_group(dom)
     print(f"  h = {cg.h}, reduced forms {cg.forms}")
     _check("class number 2 with forms (1,0,5), (2,2,3)",
            cg.h == 2 and set(cg.forms) == {(1, 0, 5), (2, 2, 3)})
@@ -196,7 +215,7 @@ def demo_gauss_conj() -> None:
     print(f"  two-sided inverse of (1+i)R is generated by {inv!r}")
     _check("the inverse multiplies back to the unit ideal",
            c.mul(inv).is_unit)
-    cg = class_group(dom)
+    cg = classgroup.class_group(dom)
     _check("class number 1, so K0(R) = Z", cg.h == 1)
 
 

@@ -240,11 +240,16 @@ class TruncatedSeries:
         return mul(o, self)
 
     def shift(self, m: int) -> "TruncatedSeries":
-        """Right multiplication by x^m: coefficients unchanged, orders shift."""
+        """Right multiplication by x^m: coefficients unchanged, orders shift.
+
+        The copy shares the kept lane form, a function of the coefficients
+        alone."""
         if not self.coeffs:
             return TruncatedSeries(self.dom, 0, [], _kt_add(self.known_to, m))
-        return TruncatedSeries(self.dom, self.val + m, self.coeffs,
-                               _kt_add(self.known_to, m))
+        out = TruncatedSeries(self.dom, self.val + m, self.coeffs,
+                              _kt_add(self.known_to, m))
+        out._form = self._form
+        return out
 
     def map_coeffs(self, fn) -> "TruncatedSeries":
         """Apply fn to every stored coefficient, orders unchanged."""

@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+SRC = str(Path(cli.__file__).resolve().parent.parent)
+
+
+def fresh(*args):
+    """`python *args` in a new interpreter that imports skewdd from this
+    source tree. Only a new interpreter shows a fault in a module's first
+    load: in this one, earlier tests have loaded every module."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [SRC, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
 
 
 def classic_row_argv(tmp_path, zz):
@@ -624,44 +639,95 @@ def test_negative_bound_is_a_usage_error(tmp_path, capsys, zz):
 
 
 def test_certificates_verify_in_fresh_process(tmp_path, zz):
-    import subprocess
-    import sys
-
-    def fresh(args):
-        return subprocess.run([sys.executable, "-m", "skewdd.cli", *args],
-                              capture_output=True, text=True)
-
     ext_path = tmp_path / "ext.json"
-    assert fresh(["extend", "--domain", "quad:-5:conj", "--gens",
-                  '["2+1*x^1","1+1*w"]', "--prec", "8",
-                  "--out", str(ext_path)]).returncode == 0
+    assert fresh("-m", "skewdd.cli", "extend", "--domain", "quad:-5:conj",
+                 "--gens", '["2+1*x^1","1+1*w"]', "--prec", "8",
+                 "--out", str(ext_path)).returncode == 0
     cpl_path = tmp_path / "cpl.json"
-    assert fresh([*classic_row_argv(tmp_path, zz),
-                  "--out", str(cpl_path)]).returncode == 0
+    assert fresh("-m", "skewdd.cli", *classic_row_argv(tmp_path, zz),
+                 "--out", str(cpl_path)).returncode == 0
     for path in (ext_path, cpl_path):
-        check = fresh(["verify", str(path)])
+        check = fresh("-m", "skewdd.cli", "verify", str(path))
         assert check.returncode == 0
         assert "FAIL" not in check.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["classgroup", "--domain", "quad:-5:id"],
+    ["report", "--domain", "quad:-5:conj"],
+    ["report", "--domain", "quad:2:conj"],   # refused: exit 2
+    *(["demo", name] for name in sorted(cli.DEMOS)),
+], ids=" ".join)
+def test_fresh_process_matches_in_process(capsys, argv):
+    """Each command gives the same exit code, stdout and stderr in a new
+    interpreter, which loads each engine on the command's first use of
+    it, as in this one, where earlier tests have loaded them all."""
+    child = fresh("-m", "skewdd", *argv)
+    code, out, err = run(capsys, *argv)
+    assert (child.returncode, child.stdout, child.stderr) == (code, out, err)
+    if argv[-1] == "quad:2:conj":
+        assert code == 2 and err.startswith("error: ")
+        assert err.count("\n") == 1
+    else:
+        assert code == 0 and out
+
+
+ENGINES = {"completion", "extension", "structure", "classgroup"}
+
+# runs the commands given as a JSON list of argv lists, and after each
+# prints which engines have executed; type() reads no module attribute,
+# so looking does not load an engine
+ENGINE_PROBE = """
+import json, sys, types
+from skewdd.cli import main
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    ran = [name.split(".")[1] for name, mod in sys.modules.items()
+           if name.startswith("skewdd.") and type(mod) is types.ModuleType]
+    print("engines run:", json.dumps([code, sorted(ran)]))
+"""
+
+
+def engines_run(*runs):
+    """(exit code, engines executed so far) after each run, in one new
+    interpreter."""
+    child = fresh("-c", ENGINE_PROBE, json.dumps(runs))
+    assert child.returncode == 0, child.stderr
+    prefix = "engines run: "
+    return [(code, ENGINES.intersection(ran)) for code, ran in
+            (json.loads(line.removeprefix(prefix))
+             for line in child.stdout.splitlines()
+             if line.startswith(prefix))]
+
+
+def test_commands_execute_only_the_engines_they_use(tmp_path, zz):
+    """complete-row and verify of its certificate never execute extension,
+    structure or classgroup; extend and verify of its certificate never
+    execute completion; report executes structure and the classgroup and
+    completion engines it builds on."""
+    cpl, ext = tmp_path / "cpl.json", tmp_path / "ext.json"
+    assert engines_run(
+        [*classic_row_argv(tmp_path, zz), "--out", str(cpl)],
+        ["verify", str(cpl)],
+        ["report", "--domain", "quad:-5:id"],
+    ) == [(0, {"completion"}), (0, {"completion"}),
+          (0, ENGINES - {"extension"})]
+    assert engines_run(
+        ["extend", "--domain", "quad:-5:conj", "--gens",
+         '["2+1*x^1","1+1*w"]', "--prec", "8", "--out", str(ext)],
+        ["verify", str(ext)],
+    ) == [(0, {"extension"}), (0, {"extension"})]
 
 
 def test_python_dash_m_skewdd_runs_the_command_line(tmp_path):
     """`python -m skewdd verify` on the pinned unit-difference certificate
     (tests/test_pins.py) exits 0, as the installed script does."""
-    import subprocess
-    import sys
-
-    import skewdd
-
     out = tmp_path / "cert.json"
     assert main(["extend", "--domain", "int", "--gens", '["2","2+1*x^5"]',
                  "--prec", "12", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "a46e95689456bb6f3346e6d4e4f9531ac5c7becd5892e698c6f7c3b0ad99dc35")
-    src = str(Path(skewdd.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    check = subprocess.run([sys.executable, "-m", "skewdd", "verify", str(out)],
-                           capture_output=True, text=True, env=env)
+    check = fresh("-m", "skewdd", "verify", str(out))
     assert check.returncode == 0, check.stderr
     assert "FAIL" not in check.stdout
 

@@ -1,5 +1,6 @@
 import ast
 import random
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -264,6 +265,42 @@ def test_principal_generator_first_hit(d, sigma, hnf, den, first):
     dom = get_domain(DomainSpec("quad", d, sigma))
     gen = ideals.principal_generator(FracIdeal(dom, *hnf, den=den))
     assert repr(gen) == first
+
+
+def unfiltered_sqrt(n):
+    if n < 0:
+        return None
+    r = isqrt(n)
+    return r if r * r == n else None
+
+
+def test_perfect_sqrt_residue_filter_keeps_every_square():
+    for n in range(-3, 10**6):
+        assert ideals._perfect_sqrt(n) == unfiltered_sqrt(n), n
+    rng = random.Random(61)
+    for _ in range(3000):
+        r = rng.getrandbits(rng.randint(20, 300))
+        for n in (r * r, r * r + 1, r * r - 1, r * r + 2 * r, r):
+            assert ideals._perfect_sqrt(n) == unfiltered_sqrt(n), n
+
+
+def test_principal_generator_scan_unchanged_by_the_filter(monkeypatch):
+    """On real-quadratic ideals whose scans run to y in the thousands, the
+    filtered scan returns the first hit of the unfiltered one."""
+    rng = random.Random(67)
+    sample = []
+    for d in (2, 3):
+        dom = get_domain(DomainSpec("quad", d, "conj"))
+        sample += [from_ring_generators(dom, [dom.elem(
+            rng.randint(-3000, 3000), rng.randint(1, 3000))])
+            for _ in range(25)]
+        sample += [rand_ideal(dom, rng) for _ in range(15)]
+    scan = ideals.principal_generator.__wrapped__   # past the memo
+    filtered = [scan(u) for u in sample]
+    monkeypatch.setattr(ideals, "_perfect_sqrt", unfiltered_sqrt)
+    assert [scan(u) for u in sample] == filtered
+    assert all(from_generators(u.dom, [g]) == u
+               for u, g in zip(sample, filtered))
 
 
 def test_principal_generator_real_bound(root2):

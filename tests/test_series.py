@@ -836,6 +836,25 @@ def test_kept_lanes_leave_equality_and_hash_alone(any_domain):
     assert (conj is plain) == (not dom.conj_sigma)
 
 
+def test_shifted_copy_shares_the_kept_lanes(any_domain):
+    """The lane form depends on the coefficients alone, so a shift hands
+    the kept form on, and products of shifted factors (odd shifts change
+    the parity under conjugation) still match the per-order kernel."""
+    dom = any_domain
+    rng = random.Random(47)
+    fs = [rand_series(dom, rng, length=5) for _ in range(4)]
+    form = fs[0].lanes_below(len(fs[0].coeffs))
+    assert fs[0].shift(3).lanes_below(10) is form
+    assert fs[0].shift(-1).shift(2).lanes_below(10) is form
+    for f in fs:
+        f.lanes_below(len(f.coeffs))
+    for m in (-2, -1, 1, 4):
+        pairs = [(fs[0].shift(m), fs[1]), (fs[2], fs[3].shift(-m)),
+                 (fs[1].shift(m), fs[2].shift(1))]
+        assert_same_series(sum_products(dom, pairs),
+                           reference_sum_products(dom, pairs))
+
+
 def test_leading_zeros_strip_in_linear_time(zz):
     """2 * MAX_ORDER leading zeros cost one pass, not one list.pop(0) each
     (quadratic: seconds at this length)."""

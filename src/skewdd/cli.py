@@ -191,9 +191,9 @@ def demo_zsqrt5() -> None:
            cg.h == 2 and set(cg.forms) == {(1, 0, 5), (2, 2, 3)})
     p2 = ideals.from_ring_generators(dom, [dom.elem(2), dom.elem(1, 1)])
     _check("the prime above 2 is not principal",
-           ideals.principal_generator(p2) is None)
+           ideals.principal_generator(p2, ideals.PRINCIPAL_BOUND) is None)
     _check("its extension is not isomorphic to R (twisted class test)",
-           completion.extended_ideal_iso(p2, ideals.unit_ideal(dom)) is None)
+           ideals.extended_ideal_iso(p2, ideals.unit_ideal(dom)) is None)
     gens = [textio.parse_series(dom, "2+1*x^1"),
             textio.parse_series(dom, "1+1*w")]
     cert, repairs = extension.extend_with_repair(gens, 8)

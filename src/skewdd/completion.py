@@ -272,7 +272,7 @@ def _principal_or_obstruction(ideal: FracIdeal, what: str,
     if ideal.is_unit:
         return ideal.dom.fone
     try:
-        gen = ideals.principal_generator(ideal, coeff_bound=bound)
+        gen = ideals.principal_generator(ideal, bound)
     except BoundExceeded as err:
         raise SigmaClassObstruction(
             ideal, f"{what}: principal search exhausted ({err})") from None
@@ -658,17 +658,3 @@ def verify_final_conversion(cert: CompletionCertificate) -> VerifyReport:
                                   f"claimed {cert.prec}")
     return rep
 
-
-def extended_ideal_iso(j_ideal: FracIdeal, l_ideal: FracIdeal):
-    """(q0, k) with q0 * sigma^k(J) = L over the sigma orbit, or None.
-
-    Decides whether the extended ideals J*R and L*R are isomorphic at the
-    level the theory reduces it to: some twist of J lands in the class
-    of L.
-    """
-    dom = j_ideal.dom
-    for k in range(dom.sigma_order):
-        q0 = ideals.ideal_classes_isomorphic(j_ideal.sigma(k), l_ideal)
-        if q0 is not None:
-            return q0, k
-    return None

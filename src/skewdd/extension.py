@@ -26,16 +26,17 @@ too small, the inductive step fails a membership test at some order n
 and reports the strictly larger J + s_n * sigma^n(J)^(-1), still inside
 the constant ideal (ConstIdealUnderestimate); the lattice index drops
 each round, so at most log2(index) repairs happen. Each round
-normalize_generators rebuilds the row g from the windows of right
-combinations at orders 0, 1, ..., and the coefficient ideal it reads
-only grows with the order. Each window is tested against one
-ideals.PreparedBasis of its leading coefficients. One window serves
-every round of an extend_with_repair call and grows in place: the
-windows and their bases depend only on the generators, and J only
-grows, so a round tests the enlarged J against the orders already
-built, from order 0, and builds only the orders past them. The
-search stops at a proven order, not at a guess: if g came from window
-t, the enlarged J is realized by window n + 2t. For
+normalize_generators rebuilds the row g from the first window of right
+combinations, at orders 0, 1, ..., whose coefficient ideal holds J;
+that ideal only grows with the order. Each window order is tested
+against one ideals.PreparedBasis of its leading coefficients. One
+window serves every round of an extend_with_repair call and grows in
+place, and each round resumes the search at the order where the last
+one stopped. That loses nothing: J only grows, and a window whose
+ideal holds the enlarged J' also holds J, so no order below t, the
+first that realized J, realizes J'. The search stops at a proven
+order, not at a guess: if g came from window t, the enlarged J is
+realized by window n + 2t. For
 r = g * (A mod x^n) and tau in J^(-1), the element
 z = r_1 (a_2 tau) - r_2 (a_1 tau) has integral multipliers, vanishes
 below n and has order-n coefficient s_n * sigma^n(tau). g's multipliers
@@ -94,12 +95,11 @@ class _OrderWindow:
     it for just the row it reads.
 
     One window serves a whole repair loop: it grows in place, one order
-    at a time, so each product g_i * sigma^i(c) is formed once, and it
-    keeps what a later round reads again. Per order t it has reached,
-    levels[t] holds window t's leaders and one PreparedBasis of their
-    elements; rows holds the leader rows already read at its top order.
-    None of it depends on the ideal being searched for. top = -1 builds
-    an empty window.
+    at a time, so each product g_i * sigma^i(c) is formed once. At its
+    top order it holds leaders, (row index, order block, leading
+    RingElem) per pivot row, one PreparedBasis of their elements, and
+    rows, the leader rows already read. None of it depends on the ideal
+    being searched for. top = -1 builds an empty window.
     """
 
     def __init__(self, dom: Domain, gens: list[TruncatedSeries], top: int):
@@ -109,7 +109,6 @@ class _OrderWindow:
         self.consts = [dom.one, dom.omega] if dom.is_quad else [dom.one]
         # the shift-0 vectors, per generator and c
         self.vectors = [[[] for _ in self.consts] for _ in gens]
-        self.levels = []
         self.top = -1
         for _ in range(top + 1):
             self.grow()
@@ -117,10 +116,7 @@ class _OrderWindow:
     def grow(self):
         """Raise top by one: each shift-0 vector gains a block, the table
         is rebuilt and echeloned again from the same integers, and the
-        new order's leaders are prepared once for every later search.
-        The levels of the orders below are kept as they were, so a repair
-        round grows the window only past the highest order an earlier
-        round reached."""
+        new order's leaders are prepared once for every later solve."""
         self.top = top = self.top + 1
         dom, blocks = self.dom, self.blocks
         twists = [(e.a, e.b) for e in (dom.sigma_pow(c, top)
@@ -138,27 +134,18 @@ class _OrderWindow:
                     seeds.append((j, s, c))
         self.seeds = seeds
         self.ech, self.pivots, self.ops = echelon(rows)
-        leaders = self.leaders()
-        self.levels.append((leaders,
-                            PreparedBasis([e for (_, _, e) in leaders])))
+        self.leaders = []
+        for idx, col in enumerate(self.pivots):
+            t = col // blocks
+            row = self.ech[idx][t * blocks:(t + 1) * blocks]
+            self.leaders.append((idx, t, RingElem(dom, *row[::-1])))
+        self.basis = PreparedBasis([e for (_, _, e) in self.leaders])
         self.rows = {}
 
-    def leaders(self):
-        """(row_index, order_block, leading RingElem) per pivot row."""
-        out = []
-        for idx, col in enumerate(self.pivots):
-            t = col // self.blocks
-            base = t * self.blocks
-            if self.dom.is_quad:
-                elem = RingElem(self.dom, self.ech[idx][base + 1],
-                                self.ech[idx][base])
-            else:
-                elem = RingElem(self.dom, self.ech[idx][base])
-            out.append((idx, t, elem))
-        return out
-
     def level_ideal(self, t: int) -> FracIdeal:
-        gens = [e for (_, blk, e) in self.leaders() if blk <= t]
+        """The ideal of the leading coefficients at orders 0..t <= top:
+        the constant-ideal lower bound that window t realizes."""
+        gens = [e for (_, blk, e) in self.leaders if blk <= t]
         return from_ring_generators(self.dom, gens)
 
     def row_series(self, idx: int) -> TruncatedSeries:
@@ -177,40 +164,30 @@ class _OrderWindow:
             for g, its in zip(self.gens, items)])
 
 
-def normalize_generators(j_ideal: FracIdeal, gens: list[TruncatedSeries],
-                         top: int, window: _OrderWindow | None = None
+def normalize_generators(j_ideal: FracIdeal, window: _OrderWindow, top: int
                          ) -> tuple[SeriesMatrix, int]:
-    """Row (f1, f2) of right combinations with lowest coefficients
-    two_generators(j_ideal), each at valuation 0, and the first window
-    order t <= top whose level ideal holds both targets.
+    """Row (f1, f2) of right combinations of window.gens with lowest
+    coefficients two_generators(j_ideal), each at valuation 0, and the
+    first window order t <= top whose level ideal holds both targets.
 
-    The PreparedBasis of each window's leaders tests both targets and,
-    in the window that holds them, gives their coefficients.
-    MembershipError, naming the last window's level ideal, when no window
-    through top realizes the targets, or the known orders run out first.
-
-    window, when given, is the order window of the earlier rounds of one
-    repair loop over these generators (already normalized, as
-    window.gens; gens is then not read). Their ideals were smaller, so
-    it has not passed the window that realizes this one: its kept
-    orders are tested again from order 0, and it grows only past them.
+    The search resumes at window.top, growing the window one order at a
+    time; the PreparedBasis of each order's leaders tests both targets
+    and, at the order that holds them, gives their coefficients. Within
+    one repair loop J only grows, so no order below the one that
+    realized an earlier J realizes this one. MembershipError, naming the
+    last window's level ideal, when no window through top realizes the
+    targets, or the known orders run out first.
     """
-    if window is None:
-        norm = _normalized_ring_gens(gens)
-        window = _OrderWindow(norm[0].dom, norm, -1)
     dom = window.dom
-    quad = dom.is_quad
     targets = j_ideal.two_generators()
     # a generator known through order k - 1 allows windows 0..k - 1
     last = min([top, *(g.known_to - 1 for g in window.gens
                        if g.known_to is not None)])
-    for t in range(last + 1):
+    for t in range(max(window.top, 0), last + 1):
         if t > window.top:
             window.grow()
-        leaders, basis = window.levels[t]
         try:
-            sols = [basis.solve([a.b, a.a] if quad else [a.a])
-                    for a in targets]
+            coeffs = [window.basis.solve((a.a, a.b)) for a in targets]
             break
         except MembershipError:
             pass
@@ -219,22 +196,16 @@ def normalize_generators(j_ideal: FracIdeal, gens: list[TruncatedSeries],
                               "targets not realizable within precision"
                               if last < top else
                               f"targets not realizable by window order {top}")
-    if t != window.top:
-        raise SkewError(f"internal error: order window {window.top} is "
-                        f"past window {t}, which realizes the ideal")
-    # per target, the coefficient u + v*w of each leader as a pair (u, v)
-    coeffs = [list(zip(w[::2], w[1::2])) if quad else [(u, 0) for u in w]
-              for w in sols]
     # each leader row read is replayed and multiplied out once per window
     rows = window.rows
-    for k, (idx, blk, _) in enumerate(leaders):
+    for k, (idx, blk, _) in enumerate(window.leaders):
         if idx not in rows and any(any(us[k]) for us in coeffs):
             rows[idx] = window.row_series(idx).shift(-blk)
     entries = []
     for target, us in zip(targets, coeffs):
         acc = sum_products(dom, [
             (rows[idx], TruncatedSeries.const(dom, RingElem(dom, *u)))
-            for (idx, _, _), u in zip(leaders, us) if any(u)])
+            for (idx, _, _), u in zip(window.leaders, us) if any(u)])
         if acc.is_known_zero or acc.valuation() != 0 or acc.lowest() != target.to_field():
             raise SkewError("normalized generator lost its lowest coefficient")
         entries.append(acc)
@@ -320,7 +291,6 @@ def extend(j_ideal: FracIdeal, g: SeriesMatrix, prec: int
     if from_ring_generators(dom, [a1, a2]) != j_ideal:
         raise SkewError("lowest coefficients do not generate the given ideal")
 
-    quad = dom.is_quad
     g0 = [(a1.a, a1.b), (a2.a, a2.b)]
     # per parity p: sigma^p(a1) and sigma^p(a2) as pairs, and
     # sigma^p(a1)^(-1) as (pair, positive denominator)
@@ -354,9 +324,10 @@ def extend(j_ideal: FracIdeal, g: SeriesMatrix, prec: int
                 basis = bases[p] = PreparedBasis(
                     [x * dom.sigma_pow(y, p) for x in (a1, a2)
                      for y in (a1, a2)])
-            # the products are integral, so the basis scale is 1
+            # the products are integral, so the basis scale is 1; c_jk
+            # as pairs, (j, k) in row-major order
             try:
-                c = basis.solve([sn[1], sn[0]] if quad else [sn[0]])
+                cs = basis.solve(sn)
             except MembershipError:
                 s_n = RingElem(dom, *sn)
                 inv_sig_j = j_ideal.sigma(n).inverse()
@@ -364,8 +335,6 @@ def extend(j_ideal: FracIdeal, g: SeriesMatrix, prec: int
                 if not enlarged.is_integral:
                     raise SkewError("enlarged constant ideal is not integral")
                 raise ConstIdealUnderestimate(enlarged, n, s_n) from None
-            # c_jk as pairs, (j, k) in row-major order
-            cs = list(zip(c[::2], c[1::2])) if quad else [(x, 0) for x in c]
             c_text = [[format_parts(*e) for e in cs[:2]],
                       [format_parts(*e) for e in cs[2:]]]
             a_n = [[(-cs[1][0], -cs[1][1]), cs[0]],
@@ -470,7 +439,7 @@ def extend_with_repair(gens: list[TruncatedSeries], prec: int):
     if len(norm) == 2:
         row, t = SeriesMatrix(dom, [list(norm)]), 0
     else:
-        row, t = normalize_generators(j_ideal, norm, 0, window)
+        row, t = normalize_generators(j_ideal, window, 0)
     repairs = 0
     while True:
         try:
@@ -480,5 +449,4 @@ def extend_with_repair(gens: list[TruncatedSeries], prec: int):
                 raise SkewError("repair loop failed to enlarge the ideal")
             j_ideal = err.enlarged
             repairs += 1
-            row, t = normalize_generators(j_ideal, norm, err.order + 2 * t,
-                                          window)
+            row, t = normalize_generators(j_ideal, window, err.order + 2 * t)

@@ -147,27 +147,6 @@ def combine_transform(ops, v: list[int]) -> list[int]:
     return w
 
 
-def solve_in_rowspace(target: list[int], ech, pivots) -> list[int]:
-    """Integer coefficients z on the echelon rows with z * ech = target.
-
-    Raises MembershipError(target, None) when no integer solution exists.
-    """
-    t = list(target)
-    z = [0] * len(ech)
-    for idx, col in enumerate(pivots):
-        piv = ech[idx][col]
-        if t[col] % piv:
-            raise MembershipError(target, None, "no integral solution")
-        q = t[col] // piv
-        z[idx] = q
-        if q:
-            for j in range(len(t)):
-                t[j] -= q * ech[idx][j]
-    if any(t):
-        raise MembershipError(target, None, "no integral solution")
-    return z
-
-
 class FracIdeal:
     """Fractional ideal (Z*a + Z*(b + c*w)) / den in canonical form.
 
@@ -426,8 +405,8 @@ class PreparedBasis:
 
     Holds the common denominator scale of the generators and the echelon
     form (ech, pivots, ops) of the integer coordinate rows of scale * g_j
-    and scale * g_j * w. solve writes one integral target over those
-    rows, express one field element over the generators; the echelon is
+    and scale * g_j * w. solve writes one scaled element, as an integer
+    pair, over the generators, express one field element; the echelon is
     not repeated per target.
     """
 
@@ -442,34 +421,42 @@ class PreparedBasis:
         self.ech, self.pivots, self.ops = echelon(
             _coefficient_rows(self.dom, ring_gens))
 
-    def solve(self, target: list[int]) -> list[int]:
-        """Integers (u_j, v_j) per generator, flattened (u_j alone over
-        Z), with scale * e = sum scale * g_j * (u_j + v_j * w) for the
-        element e whose scaled coordinates (b, a) (over Z: (a)) are
-        target. Raises MembershipError(target, None) when there are none.
-        """
-        return combine_transform(
-            self.ops, solve_in_rowspace(target, self.ech, self.pivots))
+    def solve(self, e: tuple[int, int]) -> list[tuple[int, int]]:
+        """Integer pairs (u_j, v_j) per generator (v_j = 0 over Z) with
+        scale * e = sum scale * g_j * (u_j + v_j * w) for the element
+        e = a + b*w given as the pair (a, b) of its scaled coordinates.
+        Raises MembershipError(e, None) when there are none."""
+        quad = self.dom.is_quad
+        t = [e[1], e[0]] if quad else [e[0]]
+        z = [0] * len(self.ech)
+        for idx, col in enumerate(self.pivots):
+            row = self.ech[idx]
+            q, rem = divmod(t[col], row[col])
+            if rem:  # t[col] != 0 stays, so any(t) below raises
+                break
+            z[idx] = q
+            if q:
+                for j in range(len(t)):
+                    t[j] -= q * row[j]
+        if any(t):
+            raise MembershipError(e, None, "no integral solution")
+        w = combine_transform(self.ops, z)
+        return list(zip(w[::2], w[1::2])) if quad else [(u, 0) for u in w]
 
     def express(self, e: FieldElem) -> list[RingElem]:
         """Coefficients u_j in D with e = sum gens_j * u_j; raises
         MembershipError(e, module) when e is outside the module."""
-        dom = self.dom
         # module elements are integral over scale: a larger denominator
         # puts e outside it
         k, rem = divmod(self.scale, e.den)
         try:
             if rem:
                 raise MembershipError(e, None)
-            et = e.num
-            w = self.solve([et.b * k, et.a * k] if dom.is_quad
-                           else [et.a * k])
+            pairs = self.solve((e.num.a * k, e.num.b * k))
         except MembershipError:
-            raise MembershipError(e, from_generators(dom, self.gens)) from None
-        if dom.is_quad:
-            return [RingElem(dom, w[j], w[j + 1])
-                    for j in range(0, len(w), 2)]
-        return [RingElem(dom, x) for x in w]
+            raise MembershipError(e, from_generators(self.dom, self.gens)
+                                  ) from None
+        return [RingElem(self.dom, u, v) for u, v in pairs]
 
 
 def _shells_up_to_sign(n: int):
@@ -605,9 +592,23 @@ def ideal_classes_isomorphic(u: FracIdeal, v: FracIdeal):
         raise UnsupportedDomain("real quadratic class queries are not decided")
     if u.is_zero or v.is_zero:
         raise ZeroIdealError("class query on the zero ideal")
-    q0 = principal_generator(v.mul(u.inverse()))
+    q0 = principal_generator(v.mul(u.inverse()), PRINCIPAL_BOUND)
     if q0 is None:
         return None
     if u.scale(q0) != v:
         raise SkewError("generator verification failed")
     return q0
+
+
+def extended_ideal_iso(j_ideal: FracIdeal, l_ideal: FracIdeal):
+    """(q0, k) with q0 * sigma^k(J) = L over the sigma orbit, or None.
+
+    Decides whether the extended ideals J*R and L*R are isomorphic at the
+    level the theory reduces it to: some twist of J lands in the class
+    of L.
+    """
+    for k in range(j_ideal.dom.sigma_order):
+        q0 = ideal_classes_isomorphic(j_ideal.sigma(k), l_ideal)
+        if q0 is not None:
+            return q0, k
+    return None

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from .domains import Domain, RingElem
 from .errors import NotTwoSided, SkewError, UnsupportedDomain
 from . import ideals
-from .ideals import FracIdeal, from_ring_generators
+from .ideals import FracIdeal, extended_ideal_iso, from_ring_generators
 from .classgroup import class_group, sigma_acts_trivially
-from .completion import extended_ideal_iso
 from .series import TruncatedSeries, mul, scale_right
 from . import textio
 

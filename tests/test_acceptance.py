@@ -222,7 +222,7 @@ def test_criterion_k0_report():
         assert "G(R) = G(D) = Z/2" in rep.k0_text
         assert "Z + Z/2" in rep.k0_text
         assert rep.witness_ideal is not None
-        assert completion.extended_ideal_iso(
+        assert ideals.extended_ideal_iso(
             rep.witness_ideal, unit_ideal(dom)) is None
     for spec in (DomainSpec("int"), DomainSpec("quad", -1, "conj")):
         dom = get_domain(spec)

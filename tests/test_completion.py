@@ -11,7 +11,6 @@ from skewdd.completion import (
     base_case_invert,
     check_unimodular,
     complete_unimodular_row,
-    extended_ideal_iso,
     lift_invertibility,
     reduce_row,
     verify_completion,
@@ -23,7 +22,8 @@ from skewdd.errors import (
     SigmaClassObstruction,
     SkewError,
 )
-from skewdd.ideals import from_generators, from_ring_generators, unit_ideal
+from skewdd.ideals import (extended_ideal_iso, from_generators,
+                           from_ring_generators, unit_ideal)
 from skewdd.series import SeriesMatrix, TruncatedSeries, det2
 from skewdd.textio import parse_series
 
@@ -435,6 +435,20 @@ def test_extended_ideal_iso_examples(z5, zz):
     three = from_ring_generators(zz, [zz.elem(3)])
     q0, k = extended_ideal_iso(two, three)
     assert k == 0 and q0 == zz.felem(3, den=2)
+
+
+def test_class_query_and_completion_share_one_principal_search(z5):
+    """ideal_classes_isomorphic and the completion engine pass the same
+    bound the same way, so their principal searches share one memo
+    entry: one miss, then one hit."""
+    p2 = from_ring_generators(z5, [z5.elem(2), z5.elem(1, 1)])
+    p3 = from_ring_generators(z5, [z5.elem(3), z5.elem(1, 1)])
+    ideals.principal_generator.cache_clear()
+    q0 = ideals.ideal_classes_isomorphic(p2, p3)
+    assert completion._principal_or_obstruction(
+        p3.mul(p2.inverse()), "class ratio") == q0
+    info = ideals.principal_generator.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_extended_ideal_iso_uses_sigma_orbit(z5c):

@@ -36,30 +36,37 @@ def count_windows(monkeypatch):
     return built
 
 
+def window_of(gens):
+    """An empty order window over the normalized generators."""
+    norm = extension._normalized_ring_gens(gens)
+    return extension._OrderWindow(norm[0].dom, norm, -1)
+
+
 def test_normalize_generators_examples(zz, z5):
     ng, t = normalize_generators(from_ring_generators(zz, [zz.elem(2)]),
-                                 [parse_series(zz, "2+1*x^1")], 0)
+                                 window_of([parse_series(zz, "2+1*x^1")]), 0)
     assert t == 0
     assert ng.rows[0][0] == parse_series(zz, "2+1*x^1")
     assert ng.rows[0][1] == parse_series(zz, "2+1*x^1")
     # valuation is normalized away before the window is built
-    assert normalize_generators(from_ring_generators(zz, [zz.elem(2)]),
-                                [parse_series(zz, "2*x^3+1*x^4")], 0) == (ng, 0)
+    assert normalize_generators(
+        from_ring_generators(zz, [zz.elem(2)]),
+        window_of([parse_series(zz, "2*x^3+1*x^4")]), 0) == (ng, 0)
     p2 = from_ring_generators(z5, [z5.elem(2), z5.elem(1, 1)])
     gens = [parse_series(z5, "2"), parse_series(z5, "1+1*w")]
-    ng, t = normalize_generators(p2, gens, 0)
+    ng, t = normalize_generators(p2, window_of(gens), 0)
     assert t == 0
     assert ng.rows[0][0].lowest() == z5.felem(2)
     assert ng.rows[0][1].lowest() == z5.felem(1, 1)
     # unit-ideal target realized through the recorded cancellation
-    ng, t = normalize_generators(
-        unit_ideal(zz), [parse_series(zz, "2+1*x^1"), parse_series(zz, "2")], 8)
+    ng, t = normalize_generators(unit_ideal(zz), window_of(
+        [parse_series(zz, "2+1*x^1"), parse_series(zz, "2")]), 8)
     assert t == 1
     assert ng.rows[0][0].lowest() == zz.fone
     # ... but not when the search must stop at window 0
     with pytest.raises(MembershipError):
-        normalize_generators(
-            unit_ideal(zz), [parse_series(zz, "2+1*x^1"), parse_series(zz, "2")], 0)
+        normalize_generators(unit_ideal(zz), window_of(
+            [parse_series(zz, "2+1*x^1"), parse_series(zz, "2")]), 0)
 
 
 def test_normalize_generators_pinned_rows(zz, z5, z5c):
@@ -88,7 +95,7 @@ def test_normalize_generators_pinned_rows(zz, z5, z5c):
     for dom, target, gens, rows in cases:
         # the known orders, not top, end the truncated cases' search
         got, _ = normalize_generators(
-            target, [parse_series(dom, s) for s in gens], 8)
+            target, window_of([parse_series(dom, s) for s in gens]), 8)
         want = SeriesMatrix(dom, [[
             series_from_json(dom, {"val": val, "coeffs": coeffs, "prec": kt})
             for val, coeffs, kt in rows]])
@@ -98,7 +105,8 @@ def test_normalize_generators_pinned_rows(zz, z5, z5c):
 def test_normalize_unrealizable_target(zz, monkeypatch):
     built = count_windows(monkeypatch)
     with pytest.raises(MembershipError):
-        normalize_generators(unit_ideal(zz), [parse_series(zz, "2+2*x^1")], 4)
+        normalize_generators(unit_ideal(zz),
+                             window_of([parse_series(zz, "2+2*x^1")]), 4)
     # exact generators: the search ends at window order top
     assert built == [0, 1, 2, 3, 4]
 
@@ -107,7 +115,8 @@ def test_give_up_names_the_last_level_ideal(zz):
     """A search that gives up names the level ideal of its last window,
     (2) for 2 + 2x through window 4, built once, when it gives up."""
     with pytest.raises(MembershipError) as err:
-        normalize_generators(unit_ideal(zz), [parse_series(zz, "2+2*x^1")], 4)
+        normalize_generators(unit_ideal(zz),
+                             window_of([parse_series(zz, "2+2*x^1")]), 4)
     assert err.value.lattice == from_ring_generators(zz, [zz.elem(2)])
     assert err.value.element == unit_ideal(zz).two_generators()
 
@@ -413,7 +422,7 @@ def test_a_wrong_solution_fails_the_induction_invariant(any_domain,
         c = solve(self, target)
         calls.append(target)
         if len(calls) == solved.index(order) + 1:
-            c[0] += 1
+            c[0] = (c[0][0] + 1, c[0][1])
         return c
 
     monkeypatch.setattr(ideals.PreparedBasis, "solve", off_by_one)

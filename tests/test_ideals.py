@@ -506,10 +506,8 @@ def test_prepared_basis_answers_as_express_in_generators(any_domain, data):
             want = ideals.PreparedBasis(gens).express(e)
             assert basis.express(e) == want
             k = basis.scale // e.den
-            target = ([e.num.b * k, e.num.a * k] if dom.is_quad
-                      else [e.num.a * k])
-            assert basis.solve(target) == [x for c in want for x in (
-                (c.a, c.b) if dom.is_quad else (c.a,))]
+            assert basis.solve((e.num.a * k, e.num.b * k)) \
+                == [(c.a, c.b) for c in want]
             continue
         with pytest.raises(MembershipError) as one_shot:
             ideals.PreparedBasis(gens).express(e)

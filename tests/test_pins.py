@@ -448,7 +448,7 @@ def test_order_windows_replay_only_the_rows_they_read(tmp_path,
         replayed = [v for ops, v in call["replays"] if ops is final.ops]
         assert replayed == [[int(k == idx) for k in range(len(final.seeds))]
                             for idx in call["reads"]]
-        assert set(call["reads"]) <= {idx for idx, _, _ in final.leaders()}
+        assert set(call["reads"]) <= {idx for idx, _, _ in final.leaders}
         assert len(set(call["reads"])) == len(call["reads"])
         assert len(call["replays"]) == len(replayed) + 2
 
@@ -474,11 +474,12 @@ def test_window_search_solves_once_per_window(tmp_path, monkeypatch, domain,
     echelon = ideals.echelon
     pair_mul = extension.pair_mul
 
-    def normalizing(j_ideal, gens, top, window=None):
-        calls.append({"gens": len(gens), "echelons": [], "products": 0})
+    def normalizing(j_ideal, window, top):
+        calls.append({"gens": len(window.gens), "echelons": [],
+                      "products": 0})
         inside.append(True)
         try:
-            row, t = normalize(j_ideal, gens, top, window)
+            row, t = normalize(j_ideal, window, top)
         finally:
             inside.pop()
         calls[-1]["window"] = t
@@ -550,8 +551,8 @@ def test_repairs_are_realized_by_the_proven_window(tmp_path, monkeypatch,
     normalize = extension.normalize_generators
     extend = extension.extend
 
-    def unbounded(j_ideal, gens, top, window=None):
-        row, t = normalize(j_ideal, gens, 10 ** 6, window)
+    def unbounded(j_ideal, window, top):
+        row, t = normalize(j_ideal, window, 10 ** 6)
         events.append(("window", top, t))
         return row, t
 
@@ -583,6 +584,70 @@ def test_repairs_are_realized_by_the_proven_window(tmp_path, monkeypatch,
     # 28 repairs at either seed; the bound is met with equality
     assert len(slack) == 28
     assert min(slack) == 0
+
+
+# extend-window jobs (seed, index) whose repair resumes the window search
+# above order 0
+RESUMED_JOBS = [(0, 26), (0, 27), (0, 29), (0, 37),
+                (1, 1), (1, 4), (1, 7), (1, 38)]
+
+
+def test_resumed_window_search_matches_a_search_from_order_zero(
+        tmp_path, monkeypatch):
+    """Each normalize_generators call of the seed-0/1 extend-window jobs
+    0..39 resumes at the order its window reached in the earlier rounds,
+    solves against no order below it, and returns the t and row that a
+    fresh window searched from order 0 returns. Eleven calls, in the
+    RESUMED_JOBS, resume above order 0. Counted, not timed."""
+    normalize = extension.normalize_generators
+    grow, solve = extension._OrderWindow.grow, ideals.PreparedBasis.solve
+    # id of each window basis -> (basis, its order); the basis is kept so
+    # that its id is not reused
+    order_of, solved, resumed, below = {}, [], [], []
+
+    def growing(self):
+        grow(self)
+        order_of[id(self.basis)] = (self.basis, self.top)
+
+    def solving(self, e):
+        solved.append(id(self))
+        return solve(self, e)
+
+    def checking(j_ideal, window, top):
+        entry = window.top
+        solved.clear()
+        row, t = normalize(j_ideal, window, top)
+        orders = [order_of[k][1] for k in solved]
+        below.extend(o for o in orders if o < entry)
+        assert orders[0] == max(entry, 0) and t == window.top
+        if entry > 0:
+            resumed.append(job)
+        fresh = extension._OrderWindow(window.dom, window.gens, -1)
+        assert normalize(j_ideal, fresh, top) == (row, t)
+        return row, t
+
+    monkeypatch.setattr(extension._OrderWindow, "grow", growing)
+    monkeypatch.setattr(ideals.PreparedBasis, "solve", solving)
+    monkeypatch.setattr(extension, "normalize_generators", checking)
+    for job in [(seed, index) for seed in (0, 1) for index in range(40)]:
+        assert run.run_job(cli.main, gen.make_job("extend-window", *job),
+                           tmp_path).ok
+    monkeypatch.undo()
+    assert below == []
+    assert len(resumed) == 11 and sorted(set(resumed)) == RESUMED_JOBS
+
+
+def test_resumed_window_search_certificates_match_pinned_digest(tmp_path):
+    """The certificates of the RESUMED_JOBS, concatenated in that order,
+    have the bytes the search from order 0 gave them."""
+    digest = hashlib.sha256()
+    for job in RESUMED_JOBS:
+        res = run.run_job(cli.main, gen.make_job("extend-window", *job),
+                          tmp_path)
+        assert res.ok and not res.detail
+        digest.update(res.data)
+    assert digest.hexdigest() == (
+        "c84c45e2905fb03ddb465aafd348a79f861975da35b6e5d14c81ad0224012145")
 
 
 @pytest.mark.parametrize("domain", ["quad:-5:conj", "quad:-5:id", "int"])

@@ -2,8 +2,19 @@
 
 Classes are represented by reduced positive definite binary quadratic
 forms (A, B, C) of the field discriminant, with Gaussian composition
-for the group law. The form <-> ideal dictionary used throughout maps
-(A, B, C) to the ideal with Z-basis (A, (-B + sqrt(disc))/2).
+for the group law (Cohen, GTM 138, sections 5.2-5.4). The form <-> ideal
+dictionary used throughout maps (A, B, C) to the ideal with Z-basis
+(A, (-B + sqrt(disc))/2). A group is its sorted reduced forms and their
+invariant factors; no composition table is built.
+
+- Invariant factors: for each p^a exactly dividing h, the p-part
+  Z/p^e1 + Z/p^e2 + ... has p^r_k times as many classes killed by p^k
+  as by p^(k-1), where r_k is the number of e_i >= k. Raising every
+  form to the p-th power up to a times, by square-and-multiply, counts
+  them: about h*log2(h) compositions in all, in integer arithmetic.
+- class_of: an ideal is a rational multiple of its primitive part
+  Z*A + Z*(b + w), the ideal of the form (A, -2b - omega_t, C) (the
+  inverse of ideal_of_form); reducing that form names its class.
 
 Real quadratic class groups are refused (UnsupportedDomain); the rest of
 the package only ever needs principal generator searches there.
@@ -16,16 +27,14 @@ read-only and thread-safe.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from dataclasses import dataclass
-from math import gcd, isqrt
+from itertools import accumulate
+from math import gcd, isqrt, prod
 
 from .domains import Domain
 from .errors import SkewError, UnsupportedDomain, ZeroIdealError
-from .ideals import (
-    FracIdeal,
-    ideal_classes_isomorphic,
-    xgcd,
-)
+from .ideals import FracIdeal, xgcd
 
 
 def solve_linmod(a: int, b: int, m: int) -> tuple[int, int]:
@@ -36,14 +45,10 @@ def solve_linmod(a: int, b: int, m: int) -> tuple[int, int]:
     return (b // g * d) % m, m // g
 
 
-def normalize_form(form):
-    a, b, c = form
-    r = (a - b) // (2 * a)
-    return (a, b + 2 * r * a, a * r * r + b * r + c)
-
-
 def reduce_form(form):
-    a, b, c = normalize_form(form)
+    a, b, c = form
+    r = (a - b) // (2 * a)  # normalize: -a < b <= a
+    b, c = b + 2 * r * a, a * r * r + b * r + c
     while a > c or (a == c and b < 0):
         s = (c + b) // (2 * c)
         a, b, c = c, -b + 2 * s * c, c * s * s - b * s + a
@@ -66,19 +71,13 @@ def compose_forms(f1, f2):
     g = (b + beta) // 2
     h = -(b - beta) // 2
     w = gcd(gcd(a, alpha), g)
-    j = w
-    s = a // w
-    t = alpha // w
-    u = g // w
+    s, t, u = a // w, alpha // w, g // w
     mu, nu = solve_linmod(t * u, h * u + s * c, s * t)
     lam = solve_linmod(t * nu, h - t * mu, s)[0]
     k = mu + nu * lam
     ell = (k * t - h) // s
     m = (t * u * k - h * u - c * s) // (s * t)
-    big_a = s * t
-    big_b = j * u - (k * t + ell * s)
-    big_c = k * ell - j * m
-    return reduce_form((big_a, big_b, big_c))
+    return reduce_form((s * t, w * u - (k * t + ell * s), k * ell - w * m))
 
 
 def enumerate_reduced_forms(disc: int) -> list:
@@ -88,30 +87,24 @@ def enumerate_reduced_forms(disc: int) -> list:
     forms = []
     amax = isqrt(-disc // 3)
     for a in range(1, amax + 1):
-        for b in range(-a + 1, a + 1):
-            if (b - disc) % 2:
-                continue
+        # only b of the discriminant's parity: b*b - disc is then 4ac
+        for b in range(-a + 1 + (a - 1 + disc) % 2, a + 1, 2):
             num = b * b - disc
             if num % (4 * a):
                 continue
             c = num // (4 * a)
-            if c < a:
-                continue
-            if a == c and b < 0:
-                continue
-            if gcd(gcd(a, b), c) != 1:
-                continue
-            forms.append((a, b, c))
+            if c > a or (c == a and b >= 0):
+                if gcd(gcd(a, b), c) == 1:
+                    forms.append((a, b, c))
     return sorted(forms)
 
 
 @dataclass(frozen=True)
 class ClassGroup:
-    """Finite abelian group of form classes with its composition table."""
+    """Finite abelian group of form classes: the sorted reduced forms."""
 
     disc: int | None
     forms: tuple
-    table: tuple
     identity: int
     invariants: tuple
 
@@ -119,88 +112,98 @@ class ClassGroup:
     def h(self) -> int:
         return len(self.forms)
 
+    def index(self, form) -> int:
+        """Position of a reduced form among the sorted forms."""
+        i = bisect_left(self.forms, form)
+        if self.forms[i:i + 1] != (form,):
+            raise SkewError(f"{form} is not a reduced form of {self.disc}")
+        return i
+
     def compose(self, i: int, j: int) -> int:
-        return self.table[i][j]
+        if self.disc is None:
+            return self.identity
+        return self.index(compose_forms(self.forms[i], self.forms[j]))
 
     def inverse(self, i: int) -> int:
+        if self.disc is None:
+            return self.identity
         a, b, c = self.forms[i]
-        return self.forms.index(reduce_form((a, -b, c)))
+        return self.index(reduce_form((a, -b, c)))
 
     def structure_text(self) -> str:
-        if not self.invariants:
-            return "trivial"
-        return " x ".join(f"Z/{d}" for d in self.invariants)
+        return " x ".join(f"Z/{d}" for d in self.invariants) or "trivial"
 
     def to_json(self) -> dict:
-        return {
-            "disc": self.disc,
-            "forms": [list(f) for f in self.forms],
-            "h": self.h,
-            "structure": self.structure_text(),
-        }
+        return {"disc": self.disc, "forms": [list(f) for f in self.forms],
+                "h": self.h, "structure": self.structure_text()}
 
 
-def _invariant_factors(table, identity) -> tuple:
-    """Invariant factor decomposition of an abelian group table."""
-    n = len(table)
-    if n == 1:
-        return ()
+def _prime_powers(n: int) -> list:
+    """(p, a) for each prime power p^a exactly dividing n >= 1."""
+    out, p = [], 2
+    while n > 1:
+        if p * p > n:
+            p = n
+        a = 0
+        while n % p == 0:
+            n, a = n // p, a + 1
+        if a:
+            out.append((p, a))
+        p += 1
+    return out
 
-    def order(i):
-        k, x = 1, i
-        while x != identity:
-            x = table[x][i]
-            k += 1
-        return k
 
-    g = max(range(n), key=order)
-    d1 = order(g)
-    # cosets of <g>
-    sub = []
-    x = identity
-    while True:
-        sub.append(x)
-        x = table[x][g]
-        if x == identity:
-            break
-    coset_of = {}
-    reps = []
-    for i in range(n):
-        if i in coset_of:
-            continue
-        members = sorted(table[i][s] for s in sub)
-        rep = members[0]
-        reps.append(rep)
-        for mbr in members:
-            coset_of[mbr] = rep
-    idx = {rep: k for k, rep in enumerate(reps)}
-    qtable = tuple(
-        tuple(idx[coset_of[table[r1][r2]]] for r2 in reps) for r1 in reps
-    )
-    rest = _invariant_factors(qtable, idx[coset_of[identity]])
-    for d in rest:
-        if d1 % d:
-            raise SkewError("invariant factor computation failed")
-    return (d1,) + tuple(rest)
+def _power(form, n: int):
+    """form^n for n >= 1, by left-to-right square-and-multiply."""
+    out = form
+    for bit in bin(n)[3:]:
+        out = compose_forms(out, out)
+        if bit == "1":
+            out = compose_forms(out, form)
+    return out
+
+
+def _invariant_factors(forms, unit) -> tuple:
+    """Invariant factors, largest first: killed[k] counts the forms whose
+    p^k-th power is the unit, and killed[k] / killed[k-1] = p^r_k."""
+    factors = []
+    for p, a in _prime_powers(len(forms)):
+        first = [0] * (a + 1)  # forms first killed by p^k
+        for f in forms:
+            k = 0
+            while f != unit and k < a:
+                f, k = _power(f, p), k + 1
+            if f == unit:
+                first[k] += 1
+        killed = list(accumulate(first))
+        ranks = []
+        for lo, hi in zip(killed, killed[1:]):
+            r = 0
+            while lo * p ** r < hi:
+                r += 1
+            if lo * p ** r != hi:
+                raise SkewError("invariant factor computation failed")
+            ranks.append(r)
+        exps = [sum(r >= i for r in ranks) for i in range(1, max(ranks) + 1)]
+        factors += [1] * (len(exps) - len(factors))
+        for i, e in enumerate(exps):
+            factors[i] *= p ** e
+    if prod(factors) != len(forms):
+        raise SkewError("invariant factor computation failed")
+    return tuple(factors)
 
 
 @functools.lru_cache(maxsize=None)
 def _class_group_of_disc(disc: int) -> ClassGroup:
     forms = tuple(enumerate_reduced_forms(disc))
-    index = {f: i for i, f in enumerate(forms)}
-    table = tuple(
-        tuple(index[compose_forms(f1, f2)] for f2 in forms) for f1 in forms
-    )
-    identity = index[reduce_form(principal_form(disc))]
-    # group sanity: identity row/column, closed inverses
-    for i, f in enumerate(forms):
-        if table[identity][i] != i or table[i][identity] != i:
-            raise SkewError("composition identity check failed")
-    invs = _invariant_factors(table, identity)
-    return ClassGroup(disc, forms, table, identity, invs)
+    unit = principal_form(disc)  # reduced already: A = 1 >= |B|
+    if any(compose_forms(unit, f) != f for f in forms):
+        raise SkewError("composition identity check failed")
+    return ClassGroup(disc, forms, forms.index(unit),
+                      _invariant_factors(forms, unit))
 
 
-_TRIVIAL = ClassGroup(None, ((1, 0, 0),), ((0,),), 0, ())
+_TRIVIAL = ClassGroup(None, ((1, 0, 0),), 0, ())
 
 
 def class_group(dom: Domain) -> ClassGroup:
@@ -215,25 +218,20 @@ def class_group(dom: Domain) -> ClassGroup:
 def ideal_of_form(dom: Domain, form) -> FracIdeal:
     """Ideal with Z-basis (A, (-B + sqrt(disc))/2) for the form (A, B, C)."""
     a, b, _ = form
-    if dom.omega_t:
-        bcoef = (-(b + 1) // 2) % a
-    else:
-        bcoef = (-b // 2) % a
-    return FracIdeal(dom, a, bcoef, 1)
+    return FracIdeal(dom, a, (-(b + dom.omega_t) // 2) % a, 1)
 
 
 def class_of(dom: Domain, u: FracIdeal) -> int:
-    """Index of the reduced form representing the class of u."""
+    """Index of the reduced form representing the class of u: that of
+    (A, -2b - omega_t, C), whose ideal_of_form is u's primitive part
+    Z*A + Z*(b + w), a rational multiple of u."""
     if u.is_zero:
         raise ZeroIdealError("zero ideal has no class")
     cg = class_group(dom)
     if cg.disc is None:
         return 0
-    for i, form in enumerate(cg.forms):
-        rep = ideal_of_form(dom, form)
-        if ideal_classes_isomorphic(u, rep) is not None:
-            return i
-    raise SkewError("ideal matched no form class")
+    a, b = u.a // u.c, -2 * (u.b // u.c) - dom.omega_t
+    return cg.index(reduce_form((a, b, (b * b - cg.disc) // (4 * a))))
 
 
 def sigma_acts_trivially(dom: Domain) -> bool:

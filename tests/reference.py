@@ -18,6 +18,11 @@ package imports this module.
 - reference_echelon: ideals.echelon with its full transform.
 - reference_parse_series: textio.parse_series by splitting the text into
   top-level terms first and matching each term twice.
+- reference_invariant_factors: classgroup's invariant factors from the
+  full composition table, by splitting off the cyclic subgroup of a
+  largest order and recursing on the quotient table.
+- reference_class_of: classgroup.class_of by one principal generator
+  search per reduced form.
 """
 
 import re
@@ -25,8 +30,11 @@ from math import lcm
 from operator import mul
 
 from skewdd import ideals
+from skewdd.classgroup import (class_group, compose_forms,
+                               enumerate_reduced_forms, ideal_of_form,
+                               principal_form)
 from skewdd.domains import FieldElem, RingElem
-from skewdd.errors import ConstIdealUnderestimate, MembershipError
+from skewdd.errors import ConstIdealUnderestimate, MembershipError, SkewError
 from skewdd.series import (SeriesMatrix, TruncatedSeries, _kt_add, _kt_min,
                            _lanes, _with_sum, det2)
 from skewdd.textio import _order, format_ring_elem, parse_field_elem
@@ -340,3 +348,69 @@ def reference_parse_series(dom, text):
         raise ValueError(
             f"series {text!r} has terms at or past its O(x^{known_to}) bound")
     return TruncatedSeries.from_coeff_map(dom, items, known_to)
+
+
+def _table_invariant_factors(table, identity):
+    """Invariant factor decomposition of an abelian group table."""
+    n = len(table)
+    if n == 1:
+        return ()
+
+    def order(i):
+        k, x = 1, i
+        while x != identity:
+            x = table[x][i]
+            k += 1
+        return k
+
+    g = max(range(n), key=order)
+    d1 = order(g)
+    # cosets of <g>
+    sub = []
+    x = identity
+    while True:
+        sub.append(x)
+        x = table[x][g]
+        if x == identity:
+            break
+    coset_of = {}
+    reps = []
+    for i in range(n):
+        if i in coset_of:
+            continue
+        members = sorted(table[i][s] for s in sub)
+        rep = members[0]
+        reps.append(rep)
+        for mbr in members:
+            coset_of[mbr] = rep
+    idx = {rep: k for k, rep in enumerate(reps)}
+    qtable = tuple(
+        tuple(idx[coset_of[table[r1][r2]]] for r2 in reps) for r1 in reps
+    )
+    rest = _table_invariant_factors(qtable, idx[coset_of[identity]])
+    for d in rest:
+        if d1 % d:
+            raise SkewError("invariant factor computation failed")
+    return (d1,) + tuple(rest)
+
+
+def reference_invariant_factors(disc):
+    """The invariant factors of the reduced forms of disc, largest first,
+    from the h x h composition table: split off the cyclic subgroup of
+    an element of largest order and recurse on the quotient table."""
+    forms = tuple(enumerate_reduced_forms(disc))
+    index = {f: i for i, f in enumerate(forms)}
+    table = tuple(
+        tuple(index[compose_forms(f1, f2)] for f2 in forms) for f1 in forms
+    )
+    return _table_invariant_factors(table, index[principal_form(disc)])
+
+
+def reference_class_of(dom, u):
+    """The index of the reduced form whose ideal is isomorphic to u, by
+    one principal generator search per form."""
+    for i, form in enumerate(class_group(dom).forms):
+        if ideals.ideal_classes_isomorphic(u, ideal_of_form(dom, form)) \
+                is not None:
+            return i
+    raise SkewError("ideal matched no form class")

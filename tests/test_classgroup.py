@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from skewdd import ideals
+from skewdd import classgroup, ideals
 from skewdd.classgroup import (
     class_group,
     class_of,
@@ -16,7 +16,8 @@ from skewdd.classgroup import (
 from skewdd.domains import DomainSpec, _is_squarefree, get_domain
 from skewdd.errors import UnsupportedDomain
 
-from conftest import rand_ideal
+from conftest import rand_frac_ideal, rand_ideal
+from reference import reference_class_of, reference_invariant_factors
 
 
 def oracle_reduced_forms(disc):
@@ -61,12 +62,13 @@ def test_group_axioms_exhaustive(disc):
     n = cg.h
     e = cg.identity
     for i in range(n):
-        assert cg.table[e][i] == i and cg.table[i][e] == i
-        assert cg.table[i][cg.inverse(i)] == e
+        assert cg.compose(e, i) == i and cg.compose(i, e) == i
+        assert cg.compose(i, cg.inverse(i)) == e
         for j in range(n):
-            assert cg.table[i][j] == cg.table[j][i]
+            assert cg.compose(i, j) == cg.compose(j, i)
             for k in range(n):
-                assert cg.table[cg.table[i][j]][k] == cg.table[i][cg.table[j][k]]
+                assert cg.compose(cg.compose(i, j), k) \
+                    == cg.compose(i, cg.compose(j, k))
 
 
 def test_structure_texts():
@@ -120,6 +122,11 @@ def test_form_ideal_dictionary(z5):
 def test_trivial_class_group_for_integers(zz):
     cg = class_group(zz)
     assert cg.h == 1 and class_of(zz, ideals.from_generators(zz, [zz.felem(5)])) == 0
+
+
+def test_trivial_group_composes_and_inverts(zz):
+    cg = class_group(zz)
+    assert cg.compose(0, 0) == cg.inverse(0) == cg.identity == 0
 
 
 def test_sigma_acts_trivially(z5c, gauss, zz):
@@ -187,3 +194,62 @@ def test_compose_matches_ideal_products(z5):
             u = ideal_of_form(z5, fi)
             v = ideal_of_form(z5, fj)
             assert class_of(z5, u.mul(v)) == cg.forms.index(compose_forms(fi, fj))
+
+
+def test_invariant_factors_match_the_table_reference():
+    """Prime-power counts give the invariant factors of the composition
+    table's quotient recursion on every discriminant -2999 <= disc <= -3."""
+    ranks = {}
+    for disc in range(-3, -3000, -1):
+        if disc % 4 not in (0, 1):
+            continue
+        cg = _class_group_of_disc.__wrapped__(disc)
+        assert cg.invariants == reference_invariant_factors(disc), disc
+        ranks[len(cg.invariants)] = ranks.get(len(cg.invariants), 0) + 1
+    assert sum(ranks.values()) == 1499 and ranks[3] == 59
+
+
+@pytest.mark.parametrize("d", [-23, -47, -14, -161])
+def test_class_of_matches_the_principal_search(d):
+    """Integral, non-primitive and fractional ideals of groups where a
+    class and its inverse differ."""
+    dom = get_domain(DomainSpec("quad", d, "id"))
+    cg = class_group(dom)
+    assert any(cg.inverse(i) != i for i in range(cg.h))
+    rng = random.Random(d)
+    seen = set()
+    for _ in range(30):
+        u = rand_ideal(dom, rng)
+        k = rng.randint(2, 6)
+        for v in (u, ideals.FracIdeal(dom, u.a * k, u.b * k, u.c * k),
+                  rand_frac_ideal(dom, rng)):
+            i = class_of(dom, v)
+            assert i == reference_class_of(dom, v)
+            seen.add(i)
+    assert len(seen) > 2
+
+
+@pytest.mark.parametrize("d", [-23, -47, -14, -161])
+def test_class_of_tells_a_class_from_its_inverse(d):
+    dom = get_domain(DomainSpec("quad", d, "id"))
+    cg = class_group(dom)
+    for i, form in enumerate(cg.forms):
+        lat = ideal_of_form(dom, form)
+        assert class_of(dom, lat) == i
+        assert class_of(dom, lat.conj()) == cg.inverse(i)
+
+
+def test_class_group_costs_about_h_log_h_compositions(monkeypatch):
+    """Building the group of quad:-1000003:id (h = 105) composes forms a
+    bounded number of times; a full table alone needs h^2 = 11,025."""
+    calls = []
+
+    def counting(f1, f2):
+        calls.append(1)
+        return compose_forms(f1, f2)
+
+    monkeypatch.setattr(classgroup, "compose_forms", counting)
+    _class_group_of_disc.cache_clear()
+    cg = class_group(get_domain(DomainSpec("quad", -1000003, "id")))
+    assert cg.h == 105 and cg.invariants == (105,)
+    assert len(calls) <= 2100

@@ -87,7 +87,7 @@ def cmd_extend(args) -> int:
     cert, repairs = extension.extend_with_repair(gens, args.prec)
     print(f"constant ideal: {cert.ideal!r}")
     print(f"repairs: {repairs}")
-    _write_out(cert.to_json(), args.out)
+    _write_out(textio.certificate_to_json(cert), args.out)
     return 0
 
 
@@ -115,27 +115,18 @@ def cmd_complete_row(args) -> int:
     cert = completion.complete_unimodular_row(shaped, wit, args.prec,
                                               bound=args.bound)
     print(f"reduction depth n = {cert.n}")
-    _write_out(cert.to_json(), args.out)
+    _write_out(textio.certificate_to_json(cert), args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
     obj = _load_json(args.path)
-    if not isinstance(obj, dict):
-        raise ValueError("a certificate file holds a JSON object, not a "
-                         + type(obj).__name__)
-    schema = obj.get("schema")
-    if schema == "extension-cert/v1":
-        load = extension.ExtensionCertificate.from_json
-        check = extension.verify_extension_certificate
-    elif schema == "completion-cert/v1":
-        load = completion.CompletionCertificate.from_json
-        check = completion.verify_completion
-    else:
-        raise ValueError(
-            f"unknown certificate schema {textio.quote_input(schema)}")
+    schema = textio.certificate_schema(obj)
+    engine, _, name = textio.CERTIFICATES[schema].VERIFIER.partition(".")
+    # the engine module, lazy since import, runs here on its first use
+    check = getattr(importlib.import_module(f".{engine}", __package__), name)
     try:
-        report = check(load(obj))
+        report = check(textio.certificate_from_json(obj))
     except (KeyError, IndexError, TypeError, ValueError, ArithmeticError,
             SkewError) as err:
         print(f"verification failure: malformed {schema} certificate "

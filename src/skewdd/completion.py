@@ -56,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partialmethod
 
-from .domains import Domain, DomainSpec, FieldElem, get_domain
+from .domains import Domain, FieldElem, get_domain
 from .errors import (
     BoundExceeded,
     MembershipError,
@@ -71,6 +71,7 @@ from .reporting import VerifyReport
 from .series import (SeriesMatrix, TruncatedSeries, det2, disagreement,
                      right_divide, scale_column, scale_right)
 from . import textio
+from .textio import CompletionCertificate
 
 
 class ShapeTable:
@@ -421,64 +422,6 @@ def lift_invertibility(child: InvertibilityData, ctx: ReductionContext,
     return InvertibilityData(n, b_row, t_series, h_series)
 
 
-# the shape of each matrix a completion certificate holds
-_CERT_SHAPES = {"row": (1, 2), "witness": (2, 1), "b": (1, 2), "T": (2, 2),
-                "H": (2, 2), "final": (2, 2), "final_inv": (2, 2)}
-
-
-@dataclass
-class CompletionCertificate:
-    """Row, witness, completion data and the final invertible matrix."""
-
-    spec: DomainSpec
-    ideal: FracIdeal
-    a_ideal: FracIdeal
-    row: SeriesMatrix
-    witness: SeriesMatrix
-    n: int
-    b: SeriesMatrix
-    T: SeriesMatrix
-    H: SeriesMatrix
-    final: SeriesMatrix
-    final_inv: SeriesMatrix
-    prec: int
-
-    def to_json(self) -> dict:
-        return {
-            "schema": "completion-cert/v1",
-            "domain": self.spec.to_json(),
-            "ideal": self.ideal.to_json(),
-            "a_ideal": self.a_ideal.to_json(),
-            "row": textio.matrix_to_json(self.row),
-            "witness": textio.matrix_to_json(self.witness),
-            "n": self.n,
-            "b": textio.matrix_to_json(self.b),
-            "T": textio.matrix_to_json(self.T),
-            "H": textio.matrix_to_json(self.H),
-            "final": textio.matrix_to_json(self.final),
-            "final_inv": textio.matrix_to_json(self.final_inv),
-            "prec": self.prec,
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "CompletionCertificate":
-        spec = DomainSpec.from_json(obj["domain"])
-        dom = get_domain(spec)
-
-        def m(key):
-            return textio.matrix_from_json(dom, obj[key], _CERT_SHAPES[key])
-
-        prec = textio.certified_prec(textio.json_int(obj["prec"], "prec"), 1)
-        n = textio.certified_prec(textio.json_int(obj["n"], "n"), 0, "n")
-        return CompletionCertificate(
-            spec,
-            textio.ideal_lattice_from_json(dom, obj["ideal"]),
-            textio.ideal_lattice_from_json(dom, obj["a_ideal"]),
-            m("row"), m("witness"), n,
-            m("b"), m("T"), m("H"), m("final"), m("final_inv"), prec,
-        )
-
-
 def complete_unimodular_row(shaped: ShapedRow, t: SeriesMatrix, prec: int,
                             bound: int = ideals.PRINCIPAL_BOUND
                             ) -> CompletionCertificate:
@@ -578,7 +521,7 @@ def _add_shape_check(rep: VerifyReport, name: str, mat: SeriesMatrix,
 def verify_completion(cert: CompletionCertificate) -> VerifyReport:
     """Recompute every product, shape membership and determinant claim:
     the chain's nine checks, then verify_final_conversion's four."""
-    dom = get_domain(cert.spec)
+    dom = get_domain(cert.domain)
     rep = VerifyReport()
     try:
         shaped = ShapedRow(cert.row, cert.ideal, cert.a_ideal)
@@ -637,7 +580,7 @@ def verify_final_conversion(cert: CompletionCertificate) -> VerifyReport:
     J and A must be nonzero, as in any certificate whose row passes its
     shape check; complete_unimodular_row runs only these checks.
     """
-    dom = get_domain(cert.spec)
+    dom = get_domain(cert.domain)
     rep = VerifyReport()
     rep.add("final matrix stacks the row over b",
             cert.final.rows[0] == cert.row.rows[0]

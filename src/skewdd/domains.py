@@ -82,17 +82,13 @@ class DomainSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "DomainSpec":
-        from .textio import json_int, quote_input
+        from .textio import closed_object, json_int
 
-        if not isinstance(obj, dict):
-            raise ValueError(
-                f"domain must be a JSON object, not {quote_input(obj)}")
-
+        closed_object(obj, "domain", ("kind",), ("d", "sigma"))
         # d and sigma pass through even for "int", which refuses them
-        d = obj.get("d")
-        return DomainSpec(obj.get("kind"),
-                          None if d is None else json_int(d, "domain d"),
-                          obj.get("sigma", SIGMA_ID))
+        if obj.get("d") is not None:
+            json_int(obj["d"], "domain d")
+        return DomainSpec(**obj)
 
 
 @functools.lru_cache(maxsize=None)

@@ -47,10 +47,7 @@ coefficient at order n + t, and window t <= n + 2t already realized J.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .domains import (Domain, DomainSpec, FieldElem, RingElem, get_domain,
-                      pair_mul)
+from .domains import Domain, FieldElem, RingElem, get_domain, pair_mul
 from .errors import (
     ConstIdealUnderestimate,
     MembershipError,
@@ -62,8 +59,7 @@ from .ideals import (FracIdeal, PreparedBasis, combine_transform, echelon,
 from .reporting import VerifyReport
 from .series import (SeriesMatrix, TruncatedSeries, disagreement,
                      relaxed_product, scale_right, sum_products)
-from . import textio
-from .textio import format_parts
+from .textio import ExtensionCertificate, format_parts
 
 
 def _normalized_ring_gens(gens: list[TruncatedSeries]) -> list[TruncatedSeries]:
@@ -212,46 +208,6 @@ def normalize_generators(j_ideal: FracIdeal, window: _OrderWindow, top: int
     return SeriesMatrix(dom, [entries]), t
 
 
-@dataclass
-class ExtensionCertificate:
-    """Witness data for I isomorphic to (constant ideal) * R."""
-
-    spec: DomainSpec
-    ideal: FracIdeal
-    g0: tuple
-    g: SeriesMatrix
-    A: SeriesMatrix
-    q: TruncatedSeries
-    prec: int
-    audit: list
-
-    def to_json(self) -> dict:
-        return {
-            "schema": "extension-cert/v1",
-            "domain": self.spec.to_json(),
-            "ideal": self.ideal.to_json(),
-            "g0": [textio.format_ring_elem(a) for a in self.g0],
-            "g": [textio.series_to_json(s) for s in self.g.rows[0]],
-            "A": textio.matrix_to_json(self.A),
-            "q": textio.series_to_json(self.q),
-            "prec": self.prec,
-            "audit": self.audit,
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "ExtensionCertificate":
-        spec = DomainSpec.from_json(obj["domain"])
-        dom = get_domain(spec)
-        ideal = textio.ideal_lattice_from_json(dom, obj["ideal"])
-        g0 = tuple(textio.parse_field_elem(dom, s).as_ring() for s in obj["g0"])
-        g = textio.matrix_from_json(dom, [obj["g"]], (1, 2))
-        a_mat = textio.matrix_from_json(dom, obj["A"], (2, 2))
-        q = textio.series_from_json(dom, obj["q"])
-        prec = textio.certified_prec(textio.json_int(obj["prec"], "prec"), 0)
-        return ExtensionCertificate(spec, ideal, g0, g, a_mat, q, prec,
-                                    obj.get("audit", []))
-
-
 def extend(j_ideal: FracIdeal, g: SeriesMatrix, prec: int
            ) -> ExtensionCertificate:
     """Inductive construction of the certificate (A, q) for given J and g.
@@ -378,7 +334,7 @@ def extend(j_ideal: FracIdeal, g: SeriesMatrix, prec: int
 
 def verify_extension_certificate(cert: ExtensionCertificate) -> VerifyReport:
     """Independent recomputation of every certificate invariant."""
-    dom = get_domain(cert.spec)
+    dom = get_domain(cert.domain)
     rep = VerifyReport()
     a1, a2 = cert.g0
     rep.add("lowest coefficients generate the ideal",

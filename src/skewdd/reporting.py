@@ -35,10 +35,6 @@ class VerifyReport:
                 + "; ".join(line for line in self.lines()
                             if line.startswith("FAIL")))
 
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "first_bad_order": self.first_bad_order,
-                "checks": self.checks}
-
     def lines(self):
         for c in self.checks:
             mark = "pass" if c["ok"] else "FAIL"

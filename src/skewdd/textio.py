@@ -1,4 +1,5 @@
-"""Text and JSON forms for elements, series, ideals and domains.
+"""Text and JSON forms for elements, series, ideals, domains and
+certificates.
 
 Element syntax: a sum of signed terms, each an optional `p` or `p/q` in
 ASCII digits then an optional `*w` (`w` alone is `1*w`; the `*` may be
@@ -16,16 +17,20 @@ like a term's power of x: `O(x)` is `O(x^1)`, and `O(x5)` is refused as
 `2*x5` is. Structured coefficients are parenthesized. Every order read
 (an exponent, an O-term, a JSON `val`, last stored order or `prec`) must
 lie within +-MAX_ORDER. All JSON emitted by the package is canonical:
-sorted keys, compact separators, integers and strings only.
+sorted keys, compact separators, integers and strings only. Domain,
+ideal, series and certificate objects are closed (closed_object), and
+each certificate schema is declared once (CERTIFICATES), with its reader
+and writer derived from that declaration.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from math import gcd
 
-from .domains import Domain, DomainSpec, FieldElem, RingElem
+from .domains import Domain, DomainSpec, FieldElem, RingElem, get_domain
 from .errors import SkewError
 
 # largest |order| accepted on input, so that no series text or JSON can
@@ -264,6 +269,20 @@ def series_to_json(f) -> dict:
     }
 
 
+def closed_object(obj, what: str, required, optional=()) -> None:
+    """ValueError, naming the first key missing or unknown, unless obj is
+    a JSON object holding every required key and no key outside required
+    and optional."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, not {quote_input(obj)}")
+    for key in obj:
+        if key not in required and key not in optional:
+            raise ValueError(f"unknown field {quote_input(key)} in {what}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"missing field {key!r} in {what}")
+
+
 def series_from_json(dom: Domain, obj: dict):
     """A series object; its prec is null or absent for an exact series."""
     from .series import TruncatedSeries
@@ -271,6 +290,7 @@ def series_from_json(dom: Domain, obj: dict):
     if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list):
         raise ValueError(f"a series is an object with a coeffs array, "
                          f"not {quote_input(obj)}")
+    closed_object(obj, "series", ("val", "coeffs"), ("prec",))
     val = _order(json_int(obj.get("val"), "series val"), "series val")
     coeffs = [parse_field_elem(dom, s) for s in obj["coeffs"]]
     if coeffs:
@@ -303,13 +323,15 @@ def matrix_from_json(dom: Domain, obj: list, shape: tuple[int, int]):
 def ideal_lattice_from_json(dom: Domain, obj: dict):
     """An integral ideal from {"gens": [elements]} or its canonical
     {"hnf": [a, b, c]} (0 <= b < a; [m] over Z), so that each ideal has
-    one hnf spelling; a "den" is accepted only when it is 1."""
+    one hnf spelling; a "den" is accepted only beside hnf and only when
+    it is 1. An object spelling both gens and hnf is refused."""
     from . import ideals
 
     key = "gens" if isinstance(obj, dict) and "gens" in obj else "hnf"
     if not isinstance(obj, dict) or not isinstance(obj.get(key), list):
         raise ValueError(f"an ideal is an object with a gens or an hnf "
                          f"array, not {quote_input(obj)}")
+    closed_object(obj, f"{key} ideal", (key,), () if key == "gens" else ("den",))
     if key == "gens":
         ideal = ideals.from_generators(
             dom, [parse_field_elem(dom, s) for s in obj["gens"]])
@@ -353,3 +375,96 @@ def format_domain(spec: DomainSpec) -> str:
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _declare(schema: str, name: str, doc: str, verifier: str, **kinds):
+    """The dataclass of one certificate schema, with its declaration as
+    class attributes: SCHEMA, the "schema" value; VERIFIER, its verifier
+    as "engine.name"; and KINDS, the kind of each JSON key but "schema",
+    which is also the name of a dataclass field, in field order.
+
+    Kinds: "domain" (read first, as the rest is read over it), "ideal",
+    "pair" (two ring elements), "row" (a flat 1x2 series row), a (rows,
+    cols) series matrix, "series", ("int", least) for an integer in
+    least..MAX_ORDER, and "audit" (read, never checked; absent means []).
+    """
+    return dataclasses.make_dataclass(name, list(kinds), namespace={
+        "__doc__": doc, "__module__": __name__,
+        "SCHEMA": schema, "VERIFIER": verifier, "KINDS": kinds})
+
+
+ExtensionCertificate = _declare(
+    "extension-cert/v1", "ExtensionCertificate",
+    "Witness data for I isomorphic to (constant ideal) * R.",
+    "extension.verify_extension_certificate",
+    domain="domain", ideal="ideal", g0="pair", g="row", A=(2, 2),
+    q="series", prec=("int", 0), audit="audit")
+CompletionCertificate = _declare(
+    "completion-cert/v1", "CompletionCertificate",
+    "Row, witness, completion data and the final invertible matrix.",
+    "completion.verify_completion",
+    domain="domain", ideal="ideal", a_ideal="ideal", row=(1, 2),
+    witness=(2, 1), n=("int", 0), b=(1, 2), T=(2, 2), H=(2, 2),
+    final=(2, 2), final_inv=(2, 2), prec=("int", 1))
+CERTIFICATES = {cls.SCHEMA: cls
+                for cls in (ExtensionCertificate, CompletionCertificate)}
+
+
+def certificate_schema(obj) -> str:
+    """The declared schema a certificate object names; ValueError if obj
+    is not a JSON object or names no declared schema."""
+    if not isinstance(obj, dict):
+        raise ValueError("a certificate file holds a JSON object, not a "
+                         + type(obj).__name__)
+    schema = obj.get("schema")
+    if not isinstance(schema, str) or schema not in CERTIFICATES:
+        raise ValueError(f"unknown certificate schema {quote_input(schema)}")
+    return schema
+
+
+def certificate_from_json(obj):
+    """The certificate in a JSON object, read by its schema's declaration."""
+    cls = CERTIFICATES[certificate_schema(obj)]
+    closed_object(obj, "certificate", ["schema", *(
+        key for key, kind in cls.KINDS.items() if kind != "audit")], cls.KINDS)
+    values = {}
+    for key, kind in cls.KINDS.items():
+        value = obj.get(key, [])
+        match kind:
+            case "domain":
+                value = DomainSpec.from_json(value)
+                dom = get_domain(value)
+            case "ideal":
+                value = ideal_lattice_from_json(dom, value)
+            case "pair":
+                value = tuple(parse_field_elem(dom, s).as_ring() for s in value)
+            case "row":
+                value = matrix_from_json(dom, [value], (1, 2))
+            case (int(), int()):
+                value = matrix_from_json(dom, value, kind)
+            case "series":
+                value = series_from_json(dom, value)
+            case ("int", least):
+                value = certified_prec(json_int(value, key), least, key)
+        values[key] = value
+    return cls(**values)
+
+
+def certificate_to_json(cert) -> dict:
+    """The JSON object of a certificate, written by its declaration."""
+    out = {"schema": cert.SCHEMA}
+    for key, kind in cert.KINDS.items():
+        value = getattr(cert, key)
+        match kind:
+            case "domain" | "ideal":
+                value = value.to_json()
+            case "pair":
+                value = [format_ring_elem(a) for a in value]
+            case "row":
+                value = matrix_to_json(value)[0]
+            case (int(), int()):
+                value = matrix_to_json(value)
+            case "series":
+                value = series_to_json(value)
+        out[key] = value
+    return out

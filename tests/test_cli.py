@@ -295,6 +295,26 @@ MALFORMED = {
     # |d| is capped, so the squarefree test cannot run for minutes
     "d past the cap": ("extension", lambda obj: obj["domain"].update(
         d=1000000000000000003)),
+    # every object is closed: an undeclared key at any level is refused,
+    # and an ideal has one spelling
+    "unknown top-level key": ("extension", lambda obj: obj.update(bogus=1)),
+    "unknown domain key":
+        ("extension", lambda obj: obj["domain"].update(extra=1)),
+    "unknown ideal key":
+        ("extension", lambda obj: obj["ideal"].update(extra=1)),
+    "unknown series key": ("extension", lambda obj: obj["g"][0].update(extra=1)),
+    "ideal with two spellings": ("extension", lambda obj: obj.update(
+        ideal={"hnf": [999, 5, 1], "gens": ["1", "1*w"]})),
+}
+
+# tamper name -> what its one stderr line must name
+MALFORMED_MESSAGES = {
+    "drop q": "missing field 'q'",
+    "unknown top-level key": "unknown field 'bogus'",
+    "unknown domain key": "unknown field 'extra' in domain",
+    "unknown ideal key": "unknown field 'extra' in hnf ideal",
+    "unknown series key": "unknown field 'extra' in series",
+    "ideal with two spellings": "unknown field 'hnf' in gens ideal",
 }
 
 
@@ -317,6 +337,7 @@ def test_verify_malformed_certificate_exits_3(tmp_path, capsys, zz, tamper):
     assert code == 3
     assert err.startswith("verification failure: malformed")
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert MALFORMED_MESSAGES.get(tamper, "") in err
 
 
 @pytest.mark.parametrize("case", [
@@ -327,7 +348,10 @@ def test_verify_malformed_certificate_exits_3(tmp_path, capsys, zz, tamper):
     f"extend prec {MAX_ORDER + 1}", "extend prec 100000000",
     "exponent past the order bound", "two O-terms", "decimal coefficient",
     "ideal b past a", "ideal with a reducible den", "d past the cap",
-    "row coefficient past its prec", "O-term without a caret"])
+    "row coefficient past its prec", "O-term without a caret",
+    "ideal with two spellings", "ideal with den beside gens",
+    "ideal with an unknown key", "domain with an unknown key",
+    "row series with an unknown key"])
 def test_malformed_cli_input_exits_2(tmp_path, capsys, zz, case):
     gens = ["--gens", '["2+1*x^1"]']
     if case == "gens not strings":
@@ -352,23 +376,32 @@ def test_malformed_cli_input_exits_2(tmp_path, capsys, zz, case):
         argv = ["extend", "--domain", '{"kind": "int", "sigma": "conj"}', *gens]
     elif case == "d past the cap":
         argv = ["classgroup", "--domain", "quad:1000000000000000003:id"]
+    elif case == "domain with an unknown key":
+        argv = ["extend", "--domain", '{"kind": "int", "extra": 1}', *gens]
     else:
         argv = classic_row_argv(tmp_path, zz)
         if case == "ideal not an object":
             argv[argv.index("--ideal") + 1] = "[1]"
         elif case == "row file without row":
             (tmp_path / "row.json").write_text('{"foo": 1}')
-        elif case == "row coefficient past its prec":
+        elif case.startswith("row "):
             row = json.loads((tmp_path / "row.json").read_text())
-            row[0] = {"val": 0, "coeffs": ["2", "1"], "prec": 1}
+            row[0] = ({"val": 0, "coeffs": ["2", "1"], "prec": 1}
+                      if case == "row coefficient past its prec"
+                      else {**row[0], "extra": 1})
             (tmp_path / "row.json").write_text(json.dumps(row))
         elif case.startswith("complete-row prec"):
             argv[argv.index("--prec") + 1] = case.split()[-1]
         elif case.startswith("ideal "):
             argv[argv.index("--domain") + 1] = "quad:-5:id"
-            argv[argv.index("--ideal") + 1] = (
-                '{"hnf":[2,65537,1]}' if case == "ideal b past a"
-                else '{"hnf":[2,0,2],"den":2}')
+            argv[argv.index("--ideal") + 1] = {
+                "ideal b past a": '{"hnf":[2,65537,1]}',
+                "ideal with a reducible den": '{"hnf":[2,0,2],"den":2}',
+                "ideal with two spellings":
+                    '{"hnf":[2,1,1],"gens":["2","1+1*w"]}',
+                "ideal with den beside gens": '{"gens":["2","1+1*w"],"den":1}',
+                "ideal with an unknown key": '{"hnf":[2,1,1],"extra":1}',
+            }[case]
         else:
             (tmp_path / "t.json").write_text("[1, 2]")
     code, _, err = run(capsys, *argv)

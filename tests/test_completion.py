@@ -25,7 +25,8 @@ from skewdd.errors import (
 from skewdd.ideals import (extended_ideal_iso, from_generators,
                            from_ring_generators, unit_ideal)
 from skewdd.series import SeriesMatrix, TruncatedSeries, det2
-from skewdd.textio import parse_series
+from skewdd.textio import (certificate_from_json, certificate_to_json,
+                           parse_series)
 
 from conftest import (assert_same_matrix, completion_test_ideal,
                       random_unimodular_row, seed_51_rows, truncated,
@@ -262,7 +263,7 @@ def test_tampered_certificate_fails(zz):
         list(cert.T.rows[1]),
     ])
     bad = CompletionCertificate(
-        cert.spec, cert.ideal, cert.a_ideal, cert.row, cert.witness, cert.n,
+        cert.domain, cert.ideal, cert.a_ideal, cert.row, cert.witness, cert.n,
         cert.b, bad_t, cert.H, cert.final, cert.final_inv, cert.prec)
     rep = verify_completion(bad)
     assert not rep.ok
@@ -286,9 +287,10 @@ def test_verify_precision_threshold(zz):
 def test_json_roundtrip(zz):
     shaped, t = classic_row(zz)
     cert = complete_unimodular_row(shaped, t, 8)
-    again = CompletionCertificate.from_json(cert.to_json())
+    obj = certificate_to_json(cert)
+    again = certificate_from_json(obj)
     assert verify_completion(again).ok
-    assert again.to_json() == cert.to_json()
+    assert certificate_to_json(again) == obj
 
 
 def test_precision_deficit_fails_fast(zz):
@@ -304,7 +306,7 @@ def test_precision_deficit_fails_fast(zz):
 
 def test_prec_below_one_is_refused(zz):
     """prec 0 or below is refused with ValueError, as --prec and
-    CompletionCertificate.from_json refuse it: the engine's own check
+    the certificate reader refuse it: the engine's own check
     leaves row * witness = x^n to check_unimodular, which fixes the x^n
     term only when the product is known past order n. prec 1 on a row
     known through exactly 1 + 2n orders certifies in full."""

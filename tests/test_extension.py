@@ -16,7 +16,8 @@ from skewdd.extension import (
 )
 from skewdd.ideals import from_ring_generators, unit_ideal
 from skewdd.series import SeriesMatrix, TruncatedSeries, mul
-from skewdd.textio import parse_series, series_from_json
+from skewdd.textio import (certificate_from_json, certificate_to_json,
+                           parse_series, series_from_json)
 
 from conftest import (corrected_row_text, rand_ideal, rand_ring_elem,
                       random_unit_series)
@@ -179,7 +180,7 @@ def test_verify_detects_tampering(zz):
     cert = extend(j2, g, 6)
     bumped = cert.A.rows[0][0] + TruncatedSeries.x_power(zz, 1)
     bad = ExtensionCertificate(
-        cert.spec, cert.ideal, cert.g0, cert.g,
+        cert.domain, cert.ideal, cert.g0, cert.g,
         SeriesMatrix(zz, [[bumped, cert.A.rows[0][1]], list(cert.A.rows[1])]),
         cert.q, cert.prec, cert.audit)
     rep = verify_extension_certificate(bad)
@@ -192,7 +193,7 @@ def test_verify_monotone_in_precision(zz):
                            parse_series(zz, "2+1*x^1")]])
     cert = extend(j2, g, 8)
     lower = ExtensionCertificate(
-        cert.spec, cert.ideal, cert.g0, cert.g, cert.A, cert.q, 5, cert.audit)
+        cert.domain, cert.ideal, cert.g0, cert.g, cert.A, cert.q, 5, cert.audit)
     assert verify_extension_certificate(lower).ok
 
 
@@ -226,7 +227,7 @@ def test_verify_rejects_overclaimed_precision(zz):
     cert = extend(j2, g, 4)
     # claim more orders than the data carries
     inflated = ExtensionCertificate(
-        cert.spec, cert.ideal, cert.g0, cert.g, cert.A, cert.q, 9, cert.audit)
+        cert.domain, cert.ideal, cert.g0, cert.g, cert.A, cert.q, 9, cert.audit)
     rep = verify_extension_certificate(inflated)
     assert not rep.ok
 
@@ -248,9 +249,10 @@ def test_verify_precision_threshold(zz):
 def test_extend_roundtrip_json(z5):
     cert, _ = extend_with_repair(
         [parse_series(z5, "2+1*x^1"), parse_series(z5, "1+1*w")], 6)
-    again = ExtensionCertificate.from_json(cert.to_json())
+    obj = certificate_to_json(cert)
+    again = certificate_from_json(obj)
     assert verify_extension_certificate(again).ok
-    assert again.to_json() == cert.to_json()
+    assert certificate_to_json(again) == obj
 
 
 def test_inverse_of_q_recovers_the_constant_row(any_domain):

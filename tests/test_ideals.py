@@ -389,7 +389,11 @@ def test_ideal_loader_spellings(z5):
                 {"gens": ["2", "1+1*w"]}):
         assert ideal_lattice_from_json(z5, obj) == p2
     for obj in ({"hnf": [2, 3, 1]}, {"hnf": [2, 0, 2], "den": 2},
-                {"hnf": [1, 0, 1], "den": 2}, {"gens": ["1/2"]}):
+                {"hnf": [1, 0, 1], "den": 2}, {"gens": ["1/2"]},
+                # one spelling only, and no undeclared key
+                {"hnf": [2, 1, 1], "gens": ["2", "1+1*w"]},
+                {"gens": ["2", "1+1*w"], "den": 1},
+                {"hnf": [2, 1, 1], "extra": 1}):
         with pytest.raises(ValueError):
             ideal_lattice_from_json(z5, obj)
 

@@ -173,7 +173,7 @@ def test_verifier_compares_products_without_building_elements(tmp_path,
     job = gen.make_job("complete-p32", 0, DENSE_INVERSE_JOB)
     res = run.run_job(cli.main, job, tmp_path)
     assert res.ok
-    cert = completion.CompletionCertificate.from_json(json.loads(res.data))
+    cert = textio.certificate_from_json(json.loads(res.data))
     inside = False
     calls = built = 0
     compare = completion.disagreement
@@ -210,7 +210,7 @@ def test_verifier_reads_each_series_into_lanes_once(tmp_path, monkeypatch):
     Counted, not timed."""
     res = run.run_job(cli.main, gen.make_job("complete-p32", 1, 0), tmp_path)
     assert res.ok
-    cert = completion.CompletionCertificate.from_json(json.loads(res.data))
+    cert = textio.certificate_from_json(json.loads(res.data))
     stored = {id(s.coeffs)
               for m in (cert.row, cert.witness, cert.b, cert.T, cert.H,
                         cert.final, cert.final_inv)
@@ -265,7 +265,7 @@ def test_identity_product_builds_only_its_nonzero_window(tmp_path,
     job = gen.make_job("complete-p32", 0, DENSE_INVERSE_JOB)
     res = run.run_job(cli.main, job, tmp_path)
     assert res.ok
-    cert = completion.CompletionCertificate.from_json(json.loads(res.data))
+    cert = textio.certificate_from_json(json.loads(res.data))
     built = 0
     init = domains.RingElem.__init__
 

@@ -4,16 +4,20 @@ pinned certificate, with one stderr line at most and never a crash.
 The certificates come from seed-0 jobs of the benchmark's own generator
 (bench/gen.py and bench/run.py are imported, not changed): extend-window
 job 1 over quad:-5:id and complete-p8 jobs 2 and 4 over quad:-5:conj and
-quad:2:conj. One field at a time is replaced by each hostile value:
-every top-level field but `audit` (which verify does not read), every
-domain field, hnf entry and g0 entry, and the val, prec and first
-coefficient of every series. The sweep is repeated after the clean
-certificate passed verify in the same process, and an in-memory sweep
-nudges one coefficient of one series at a time beside the series of a
-certificate that was just verified, whose integer lanes are kept.
+quad:2:conj. The fields swept are read from the schema's declaration
+(skewdd.textio.CERTIFICATES). One field at a time is replaced by each
+hostile value: every declared field but `audit` (which verify does not
+read), every domain field, hnf entry and g0 entry, and the val, prec and
+first coefficient of every series. Then an unknown key is added to one
+object at a time: the top level, the domain, each ideal and each
+series. The sweep is repeated after the clean certificate passed verify
+in the same process, and an in-memory sweep nudges one coefficient of
+one series at a time beside the series of a certificate that was just
+verified, whose integer lanes are kept.
 """
 
 import contextlib
+import importlib
 import io
 import json
 import sys
@@ -28,7 +32,7 @@ sys.path.insert(0, str(BENCH))
 import gen  # noqa: E402
 import run  # noqa: E402
 
-from skewdd import cli, completion, extension  # noqa: E402
+from skewdd import cli, textio  # noqa: E402
 from skewdd.errors import SkewError  # noqa: E402
 from skewdd.series import SeriesMatrix, TruncatedSeries  # noqa: E402
 from skewdd.textio import MAX_ORDER  # noqa: E402
@@ -48,19 +52,54 @@ def _series_fields(obj, path):
             yield from _series_fields(item, path + (i,))
 
 
+def _kinds(cert):
+    """The declared kind of each field of a certificate object but audit."""
+    return {key: kind for key, kind in
+            textio.CERTIFICATES[cert["schema"]].KINDS.items()
+            if kind != "audit"}
+
+
+def _is_matrix(kind):
+    return isinstance(kind, tuple) and isinstance(kind[0], int)
+
+
 def tamper_paths(cert):
-    for key in cert:
-        if key == "audit":
-            continue
+    yield ("schema",)
+    for key, kind in _kinds(cert).items():
         yield (key,)
-        if key == "domain":
+        if kind == "domain":
             yield from ((key, k) for k in cert[key])
-        elif key in ("ideal", "a_ideal"):
+        elif kind == "ideal":
             yield from ((key, "hnf", i) for i in range(len(cert[key]["hnf"])))
-        elif key == "g0":
+        elif kind == "pair":
             yield from ((key, i) for i in range(len(cert[key])))
         else:
             yield from _series_fields(cert[key], (key,))
+
+
+def _objects(obj, path):
+    """Paths of obj and of every JSON object inside it."""
+    if isinstance(obj, dict):
+        yield path
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for step, item in items:
+        yield from _objects(item, path + (step,))
+
+
+def object_paths(cert):
+    """Paths of the top level, the domain, each ideal and each series."""
+    yield ()
+    for key in _kinds(cert):
+        yield from _objects(cert[key], (key,))
+
+
+# objects per certificate: 1 + domain + ideal + g (2) + A (4) + q, and
+# 1 + domain + 2 ideals + 3 rows or columns (2 each) + 4 matrices (4 each)
+UNKNOWN_KEY_EDITS = {"extension-cert/v1": 10, "completion-cert/v1": 26}
 
 
 def _replaced(cert, path, value):
@@ -84,7 +123,8 @@ def _verify(path):
 
 
 def _single_field_sweep(tmp_path, cert):
-    """(cases, unexpected) of verify on each single-field edit of cert."""
+    """(value edits, unknown-key edits, unexpected) of verify on each
+    single-field edit of cert."""
     bad_path = tmp_path / "tampered.json"
     unexpected, cases = [], 0
     for path in tamper_paths(cert):
@@ -98,17 +138,32 @@ def _single_field_sweep(tmp_path, cert):
             want = 2 if path == ("schema",) else 3
             if code != want or err.count("\n") > 1:
                 unexpected.append((path, value, code, err[:200]))
-    return cases, unexpected
+    added = 0
+    for path in object_paths(cert):
+        edited = json.loads(json.dumps(cert))
+        target = edited
+        for step in path:
+            target = target[step]
+        target["unknown"] = 1
+        added += 1
+        bad_path.write_text(json.dumps(edited))
+        code, err = _verify(bad_path)
+        if code != 3 or err.count("\n") != 1 or "malformed" not in err:
+            unexpected.append((path, "unknown key", code, err[:200]))
+    return cases, added, unexpected
 
 
 @pytest.mark.parametrize("workload, index, edits", [
     ("extend-window", 1, 210), ("complete-p8", 2, 510), ("complete-p8", 4, 510)])
 def test_verify_rejects_every_single_field_edit(tmp_path, workload, index,
                                                 edits):
+    """`edits` hostile-value edits, then one unknown key per object."""
     job = gen.make_job(workload, 0, index)
     res = run.run_job(cli.main, job, tmp_path)
     assert res.ok, res.detail
-    assert _single_field_sweep(tmp_path, json.loads(res.data)) == (edits, [])
+    cert = json.loads(res.data)
+    assert _single_field_sweep(tmp_path, cert) == (
+        edits, UNKNOWN_KEY_EDITS[cert["schema"]], [])
 
 
 @pytest.mark.parametrize("workload, index, edits", [
@@ -124,7 +179,9 @@ def test_edits_are_rejected_after_a_clean_verify(tmp_path, workload, index,
     clean_path = tmp_path / "clean.json"
     clean_path.write_bytes(res.data)
     assert _verify(clean_path) == (0, "")
-    assert _single_field_sweep(tmp_path, json.loads(res.data)) == (edits, [])
+    cert = json.loads(res.data)
+    assert _single_field_sweep(tmp_path, cert) == (
+        edits, UNKNOWN_KEY_EDITS[cert["schema"]], [])
 
 
 def _nudged(s):
@@ -166,13 +223,9 @@ def test_nudged_entry_fails_beside_series_already_verified(
     job = gen.make_job(workload, 0, index)
     res = run.run_job(cli.main, job, tmp_path)
     assert res.ok, res.detail
-    obj = json.loads(res.data)
-    if obj["schema"] == "completion-cert/v1":
-        cert = completion.CompletionCertificate.from_json(obj)
-        check = completion.verify_completion
-    else:
-        cert = extension.ExtensionCertificate.from_json(obj)
-        check = extension.verify_extension_certificate
+    cert = textio.certificate_from_json(json.loads(res.data))
+    engine, _, name = cert.VERIFIER.partition(".")
+    check = getattr(importlib.import_module(f"skewdd.{engine}"), name)
     assert check(cert).ok
     passed, cases = [], 0
     for name, entry, edited in _nudged_entries(cert):
@@ -190,14 +243,13 @@ def test_nudged_entry_fails_beside_series_already_verified(
 
 def shape_edits(cert):
     """(field, edit, cert) with one matrix field's last row or column
-    repeated or dropped. `g` is stored as one flat row, so only its
-    columns change."""
-    for key in ("g", "A", "row", "witness", "b", "T", "H", "final",
-                "final_inv"):
-        if key not in cert:
+    repeated or dropped. A "row" field (`g`) is stored as one flat row, so
+    only its columns change."""
+    for key, kind in _kinds(cert).items():
+        if kind != "row" and not _is_matrix(kind):
             continue
         m = cert[key]
-        if key == "g":
+        if kind == "row":
             edits = {"added column": m + m[-1:], "dropped column": m[:-1]}
         else:
             edits = {"added row": m + m[-1:], "dropped row": m[:-1],

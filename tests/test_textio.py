@@ -239,3 +239,18 @@ def test_quote_input_clips_only_long_inputs():
         parse_series(get_domain(textio.parse_domain("int")), long_text)
     assert str(err.value) == ("cannot parse element "
                               + textio.quote_input(long_text))
+
+
+DOCS = Path(__file__).resolve().parent.parent / "docs"
+
+
+@pytest.mark.parametrize("schema", sorted(textio.CERTIFICATES))
+def test_schema_field_table_lists_the_declared_keys(schema):
+    """docs/schemas.md's field table for each schema names exactly the
+    keys its declaration reads: "schema" and each declared field."""
+    section = (DOCS / "schemas.md").read_text().split(f"## {schema}\n")[1]
+    # the first table of the section, up to the blank line that ends it
+    table = section[section.index("\n|"):].split("\n\n")[0]
+    documented = [line.split("`")[1] for line in table.splitlines()
+                  if line.startswith("| `")]
+    assert documented == ["schema", *textio.CERTIFICATES[schema].KINDS]

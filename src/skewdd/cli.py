@@ -95,7 +95,8 @@ def _load_series_list(dom, path: str, key: str) -> list:
     """Series from a file holding an array of them, or {key: array}."""
     obj = _load_json(path)
     if isinstance(obj, dict):
-        obj = obj.get(key)
+        textio.closed_object(obj, path, [key])
+        obj = obj[key]
     if not isinstance(obj, list) or not obj:
         raise ValueError(f"{path} holds neither a nonempty JSON array of "
                          f"series nor an object with a {key!r} array")

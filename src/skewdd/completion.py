@@ -21,22 +21,12 @@ over the idealized ring [[R, I^(-1)], [I, I*I^(-1)]], in certified steps:
 
 Every intermediate coefficient is checked against its declared
 fractional-ideal shape and reductions consume exactly one known order.
-verify_completion recomputes all products independently: the chain's
-nine checks and the final conversion's four. The engine's own check
-runs only the four, because its steps have already fixed each of the
-nine, with the same functions on the same immutable objects:
-
-  row shape                 the ShapedRow the caller built with (J, A)
-  witness shape             check_unimodular on t (the witness shape
-                            does not depend on the order's parity)
-  b, T and H shapes         the top step's _require_shape calls
-  row * witness = x^n       check_unimodular's row * t = 1, shifted by n
-  [a; b] * T reproduces H   H is that very product
-  vanishing below n,        the top lift's checks; at n = 0,
-  det(H_n)                  det(H_0) = 1 and twist_ratio(0) = D
-
-The identity products stay in the engine: they cross-check
-series.right_divide, which no earlier step does.
+Each step checks its level's data (b, T, H) with _level_checks, the
+function verify_completion runs on the certificate's top level, and the
+row and witness lines repeat checks the caller's ShapedRow and
+check_unimodular made. So the engine's final self-check is only
+verify_final_conversion, whose identity products cross-check
+series.right_divide.
 
 The final inverse is the left solution X of X * S = T', where
 final * T' = S follows from [row; b] * T = H: X = T' S^-1 is a right
@@ -200,6 +190,13 @@ def _require_shape(mat: SeriesMatrix, shape_of, what: str):
             f"escapes its shape ideal")
 
 
+def _add_shape_check(rep: VerifyReport, name: str, mat: SeriesMatrix,
+                     shape_of) -> None:
+    bad = _shape_violation(mat, shape_of)
+    rep.add(name, bad is None, "" if bad is None else f"entry {bad[:2]}",
+            None if bad is None else bad[2])
+
+
 class ShapedRow:
     """Row in [sigma^i(A^-1), sigma^i(J^-1 A)] with valuation 0.
 
@@ -282,6 +279,45 @@ def _principal_or_obstruction(ideal: FracIdeal, what: str,
     return gen
 
 
+def _level_checks(shapes: ShapeTable, n: int, b: SeriesMatrix,
+                  T: SeriesMatrix, prod: SeriesMatrix,
+                  H: SeriesMatrix | None = None) -> VerifyReport:
+    """The checks of level-n invertibility data (b, T, H) of a row of
+    shapes' (J, A), with prod = [row; b] * T: the b, T and H shapes,
+    [a; b] * T reproduces H, prod vanishes below order n and det(H_n)
+    generates J * sigma^n(J^-1). A step passes no H, as its H is prod
+    itself; a certificate's H is checked against prod.
+    """
+    rep = VerifyReport()
+    _add_shape_check(rep, "b row shape membership", b, shapes.b_row)
+    _add_shape_check(rep, "T shape membership", T, shapes.t_mat)
+    _add_shape_check(rep, "H shape membership", prod if H is None else H,
+                     shapes.h_mat)
+    if H is not None:
+        rep.agree("[a; b] * T reproduces H", prod, H)
+    rep.add("product vanishes below order n",
+            all(not s.coeffs or s.val >= n for row in prod.rows for s in row))
+    try:
+        det = det2(prod.coeff_matrix(n))
+        rep.add("det(H_n) generates J * sigma^n(J^-1)",
+                bool(det) and ideals.from_generators(shapes.dom, [det])
+                == shapes.twist_ratio(n))
+    except PrecisionError:
+        rep.add("det(H_n) generates J * sigma^n(J^-1)", False,
+                "order n not known")
+    return rep
+
+
+def _chain_level(shaped: ShapedRow, witness: SeriesMatrix) -> int:
+    """The level n of a chain entry, whose row * witness is x^n plus
+    higher orders; NotUnimodular if its lowest coefficient is not 1."""
+    prod = (shaped.row @ witness).rows[0][0]
+    n = prod.valuation()
+    if prod.lowest() != shaped.dom.fone:
+        raise NotUnimodular(f"witness product is not x^{n}")
+    return n
+
+
 def check_unimodular(shaped: ShapedRow, t: SeriesMatrix
                      ) -> tuple[int, SeriesMatrix]:
     """Validate a * t = 1 and shift the witness to a * t' = x^n, n >= 0."""
@@ -312,12 +348,8 @@ def reduce_row(shaped: ShapedRow, witness: SeriesMatrix,
     """
     dom = shaped.dom
     shapes = shaped.shapes
-    prod = (shaped.row @ witness).rows[0][0]
-    n = prod.valuation()
-    if n < 1:
+    if _chain_level(shaped, witness) < 1:
         raise SkewError("reduce_row needs level n >= 1")
-    if prod.lowest() != dom.fone:
-        raise NotUnimodular(f"witness product is not x^{n}")
     s_e, q_e = shaped.row.coeff_matrix(0)[0]
     af = shaped.a_ideal
     b_ideal = ideals.zero_ideal(dom)
@@ -359,8 +391,7 @@ def base_case_invert(shaped: ShapedRow, witness: SeriesMatrix
     (ShapeTable.t0), checked to have determinant 1.
     """
     dom = shaped.dom
-    prod = (shaped.row @ witness).rows[0][0]
-    if prod.valuation() != 0 or prod.lowest() != dom.fone:
+    if _chain_level(shaped, witness) != 0:
         raise NotUnimodular("base case needs a0 * t0 = 1")
     t0_mat = shaped.shapes.t0
     if det2(t0_mat) != dom.fone:
@@ -368,13 +399,10 @@ def base_case_invert(shaped: ShapedRow, witness: SeriesMatrix
     t0_col = (witness.rows[0][0].coeff(0), witness.rows[1][0].coeff(0))
     b_row = SeriesMatrix.from_const(dom, [[-t0_col[1], t0_col[0]]])
     t_series = SeriesMatrix.from_const(dom, t0_mat)
-    _require_shape(b_row, shaped.shapes.b_row, "base-case b row")
-    _require_shape(t_series, shaped.shapes.t_mat, "base-case T")
     h_series = _stack(shaped.row, b_row) @ t_series
-    h0 = h_series.coeff_matrix(0)
-    if det2(h0) != dom.fone:
+    _level_checks(shaped.shapes, 0, b_row, t_series, h_series).require_ok()
+    if det2(h_series.coeff_matrix(0)) != dom.fone:
         raise SkewError("base-case leading determinant is not 1")
-    _require_shape(h_series, shaped.shapes.h_mat, "base-case H")
     return InvertibilityData(0, b_row, t_series, h_series)
 
 
@@ -399,12 +427,6 @@ def lift_invertibility(child: InvertibilityData, ctx: ReductionContext,
                                           mu).shift(1)
     h_series = _stack(parent.row, b_row) @ t_series
     n = child.n + 1
-    for r, row in enumerate(h_series.rows):
-        for c, series in enumerate(row):
-            if series.coeffs and series.val < n:
-                raise SkewError(
-                    f"lifted product does not vanish below order {n} "
-                    f"(entry ({r},{c}) at order {series.val})")
     h_n = h_series.coeff_matrix(n)
     child_h = child.H.coeff_matrix(n - 1)
     m_tw = [[dom.sigma_pow(e, n - 1) for e in row]
@@ -413,12 +435,7 @@ def lift_invertibility(child: InvertibilityData, ctx: ReductionContext,
                      dom.fzero) for c in range(2)] for r in range(2)]
     if h_n != expected:
         raise SkewError("lifted leading matrix mismatch")
-    det = det2(h_n)
-    if ideals.from_generators(dom, [det]) != parent.shapes.twist_ratio(n):
-        raise SkewError("det(H_n) does not generate J * sigma^n(J^-1)")
-    _require_shape(b_row, parent.shapes.b_row, "lifted b row")
-    _require_shape(t_series, parent.shapes.t_mat, "lifted T")
-    _require_shape(h_series, parent.shapes.h_mat, "lifted H")
+    _level_checks(parent.shapes, n, b_row, t_series, h_series).require_ok()
     return InvertibilityData(n, b_row, t_series, h_series)
 
 
@@ -451,28 +468,10 @@ def complete_unimodular_row(shaped: ShapedRow, t: SeriesMatrix, prec: int,
     textio.MAX_ORDER) is refused with ValueError.
 
     The certificate is returned only after verify_final_conversion
-    passes, which checks both products with the identity; a failed
-    check raises SkewError naming the failed checks. The other nine
-    lines of verify_completion are not rerun here: each checks a fact
-    that a step of this function has already fixed, with the same
-    functions on the same immutable objects:
-
-      row shape           ShapedRow, built by the caller with this (J, A)
-      witness shape       check_unimodular on t; witness_col does not
-                          depend on the parity of the order, so t x^n
-                          passes exactly when t does
-      b, T and H shapes   _require_shape in the top step, with
-                          shaped.shapes: lift_invertibility (n >= 1)
-                          or base_case_invert (n = 0)
-      row * witness = x^n check_unimodular's disagreement(row @ t, 1);
-                          row @ t2 is that product shifted by n, known
-                          past order n by the deficit check and prec >= 1
-      [a; b] * T = H      H is that very product of the same objects
-      vanishing below n,  the top lift's own checks; at n = 0,
-      det(H_n)            det(H_0) = 1 and twist_ratio(0) = D
-
-    verify_completion, and with it skewdd verify, still runs all
-    thirteen checks on the written certificate.
+    passes; a failed check raises SkewError naming the failed checks.
+    The top step ran _level_checks, the very function verify_completion
+    runs on the certificate's (b, T, H), so the engine's final
+    self-check is only verify_final_conversion.
     """
     textio.certified_prec(prec, 1)
     dom = shaped.dom
@@ -511,16 +510,10 @@ def complete_unimodular_row(shaped: ShapedRow, t: SeriesMatrix, prec: int,
     return cert
 
 
-def _add_shape_check(rep: VerifyReport, name: str, mat: SeriesMatrix,
-                     shape_of) -> None:
-    bad = _shape_violation(mat, shape_of)
-    rep.add(name, bad is None, "" if bad is None else f"entry {bad[:2]}",
-            None if bad is None else bad[2])
-
-
 def verify_completion(cert: CompletionCertificate) -> VerifyReport:
     """Recompute every product, shape membership and determinant claim:
-    the chain's nine checks, then verify_final_conversion's four."""
+    the row and witness lines, the top level's _level_checks, then
+    verify_final_conversion's four."""
     dom = get_domain(cert.domain)
     rep = VerifyReport()
     try:
@@ -529,13 +522,8 @@ def verify_completion(cert: CompletionCertificate) -> VerifyReport:
     except (SkewError, MembershipError) as err:
         rep.add("row shape membership", False, str(err))
         return rep
-    shapes = shaped.shapes
     _add_shape_check(rep, "witness shape membership", cert.witness,
-                     shapes.witness_col)
-    _add_shape_check(rep, "b row shape membership", cert.b, shapes.b_row)
-    _add_shape_check(rep, "T shape membership", cert.T, shapes.t_mat)
-    _add_shape_check(rep, "H shape membership", cert.H, shapes.h_mat)
-
+                     shaped.shapes.witness_col)
     wit_prod = (cert.row @ cert.witness).rows[0][0]
     bad, _ = disagreement(SeriesMatrix(dom, [[wit_prod]]), SeriesMatrix(
         dom, [[TruncatedSeries.x_power(dom, cert.n)]]))
@@ -548,26 +536,9 @@ def verify_completion(cert: CompletionCertificate) -> VerifyReport:
     else:
         rep.add("row * witness = x^n", wit_prod.ring,
                 "" if wit_prod.ring else "trailing coefficients not integral")
-
-    prod = _stack(cert.row, cert.b) @ cert.T
-    bad_order, bound = disagreement(prod, cert.H)
-    if bad_order is not None:
-        rep.add("[a; b] * T reproduces H", False, "", bad_order)
-    else:
-        rep.add("[a; b] * T reproduces H", True,
-                "" if bound is None else f"through order {bound - 1}")
-    low_ok = all(not s.coeffs or s.val >= cert.n
-                 for row in prod.rows for s in row)
-    rep.add("product vanishes below order n", low_ok)
-    try:
-        h_n = prod.coeff_matrix(cert.n)
-        det = det2(h_n)
-        rep.add("det(H_n) generates J * sigma^n(J^-1)",
-                bool(det) and ideals.from_generators(dom, [det])
-                == shapes.twist_ratio(cert.n))
-    except PrecisionError:
-        rep.add("det(H_n) generates J * sigma^n(J^-1)", False,
-                "order n not known")
+    rep.checks += _level_checks(shaped.shapes, cert.n, cert.b, cert.T,
+                                _stack(cert.row, cert.b) @ cert.T,
+                                cert.H).checks
     rep.checks += verify_final_conversion(cert).checks
     return rep
 
@@ -575,7 +546,7 @@ def verify_completion(cert: CompletionCertificate) -> VerifyReport:
 def verify_final_conversion(cert: CompletionCertificate) -> VerifyReport:
     """The last four checks of verify_completion: final stacks the row
     over b, final_inv has the H shape, and both products of final and
-    final_inv are the identity through order prec.
+    final_inv are the identity below order prec.
 
     J and A must be nonzero, as in any certificate whose row passes its
     shape check; complete_unimodular_row runs only these checks.
@@ -588,16 +559,9 @@ def verify_final_conversion(cert: CompletionCertificate) -> VerifyReport:
     _add_shape_check(rep, "final inverse shape membership", cert.final_inv,
                      shape_table(dom, cert.ideal, cert.a_ideal).h_mat)
     ident = SeriesMatrix.identity(dom)
-    for name, both in (("final * final_inv = Id", cert.final @ cert.final_inv),
-                       ("final_inv * final = Id", cert.final_inv @ cert.final)):
-        bad, bound = disagreement(both, ident)
-        if bad is not None:
-            rep.add(name, False, "", bad)
-        else:
-            # the claim covers orders below prec: a bound of prec suffices
-            ok = bound is None or bound >= cert.prec
-            rep.add(name, ok,
-                    "" if ok else f"verified only below order {bound}, "
-                                  f"claimed {cert.prec}")
+    rep.agree("final * final_inv = Id", cert.final @ cert.final_inv, ident,
+              cert.prec)
+    rep.agree("final_inv * final = Id", cert.final_inv @ cert.final, ident,
+              cert.prec)
     return rep
 

@@ -57,8 +57,8 @@ from .errors import (
 from .ideals import (FracIdeal, PreparedBasis, combine_transform, echelon,
                      from_ring_generators)
 from .reporting import VerifyReport
-from .series import (SeriesMatrix, TruncatedSeries, disagreement,
-                     relaxed_product, scale_right, sum_products)
+from .series import (SeriesMatrix, TruncatedSeries, relaxed_product,
+                     scale_right, sum_products)
 from .textio import ExtensionCertificate, format_parts
 
 
@@ -354,17 +354,9 @@ def verify_extension_certificate(cert: ExtensionCertificate) -> VerifyReport:
             not cert.q.is_known_zero and cert.q.valuation() == 0
             and cert.q.lowest() == dom.fone)
     lhs = [scale_right(cert.q, a.to_field()) for a in (a1, a2)]
-    first_bad, verified = disagreement(SeriesMatrix(dom, [lhs]),
-                                       cert.g @ cert.A)
-    # the claim covers orders through prec: a bound of prec + 1 is needed
-    if first_bad is not None:
-        rep.add("defining identity q*g0 = g*A", False,
-                "first differing order", first_bad)
-    elif verified is not None and verified < cert.prec + 1:
-        rep.add("defining identity q*g0 = g*A", False,
-                f"verified only below order {verified}, certificate claims {cert.prec}")
-    else:
-        rep.add("defining identity q*g0 = g*A", True)
+    # the claim covers orders through prec
+    rep.agree("defining identity q*g0 = g*A", SeriesMatrix(dom, [lhs]),
+              cert.g @ cert.A, cert.prec + 1)
     # q maps the extended ideal into R, so q*g0 must be integral; its
     # higher coefficients are generally NOT in the ideal (only lowest ones)
     member_ok = True

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import SkewError
+from .series import disagreement
 
 
 @dataclass
@@ -16,6 +17,24 @@ class VerifyReport:
     def add(self, name: str, ok: bool, detail: str = "", order: int | None = None):
         self.checks.append({"name": name, "ok": bool(ok), "detail": detail,
                             "order": order})
+
+    def agree(self, name: str, left, right, below: int | None = None):
+        """Add the check left = right, compared wherever both are known.
+
+        It fails at the first order at which a known coefficient differs,
+        or, when below (the claim's exclusive order) is given, when the
+        two are known to agree only below an earlier order. A pass names
+        the last verified order unless the agreement is exact.
+        """
+        bad, bound = disagreement(left, right)
+        if bad is not None:
+            self.add(name, False, "", bad)
+        elif below is not None and bound is not None and bound < below:
+            self.add(name, False, f"verified only below order {bound}, "
+                                  f"claimed below order {below}")
+        else:
+            self.add(name, True,
+                     "" if bound is None else f"through order {bound - 1}")
 
     @property
     def ok(self) -> bool:

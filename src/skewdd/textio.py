@@ -384,9 +384,10 @@ def _declare(schema: str, name: str, doc: str, verifier: str, **kinds):
     which is also the name of a dataclass field, in field order.
 
     Kinds: "domain" (read first, as the rest is read over it), "ideal",
-    "pair" (two ring elements), "row" (a flat 1x2 series row), a (rows,
-    cols) series matrix, "series", ("int", least) for an integer in
-    least..MAX_ORDER, and "audit" (read, never checked; absent means []).
+    "pair" (an array of two ring elements), "row" (a flat 1x2 series
+    row), a (rows, cols) series matrix, "series", ("int", least) for an
+    integer in least..MAX_ORDER, and "audit" (read, never checked; absent
+    means []).
     """
     return dataclasses.make_dataclass(name, list(kinds), namespace={
         "__doc__": doc, "__module__": __name__,
@@ -437,6 +438,9 @@ def certificate_from_json(obj):
             case "ideal":
                 value = ideal_lattice_from_json(dom, value)
             case "pair":
+                if not isinstance(value, list) or len(value) != 2:
+                    raise ValueError(f"{key} must be an array of two element "
+                                     f"strings, not {quote_input(value)}")
                 value = tuple(parse_field_elem(dom, s).as_ring() for s in value)
             case "row":
                 value = matrix_from_json(dom, [value], (1, 2))

@@ -351,7 +351,7 @@ def test_verify_malformed_certificate_exits_3(tmp_path, capsys, zz, tamper):
     "row coefficient past its prec", "O-term without a caret",
     "ideal with two spellings", "ideal with den beside gens",
     "ideal with an unknown key", "domain with an unknown key",
-    "row series with an unknown key"])
+    "row series with an unknown key", "row wrapper with an unknown key"])
 def test_malformed_cli_input_exits_2(tmp_path, capsys, zz, case):
     gens = ["--gens", '["2+1*x^1"]']
     if case == "gens not strings":
@@ -384,6 +384,10 @@ def test_malformed_cli_input_exits_2(tmp_path, capsys, zz, case):
             argv[argv.index("--ideal") + 1] = "[1]"
         elif case == "row file without row":
             (tmp_path / "row.json").write_text('{"foo": 1}')
+        elif case == "row wrapper with an unknown key":
+            row = json.loads((tmp_path / "row.json").read_text())
+            (tmp_path / "row.json").write_text(
+                json.dumps({"row": row, "junk": 1}))
         elif case.startswith("row "):
             row = json.loads((tmp_path / "row.json").read_text())
             row[0] = ({"val": 0, "coeffs": ["2", "1"], "prec": 1}
@@ -408,6 +412,21 @@ def test_malformed_cli_input_exits_2(tmp_path, capsys, zz, case):
     assert code == 2
     assert err.startswith("error: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_row_and_witness_files_may_wrap_their_array(tmp_path, capsys, zz):
+    """{"row": [...]} and {"witness": [...]} give the bytes of the bare
+    arrays."""
+    argv = classic_row_argv(tmp_path, zz)
+    code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "bare.json"))
+    assert code == 0
+    for key in ("row", "witness"):
+        path = Path(argv[argv.index(f"--{key}") + 1])
+        path.write_text(json.dumps({key: json.loads(path.read_text())}))
+    code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "wrapped.json"))
+    assert code == 0
+    assert ((tmp_path / "wrapped.json").read_bytes()
+            == (tmp_path / "bare.json").read_bytes())
 
 
 @pytest.mark.parametrize("command", ["extend", "complete-row",

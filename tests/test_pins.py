@@ -34,7 +34,7 @@ import run  # noqa: E402
 import spans  # noqa: E402
 
 from skewdd import (cli, completion, domains, extension, ideals,  # noqa: E402
-                    series, textio)
+                    reporting, series, textio)
 from conftest import (assert_same_matrix, corrected_row_text,  # noqa: E402
                       two_pass_final_inverse)
 
@@ -176,7 +176,7 @@ def test_verifier_compares_products_without_building_elements(tmp_path,
     cert = textio.certificate_from_json(json.loads(res.data))
     inside = False
     calls = built = 0
-    compare = completion.disagreement
+    compare = reporting.disagreement
     init = domains.FieldElem.__init__
 
     def counting_compare(left, right):
@@ -193,7 +193,10 @@ def test_verifier_compares_products_without_building_elements(tmp_path,
         built += inside
         init(self, *args)
 
-    monkeypatch.setattr(completion, "disagreement", counting_compare)
+    # the row * witness line compares in completion, the identities in
+    # VerifyReport.agree
+    for module in (completion, reporting):
+        monkeypatch.setattr(module, "disagreement", counting_compare)
     monkeypatch.setattr(domains.FieldElem, "__init__", counting_init)
     report = completion.verify_completion(cert)
     monkeypatch.undo()

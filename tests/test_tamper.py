@@ -8,7 +8,8 @@ quad:2:conj. The fields swept are read from the schema's declaration
 (skewdd.textio.CERTIFICATES). One field at a time is replaced by each
 hostile value: every declared field but `audit` (which verify does not
 read), every domain field, hnf entry and g0 entry, and the val, prec and
-first coefficient of every series. Then an unknown key is added to one
+first coefficient of every series; g0 is also written as one string of
+its entries and with three entries. Then an unknown key is added to one
 object at a time: the top level, the domain, each ideal and each
 series. The sweep is repeated after the clean certificate passed verify
 in the same process, and an in-memory sweep nudges one coefficient of
@@ -122,13 +123,22 @@ def _verify(path):
     return code, err.getvalue()
 
 
+def hostile_values(cert, path):
+    """HOSTILE, and for a pair field two more spellings: its entries
+    joined into one string, and three entries."""
+    if len(path) == 1 and _kinds(cert).get(path[0]) == "pair":
+        pair = cert[path[0]]
+        return [*HOSTILE, "".join(pair), pair + pair[:1]]
+    return HOSTILE
+
+
 def _single_field_sweep(tmp_path, cert):
     """(value edits, unknown-key edits, unexpected) of verify on each
     single-field edit of cert."""
     bad_path = tmp_path / "tampered.json"
     unexpected, cases = [], 0
     for path in tamper_paths(cert):
-        for value in HOSTILE:
+        for value in hostile_values(cert, path):
             edited, original = _replaced(cert, path, value)
             if json.dumps(value) == json.dumps(original):
                 continue
@@ -154,7 +164,7 @@ def _single_field_sweep(tmp_path, cert):
 
 
 @pytest.mark.parametrize("workload, index, edits", [
-    ("extend-window", 1, 210), ("complete-p8", 2, 510), ("complete-p8", 4, 510)])
+    ("extend-window", 1, 212), ("complete-p8", 2, 510), ("complete-p8", 4, 510)])
 def test_verify_rejects_every_single_field_edit(tmp_path, workload, index,
                                                 edits):
     """`edits` hostile-value edits, then one unknown key per object."""
@@ -167,7 +177,7 @@ def test_verify_rejects_every_single_field_edit(tmp_path, workload, index,
 
 
 @pytest.mark.parametrize("workload, index, edits", [
-    ("extend-window", 1, 210), ("complete-p8", 2, 510)])
+    ("extend-window", 1, 212), ("complete-p8", 2, 510)])
 def test_edits_are_rejected_after_a_clean_verify(tmp_path, workload, index,
                                                  edits):
     """The verdict does not depend on what the process verified before:
@@ -182,6 +192,21 @@ def test_edits_are_rejected_after_a_clean_verify(tmp_path, workload, index,
     cert = json.loads(res.data)
     assert _single_field_sweep(tmp_path, cert) == (
         edits, UNKNOWN_KEY_EDITS[cert["schema"]], [])
+
+
+@pytest.mark.parametrize("g0", ["35", ["3", "5", "3"]],
+                         ids=["one string", "three entries"])
+def test_pair_is_an_array_of_two_strings(tmp_path, g0):
+    """A g0 whose characters each parse, written as one string, and a g0
+    of three entries are both malformed, naming g0."""
+    cert = _certificate(tmp_path, ["extend", "--domain", "int", "--gens",
+                                   '["3+1*x^1","5"]', "--prec", "4"])
+    assert cert["g0"] == ["3", "5"]
+    bad_path = tmp_path / "pair.json"
+    bad_path.write_text(json.dumps({**cert, "g0": g0}))
+    code, err = _verify(bad_path)
+    assert code == 3 and err.count("\n") == 1, err
+    assert err.startswith("verification failure: malformed") and "g0" in err
 
 
 def _nudged(s):

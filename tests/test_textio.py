@@ -1,3 +1,4 @@
+import importlib
 import json
 import sys
 import time
@@ -18,6 +19,7 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
 
 import gen  # noqa: E402
+import run  # noqa: E402
 
 
 @settings(max_examples=60, deadline=None, derandomize=True,
@@ -244,13 +246,43 @@ def test_quote_input_clips_only_long_inputs():
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
 
+def schema_section(schema):
+    return (DOCS / "schemas.md").read_text().split(f"## {schema}\n")[1]
+
+
 @pytest.mark.parametrize("schema", sorted(textio.CERTIFICATES))
 def test_schema_field_table_lists_the_declared_keys(schema):
     """docs/schemas.md's field table for each schema names exactly the
     keys its declaration reads: "schema" and each declared field."""
-    section = (DOCS / "schemas.md").read_text().split(f"## {schema}\n")[1]
+    section = schema_section(schema)
     # the first table of the section, up to the blank line that ends it
     table = section[section.index("\n|"):].split("\n\n")[0]
     documented = [line.split("`")[1] for line in table.splitlines()
                   if line.startswith("| `")]
     assert documented == ["schema", *textio.CERTIFICATES[schema].KINDS]
+
+
+# a seed-0 benchmark job that writes a valid certificate of each schema
+VALID_JOB = {"extension-cert/v1": ("extend-window", 1),
+             "completion-cert/v1": ("complete-p8", 2)}
+
+
+@pytest.mark.parametrize("schema", sorted(textio.CERTIFICATES))
+def test_schema_lists_the_verify_lines(tmp_path, schema):
+    """docs/schemas.md's numbered list for each schema names the lines of
+    a valid certificate's verify report, in order."""
+    section = schema_section(schema)
+    # the list after "`verify` prints one line per check ...:", up to
+    # the blank line that ends it
+    listed = section.split("`verify` prints one line per check")[1]
+    listed = listed.split(":\n\n", 1)[1].split("\n\n")[0]
+    documented = [line.split("`")[1] for line in listed.splitlines()]
+    workload, index = VALID_JOB[schema]
+    res = run.run_job(cli.main, gen.make_job(workload, 0, index), tmp_path)
+    assert res.ok, res.detail
+    cert = textio.certificate_from_json(json.loads(res.data))
+    assert cert.SCHEMA == schema
+    engine, _, name = cert.VERIFIER.partition(".")
+    report = getattr(importlib.import_module(f"skewdd.{engine}"), name)(cert)
+    assert report.ok
+    assert documented == [check["name"] for check in report.checks]

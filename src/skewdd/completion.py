@@ -5,7 +5,7 @@ columns in [R, I]; a row is unimodular when some column multiplies it to
 1. This module turns such a row into an explicitly invertible matrix
 over the idealized ring [[R, I^(-1)], [I, I*I^(-1)]], in certified steps:
 
-  check_unimodular   normalizes the witness to a * t = x^n,
+  check_unimodular   normalizes the witness to a * t = x^n and proves it,
   reduce_row         peels one order by one determinant-1 change of
                      basis: a level-n row for a shape ideal A becomes
                      a level-(n-1) row for B = s*A + q*J*A^(-1),
@@ -21,10 +21,11 @@ over the idealized ring [[R, I^(-1)], [I, I*I^(-1)]], in certified steps:
 
 Every intermediate coefficient is checked against its declared
 fractional-ideal shape and reductions consume exactly one known order.
-Each step checks its level's data (b, T, H) with _level_checks, the
-function verify_completion runs on the certificate's top level, and the
-row and witness lines repeat checks the caller's ShapedRow and
-check_unimodular made. So the engine's final self-check is only
+Each step carries a * t = x^n down one level exactly, so it checks only
+the order-0 coefficient it consumes, and checks its level's data (b, T,
+H) with _level_checks, the function verify_completion runs on the
+certificate's top level; the row and witness lines repeat checks the
+caller's ShapedRow and check_unimodular made. So the engine's final self-check is only
 verify_final_conversion, whose identity products cross-check
 series.right_divide.
 
@@ -140,7 +141,8 @@ class ShapeTable:
 
         s and b are the first HNF generators of J and A, a' completes s*b
         to a generating pair of A (verified search), and the Bezout
-        identity a'*p + s*b*q = 1 is solved with p, q in A^(-1).
+        identity a'*p + s*b*q = 1 is solved with p, q in A^(-1), so
+        det(T0) = 1, checked here once per (J, A).
         """
         s_r = self.j_ideal.two_generators()[0]
         b_r = self.a_ideal.two_generators()[0]
@@ -149,8 +151,11 @@ class ShapeTable:
         sb = sb.to_field()
         u_prime, v_prime = _bezout_two_fractional(
             self.dom, self.ainv.scale(aprime), self.ainv.scale(sb))
-        return ((aprime, b_r.to_field()),
-                (-(s_r.to_field() * (v_prime / sb)), u_prime / aprime))
+        t0 = ((aprime, b_r.to_field()),
+              (-(s_r.to_field() * (v_prime / sb)), u_prime / aprime))
+        if det2(t0) != self.dom.fone:
+            raise SkewError("base-case matrix does not have determinant 1")
+        return t0
 
 
 @lru_cache(maxsize=ideals.MEMO_SIZE)
@@ -308,29 +313,22 @@ def _level_checks(shapes: ShapeTable, n: int, b: SeriesMatrix,
     return rep
 
 
-def _chain_level(shaped: ShapedRow, witness: SeriesMatrix) -> int:
-    """The level n of a chain entry, whose row * witness is x^n plus
-    higher orders; NotUnimodular if its lowest coefficient is not 1."""
-    prod = (shaped.row @ witness).rows[0][0]
-    n = prod.valuation()
-    if prod.lowest() != shaped.dom.fone:
-        raise NotUnimodular(f"witness product is not x^{n}")
-    return n
-
-
 def check_unimodular(shaped: ShapedRow, t: SeriesMatrix
                      ) -> tuple[int, SeriesMatrix]:
-    """Validate a * t = 1 and shift the witness to a * t' = x^n, n >= 0."""
+    """Shift the witness to t' = t * x^n, n >= 0 least with no entry
+    below order 0, and prove a * t' = x^n at every order both sides
+    know: the engine's one proof, which each reduce_row step carries."""
     if t.shape != (2, 1):
         raise SkewError("witness must be a 2x1 column")
     _require_shape(t, shaped.shapes.witness_col, "witness")
-    bad, _ = disagreement(shaped.row @ t,
-                          SeriesMatrix.from_const(shaped.dom, [[1]]))
-    if bad is not None:
-        raise NotUnimodular(f"row * witness differs from 1 at order {bad}")
     vals = [s.val for col in t.rows for s in col if s.coeffs]
     n = max(0, -min(vals)) if vals else 0
-    return n, t.shift(n)
+    t2 = t.shift(n)
+    bad, _ = disagreement(shaped.row @ t2, SeriesMatrix(
+        shaped.dom, [[TruncatedSeries.x_power(shaped.dom, n)]]))
+    if bad is not None:
+        raise NotUnimodular(f"row * witness differs from x^{n} at order {bad}")
+    return n, t2
 
 
 def reduce_row(shaped: ShapedRow, witness: SeriesMatrix,
@@ -343,14 +341,18 @@ def reduce_row(shaped: ShapedRow, witness: SeriesMatrix,
     the row's order-0 coefficient, and abar0, with det P = s*u + q*v = 1;
     C = [[u, q], [v, -s]] gives P*C = diag(1, -1). Then (alpha, abar) =
     row*C and (tbar, -tlow) = P*witness. Returns the reduced row, its
-    witness (which the next step's entry check tests) and the context
-    (parent, P, C, B, lambda) the matching lift needs.
+    witness and the context (parent, P, C, B, lambda) the matching lift
+    needs. As C*diag(1, -1)*P = 1, alpha*tbar + abar*tlow = row * witness
+    = x^n, so the reduced pair's product is exactly x^(n-1). The step
+    checks only the order it consumes: the witness starts at order 0 or
+    later and a0 * t0 = 0, so the reduced witness does too.
     """
     dom = shaped.dom
     shapes = shaped.shapes
-    if _chain_level(shaped, witness) < 1:
-        raise SkewError("reduce_row needs level n >= 1")
     s_e, q_e = shaped.row.coeff_matrix(0)[0]
+    (t1,), (t2,) = witness.rows
+    if min(t1.val, t2.val) < 0 or s_e * t1.coeff(0) + q_e * t2.coeff(0):
+        raise SkewError("reduce_row needs level n >= 1")
     af = shaped.a_ideal
     b_ideal = ideals.zero_ideal(dom)
     if s_e:
@@ -388,21 +390,18 @@ def reduce_row(shaped: ShapedRow, witness: SeriesMatrix,
 def base_case_invert(shaped: ShapedRow, witness: SeriesMatrix
                      ) -> InvertibilityData:
     """Level-0 invertibility: the constant matrix T0 of the row's (J, A)
-    (ShapeTable.t0), checked to have determinant 1.
+    (ShapeTable.t0, of determinant 1) with b = (-t0[1], t0[0]). The chain
+    carries row * witness = x^0; as det([a0; b0]) = a0 * t0, the check
+    det(H_0) = 1 is exactly its order-0 coefficient a0 * t0 = 1.
     """
     dom = shaped.dom
-    if _chain_level(shaped, witness) != 0:
-        raise NotUnimodular("base case needs a0 * t0 = 1")
-    t0_mat = shaped.shapes.t0
-    if det2(t0_mat) != dom.fone:
-        raise SkewError("base-case matrix does not have determinant 1")
     t0_col = (witness.rows[0][0].coeff(0), witness.rows[1][0].coeff(0))
     b_row = SeriesMatrix.from_const(dom, [[-t0_col[1], t0_col[0]]])
-    t_series = SeriesMatrix.from_const(dom, t0_mat)
+    t_series = SeriesMatrix.from_const(dom, shaped.shapes.t0)
     h_series = _stack(shaped.row, b_row) @ t_series
-    _level_checks(shaped.shapes, 0, b_row, t_series, h_series).require_ok()
     if det2(h_series.coeff_matrix(0)) != dom.fone:
-        raise SkewError("base-case leading determinant is not 1")
+        raise NotUnimodular("base case needs a0 * t0 = 1")
+    _level_checks(shaped.shapes, 0, b_row, t_series, h_series).require_ok()
     return InvertibilityData(0, b_row, t_series, h_series)
 
 
@@ -524,18 +523,8 @@ def verify_completion(cert: CompletionCertificate) -> VerifyReport:
         return rep
     _add_shape_check(rep, "witness shape membership", cert.witness,
                      shaped.shapes.witness_col)
-    wit_prod = (cert.row @ cert.witness).rows[0][0]
-    bad, _ = disagreement(SeriesMatrix(dom, [[wit_prod]]), SeriesMatrix(
-        dom, [[TruncatedSeries.x_power(dom, cert.n)]]))
-    if bad is not None and bad <= cert.n:
-        rep.add("row * witness = x^n", False, "", bad)
-    elif wit_prod.known_to is not None and wit_prod.known_to <= cert.n:
-        # agreement below order n says nothing about the x^n term
-        rep.add("row * witness = x^n", False,
-                f"product known only below order {wit_prod.known_to}")
-    else:
-        rep.add("row * witness = x^n", wit_prod.ring,
-                "" if wit_prod.ring else "trailing coefficients not integral")
+    rep.agree("row * witness = x^n", cert.row @ cert.witness, SeriesMatrix(
+        dom, [[TruncatedSeries.x_power(dom, cert.n)]]), cert.n + 1)
     rep.checks += _level_checks(shaped.shapes, cert.n, cert.b, cert.T,
                                 _stack(cert.row, cert.b) @ cert.T,
                                 cert.H).checks

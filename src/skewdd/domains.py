@@ -291,7 +291,7 @@ class FieldElem:
                 raise ZeroDivisionError("zero denominator")
             if den < 0:
                 num, den = -num, -den
-            g = gcd(num.content(), den)
+            g = gcd(den, num.a, num.b)   # the small den first: cheap
             if g > 1:
                 num = RingElem(dom, num.a // g, num.b // g)
                 den //= g

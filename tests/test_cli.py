@@ -187,6 +187,25 @@ def test_verify_truncated_witness_exits_3(tmp_path, capsys, zz):
     assert "FAIL: row * witness = x^n" in out
 
 
+def test_verify_checks_row_witness_past_order_n(tmp_path, capsys, zz):
+    """row * witness = x^n is checked at every order both sides know, not
+    only through order n: the classic row's certificate (n = 1) with 7x^3
+    added to the first witness entry has product x + 14x^3 + 7x^4, which
+    is integral and agrees with x^1 through order 2."""
+    out_path = tmp_path / "cert.json"
+    code, _, _ = run(capsys, *classic_row_argv(tmp_path, zz),
+                     "--out", str(out_path))
+    assert code == 0
+    obj = json.loads(out_path.read_text())
+    assert obj["n"] == 1
+    obj["witness"][0] = [series_to_json(parse_series(zz, "-2+7*x^3"))]
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "verify", str(bad_path))
+    assert code == 3
+    assert "FAIL: row * witness = x^n at order 3" in out.splitlines()
+
+
 def test_verify_padded_witness_exits_3_in_time(tmp_path, capsys, zz):
     """A certificate whose witness entries are padded with zeros in front
     to 2 * MAX_ORDER stored coefficients (val -MAX_ORDER, so the nonzero

@@ -114,6 +114,21 @@ def test_base_case_examples(zz, z5):
     assert h0[0][0] * h0[1][1] - h0[0][1] * h0[1][0] == z5.fone
 
 
+def test_steps_refuse_a_pair_of_the_wrong_level(zz):
+    """reduce_row refuses a level-0 pair (a0 * t0 = 1) and a witness that
+    starts below order 0; base_case_invert refuses a level-1 pair
+    (a0 * t0 = 0) through its det(H_0) = 1 check, as NotUnimodular."""
+    shaped, t = classic_row(zz)
+    _, t2 = check_unimodular(shaped, t)
+    reduced, wit, _ = reduce_row(shaped, t2)
+    for row, col in ((reduced, wit), (shaped, t)):
+        with pytest.raises(SkewError, match="reduce_row needs level n >= 1"):
+            reduce_row(row, col)
+    with pytest.raises(NotUnimodular, match=r"base case needs a0 \* t0 = 1"):
+        base_case_invert(shaped, t2)
+    assert base_case_invert(reduced, wit).n == 0
+
+
 def five_shape_families(dom, j_ideal, a_ideal):
     """The shape families written out one by one, each product formed
     where it is used: the reference the rule-built ShapeTable must match.
@@ -425,6 +440,25 @@ def test_each_level_is_one_determinant_one_change_of_basis(any_domain):
             assert (data.n, data.b, data.T, data.H) \
                 == (cert.n, cert.b, cert.T, cert.H)
     assert levels and depth_one
+
+
+def test_each_step_carries_row_witness_exactly(any_domain):
+    """check_unimodular proves row * witness = x^n once and each reduce_row
+    step checks only the order-0 coefficient it consumes, so the steps
+    must carry the rest: on seeded rows at depths 0 to 2, the pair at
+    every level multiplies to x^level exactly, at every order."""
+    dom = any_domain
+    for shaped, t, n in seed_51_rows(dom, {0, 1, 2}):
+        level, wit = check_unimodular(shaped, t)
+        row = shaped
+        while True:
+            assert (row.row @ wit).rows[0][0] \
+                == TruncatedSeries.x_power(dom, level)
+            if not level:
+                break
+            row, wit, _ = reduce_row(row, wit)
+            level -= 1
+        base_case_invert(row, wit)
 
 
 def test_extended_ideal_iso_examples(z5, zz):

@@ -212,9 +212,10 @@ def extend(j_ideal: FracIdeal, g: SeriesMatrix, prec: int
            ) -> ExtensionCertificate:
     """Inductive construction of the certificate (A, q) for given J and g.
 
-    Order n of g * A is srow_n + g_0 A_n, where relaxed_product hands
-    srow_n = sum_(i=1..n) g_i sigma^i(A_(n-i)) as integer pairs (g and A
-    are integral, so over denominator 1). The obstruction
+    Order n of g * A is srow_n + g_0 A_n, where relaxed_product, given
+    the g_i as integer pairs, hands srow_n = sum_(i=1..n) g_i
+    sigma^i(A_(n-i)) as integer pairs (g and A are integral, so over
+    denominator 1). The obstruction
     s_n = srow_n,1 sigma^n(a2) - srow_n,2 sigma^n(a1) is written inside
     J * sigma^n(J) to produce A_n, and q_n is read off (with both row
     components cross checked). A failed membership aborts with
@@ -319,7 +320,8 @@ def extend(j_ideal: FracIdeal, g: SeriesMatrix, prec: int
         audit.append({"n": n, "s_n": format_parts(*sn), "c": c_text})
         return out
 
-    a_mats = relaxed_product(dom, [[[f1.coeff(i), f2.coeff(i)]]
+    a_mats = relaxed_product(dom, [[[(c.num.a, c.num.b)
+                                     for c in (f1.coeff(i), f2.coeff(i))]]
                                    for i in range(1, prec + 1)],
                              0, prec + 1, step)
     a_series = SeriesMatrix(dom, [

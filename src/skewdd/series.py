@@ -36,18 +36,25 @@ the first to the last nonzero one.
 Order-by-order products share one relaxed recursion, relaxed_product
 (van der Hoeven, "Relax, but don't be too lazy", J. Symbolic Comput.
 34, 2002): order t of L * R or of R * L, where the caller finds R_t
-only once order t of the sum is known. It keeps the R_t found so far as
-integer lanes, once each, and the known L once per parity, and each
-order costs three integer dot products per entry, each as long as L up
-to its last nonzero L_j: the cost per order follows the degree of the
-known factor, so a degree-d matrix divides with O(d) terms per order.
-Its callers are right_divide, which solves X * a = b for b * a^-1 with
-the unknown on the left and normalises each output coefficient once
-(the final conversion of a completion is one such solve, and
-matrix_invert divides the identity; a series inverts as the 1x1 case),
-and extension.extend, with the unknown on the right. A 2x2 matrix whose
-lowest coefficient matrix is singular is refused with SingularError,
-even when it is invertible over the series ring.
+only once order t of the sum is known. The known factor L arrives as
+integer pairs over one denominator and is kept as lanes once per
+parity, each coefficient matrix's entries last to first; each R_t
+enters lanes once, when it is found, in the order found. A known lane
+times an unknown lane read backwards, sum(map(mul, K, reversed(U))),
+then pairs L_j with R_(t-j) and stops at the shorter side, so no lane
+is sliced per order, and an order costs three integer dot products per
+entry, each as long as L up to its last nonzero L_j: the cost per order
+follows the degree of the known factor, so a degree-d matrix divides
+with O(d) terms per order. Its callers are right_divide, which solves
+X * a = b for b * a^-1 with the unknown on the left (the final
+conversion of a completion is one such solve, and matrix_invert
+divides the identity; a series inverts as the 1x1 case), and
+extension.extend, with the unknown on the right. right_divide folds
+a_v^-1, the inverse of a's lowest coefficient matrix, into the known
+factor and the right-hand side once, on integer pairs, so each order is
+the dot products and one normalisation per output coefficient. A 2x2
+matrix whose lowest coefficient matrix is singular is refused with
+SingularError, even when it is invertible over the series ring.
 """
 
 from __future__ import annotations
@@ -653,6 +660,24 @@ def _const_inverse(m):
     return norm, [[pair_mul(dom, e, u) for e in r] for r in adj]
 
 
+def _pair_matmul(dom: Domain, m, n):
+    """m @ n for matrices of integer pairs (a, b) = a + b*w, with the
+    w^2 rule of pair_mul written out in the inner sum."""
+    wc, wt = dom.omega_c, dom.omega_t
+    out = []
+    for row in m:
+        out_row = []
+        for col in zip(*n):
+            x = y = 0
+            for (a, b), (c, d) in zip(row, col):
+                bd = b * d
+                x += a * c + bd * wc
+                y += a * d + b * c + bd * wt
+            out_row.append((x, y))
+        out.append(out_row)
+    return out
+
+
 def matrix_invert(a: SeriesMatrix, prec: int | None = None) -> SeriesMatrix:
     """Two-sided inverse of a 1x1 or 2x2 series matrix: right_divide of
     the identity by a, known through min(known_to(a) - 2v, prec) for the
@@ -676,11 +701,20 @@ def right_divide(b: SeriesMatrix, a: SeriesMatrix,
     o + v + t of X * a = b gives
 
         X_t = (b_(o+v+t) - S_t) sigma^(o+t)(a_v^-1),
-        S_t = sum_(j=1..t) X_(t-j) sigma^(o+t-j)(a_(v+j)):
+        S_t = sum_(j=1..t) X_(t-j) sigma^(o+t-j)(a_(v+j)).
 
-    relaxed_product with the unknown on the left, L_j = a_(v+j) up to the
-    highest stored order of a (the orders past it are zero), so an order
-    costs O(d) terms for a of degree d, whatever prec.
+    As sigma^(o+t) = sigma^(o+t-j) sigma^j, a_v^-1 folds into the known
+    factor once, before the pass:
+
+        X_t = b'_t - sum_(j=1..t) X_(t-j) sigma^(o+t-j)(K_j),
+        K_j = a_(v+j) sigma^j(a_v^-1),  b'_t = b_(o+v+t) sigma^(o+t)(a_v^-1),
+
+    with K_j and b'_t formed on integer pairs, not as elements.
+    relaxed_product runs the recursion with the unknown on the left and
+    L_j = -K_j up to the highest stored order of a (the orders past it
+    are zero), so an order costs O(d) terms for a of degree d, whatever
+    prec, and X_t is b'_t plus the sum it hands over: no product by
+    a_v^-1 is left to any order.
 
     Row i of X is known through min(known_to(a) - 2v, prec) plus the
     least valuation in row i of b: what the min rule gives the product b
@@ -723,13 +757,21 @@ def right_divide(b: SeriesMatrix, a: SeriesMatrix,
     top = max(s.val + len(s.coeffs) - 1 for r in a.rows for s in r if s.coeffs)
     depth = min(out_kt + v - 1, top - v)
     i_den, inv = inv_a0
-    wc, wt = dom.omega_c, dom.omega_t
-    # sigma^(o+t)(a_v^-1), by the parity of o + t
+    # sigma^e(a_v^-1) by the parity of e, as pairs over i_den
     invs = [inv]
     if dom.conj_sigma:
-        invs.append([[(x + y * wt, -y) for x, y in row] for row in inv])
-    # b_at[t, p]: row p of b_(o+v+t) where it is nonzero and read, as
-    # integer pairs (a, b) over one denominator (b = 0 over Z)
+        invs.append([[(x + y * dom.omega_t, -y) for x, y in row]
+                     for row in inv])
+    # -K_j = -a_(v+j) sigma^j(a_v^-1), j = 1..depth, as integer pairs
+    # over a_den * i_den, with a_(v+1), ..., a_(v+depth) read over a_den
+    a_den, lanes = _lanes([e for j in range(v + 1, v + depth + 1)
+                           for row in a.coeff_matrix(j) for e in row], True)
+    flat = [(-x, -y) for x, y in zip(*lanes)]
+    rows = [flat[i:i + r] for i in range(0, len(flat), r)]
+    known = [_pair_matmul(dom, rows[(j - 1) * r:j * r], invs[j % len(invs)])
+             for j in range(1, depth + 1)]
+    # b'_t[p]: row p of b'_t where b_(o+v+t) is nonzero in that row and
+    # read, as (den, pairs)
     b_at = {}
     for p, row in enumerate(b.rows):
         for q, f in enumerate(row):
@@ -737,67 +779,58 @@ def right_divide(b: SeriesMatrix, a: SeriesMatrix,
                 t = f.val + j - o - v
                 if e and t < counts[p]:
                     b_at.setdefault((t, p), [dom.fzero] * r)[q] = e
-    for key, coeffs in b_at.items():
+    for (t, p), coeffs in b_at.items():
         den, lanes = _lanes(coeffs, True)
-        b_at[key] = den, list(zip(*lanes))
-    idx = range(r)
-    zeros = [dom.fzero] * r
+        b_at[t, p] = den * i_den, _pair_matmul(dom, [list(zip(*lanes))],
+                                               invs[(o + t) % len(invs)])[0]
+    fzero = dom.fzero
+    zeros = [fzero] * r
+    no_sum = [(0, 0)] * r
 
     def step(t, den, s):
-        inv_t = invs[(o + t) % len(invs)]
         xt = []
         for p, count in enumerate(counts):
             if t >= count:
                 xt.append(zeros)
                 continue
-            # b_(o+v+t) - S_t, row p, over the denominator d
-            d, rhs = (den, [(-x, -y) for x, y in s[p]]) if s \
-                else (1, [(0, 0)] * r)
+            # b'_t - sum_j X_(t-j) sigma^(o+t-j)(K_j), row p, over d
+            d, row = (den, s[p]) if s else (1, no_sum)
             if (t, p) in b_at:
                 b_den, b_row = b_at[t, p]
                 g = lcm(d, b_den)
                 f, fb = g // d, g // b_den
-                d, rhs = g, [(x * f + bx * fb, y * f + by * fb)
-                             for (x, y), (bx, by) in zip(rhs, b_row)]
-            row = []
-            for q in idx:
-                x = y = 0
-                for (hx, hy), m in zip(rhs, inv_t):
-                    mx, my = m[q]
-                    hm = hy * my
-                    x += hx * mx + hm * wc
-                    y += hx * my + hy * mx + hm * wt
-                row.append(FieldElem(dom, RingElem(dom, x, y), i_den * d)
-                           if x or y else dom.fzero)
-            xt.append(row)
+                d, row = g, [(x * f + bx * fb, y * f + by * fb)
+                             for (x, y), (bx, by) in zip(row, b_row)]
+            xt.append([FieldElem(dom, RingElem(dom, x, y), d) if x or y
+                       else fzero for x, y in row])
         return xt
 
-    xs = relaxed_product(dom, [a.coeff_matrix(v + j)
-                               for j in range(1, depth + 1)],
-                         o, nterms, step, left=True)
+    xs = relaxed_product(dom, known, o, nterms, step, left=True,
+                         den=a_den * i_den)
     return SeriesMatrix(dom, [
         [TruncatedSeries(dom, o, [x[p][q] for x in xs[:count]],
                          None if low is None else out_kt + low)
-         for q in idx]
+         for q in range(r)]
         for p, (count, low) in enumerate(zip(counts, lows))])
 
 
 def relaxed_product(dom: Domain, known, offset: int, nterms: int, step,
-                    left: bool = False):
+                    left: bool = False, den: int = 1):
     """[R_0, ..., R_(nterms-1)], each R_t the matrix of FieldElems that
     step returns once order t of L * R (or of R * L, when left) is known.
 
-    known holds the coefficient matrices L_1, L_2, ..., and L_j = 0 past
-    its end; offset is the order of the left factor's first coefficient
-    (L_0, or R_0 when left). Order t calls step(t, den, s), where s holds
+    known holds the coefficient matrices L_1, L_2, ... as integer pairs
+    (a, b), entry (a + b*w) / den for one positive den (b = 0 over Z),
+    and L_j = 0 past its end; offset is the order of the left factor's
+    first coefficient (L_0, or R_0 when left). Order t calls step(t,
+    den_t, s), where s holds
 
         S_t = sum_(j=1..t) L_j sigma^(offset+j)(R_(t-j))       (L * R)
         S_t = sum_(j=1..t) R_(t-j) sigma^(offset+t-j)(L_j)     (R * L)
 
-    as rows of integer pairs (a, b), entry (a + b*w) / den (b = 0 over
-    Z). s is None when no term enters: at t = 0, and at every t when
-    each L_j is zero. A step keys its start on t == 0 and reads None at
-    t > 0 as S_t = 0.
+    as rows of integer pairs, entry (a + b*w) / den_t. s is None when no
+    term enters: at t = 0, and at every t when each L_j is zero. A step
+    keys its start on t == 0 and reads None at t > 0 as S_t = 0.
 
     Both sides run one loop: order t is the inner sum of K_j U_(t-j),
     j = 1..t, with the unknown U_i stored once, as it is found, and the
@@ -812,91 +845,85 @@ def relaxed_product(dom: Domain, known, offset: int, nterms: int, step,
 
     Trailing zero matrices of known are dropped first, so each order
     costs as much as L up to its last nonzero L_j, not as much as t.
-    Row p of K_len, ..., K_1 is read once into lanes over one common
-    denominator, entries side by side, and twisted for the other parity
-    on the integer parts. Column q of the U_i found so far is kept the
-    same way over the lcm of their denominators; the lanes are rescaled
-    when that lcm grows. Entry (p, q) of the inner sum is then three
-    integer dot products over the Karatsuba lanes a, b and a + b, with
-    w^2 = omega_c + omega_t * w applied once.
+    Row p of K_1, K_2, ... is kept as lanes, each matrix's entries last
+    to first, and column q of U_0, U_1, ... as lanes in the order found,
+    over the lcm of their denominators (rescaled when that lcm grows).
+    Read backwards, the U lanes then meet the K lanes term by term: entry
+    (p, q) of the inner sum is sum(map(mul, K, reversed(U))) over each
+    Karatsuba lane a, b and a + b, which stops at the shorter side, so
+    no lane is sliced or copied per order; w^2 = omega_c + omega_t * w
+    is applied once. Each R_t enters the U lanes once, from the integer
+    parts of its entries.
     """
     quad, wc, wt = dom.is_quad, dom.omega_c, dom.omega_t
     conj = dom.conj_sigma
     known = list(known)
-    while known and not any(c for row in known[-1] for c in row):
+    while known and not any(x or y for row in known[-1] for x, y in row):
         known.pop()   # L_j = 0 past the last nonzero L_j costs nothing
     depth = len(known)
-    l_den = r_den = 1
-    if depth:
-        if left:
-            known = [list(zip(*m)) for m in known]
-        r, k = len(known[0]), len(known[0][0])
-        width = depth * k
-        l_den, lanes = _lanes([m[p][s] for p in range(r)
-                               for m in reversed(known) for s in range(k)],
-                              quad)
-        if left and conj:   # entry i is of K_j, j = depth - i % width // k
-            a, b = lanes
-            for i in range(len(a)):
-                if (depth - i % width // k) % 2:
-                    a[i], b[i] = a[i] + b[i] * wt, -b[i]
-        # rows[e][p]: the lanes of row p of sigma^e(K_len), ..., sigma^e(K_1)
-        rows = [[[lane[p * width:(p + 1) * width] for lane in _with_sum(ls)]
-                 for p in range(r)]
-                for ls in ([lanes, _conj_lanes(lanes, wt)] if conj
-                           else [lanes])]
-    cols = []   # cols[q]: lanes of column q of U_0, U_1, ...
+    if left:
+        known = [list(zip(*m)) for m in known]
+    # ks[e][p]: the lanes of row p of K_1, K_2, ... for the parity e
+    ks = []
+    for e in range(dom.sigma_order if depth else 0):
+        rows = []
+        for p in range(len(known[0])):
+            xs, ys = [], []
+            for j, m in enumerate(known, 1):
+                twist = conj and (e + j if left else e) % 2
+                for x, y in reversed(m[p]):
+                    if twist:
+                        x, y = x + y * wt, -y
+                    xs.append(x)
+                    ys.append(y)
+            rows.append(_with_sum([xs, ys] if quad else [xs]))
+        ks.append(rows)
+
+    def inner(k, u):
+        aa = sum(map(mul_int, k[0], reversed(u[0])))
+        if not quad:
+            return aa, 0
+        bb = sum(map(mul_int, k[1], reversed(u[1])))
+        ab = sum(map(mul_int, k[2], reversed(u[2]))) - aa - bb
+        return aa + bb * wc, ab + bb * wt
+
+    us = []   # us[q]: the lanes of column q of U_0, U_1, ...
+    r_den = 1
     out = []
     for t in range(nterms):
-        span = min(t, depth)
         s = None
-        if span:
-            e = (offset + t) % len(rows)
-            cut = (depth - span) * k
-            hs = [[lane[cut:] for lane in row] for row in rows[e]] if cut \
-                else rows[e]
-            cut = (t - span) * k
-            us = [[lane[cut:] for lane in col] for col in cols]
-            s = []
-            for h in hs:
-                s_row = []
-                for u in us:
-                    aa = sum(map(mul_int, h[0], u[0]))
-                    if quad:
-                        bb = sum(map(mul_int, h[1], u[1]))
-                        ab = sum(map(mul_int, h[2], u[2])) - aa - bb
-                        x, y = aa + bb * wc, ab + bb * wt
-                        s_row.append((x + y * wt, -y) if e and not left
-                                     else (x, y))
-                    else:
-                        s_row.append((aa, 0))
-                s.append(s_row)
+        if depth and t:
+            e = (offset + t) % len(ks)
             if left:
-                s = [list(row) for row in zip(*s)]
-        rt = step(t, l_den * r_den, s)
+                s = [[inner(k, u) for k in ks[e]] for u in us]
+            else:
+                s = [[inner(k, u) for u in us] for k in ks[e]]
+                if conj and e:
+                    s = [[(x + y * wt, -y) for x, y in row] for row in s]
+        rt = step(t, den * r_den, s)
         out.append(rt)
         if not depth or t + 1 == nterms:   # no later order reads R_t
             continue
-        new_den = lcm(r_den, *(c.den for row in rt for c in row))
-        if new_den != r_den:
-            f = new_den // r_den
-            for col in cols:
-                for lane in col:
-                    lane[:] = [u * f for u in lane]
-            r_den = new_den
         u_t = rt if left else list(zip(*rt))
-        if not cols:
-            cols = [[[] for _ in rows[0][0]] for _ in u_t]
+        if not us:
+            us = [[[] for _ in ks[0][0]] for _ in u_t]
         twist = conj and not left and t % 2
-        for col, entries in zip(cols, u_t):
-            for c in entries:
+        for lanes, row in zip(us, u_t):
+            for c in row:
+                if r_den % c.den:   # rescale the lanes to the new lcm
+                    f = lcm(r_den, c.den) // r_den
+                    for side in us:
+                        for lane in side:
+                            lane[:] = [x * f for x in lane]
+                    r_den *= f
                 f = r_den // c.den
-                x = c.num.a * f
+                num = c.num
+                x = num.a * f
                 if quad:
-                    y = c.num.b * f
+                    y = num.b * f
                     if twist:
                         x, y = x + y * wt, -y
-                    col[1].append(y)
-                    col[2].append(x + y)
-                col[0].append(x)
+                    lanes[1].append(y)
+                    lanes[2].append(x + y)
+                lanes[0].append(x)
     return out

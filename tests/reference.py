@@ -7,6 +7,9 @@ package imports this module.
 
 - reference_inverse: a matrix inverse by the coefficient recursion in
   per-term FieldElem arithmetic (series.matrix_invert).
+- reference_right_divide: series.right_divide by the unfolded
+  recurrence, with a_v^-1 applied at every order, in per-term FieldElem
+  arithmetic.
 - reference_sum_products: series.sum_products by one integer dot product
   per output order, parity and lane.
 - reference_disagreement: series.disagreement through the difference
@@ -40,19 +43,23 @@ from skewdd.series import (SeriesMatrix, TruncatedSeries, _kt_add, _kt_min,
 from skewdd.textio import _order, format_ring_elem, parse_field_elem
 
 
+def _lowest_inverse(a):
+    """The inverse of a's lowest coefficient matrix, by the adjugate."""
+    m = a.coeff_matrix(a.min_val)
+    if len(m) == 1:
+        return [[m[0][0].inverse()]]
+    inv_det = det2(m).inverse()
+    return [[m[1][1] * inv_det, -m[0][1] * inv_det],
+            [-m[1][0] * inv_det, m[0][0] * inv_det]]
+
+
 def reference_inverse(a, prec):
     """The inverse by the coefficient recursion in per-term FieldElem
     arithmetic: one field product and one field sum per term."""
     dom = a.dom
     sig = dom.sigma_pow
     v = a.min_val
-    m = a.coeff_matrix(v)
-    if len(m) == 1:
-        inv_a0 = [[m[0][0].inverse()]]
-    else:
-        inv_det = det2(m).inverse()
-        inv_a0 = [[m[1][1] * inv_det, -m[0][1] * inv_det],
-                  [-m[1][0] * inv_det, m[0][0] * inv_det]]
+    inv_a0 = _lowest_inverse(a)
     out_kt = prec
     if a.known_to is not None:
         out_kt = a.known_to - 2 * v if prec is None \
@@ -79,6 +86,48 @@ def reference_inverse(a, prec):
                     for q in idx] for p in idx])
     return [[TruncatedSeries(dom, -v, [b[p][q] for b in bs], out_kt)
              for q in idx] for p in idx]
+
+
+def reference_right_divide(b, a, prec):
+    """series.right_divide by the unfolded recurrence in per-term
+    FieldElem arithmetic, row by row of the exact b:
+
+        X_t = (b_(o+v+t) - sum_(j=1..t) X_(t-j) sigma^(o+t-j)(a_(v+j)))
+              sigma^(o+t)(a_v^-1),
+
+    X = sum_t X_t x^(o+t), v the least valuation in a and o + v the
+    least in b. Row p of X is known through min(known_to(a) - 2v, prec)
+    plus the least valuation in row p of b, and a zero row of b gives an
+    exact zero row. A term with a zero entry of X is skipped, so no
+    coefficient of a past that bound is read."""
+    dom = a.dom
+    sig = dom.sigma_pow
+    v = a.min_val
+    inv_a0 = _lowest_inverse(a)
+    idx = range(len(inv_a0))
+    out_kt = _kt_min(_kt_add(a.known_to, -2 * v), prec)
+    lows = [min((s.val for s in row if s.coeffs), default=None)
+            for row in b.rows]
+    o = min((low for low in lows if low is not None), default=0) - v
+    rows = []
+    for row, low in zip(b.rows, lows):
+        if low is None:
+            rows.append([TruncatedSeries.zero(dom) for _ in idx])
+            continue
+        xs = []
+        for t in range(max(out_kt + low - o, 0)):
+            rhs = [row[q].coeff(o + v + t) for q in idx]
+            for j in range(1, t + 1):
+                for i, x in enumerate(xs[t - j]):
+                    if x:
+                        for q in idx:
+                            rhs[q] = rhs[q] - x * sig(
+                                a.rows[i][q].coeff(v + j), o + t - j)
+            xs.append([sum((rhs[i] * sig(inv_a0[i][q], o + t) for i in idx),
+                           dom.fzero) for q in idx])
+        rows.append([TruncatedSeries(dom, o, [x[q] for x in xs], out_kt + low)
+                     for q in idx])
+    return SeriesMatrix(dom, rows)
 
 
 def reference_sum_products(dom, pairs):

@@ -13,7 +13,7 @@ from skewdd.textio import format_series, parse_series
 
 from conftest import DOMAIN_SPECS, assert_same_matrix, rand_ring_elem
 from reference import (reference_disagreement, reference_inverse,
-                       reference_sum_products)
+                       reference_right_divide, reference_sum_products)
 
 
 def rand_series(dom, rng, val_range=(-3, 3), length=4, prec_extra=(0, 3)):
@@ -471,6 +471,15 @@ def relaxed_inputs(draw, dom, left=False):
     return (r, k, m), known, draw(st.integers(-2, 2)), rs
 
 
+def known_pairs(known):
+    """(pairs, den): the matrices of known as integer pairs (a, b), entry
+    (a + b*w) / den over one common denominator, as relaxed_product
+    takes them."""
+    den, lanes = _lanes([c for m in known for row in m for c in row], True)
+    parts = iter(zip(*lanes))
+    return [[[next(parts) for _ in row] for row in m] for m in known], den
+
+
 @settings(max_examples=80, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
@@ -489,7 +498,8 @@ def test_relaxed_product_matches_per_term_sums(any_domain, data):
         seen.append((t, den, s))
         return rs[t]
 
-    assert relaxed_product(dom, known, offset, len(rs), step) == rs
+    pairs, den = known_pairs(known)
+    assert relaxed_product(dom, pairs, offset, len(rs), step, den=den) == rs
     assert [t for t, _, _ in seen] == list(range(len(rs)))
     for t, den, s in seen:
         terms = range(1, min(t, len(known)) + 1)
@@ -523,8 +533,9 @@ def test_relaxed_product_left_matches_per_term_sums(any_domain, data):
         seen.append((t, den, s))
         return rs[t]
 
-    assert relaxed_product(dom, known, offset, len(rs), step,
-                           left=True) == rs
+    pairs, den = known_pairs(known)
+    assert relaxed_product(dom, pairs, offset, len(rs), step, left=True,
+                           den=den) == rs
     assert [t for t, _, _ in seen] == list(range(len(rs)))
     for t, den, s in seen:
         terms = range(1, min(t, len(known)) + 1)
@@ -568,11 +579,16 @@ def test_right_divide_matches_the_product_with_the_inverse(any_domain, n,
     """right_divide(b, a, prec) is b @ a^-1 with a^-1 from the per-term
     recursion: the same coefficients and known_to in every entry, as the
     min rule gives the product (each row known through the inverse's
-    bound plus the row's least valuation in b)."""
+    bound plus the row's least valuation in b). It also equals the
+    unfolded recurrence, which multiplies b_(o+v+t) - S_t by
+    sigma^(o+t)(a_v^-1) at every order, where right_divide folds a_v^-1
+    into K_j = a_(v+j) sigma^j(a_v^-1) and b'_t once."""
     a, prec = data.draw(invertible_matrices(any_domain, n))
     b = data.draw(dividends(any_domain, data.draw(st.integers(1, 2)), n))
     inv = SeriesMatrix(any_domain, reference_inverse(a, prec))
-    assert_same_matrix(series.right_divide(b, a, prec), b @ inv)
+    got = series.right_divide(b, a, prec)
+    assert_same_matrix(got, b @ inv)
+    assert_same_matrix(got, reference_right_divide(b, a, prec))
 
 
 @pytest.mark.parametrize("spec", [s for s in DOMAIN_SPECS
@@ -582,8 +598,9 @@ def test_odd_valuations_on_conj_domains(spec):
     """On the conj domains, 2x2 matrices of odd valuation -1, 1 or 3, with
     right-hand sides of odd and even valuations: matrix_invert equals
     the per-term recursion, and right_divide equals the product with
-    it. The single stored copy of the unknown is twisted by its own
-    order, so an odd valuation is where a parity slip would show."""
+    it and the unfolded recurrence. The single stored copy of the
+    unknown is twisted by its own order, and K_j by sigma^j, so an odd
+    valuation is where a parity slip would show."""
     dom = get_domain(spec)
     rng = random.Random(23)
     checked = 0
@@ -606,7 +623,9 @@ def test_odd_valuations_on_conj_domains(spec):
                                                 rng.randint(-9, 9), 2)
                                       for _ in range(rng.randint(1, 3))])
             for _ in range(2)] for _ in range(2)])
-        assert_same_matrix(series.right_divide(b, a, prec), b @ inv)
+        got = series.right_divide(b, a, prec)
+        assert_same_matrix(got, b @ inv)
+        assert_same_matrix(got, reference_right_divide(b, a, prec))
 
 
 def test_right_divide_refuses_an_inexact_dividend(zz):
